@@ -1,0 +1,64 @@
+"""Byte-identity guard: short `simulate` runs keep their recorded outputs.
+
+The digests pin `prr.csv` and `ipg_ccdf.csv` of small runs covering both
+technologies, both reception modes and the NLOS path-loss branch (the
+urban_grid layout). Any change to the SINR arithmetic, to the order in which
+reception decisions draw from the RNG, or to the PRR/IPG bookkeeping moves
+them. Re-record only for a change that is meant to move simulation outputs.
+"""
+
+import hashlib
+
+import pytest
+
+from conftest import curve_path
+
+from v2xsim.cli import main
+
+CASES = {
+    # name: (technology, reception mode, layout, curve file)
+    "11p-step-highway": ("11p", "step", "highway", "highway_los_11p_mcs2_350B.csv"),
+    "11p-curve-highway": ("11p", "curve", "highway", "highway_los_11p_mcs2_350B.csv"),
+    "cv2x-step-highway": ("cv2x", "step", "highway", "highway_los_cv2x_mcs7_350B.csv"),
+    "cv2x-curve-highway": ("cv2x", "curve", "highway", "highway_los_cv2x_mcs7_350B.csv"),
+    "cv2x-curve-crossing": ("cv2x", "curve", "urban_grid",
+                            "crossing_nlos_cv2x_mcs7_350B.csv"),
+}
+
+DIGESTS = {
+    "11p-step-highway": ("e4c4ce2a0e324096f065002deb3d7c3ef3972a3109d76d3d4649a306c6a21640",
+                         "cd7bb8d291d1798b9e12523983671ce1dfdcc0c1918a1f1a56752af15a035c2d"),
+    "11p-curve-highway": ("ee87401a8b86b3381dbc1deaedd4acb50f7080cb06e8c405f821ea9999e1c51c",
+                          "100040b9f144e9981ce572974c9051e5585bac18c0e220a82b9ce54d445cd089"),
+    "cv2x-step-highway": ("cca1ecb6a0d0c4830b63cfd04d6b9b3891c7e7787c7a120aef4fe63308720cb2",
+                          "7265bbfa52d939fb5f913e755f0ba3f6947def7f5b3ca68553ab1a4e521e70cd"),
+    "cv2x-curve-highway": ("96a7032101e36c65482bf0f34617a9827aafb2758e92fc37831cba4b8092fa2b",
+                           "2cd44fd9e0d773c16a58005cb669496237b1e0f44946fe9406be79042119b4e3"),
+    "cv2x-curve-crossing": ("5767d4c29407f8b6a948d0010a4caf20316b24b16fb276044ba5c24e3a6287d5",
+                            "cfe4f51a1db5c7747325671825025afa112d35977653c6fc897498388ad598bf"),
+}
+
+
+def simulate(name, out):
+    tech, mode, layout, curve = CASES[name]
+    sets = {
+        "run.technology": tech,
+        "run.seed": 11,
+        "run.sim_duration_s": 2.0,
+        "run.warmup_s": 0.5,
+        "reception.mode": mode,
+        "reception.curve_file": curve_path(curve),
+        "road.layout": layout,
+        "road.density_vpk": 100.0,
+    }
+    argv = ["simulate", "--out", str(out)]
+    for key, value in sets.items():
+        argv += ["--set", f"{key}={value}"]
+    assert main(argv) == 0
+    return tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                 for f in ("prr.csv", "ipg_ccdf.csv"))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_simulate_outputs_match_recorded_digests(name, tmp_path):
+    assert simulate(name, tmp_path) == DIGESTS[name]
