@@ -160,12 +160,12 @@ class SpsParams:
             raise ConfigError("keep_probability must be in [0, 1]")
         if not 0.0 < self.best_fraction <= 1.0:
             raise ConfigError("best_fraction must be in (0, 1]")
+        if self.counter_min > self.counter_max:
+            raise ConfigError("counter_min must be <= counter_max")
 
 
 @dataclass
 class SpsState:
-    selected_subchannel: int = -1
-    selected_tti: int = -1  # absolute TTI index of the next reserved slot
     reselection_counter: int = 0
     keep_probability: float = 0.5
     needs_reselection: bool = True

@@ -83,17 +83,25 @@ class LinkSample:
                 raise ConfigError(f"overlap_fraction {overlap} outside [0, 1]")
 
 
-def free_space_loss_db(d, carrier_hz: float):
-    d = np.maximum(np.asarray(d, dtype=float), 1.0)
-    return 20.0 * np.log10(d) + 20.0 * np.log10(carrier_hz) + 20.0 * math.log10(
+def _free_space_db(log_d, carrier_hz: float):
+    return 20.0 * log_d + 20.0 * np.log10(carrier_hz) + 20.0 * math.log10(
         4.0 * math.pi / SPEED_OF_LIGHT
     )
+
+
+def _winner_db(log_d, a: float, b: float, c: float, carrier_hz: float):
+    return a * log_d + b + c * math.log10(carrier_hz / 5e9)
+
+
+def free_space_loss_db(d, carrier_hz: float):
+    d = np.maximum(np.asarray(d, dtype=float), 1.0)
+    return _free_space_db(np.log10(d), carrier_hz)
 
 
 def winner_formula_db(d, a: float, b: float, c: float, carrier_hz: float):
     """Single-slope WINNER-style term, unclamped; d floored at 1 m."""
     d = np.maximum(np.asarray(d, dtype=float), 1.0)
-    return a * np.log10(d) + b + c * math.log10(carrier_hz / 5e9)
+    return _winner_db(np.log10(d), a, b, c, carrier_hz)
 
 
 def path_loss_db(d, cfg: PropagationConfig, los: bool | np.ndarray | None = None):
@@ -103,20 +111,22 @@ def path_loss_db(d, cfg: PropagationConfig, los: bool | np.ndarray | None = None
     dual-slope past the breakpoint, the NLOS branch is single-slope.
     """
     d = np.maximum(np.asarray(d, dtype=float), 1.0)
+    log_d = np.log10(d)
     co = cfg.coefficients
     if los is None:
         los = cfg.model == "winner_b1_los"
-    los_loss = winner_formula_db(d, co.los_a, co.los_b, co.los_c, cfg.carrier_hz)
+    loss = _winner_db(log_d, co.los_a, co.los_b, co.los_c, cfg.carrier_hz)
     d_bp = cfg.breakpoint_m
     past = d > d_bp
     if np.any(past):
         at_bp = winner_formula_db(d_bp, co.los_a, co.los_b, co.los_c, cfg.carrier_hz)
-        los_loss = np.where(
-            past, at_bp + co.breakpoint_exponent_db * np.log10(d / d_bp), los_loss
+        loss = np.where(
+            past, at_bp + co.breakpoint_exponent_db * np.log10(d / d_bp), loss
         )
-    nlos_loss = winner_formula_db(d, co.nlos_a, co.nlos_b, co.nlos_c, cfg.carrier_hz)
-    loss = np.where(los, los_loss, nlos_loss)
-    return np.maximum(loss, free_space_loss_db(d, cfg.carrier_hz))
+    if not np.all(los):
+        nlos_loss = _winner_db(log_d, co.nlos_a, co.nlos_b, co.nlos_c, cfg.carrier_hz)
+        loss = np.where(los, loss, nlos_loss)
+    return np.maximum(loss, _free_space_db(log_d, cfg.carrier_hz))
 
 
 def noise_power_dbm(cfg: PropagationConfig) -> float:

@@ -3,8 +3,9 @@
 802.11p runs on a continuous-time event heap (generation, MAC timers, frame
 boundaries); C-V2X runs on a TTI-slotted timeline. Both share the same
 vectorized link-budget cache: per mobility epoch the engine refreshes an
-NxN received-power matrix (path loss + correlated shadowing), and every
-frame is evaluated against all in-range receivers at once.
+NxN received-power matrix (path loss + correlated shadowing). Reception is
+scored in batches: all F frames of a C-V2X TTI, or one 802.11p frame when
+it ends, against all in-range receivers in one F x N pass.
 
 Reception is decided either by a hard SINR threshold or by a Bernoulli draw
 against the interpolated PER curve; each generated packet resolves, per
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import scenario as scen
 from .abstraction import PerCurve, StepFunction
-from .access import (CsmaNode, CsmaParams, SensingWindow, SpsParams, SpsState,
-                     sps_after_transmission, sps_select)
+from .access import (CsmaNode, CsmaParams, ScheduleTimer, SensingWindow, SpsParams,
+                     SpsState, StartTx, sps_after_transmission, sps_select)
 from .channel import LinkShadowing, PropagationConfig, noise_power_dbm, path_loss_db
 from .errors import ConfigError
 from .metrics import IpgStore, MetricStore, PrrSeries, default_bin_edges
@@ -87,6 +88,13 @@ class RunConfig:
     def __post_init__(self):
         if not self.warmup_s < self.sim_duration_s:
             raise ConfigError("warmup_s must be smaller than sim_duration_s")
+        if not self.warmup_s >= 0:
+            raise ConfigError("warmup_s must be >= 0")
+        if not self.max_range_m > 0:
+            raise ConfigError("max_range_m must be > 0")
+        # a zero step would re-schedule the mobility epoch at the same instant forever
+        if not self.mobility_step_s > 0:
+            raise ConfigError("mobility_step_s must be > 0")
         if self.technology not in ("11p", "cv2x"):
             raise ConfigError(f"unknown technology {self.technology!r}")
         wants_11p = self.technology == "11p"
@@ -136,6 +144,17 @@ def overlap_fraction(a: TransmissionEvent, b: TransmissionEvent) -> float:
     return (hi - lo) / a.prb_count
 
 
+def prb_overlap(prb_start: np.ndarray, prb_count: int) -> np.ndarray:
+    """(F, F) `overlap_fraction` of F same-TTI frames of equal PRB footprint.
+
+    Entry [f, j] is the share of frame f's PRBs that frame j also occupies;
+    the diagonal is zero.
+    """
+    shared = np.maximum(prb_count - np.abs(prb_start[:, None] - prb_start[None, :]), 0)
+    np.fill_diagonal(shared, 0)
+    return shared / prb_count
+
+
 def interference_set(event: TransmissionEvent, all_events):
     """Interferers of `event` with their overlap fractions (zero-overlap dropped)."""
     out = []
@@ -177,7 +196,7 @@ class _PhyCache:
             self._last_traveled = geom.traveled.copy()
         los = geom.los_matrix()
         self.dist = geom.distance_matrix()
-        pd = geom.propagation_distance_matrix(los)
+        pd = geom.propagation_distance_matrix(los, self.dist)
         loss = path_loss_db(pd, prop, los=los)
         self.power_dbm = (prop.tx_power_dbm + 2.0 * prop.antenna_gain_dbi
                           - loss - self.shadow_db)
@@ -202,40 +221,46 @@ class _RunBase:
         self.rng_reception = stream(cfg.seed, "reception")
         edges = default_bin_edges(cfg.prr_max_distance_m, cfg.prr_bin_width_m)
         self.metrics = MetricStore(prr=PrrSeries(edges),
-                                   ipg=IpgStore(cfg.ipg_range_m))
+                                   ipg=IpgStore(cfg.ipg_range_m, self.n))
         self.phases = np.array([
             generation_phase(v.id, cfg.seed, traffic.period_s) for v in self.vehicles
         ]) if self.n else np.zeros(0)
 
-    def evaluate_frame(self, frame: TransmissionEvent, mw_row, dist_row,
-                       interferers, blocked_ids, time_of_reception: float):
-        """Vectorized reception decision for one frame against all receivers.
+    def _score(self, tx: np.ndarray, signal: np.ndarray, dist: np.ndarray,
+               overlap: np.ndarray, sources, deaf: np.ndarray, start: float,
+               time_of_reception: float):
+        """Reception outcomes of F concurrent frames at every in-range receiver.
 
-        interferers: list of (mw_row_of_interferer, overlap_fraction).
-        blocked_ids: receivers deaf due to their own overlapping transmission.
+        tx: (F,) transmitter ids; signal, dist: (F, N) received power (mW)
+        and distance from each frame's transmitter; overlap: (F, S) share of
+        frame f hit by interferer s, whose (N,) power row is sources[s];
+        deaf: (N,) receivers that are transmitting themselves (half duplex).
+        Decisions are drawn frame by frame, receivers ascending.
         """
-        rx = np.flatnonzero((dist_row <= self.cfg.max_range_m))
-        rx = rx[rx != frame.tx_id]
-        if rx.size == 0:
+        in_range = dist <= self.cfg.max_range_m
+        in_range[np.arange(tx.size), tx] = False
+        fi, ri = np.nonzero(in_range)
+        if fi.size == 0:
             return
-        denom = np.full(rx.size, self.noise_mw)
-        for mw, frac in interferers:
-            denom = denom + frac * mw[rx]
-        sinr = mw_row[rx] / denom
-        decisions = decide_reception_vector(sinr, self.cfg.reception,
-                                            self.rng_reception)
-        blocked = np.isin(rx, blocked_ids) if blocked_ids else np.zeros(rx.size, bool)
+        # summed source by source, like a per-frame loop over its interferers:
+        # a matmul would reorder the sum and can flip a threshold decision
+        denom = np.full(signal.shape, self.noise_mw)
+        for j in np.flatnonzero(overlap.any(axis=0)):
+            denom += overlap[:, j, None] * sources[j]
+        decisions = decide_reception_vector(signal[fi, ri] / denom[fi, ri],
+                                            self.cfg.reception, self.rng_reception)
+        if start < self.cfg.warmup_s:
+            return
+        blocked = deaf[ri]
         received = decisions & ~blocked
-        if frame.start < self.cfg.warmup_s:
-            return
-        self.metrics.opportunities += rx.size
-        self.metrics.prr.add_many(dist_row[rx], received)
-        self.metrics.received_total += int(received.sum())
-        self.metrics.lost_half_duplex += int(blocked.sum())
-        self.metrics.lost_sinr += int((~received & ~blocked).sum())
-        near = received & (dist_row[rx] <= self.cfg.ipg_range_m)
-        for r in rx[np.flatnonzero(near)]:
-            self.metrics.ipg.add((frame.tx_id, int(r)), dist_row[r], time_of_reception)
+        d = dist[fi, ri]
+        m = self.metrics
+        m.opportunities += fi.size
+        m.prr.add_many(d, received)
+        m.received_total += int(received.sum())
+        m.lost_half_duplex += int(blocked.sum())
+        m.lost_sinr += int((~received & ~blocked).sum())
+        m.ipg.add_many(tx[fi[received]], ri[received], d[received], time_of_reception)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +305,6 @@ class _Run11p(_RunBase):
         heapq.heappush(self.heap, (at, next(self.counter), kind, data))
 
     def _apply(self, now: float, vid: int, action):
-        from .access import ScheduleTimer, StartTx
-
         if isinstance(action, ScheduleTimer):
             self._push(action.at, "timer", (vid, action.token))
         elif isinstance(action, StartTx):
@@ -341,16 +364,17 @@ class _Run11p(_RunBase):
         self.busy_decod -= frame.sense_mask
         self.energy_mw -= frame.mw_row
         self._recompute_busy(now)
-        interferers = []
-        blocked = []
+        fracs, sources = [], []
+        deaf = np.zeros(self.n, dtype=bool)
         for other in frame.overlappers:
             frac = overlap_fraction(frame.event, other.event)
             if frac > 0.0:
-                interferers.append((other.mw_row, frac))
-            blocked.append(other.event.tx_id)
-        self.evaluate_frame(frame.event, frame.mw_row, frame.dist_row,
-                            interferers, blocked, now)
+                fracs.append(frac)
+                sources.append(other.mw_row)
+            deaf[other.event.tx_id] = True
         vid = frame.event.tx_id
+        self._score(np.array([vid]), frame.mw_row[None], frame.dist_row[None],
+                    np.array([fracs]), sources, deaf, frame.event.start, now)
         self._apply(now, vid, self.nodes[vid].on_tx_end(now, bool(self.busy[vid])))
 
     def run(self) -> MetricStore:
@@ -415,8 +439,11 @@ class _RunCv2x(_RunBase):
         self.sps_states = [SpsState(keep_probability=sps.keep_probability)
                            for _ in range(self.n)]
         self.sps_rngs = [stream(cfg.seed, "sps", v.id) for v in self.vehicles]
-        self.pending = [None] * self.n  # generation timestamp awaiting its slot
-        self.seq = itertools.count()
+        # per vehicle: generation time of the packet awaiting its slot (NaN =
+        # none) and the reserved resource (absolute TTI, first subchannel)
+        self.pending = np.full(self.n, np.nan)
+        self.reserved_tti = np.full(self.n, -1, dtype=np.int64)
+        self.reserved_subch = np.zeros(self.n, dtype=np.int64)
 
     def _sensing_view(self, vid: int, now_tti: int) -> SensingWindow:
         sw = SensingWindow.__new__(SensingWindow)
@@ -431,8 +458,8 @@ class _RunCv2x(_RunBase):
         sel = sps_select(st, self._sensing_view(vid, now_tti), now_tti,
                          self.sps_params, self.t_tti, self.sps_rngs[vid],
                          n_subch_needed=self.n_subch_needed)
-        st.selected_subchannel = sel.subchannel
-        st.selected_tti = sel.tti
+        self.reserved_subch[vid] = sel.subchannel
+        self.reserved_tti[vid] = sel.tti
         st.reselection_counter = sel.reselection_counter
         st.needs_reselection = False
         if self.trace is not None:
@@ -440,7 +467,6 @@ class _RunCv2x(_RunBase):
 
     def run(self) -> MetricStore:
         cfg = self.cfg
-        theta: CV2xSettings = cfg.theta
         n_ttis = int(math.ceil(cfg.sim_duration_s / self.t_tti))
         next_gen = self.phases.copy()
         epoch_every = max(int(round(cfg.mobility_step_s / self.t_tti)), 1)
@@ -450,39 +476,29 @@ class _RunCv2x(_RunBase):
                 self.geom.step(epoch_every * self.t_tti)
                 self.phy.refresh()
             # generations due before the next TTI boundary
-            for vid in range(self.n):
-                if next_gen[vid] < t_k + self.t_tti and next_gen[vid] < cfg.sim_duration_s:
-                    if next_gen[vid] >= cfg.warmup_s:
-                        self.metrics.generated += 1
-                    self.pending[vid] = float(next_gen[vid])
-                    next_gen[vid] += self.traffic.period_s
-                    st = self.sps_states[vid]
-                    if st.needs_reselection:
+            due = np.flatnonzero((next_gen < t_k + self.t_tti)
+                                 & (next_gen < cfg.sim_duration_s))
+            if due.size:
+                self.metrics.generated += int((next_gen[due] >= cfg.warmup_s).sum())
+                self.pending[due] = next_gen[due]
+                next_gen[due] += self.traffic.period_s
+                for vid in due.tolist():
+                    if self.sps_states[vid].needs_reselection:
                         self._select(vid, k)
             # transmissions whose reserved slot is this TTI
-            frames = []
-            for vid in range(self.n):
-                st = self.sps_states[vid]
-                if self.pending[vid] is None or st.selected_tti != k:
-                    continue
-                if self.pending[vid] > t_k:
-                    # packet arrived mid-slot; it rides the next occurrence
-                    st.selected_tti += self.period_ttis
-                    continue
-                self.pending[vid] = None
-                event = TransmissionEvent(
-                    tx_id=vid, start=t_k, duration=self.t_tti,
-                    payload_bytes=theta.payload_bytes, sequence=next(self.seq),
-                    tti=k, prb_start=st.selected_subchannel * theta.n_prb_subch,
-                    prb_count=self.footprint_prbs,
-                )
-                frames.append(event)
-                if t_k >= cfg.warmup_s:
-                    self.metrics.transmitted += 1
-            self._deliver(frames, t_k + self.t_tti)
-            self._sense(frames, k)
-            for event in frames:
-                vid = event.tx_id
+            slot = np.flatnonzero(self.reserved_tti == k)
+            slot = slot[~np.isnan(self.pending[slot])]
+            late = self.pending[slot] > t_k
+            # a packet that arrived mid-slot rides the next occurrence
+            self.reserved_tti[slot[late]] += self.period_ttis
+            tx = slot[~late]
+            self.pending[tx] = np.nan
+            if t_k >= cfg.warmup_s:
+                self.metrics.transmitted += tx.size
+            if tx.size:
+                self._deliver(tx, t_k, t_k + self.t_tti)
+            self._sense(tx, k)
+            for vid in tx.tolist():
                 st = self.sps_states[vid]
                 before = st.reselection_counter
                 keep = sps_after_transmission(st, self.sps_params, self.sps_rngs[vid])
@@ -491,35 +507,26 @@ class _RunCv2x(_RunBase):
                     if keep is not None:
                         self.trace.sps_keeps.append(keep)
                 if not st.needs_reselection:
-                    st.selected_tti += self.period_ttis
+                    self.reserved_tti[vid] += self.period_ttis
         return self.metrics
 
-    def _deliver(self, frames, time_of_reception: float):
-        tx_ids = [f.tx_id for f in frames]
-        for event in frames:
-            interferers = []
-            for other in frames:
-                if other is event:
-                    continue
-                frac = overlap_fraction(event, other)
-                if frac > 0.0:
-                    interferers.append((self.phy.power_mw[other.tx_id], frac))
-            blocked = [t for t in tx_ids if t != event.tx_id]
-            self.evaluate_frame(event, self.phy.power_mw[event.tx_id],
-                                self.phy.dist[event.tx_id], interferers, blocked,
-                                time_of_reception)
+    def _deliver(self, tx: np.ndarray, start: float, time_of_reception: float):
+        """Score the TTI's frames (sent by `tx`, ascending) against each other."""
+        overlap = prb_overlap(self.reserved_subch[tx] * self.cfg.theta.n_prb_subch,
+                              self.footprint_prbs)
+        signal = self.phy.power_mw[tx]
+        deaf = np.zeros(self.n, dtype=bool)
+        deaf[tx] = True
+        self._score(tx, signal, self.phy.dist[tx], overlap, signal, deaf, start,
+                    time_of_reception)
 
-    def _sense(self, frames, k: int):
-        theta: CV2xSettings = self.cfg.theta
-        measured = np.zeros((self.n, theta.n_subch))
-        for event in frames:
-            s0 = event.prb_start // theta.n_prb_subch
-            s1 = min(math.ceil((event.prb_start + event.prb_count)
-                               / theta.n_prb_subch), theta.n_subch)
-            measured[:, s0:s1] += self.phy.power_mw[event.tx_id][:, None]
-        for event in frames:
-            measured[event.tx_id, :] = np.nan  # half duplex: own TTI unsensed
-        self.ring[:, k % self.window_ttis, :] = measured
+    def _sense(self, tx: np.ndarray, k: int):
+        """Write this TTI's received power per subchannel into every sensing window."""
+        row = self.ring[:, k % self.window_ttis]
+        row[...] = 0.0
+        for vid, s0 in zip(tx.tolist(), self.reserved_subch[tx].tolist()):
+            row[:, s0:s0 + self.n_subch_needed] += self.phy.power_mw[vid][:, None]
+        row[tx] = np.nan  # half duplex: own TTI unsensed
 
 
 # ---------------------------------------------------------------------------

@@ -57,9 +57,10 @@ class PrrSeries:
     def add_many(self, distances_m: np.ndarray, received: np.ndarray):
         idx = np.searchsorted(self.bin_edges, distances_m, side="right") - 1
         ok = (idx >= 0) & (idx < self.opportunities.size)
-        idx = idx[ok]
-        np.add.at(self.opportunities, idx, 1)
-        np.add.at(self.received, idx, np.asarray(received)[ok].astype(np.int64))
+        n = self.opportunities.size
+        self.opportunities += np.bincount(idx[ok], minlength=n)
+        self.received += np.bincount(idx[ok & np.asarray(received, dtype=bool)],
+                                     minlength=n)
 
     def ratios(self) -> np.ndarray:
         """PRR per bin; NaN where no opportunity was recorded."""
@@ -76,22 +77,51 @@ class PrrSeries:
 
 @dataclass
 class IpgStore:
-    """Gaps between consecutive receptions per directed (tx, rx) pair."""
+    """Gaps between consecutive receptions per directed (tx, rx) pair.
+
+    `last_time[tx, rx]` is the time of the pair's latest reception inside
+    the range limit (NaN = none yet); the array starts at `n_nodes` square
+    and grows when a larger vehicle id arrives.
+    """
 
     range_limit_m: float = DEFAULT_IPG_RANGE_M
-    last_time: dict = field(default_factory=dict)
+    n_nodes: int = 0
     gaps: list = field(default_factory=list)
 
+    def __post_init__(self):
+        self.last_time = np.full((self.n_nodes, self.n_nodes), np.nan)
+
     def add(self, pair, distance_m: float, time_s: float):
-        if distance_m > self.range_limit_m:
+        self.add_many(np.array([pair[0]]), np.array([pair[1]]),
+                      np.array([distance_m]), time_s)
+
+    def add_many(self, tx: np.ndarray, rx: np.ndarray, distance_m: np.ndarray,
+                 time_s: float):
+        """Receptions at `time_s` on distinct (tx[i], rx[i]) pairs.
+
+        Gaps are appended in the order of the pairs; pairs beyond the range
+        limit are ignored.
+        """
+        near = np.asarray(distance_m) <= self.range_limit_m
+        tx, rx = np.asarray(tx)[near], np.asarray(rx)[near]
+        if tx.size == 0:
             return
-        prev = self.last_time.get(pair)
-        if prev is not None:
-            gap = time_s - prev
-            if gap <= 0:
-                raise DataError(f"non-positive gap {gap} for pair {pair}")
-            self.gaps.append(gap)
-        self.last_time[pair] = time_s
+        side = int(max(tx.max(), rx.max())) + 1
+        if side > self.last_time.shape[0]:
+            grown = np.full((side, side), np.nan)
+            old = self.last_time.shape[0]
+            grown[:old, :old] = self.last_time
+            self.last_time = grown
+        prev = self.last_time[tx, rx]
+        seen = ~np.isnan(prev)
+        gaps = time_s - prev[seen]
+        bad = np.flatnonzero(gaps <= 0)
+        if bad.size:
+            i = np.flatnonzero(seen)[bad[0]]
+            raise DataError(f"non-positive gap {gaps[bad[0]]} for pair "
+                            f"{(int(tx[i]), int(rx[i]))}")
+        self.gaps.extend(gaps.tolist())
+        self.last_time[tx, rx] = time_s
 
     def merge(self, other: "IpgStore") -> "IpgStore":
         out = IpgStore(self.range_limit_m)

@@ -187,9 +187,11 @@ class Geometry:
         near_corner = np.abs(along) <= self.road.corner_los_m
         return same | near_corner[:, None] | near_corner[None, :]
 
-    def propagation_distance_matrix(self, los: np.ndarray) -> np.ndarray:
-        """Euclidean for LOS; around-the-corner (Manhattan) for NLOS links."""
-        d = self.distance_matrix()
+    def propagation_distance_matrix(self, los: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Euclidean `d` for LOS; around-the-corner (Manhattan) for NLOS links.
+
+        `d` is this geometry's `distance_matrix()`, which callers already hold.
+        """
         if self.road.layout == "highway":
             return d
         x, y = self.xy()

@@ -242,3 +242,9 @@ def test_resource_grid_sharing():
     assert grid.sharing(10, [1]) == {7, 9}
     assert grid.sharing(10, [4]) == set()
     assert grid.sharing(11, [0, 1]) == {3}
+
+
+def test_counter_range_must_be_ordered():
+    with pytest.raises(ConfigError, match="counter_min"):
+        SpsParams(counter_min=15, counter_max=5)
+    SpsParams(counter_min=7, counter_max=7)

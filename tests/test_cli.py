@@ -3,6 +3,8 @@
 import configparser
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -193,6 +195,29 @@ def test_simulate_nonexistent_curve_exits_3(tmp_path):
     assert run_cli("simulate", "--out", str(tmp_path / "x"),
                    "--set", "reception.mode=curve",
                    "--set", "reception.curve_file=/missing_11p_mcs2_350B.csv") == 3
+
+
+@pytest.mark.parametrize("key, value", [("run.max_range_m", "0"),
+                                        ("run.max_range_m", "-100"),
+                                        ("run.warmup_s", "-0.5"),
+                                        ("cv2x.counter_min", "16")])
+def test_simulate_bad_value_exits_2(tmp_path, capsys, key, value):
+    args = small_sim_args(tmp_path, tmp_path / "x", "--set", f"{key}={value}")
+    assert run_cli(*args) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_simulate_zero_mobility_step_exits_2(tmp_path):
+    # a child process, so that a hang fails the test instead of stalling the suite
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    args = small_sim_args(tmp_path, tmp_path / "x", "--set", "run.mobility_step_ms=0",
+                          "--set", "run.sim_duration_s=1.0")
+    proc = subprocess.run([sys.executable, "-m", "v2xsim.cli", *args],
+                          capture_output=True, text=True, timeout=20, env=env)
+    assert proc.returncode == 2
+    assert "config error:" in proc.stderr
 
 
 # --- select-beta and validate ----------------------------------------------------------

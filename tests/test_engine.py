@@ -11,7 +11,7 @@ from v2xsim.channel import PropagationConfig, noise_power_dbm, rx_power_dbm
 from v2xsim.engine import (ReceptionModel, RunConfig, SimulationSetup, TraceLog,
                            TransmissionEvent, decide_reception,
                            decide_reception_vector, interference_set,
-                           overlap_fraction, run)
+                           overlap_fraction, prb_overlap, run)
 from v2xsim.errors import ConfigError
 from v2xsim.metrics import prr_curve
 from v2xsim.scenario import VehicleState
@@ -112,6 +112,18 @@ def test_shared_prbs_fraction():
     b = ev(1, 0.0, 1e-3, 1, tti=5, prb_start=10, prb_count=20)
     assert interference_set(a, [a, b])[0][1] == pytest.approx(0.5)
     assert overlap_fraction(b, a) == pytest.approx(0.5)
+
+
+def test_prb_overlap_matches_pairwise_fraction():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        starts = rng.integers(0, 40, size=int(rng.integers(1, 9)))
+        events = [ev(i, 0.0, 1e-3, i, tti=3, prb_start=int(p), prb_count=12)
+                  for i, p in enumerate(starts)]
+        got = prb_overlap(starts, 12)
+        want = [[0.0 if a is b else overlap_fraction(a, b) for b in events]
+                for a in events]
+        assert got.tolist() == want
 
 
 # --- whole-run behavior -----------------------------------------------------------

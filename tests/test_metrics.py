@@ -102,6 +102,70 @@ def test_ipg_store_rejects_time_going_backwards():
         store.add((0, 1), 10.0, 0.5)
 
 
+def reference_gaps(batches, range_limit_m):
+    """Per-pair dict loop: the bookkeeping IpgStore.add_many must reproduce."""
+    last, gaps = {}, []
+    for tx, rx, dist, t in batches:
+        for pair in zip(tx, rx, dist):
+            if pair[2] > range_limit_m:
+                continue
+            if pair[:2] in last:
+                gaps.append(t - last[pair[:2]])
+            last[pair[:2]] = t
+    return gaps
+
+
+def test_ipg_add_many_gap_values_and_order():
+    batches = [([0, 1, 2], [1, 0, 3], [10.0, 10.0, 200.0], 0.1),
+               ([1], [0], [20.0], 0.3),
+               ([0, 1, 2], [1, 0, 3], [30.0, 30.0, 100.0], 0.6)]
+    store = IpgStore(150.0)
+    for tx, rx, dist, t in batches:
+        store.add_many(np.array(tx), np.array(rx), np.array(dist), t)
+    # (2, 3) was out of range at 0.1, so its reception at 0.6 opens no gap
+    assert store.gaps == [0.3 - 0.1, 0.6 - 0.1, 0.6 - 0.3]
+    assert all(type(g) is float for g in store.gaps)
+    assert len(store.gaps) == 3
+
+
+def test_ipg_add_many_matches_reference_loop():
+    rng = np.random.default_rng(12)
+    batches = []
+    for step in range(40):
+        tx = rng.integers(0, 12, size=8)
+        rx = rng.integers(0, 12, size=8)
+        keep = np.unique(tx * 12 + rx, return_index=True)[1]  # distinct pairs
+        tx, rx = tx[np.sort(keep)], rx[np.sort(keep)]
+        batches.append((tx, rx, rng.uniform(0.0, 300.0, size=tx.size), 0.1 * (step + 1)))
+    store = IpgStore(150.0, n_nodes=12)
+    for tx, rx, dist, t in batches:
+        store.add_many(tx, rx, dist, t)
+    expected = reference_gaps(batches, 150.0)
+    assert store.gaps == expected and len(expected) > 50
+
+
+def test_ipg_add_many_rejects_non_positive_gap():
+    store = IpgStore(150.0)
+    store.add_many(np.array([0, 3]), np.array([1, 4]), np.array([5.0, 5.0]), 0.5)
+    with pytest.raises(DataError, match=r"\(3, 4\)"):
+        store.add_many(np.array([3]), np.array([4]), np.array([5.0]), 0.5)
+
+
+def test_prr_add_many_matches_scalar_loop():
+    rng = np.random.default_rng(13)
+    d = rng.uniform(-50.0, 800.0, size=500)  # below the first and past the last edge
+    d[:3] = [0.0, 600.0, 599.999]
+    ok = rng.random(500) < 0.6
+    many, one = PrrSeries(default_bin_edges()), PrrSeries(default_bin_edges())
+    many.add_many(d, ok)
+    for di, oi in zip(d, ok):
+        one.add(float(di), bool(oi))
+    assert np.array_equal(many.opportunities, one.opportunities)
+    assert np.array_equal(many.received, one.received)
+    assert many.opportunities.dtype == np.int64 and many.received.dtype == np.int64
+    assert one.opportunities.sum() < 500
+
+
 # --- MAE ------------------------------------------------------------------------
 
 def series(ratios, opportunities=1000):

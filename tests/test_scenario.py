@@ -158,7 +158,7 @@ def test_urban_cross_street_far_from_corner_is_nlos():
     los = geom.los_matrix()
     assert not los[0, 1]
     # around-the-corner path is at least as long as the euclidean one
-    prop = geom.propagation_distance_matrix(los)
+    prop = geom.propagation_distance_matrix(los, geom.distance_matrix())
     assert prop[0, 1] >= geom.distance_matrix()[0, 1]
     assert prop[0, 1] == pytest.approx(400.0 + 400.0)
 
