@@ -5,6 +5,11 @@ technologies, both reception modes and the NLOS path-loss branch (the
 urban_grid layout). Any change to the SINR arithmetic, to the order in which
 reception decisions draw from the RNG, or to the PRR/IPG bookkeeping moves
 them. Re-record only for a change that is meant to move simulation outputs.
+
+The MAC-trace digests pin, for short 802.11p highway runs at three
+densities, the full list of transmission starts (time, station, sensed
+busy) besides the two output files: any change to the CSMA state machine,
+its random draws or the order of same-instant events moves them.
 """
 
 import hashlib
@@ -13,7 +18,9 @@ import pytest
 
 from conftest import curve_path
 
-from v2xsim.cli import main
+from v2xsim import config as cfgmod
+from v2xsim.cli import build_reception, ipg_grid, main, write_ipg_csv, write_prr_csv
+from v2xsim.engine import TraceLog, run
 
 CASES = {
     # name: (technology, reception mode, layout, curve file)
@@ -62,3 +69,51 @@ def simulate(name, out):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_simulate_outputs_match_recorded_digests(name, tmp_path):
     assert simulate(name, tmp_path) == DIGESTS[name]
+
+
+MAC_CASES = {
+    # name: (density veh/km, reception mode, simulated seconds)
+    "11p-step-100": (100.0, "step", 1.0),
+    "11p-step-400": (400.0, "step", 0.5),
+    "11p-step-800": (800.0, "step", 0.25),
+    "11p-curve-400": (400.0, "curve", 0.5),
+}
+
+MAC_DIGESTS = {
+    "11p-step-100": ("9f2ae8a41405701bea073ed4cd060756d22e7c547dcf367a94fee9f07905a0a8",
+                     "107adac526b662c5173b4f8e01557106f7b98764b9f02e52c161aa361d884377"),
+    "11p-step-400": ("167c7cf719ff4023f7d643f39dd4e5c3c3f3057470bfbf9c317c837b74c7be51",
+                     "2df36989b27d80d5cfe7479b3cea11d6720bca438613ea4e1d9dc95a1fdaaedd"),
+    "11p-step-800": ("77e2d26ebedeb160ed8de41f56b8eb21413b0de62fe784c0f8175ae87309b236",
+                     "3d7c671ff7405ede25a00028a15d524b62bfef27b48a13114b7f6f58ee475951"),
+    "11p-curve-400": ("167c7cf719ff4023f7d643f39dd4e5c3c3f3057470bfbf9c317c837b74c7be51",
+                      "e421b63afa2ea9e6fc31b415672b871ab236c2c31a4d8def37c255ee2debaed7"),
+}
+
+
+def simulate_traced(name, out):
+    """(tx_starts digest, prr.csv + ipg_ccdf.csv digest) of one traced run."""
+    density, mode, duration = MAC_CASES[name]
+    sets = {
+        "run.technology": "11p",
+        "run.seed": 23,
+        "run.sim_duration_s": duration,
+        "run.warmup_s": 0.1,
+        "reception.mode": mode,
+        "reception.curve_file": curve_path("highway_los_11p_mcs2_350B.csv"),
+        "road.placement": "fixed_count",
+        "road.density_vpk": density,
+    }
+    cp = cfgmod.load_config(None, [f"{k}={v}" for k, v in sets.items()])
+    trace = TraceLog()
+    store = run(cfgmod.build_setup(cp, build_reception(cp)), trace)
+    write_prr_csv(str(out / "prr.csv"), store)
+    write_ipg_csv(str(out / "ipg_ccdf.csv"), store, ipg_grid(cp))
+    outputs = b"".join((out / f).read_bytes() for f in ("prr.csv", "ipg_ccdf.csv"))
+    return (hashlib.sha256(repr(trace.tx_starts).encode()).hexdigest(),
+            hashlib.sha256(outputs).hexdigest())
+
+
+@pytest.mark.parametrize("name", sorted(MAC_CASES))
+def test_mac_trace_matches_recorded_digests(name, tmp_path):
+    assert simulate_traced(name, tmp_path) == MAC_DIGESTS[name]
