@@ -1,8 +1,11 @@
 """MAC-layer state machines.
 
-CsmaNode implements single-queue 802.11p channel access (AIFS, uniform
-backoff, freeze-while-busy) as a passive state machine: the engine feeds it
-medium transitions and timer expiries and executes the actions it returns.
+CsmaNode holds single-queue 802.11p channel access (AIFS, uniform backoff,
+freeze-while-busy) for all stations at once, one array slot per station.
+The engine feeds it generations, medium busy/idle flips (as batches of
+station ids) and frame ends, and takes from it the earliest scheduled
+access instant; there are no per-station timers. Same-instant events are
+ordered by one sequence counter (see CsmaNode).
 
 Sidelink autonomous scheduling keeps a per-vehicle sensing window and picks
 resources from the best fifth of the selection window, with the standard
@@ -32,27 +35,6 @@ class CsmaParams:
     sense_energy_dbm: float = -65.0
 
 
-@dataclass
-class CsmaState:
-    phase: str = "idle"  # idle | aifs_wait | backoff_frozen | backoff_counting | transmitting
-    backoff_slots_remaining: int = 0
-    cw: int = 15
-    pending_packet: object = None
-    counting_start: float = 0.0
-    timer_token: int = 0
-
-
-@dataclass(frozen=True)
-class ScheduleTimer:
-    at: float
-    token: int
-
-
-@dataclass(frozen=True)
-class StartTx:
-    at: float
-
-
 def csma_carrier_sense(rx_power_dbm: float, decodable: bool,
                        params: CsmaParams = CsmaParams()) -> bool:
     """Busy iff a decodable signal clears the low threshold or any energy the high one."""
@@ -61,81 +43,149 @@ def csma_carrier_sense(rx_power_dbm: float, decodable: bool,
     return rx_power_dbm >= params.sense_energy_dbm
 
 
+IDLE, AIFS_WAIT, BACKOFF_FROZEN, BACKOFF_COUNTING, TRANSMITTING = range(5)
+# phases in which a station follows the medium's busy/idle flips
+_CONTENDING = np.array([False, True, True, True, False])
+
+
 class CsmaNode:
-    """One station's channel-access state; all mutation happens in engine order."""
+    """Channel-access state of all N stations, one array slot per station.
 
-    def __init__(self, params: CsmaParams, rng: np.random.Generator):
+    Per station: `phase`; `remaining` backoff slots; `counting_start`, the
+    end of the AIFS after which the frozen backoff counts down; `access_at`,
+    the instant the station transmits unless the medium turns busy first
+    (inf while none is scheduled); `access_seq`, the sequence number of that
+    access; `pending`, whether a packet is queued. A fresh packet replaces
+    an unsent one in place. `next` is (time, sequence number, station) of
+    the earliest scheduled access, or None; every method keeps it current.
+
+    Tie-break rule: the engine handles events in (time, sequence number)
+    order. `seq` is the one counter that numbers both the engine's heap
+    events and the access instants; an access takes its number when it is
+    scheduled, and stations resumed together take consecutive numbers in
+    ascending station id. So of two accesses due at the same instant the
+    earlier scheduled one fires first, and an access due at the instant of
+    a heap event goes first iff it was scheduled before that event.
+
+    Each station draws its backoff from its own generator, one scalar draw
+    per packet that finds the medium busy or sees it turn busy during AIFS.
+    """
+
+    def __init__(self, params: CsmaParams, rngs: list):
+        n = len(rngs)
         self.params = params
-        self.rng = rng
-        self.state = CsmaState(cw=params.cw_max)
+        self.rngs = rngs
+        self.phase = np.full(n, IDLE, dtype=np.int8)
+        self.remaining = np.zeros(n, dtype=np.int64)
+        self.counting_start = np.zeros(n)
+        self.access_at = np.full(n, np.inf)
+        self.access_seq = np.zeros(n, dtype=np.int64)
+        self.pending = np.zeros(n, dtype=bool)
+        self.seq = 0
+        self.next = None
 
-    def _new_token(self) -> int:
-        self.state.timer_token += 1
-        return self.state.timer_token
+    def take_seq(self) -> int:
+        """Next number of the counter shared by heap events and accesses."""
+        seq = self.seq
+        self.seq += 1
+        return seq
 
-    def _draw_backoff(self) -> int:
-        return int(self.rng.integers(0, self.state.cw + 1))
+    def contending(self, vids: np.ndarray) -> np.ndarray:
+        """The stations among `vids` that follow the medium's busy/idle flips."""
+        return vids[_CONTENDING[self.phase[vids]]]
 
-    def on_packet(self, now: float, medium_busy: bool, packet=None):
-        """Queue a packet and begin access; a fresh packet replaces an unsent one."""
-        st = self.state
-        st.pending_packet = packet
-        if st.phase in ("aifs_wait", "backoff_frozen", "backoff_counting", "transmitting"):
-            return None  # access already in progress; packet replaced in place
-        if not medium_busy:
-            st.phase = "aifs_wait"
-            return ScheduleTimer(now + self.params.aifs_s, self._new_token())
-        st.phase = "backoff_frozen"
-        st.backoff_slots_remaining = self._draw_backoff()
-        return None
+    def _draw_backoff(self, vid: int):
+        self.remaining[vid] = int(self.rngs[vid].integers(0, self.params.cw_max + 1))
 
-    def on_busy(self, now: float):
-        """Medium flipped idle -> busy at this node."""
-        st = self.state
-        if st.phase == "aifs_wait":
-            st.phase = "backoff_frozen"
-            st.backoff_slots_remaining = self._draw_backoff()
-            st.timer_token += 1  # invalidate pending timer
-        elif st.phase == "backoff_counting":
-            elapsed = max(0.0, now - st.counting_start)
+    def _start_access(self, now: float, vid: int, medium_busy: bool):
+        if medium_busy:
+            self.phase[vid] = BACKOFF_FROZEN
+            self._draw_backoff(vid)
+            return
+        self.phase[vid] = AIFS_WAIT
+        at = now + self.params.aifs_s
+        seq = self.take_seq()
+        self.access_at[vid] = at
+        self.access_seq[vid] = seq
+        # the newest number loses every tie, so only an earlier time wins
+        if self.next is None or at < self.next[0]:
+            self.next = (at, seq, vid)
+
+    def _find_next(self):
+        at = self.access_at
+        vid = int(at.argmin())
+        if at[vid] == np.inf:
+            self.next = None
+            return
+        ties = np.flatnonzero(at == at[vid])
+        if ties.size > 1:
+            vid = int(ties[self.access_seq[ties].argmin()])
+        self.next = (float(at[vid]), int(self.access_seq[vid]), vid)
+
+    def on_packet(self, now: float, vid: int, medium_busy: bool):
+        """Queue a packet at station `vid`; an idle station begins access."""
+        self.pending[vid] = True
+        if self.phase[vid] == IDLE:
+            self._start_access(now, vid, medium_busy)
+
+    def on_busy(self, now: float, vids: np.ndarray):
+        """The medium turned busy at contending stations `vids`; all freeze.
+
+        An AIFS waiter draws its backoff; a counting station keeps the slots
+        it has not counted down in whole. Their accesses are cancelled.
+        """
+        phase = self.phase[vids]
+        for vid in vids[phase == AIFS_WAIT].tolist():
+            self._draw_backoff(vid)
+        counting = vids[phase == BACKOFF_COUNTING]
+        if counting.size:
+            elapsed = np.maximum(now - self.counting_start[counting], 0.0)
             # epsilon absorbs float error at exact slot boundaries
-            consumed = min(int(elapsed / self.params.slot_s + 1e-9),
-                           st.backoff_slots_remaining)
-            st.backoff_slots_remaining -= consumed
-            st.phase = "backoff_frozen"
-            st.timer_token += 1
-        return None
+            consumed = (elapsed / self.params.slot_s + 1e-9).astype(np.int64)
+            self.remaining[counting] -= np.minimum(consumed, self.remaining[counting])
+        self.phase[vids] = BACKOFF_FROZEN
+        self.access_at[vids] = np.inf
+        if self.next is not None and self.access_at[self.next[2]] == np.inf:
+            self._find_next()
 
-    def on_idle(self, now: float):
-        """Medium flipped busy -> idle; resume AIFS + frozen backoff."""
-        st = self.state
-        if st.phase != "backoff_frozen":
-            return None
-        st.phase = "backoff_counting"
-        st.counting_start = now + self.params.aifs_s
-        at = st.counting_start + st.backoff_slots_remaining * self.params.slot_s
-        return ScheduleTimer(at, self._new_token())
+    def on_idle(self, now: float, vids: np.ndarray):
+        """The medium turned idle at contending stations `vids` (ascending).
 
-    def on_timer(self, now: float, token: int):
-        st = self.state
-        if token != st.timer_token or st.phase not in ("aifs_wait", "backoff_counting"):
-            return None
-        st.phase = "transmitting"
-        st.backoff_slots_remaining = 0
-        return StartTx(now)
+        Frozen stations resume: AIFS, then their remaining slots.
+        """
+        vids = vids[self.phase[vids] == BACKOFF_FROZEN]
+        if not vids.size:
+            return
+        start = now + self.params.aifs_s
+        at = start + self.remaining[vids] * self.params.slot_s
+        self.phase[vids] = BACKOFF_COUNTING
+        self.counting_start[vids] = start
+        self.access_at[vids] = at
+        self.access_seq[vids] = np.arange(self.seq, self.seq + vids.size)
+        self.seq += vids.size
+        first = int(at.argmin())  # lowest number among the earliest
+        if self.next is None or at[first] < self.next[0]:
+            self.next = (float(at[first]), int(self.access_seq[vids[first]]),
+                         int(vids[first]))
 
-    def on_tx_end(self, now: float, medium_busy: bool):
-        st = self.state
-        st.phase = "idle"
-        if st.pending_packet is not None:
-            packet = st.pending_packet
-            return self.on_packet(now, medium_busy, packet)
-        return None
+    def on_timer(self) -> int:
+        """Fire the earliest scheduled access (`next`); returns its station."""
+        vid = self.next[2]
+        self.phase[vid] = TRANSMITTING
+        self.remaining[vid] = 0
+        self.access_at[vid] = np.inf
+        self._find_next()
+        return vid
 
-    def take_packet(self):
-        packet = self.state.pending_packet
-        self.state.pending_packet = None
-        return packet
+    def on_tx_end(self, now: float, vid: int, medium_busy: bool):
+        """Station `vid` finished sending; a packet queued meanwhile begins access."""
+        self.phase[vid] = IDLE
+        if self.pending[vid]:
+            self._start_access(now, vid, medium_busy)
+
+    def take_packet(self, vid: int):
+        """Dequeue station `vid`'s packet as its frame goes on air."""
+        self.pending[vid] = False
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +212,11 @@ class SpsParams:
             raise ConfigError("best_fraction must be in (0, 1]")
         if self.counter_min > self.counter_max:
             raise ConfigError("counter_min must be <= counter_max")
+        if self.t1_s > self.t2_s:
+            raise ConfigError("t1 must be <= t2")
+        # a shorter window holds no past occurrence of any candidate resource
+        if self.sensing_window_s < self.resource_period_s:
+            raise ConfigError("sensing_window must be at least one generation period")
 
 
 @dataclass

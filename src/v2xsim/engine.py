@@ -1,11 +1,14 @@
 """Discrete-event simulation core.
 
-802.11p runs on a continuous-time event heap (generation, MAC timers, frame
-boundaries); C-V2X runs on a TTI-slotted timeline. Both share the same
-vectorized link-budget cache: per mobility epoch the engine refreshes an
-NxN received-power matrix (path loss + correlated shadowing). Reception is
-scored in batches: all F frames of a C-V2X TTI, or one 802.11p frame when
-it ends, against all in-range receivers in one F x N pass.
+802.11p runs in continuous time: a heap holds generations, frame ends and
+mobility epochs, while channel-access instants live in the CSMA arrays; the
+next event is the earlier of the heap top and the earliest access, ties
+going by one shared sequence counter. C-V2X runs on a TTI-slotted
+timeline. Both share the same vectorized link-budget cache: per mobility
+epoch the engine refreshes an NxN received-power matrix (path loss +
+correlated shadowing). Reception is scored in batches: all F frames of a
+C-V2X TTI, or one 802.11p frame when it ends, against all in-range
+receivers in one F x N pass.
 
 Reception is decided either by a hard SINR threshold or by a Bernoulli draw
 against the interpolated PER curve; each generated packet resolves, per
@@ -24,8 +27,8 @@ import numpy as np
 
 from . import scenario as scen
 from .abstraction import PerCurve, StepFunction
-from .access import (CsmaNode, CsmaParams, ScheduleTimer, SensingWindow, SpsParams,
-                     SpsState, StartTx, sps_after_transmission, sps_select)
+from .access import (CsmaNode, CsmaParams, SensingWindow, SpsParams, SpsState,
+                     sps_after_transmission, sps_select)
 from .channel import LinkShadowing, PropagationConfig, noise_power_dbm, path_loss_db
 from .errors import ConfigError
 from .metrics import IpgStore, MetricStore, PrrSeries, default_bin_edges
@@ -283,17 +286,15 @@ class _Run11p(_RunBase):
                  vehicles=None):
         super().__init__(cfg, road, traffic, prop, trace, vehicles)
         self.csma = csma
-        self.nodes = [CsmaNode(csma, stream(cfg.seed, "backoff", v.id))
-                      for v in self.vehicles]
+        self.mac = CsmaNode(csma, [stream(cfg.seed, "backoff", v.id)
+                                   for v in self.vehicles])
         self.busy_decod = np.zeros(self.n, dtype=np.int64)
         self.energy_mw = np.zeros(self.n)
         self.busy = np.zeros(self.n, dtype=bool)
         self.e65_mw = 10.0 ** (csma.sense_energy_dbm / 10.0)
-        self.waiting: set[int] = set()
         self.active: list[_Frame] = []
-        self.heap: list = []
-        self.counter = itertools.count()
-        self.seq = itertools.count()
+        self.heap: list = []  # (time, sequence number, kind, data)
+        self.frame_seq = itertools.count()
         self.duration_s = tx_time(cfg.theta)
         self.m85 = None
         self._refresh_masks()
@@ -302,47 +303,30 @@ class _Run11p(_RunBase):
         self.m85 = self.phy.power_dbm >= self.csma.sense_decodable_dbm
 
     def _push(self, at: float, kind: str, data):
-        heapq.heappush(self.heap, (at, next(self.counter), kind, data))
-
-    def _apply(self, now: float, vid: int, action):
-        if isinstance(action, ScheduleTimer):
-            self._push(action.at, "timer", (vid, action.token))
-        elif isinstance(action, StartTx):
-            self._begin_frame(vid, now)
-            return
-        self._sync_waiting(vid)
-
-    def _sync_waiting(self, vid: int):
-        """Track which nodes must hear medium busy/idle transitions."""
-        if self.nodes[vid].state.phase in ("aifs_wait", "backoff_frozen",
-                                           "backoff_counting"):
-            self.waiting.add(vid)
-        else:
-            self.waiting.discard(vid)
+        heapq.heappush(self.heap, (at, self.mac.take_seq(), kind, data))
 
     def _recompute_busy(self, now: float):
         new_busy = (self.busy_decod > 0) | (self.energy_mw >= self.e65_mw)
         flipped = np.flatnonzero(new_busy != self.busy)
         self.busy = new_busy
-        for vid in flipped:
-            vid = int(vid)
-            if vid not in self.waiting:
-                continue
-            node = self.nodes[vid]
-            if new_busy[vid]:
-                node.on_busy(now)
-            else:
-                self._apply(now, vid, node.on_idle(now))
+        if not flipped.size:
+            return
+        vids = self.mac.contending(flipped)
+        if not vids.size:
+            return
+        turned_busy = new_busy[vids]
+        if turned_busy.any():
+            self.mac.on_busy(now, vids[turned_busy])
+        if not turned_busy.all():
+            self.mac.on_idle(now, vids[~turned_busy])
 
     def _begin_frame(self, vid: int, now: float):
-        self.waiting.discard(vid)
-        node = self.nodes[vid]
-        node.take_packet()
+        self.mac.take_packet(vid)
         if self.trace is not None:
             self.trace.tx_starts.append((now, vid, bool(self.busy[vid])))
         event = TransmissionEvent(tx_id=vid, start=now, duration=self.duration_s,
                                   payload_bytes=self.cfg.theta.payload_bytes,
-                                  sequence=next(self.seq))
+                                  sequence=next(self.frame_seq))
         sense_mask = self.m85[vid].copy()
         sense_mask[vid] = False
         mw_row = self.phy.power_mw[vid].copy()
@@ -375,7 +359,7 @@ class _Run11p(_RunBase):
         vid = frame.event.tx_id
         self._score(np.array([vid]), frame.mw_row[None], frame.dist_row[None],
                     np.array([fracs]), sources, deaf, frame.event.start, now)
-        self._apply(now, vid, self.nodes[vid].on_tx_end(now, bool(self.busy[vid])))
+        self.mac.on_tx_end(now, vid, self.busy[vid])
 
     def run(self) -> MetricStore:
         cfg = self.cfg
@@ -384,8 +368,17 @@ class _Run11p(_RunBase):
         step = cfg.mobility_step_s
         if step < cfg.sim_duration_s:
             self._push(step, "epoch", None)
-        while self.heap:
-            now, _, kind, data = heapq.heappop(self.heap)
+        heap, mac = self.heap, self.mac
+        while True:
+            # the earlier of the heap top and the earliest access; both start
+            # with (time, sequence number), and sequence numbers are unique
+            access = mac.next
+            if access is not None and not (heap and heap[0] < access):
+                self._begin_frame(mac.on_timer(), access[0])
+                continue
+            if not heap:
+                break
+            now, _, kind, data = heapq.heappop(heap)
             if kind == "epoch":
                 self.geom.step(step)
                 self.phy.refresh()
@@ -397,16 +390,10 @@ class _Run11p(_RunBase):
                 vid = data
                 if now >= cfg.warmup_s:
                     self.metrics.generated += 1
-                node = self.nodes[vid]
-                self._apply(now, vid, node.on_packet(now, bool(self.busy[vid]),
-                                                     packet=now))
+                mac.on_packet(now, vid, self.busy[vid])
                 nxt = now + self.traffic.period_s
                 if nxt < cfg.sim_duration_s:
                     self._push(nxt, "gen", vid)
-            elif kind == "timer":
-                vid, token = data
-                action = self.nodes[vid].on_timer(now, token)
-                self._apply(now, vid, action)
             elif kind == "tx_end":
                 self._end_frame(data, now)
         return self.metrics

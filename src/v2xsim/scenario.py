@@ -41,6 +41,10 @@ class RoadConfig:
             raise ConfigError("density_vpk must be > 0")
         if self.layout not in ("highway", "urban_grid"):
             raise ConfigError(f"unknown layout {self.layout!r}")
+        if self.lanes_per_direction < 1:
+            raise ConfigError("lanes_per_direction must be >= 1")
+        if self.placement not in ("poisson", "fixed_count"):
+            raise ConfigError(f"unknown placement {self.placement!r}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,7 @@ def spawn(road: RoadConfig, seed: int) -> list[VehicleState]:
                       int(rng.poisson(per_street / 2.0)))
         for heading, n in zip((+1, -1), counts):
             positions = rng.uniform(0.0, road.road_length_m, size=n)
-            lanes = rng.integers(0, max(road.lanes_per_direction, 1), size=n)
+            lanes = rng.integers(0, road.lanes_per_direction, size=n)
             mean = road.mean_speed_kmh * KMH_TO_MS
             std = road.speed_std_kmh * KMH_TO_MS
             speeds = rng.normal(mean, std, size=n)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from v2xsim.access import (CsmaNode, CsmaParams, ResourceGrid, ScheduleTimer,
-                           SensingWindow, SpsParams, SpsState, StartTx,
-                           csma_carrier_sense, half_duplex_filter,
+from v2xsim.access import (AIFS_WAIT, BACKOFF_FROZEN, IDLE, TRANSMITTING, CsmaNode,
+                           CsmaParams, ResourceGrid, SensingWindow, SpsParams,
+                           SpsState, csma_carrier_sense, half_duplex_filter,
                            sps_after_transmission, sps_select)
 from v2xsim.errors import ConfigError
 from v2xsim.util import stream
@@ -36,89 +36,162 @@ def test_carrier_sense_thresholds(power, decodable, busy):
     assert csma_carrier_sense(power, decodable) is busy
 
 
-# --- CSMA node ----------------------------------------------------------------
+# --- CSMA stations -------------------------------------------------------------
+
+def csma(*draws, params=PARAMS):
+    """Array CSMA whose station i draws the scripted backoffs draws[i]."""
+    return CsmaNode(params, [FixedRng(d) for d in draws])
+
+
+def ids(*vids):
+    return np.array(vids, dtype=np.int64)
+
 
 def test_idle_medium_transmits_after_aifs():
-    node = CsmaNode(PARAMS, FixedRng([]))
-    action = node.on_packet(0.0, medium_busy=False, packet="p")
-    assert isinstance(action, ScheduleTimer)
-    assert action.at == pytest.approx(110e-6)
-    fire = node.on_timer(action.at, action.token)
-    assert isinstance(fire, StartTx)
-    assert fire.at == pytest.approx(110e-6)
+    mac = csma([])
+    mac.on_packet(0.0, 0, medium_busy=False)
+    at, _, vid = mac.next
+    assert vid == 0
+    assert at == pytest.approx(110e-6)
+    assert mac.on_timer() == 0
+    assert mac.phase[0] == TRANSMITTING
+    assert mac.next is None
 
 
 def test_busy_then_idle_zero_backoff_starts_at_aifs_expiry():
-    node = CsmaNode(PARAMS, FixedRng([0]))
-    assert node.on_packet(0.0, medium_busy=True, packet="p") is None
-    assert node.state.phase == "backoff_frozen"
-    action = node.on_idle(4e-4)
-    assert isinstance(action, ScheduleTimer)
-    assert action.at == pytest.approx(4e-4 + 110e-6)
-    assert isinstance(node.on_timer(action.at, action.token), StartTx)
+    mac = csma([0])
+    mac.on_packet(0.0, 0, medium_busy=True)
+    assert mac.phase[0] == BACKOFF_FROZEN
+    assert mac.next is None
+    mac.on_idle(4e-4, ids(0))
+    assert mac.next[0] == pytest.approx(4e-4 + 110e-6)
+    assert mac.on_timer() == 0
 
 
 def test_busy_during_aifs_switches_to_backoff():
-    node = CsmaNode(PARAMS, FixedRng([5]))
-    first = node.on_packet(0.0, medium_busy=False, packet="p")
-    node.on_busy(50e-6)
-    assert node.state.phase == "backoff_frozen"
-    assert node.state.backoff_slots_remaining == 5
-    assert node.on_timer(first.at, first.token) is None  # stale timer ignored
+    mac = csma([5])
+    mac.on_packet(0.0, 0, medium_busy=False)
+    mac.on_busy(50e-6, ids(0))
+    assert mac.phase[0] == BACKOFF_FROZEN
+    assert mac.remaining[0] == 5
+    assert mac.next is None  # the access due at AIFS expiry is dropped
 
 
 def test_backoff_freezes_on_whole_slots_only():
-    node = CsmaNode(PARAMS, FixedRng([6]))
-    node.on_packet(0.0, medium_busy=True, packet="p")
-    resume = node.on_idle(1e-3)
+    mac = csma([6])
+    mac.on_packet(0.0, 0, medium_busy=True)
+    mac.on_idle(1e-3, ids(0))
     start_counting = 1e-3 + PARAMS.aifs_s
-    assert resume.at == pytest.approx(start_counting + 6 * PARAMS.slot_s)
+    assert mac.next[0] == pytest.approx(start_counting + 6 * PARAMS.slot_s)
     # busy again after 2.5 slots of counting: 2 slots consumed, 4 remain
-    node.on_busy(start_counting + 2.5 * PARAMS.slot_s)
-    assert node.state.backoff_slots_remaining == 4
-    resume2 = node.on_idle(2e-3)
-    assert resume2.at == pytest.approx(2e-3 + PARAMS.aifs_s + 4 * PARAMS.slot_s)
+    mac.on_busy(start_counting + 2.5 * PARAMS.slot_s, ids(0))
+    assert mac.remaining[0] == 4
+    mac.on_idle(2e-3, ids(0))
+    assert mac.next[0] == pytest.approx(2e-3 + PARAMS.aifs_s + 4 * PARAMS.slot_s)
 
 
 def test_two_nodes_distinct_backoffs_order_strictly():
     """Trace oracle: the smaller draw transmits first; the loser stays frozen."""
-    a = CsmaNode(PARAMS, FixedRng([2]))
-    b = CsmaNode(PARAMS, FixedRng([5]))
-    for node in (a, b):
-        node.on_packet(0.0, medium_busy=True, packet="p")
-    idle_at = 1e-3
-    ta = a.on_idle(idle_at)
-    tb = b.on_idle(idle_at)
-    assert ta.at < tb.at
-    start_a = a.on_timer(ta.at, ta.token)
-    assert isinstance(start_a, StartTx)
+    mac = csma([2], [5])
+    for vid in (0, 1):
+        mac.on_packet(0.0, vid, medium_busy=True)
+    mac.on_idle(1e-3, ids(0, 1))
+    assert mac.access_at[0] < mac.access_at[1]
+    start_a = mac.next[0]
+    assert mac.on_timer() == 0
     # a's frame makes the medium busy before b's counter expires
-    b.on_busy(start_a.at)
-    assert b.state.phase == "backoff_frozen"
-    assert b.state.backoff_slots_remaining == 3
-    end_a = start_a.at + 6e-4
-    tb2 = b.on_idle(end_a)
-    start_b = b.on_timer(tb2.at, tb2.token)
-    assert start_b.at > end_a  # strictly ordered, no overlap
+    mac.on_busy(start_a, ids(1))
+    assert mac.phase[1] == BACKOFF_FROZEN
+    assert mac.remaining[1] == 3
+    end_a = start_a + 6e-4
+    mac.on_idle(end_a, ids(1))
+    start_b, _, vid = mac.next
+    assert vid == 1
+    assert start_b > end_a  # strictly ordered, no overlap
 
 
 def test_packet_replacement_keeps_access_state():
-    node = CsmaNode(PARAMS, FixedRng([3]))
-    node.on_packet(0.0, medium_busy=True, packet="old")
-    assert node.on_packet(0.1, medium_busy=True, packet="new") is None
-    assert node.state.pending_packet == "new"
-    assert node.state.backoff_slots_remaining == 3
+    mac = csma([3])
+    mac.on_packet(0.0, 0, medium_busy=True)
+    mac.on_packet(0.1, 0, medium_busy=True)  # a second draw would exhaust the script
+    assert mac.pending[0]
+    assert mac.phase[0] == BACKOFF_FROZEN
+    assert mac.remaining[0] == 3
 
 
 def test_tx_end_with_pending_packet_restarts_access():
-    node = CsmaNode(PARAMS, FixedRng([]))
-    first = node.on_packet(0.0, medium_busy=False, packet="p1")
-    node.on_timer(first.at, first.token)
-    assert node.state.phase == "transmitting"
-    node.on_packet(2e-4, medium_busy=True, packet="p2")
-    action = node.on_tx_end(7e-4, medium_busy=False)
-    assert isinstance(action, ScheduleTimer)
-    assert node.state.pending_packet == "p2"
+    mac = csma([])
+    mac.on_packet(0.0, 0, medium_busy=False)
+    assert mac.on_timer() == 0
+    mac.take_packet(0)
+    assert mac.phase[0] == TRANSMITTING
+    assert not mac.pending[0]
+    mac.on_packet(2e-4, 0, medium_busy=True)
+    assert mac.next is None
+    mac.on_tx_end(7e-4, 0, medium_busy=False)
+    assert mac.phase[0] == AIFS_WAIT
+    assert mac.pending[0]
+    assert mac.next[0] == pytest.approx(7e-4 + PARAMS.aifs_s)
+
+
+def test_same_instant_goes_to_earlier_scheduled_access():
+    # dyadic times add up exactly, so both accesses fall on one instant
+    params = CsmaParams(aifs_s=2.0 ** -13, slot_s=2.0 ** -16)
+    mac = csma([2], [4], params=params)
+    for vid in (0, 1):
+        mac.on_packet(0.0, vid, medium_busy=True)
+    mac.on_idle(0.0, ids(1))
+    mac.on_idle(2 * params.slot_s, ids(0))
+    assert mac.access_at[0] == mac.access_at[1]
+    assert mac.access_seq[1] < mac.access_seq[0]
+    at = mac.next[0]
+    assert mac.on_timer() == 1  # scheduled first, despite the higher id
+    mac.take_packet(1)
+    # station 0 senses that frame at the instant its own count ran out
+    mac.on_busy(at, ids(0))
+    assert mac.phase[0] == BACKOFF_FROZEN
+    assert mac.remaining[0] == 0
+    end = at + 6e-4
+    mac.on_tx_end(end, 1, medium_busy=False)
+    assert mac.phase[1] == IDLE
+    mac.on_idle(end, ids(0))
+    assert mac.next == (end + params.aifs_s, mac.access_seq[0], 0)
+    assert mac.on_timer() == 0
+
+
+def mixed_stations():
+    """Six stations with real backoff streams, in every contending phase."""
+    mac = CsmaNode(PARAMS, [stream(17, "backoff", vid) for vid in range(6)])
+    mac.on_packet(0.0, 0, medium_busy=False)  # AIFS
+    mac.on_packet(0.0, 1, medium_busy=True)  # frozen
+    mac.on_packet(0.0, 2, medium_busy=True)
+    mac.on_idle(1e-4, ids(2))  # counting
+    mac.on_packet(1e-5, 3, medium_busy=False)  # AIFS
+    mac.on_packet(0.0, 4, medium_busy=True)
+    mac.on_idle(5e-5, ids(4))  # counting
+    return mac  # station 5 stays idle
+
+
+def station_state(mac):
+    arrays = (mac.phase, mac.remaining, mac.counting_start, mac.access_at,
+              mac.access_seq, mac.pending)
+    draws = [int(rng.integers(0, 1 << 30)) for rng in mac.rngs]
+    return [a.tolist() for a in arrays] + [mac.next, mac.seq, draws]
+
+
+@pytest.mark.parametrize("busy_at,idle_at", [(1.4e-4, 9e-4), (3e-4, 5e-4)])
+def test_batched_flip_matches_one_station_at_a_time(busy_at, idle_at):
+    batched, single = mixed_stations(), mixed_stations()
+    contending = ids(0, 1, 2, 3, 4)
+    batched.on_busy(busy_at, contending)
+    for vid in contending:
+        single.on_busy(busy_at, ids(vid))
+    assert batched.next is None
+    batched.on_idle(idle_at, contending)
+    for vid in contending:
+        single.on_idle(idle_at, ids(vid))
+    assert station_state(batched) == station_state(single)
+    assert batched.next is not None
 
 
 # --- SPS -----------------------------------------------------------------------
@@ -248,3 +321,15 @@ def test_counter_range_must_be_ordered():
     with pytest.raises(ConfigError, match="counter_min"):
         SpsParams(counter_min=15, counter_max=5)
     SpsParams(counter_min=7, counter_max=7)
+
+
+def test_selection_window_must_be_ordered():
+    with pytest.raises(ConfigError, match="t1"):
+        SpsParams(t1_s=150e-3, t2_s=100e-3)
+    SpsParams(t1_s=100e-3, t2_s=100e-3)
+
+
+def test_sensing_window_must_cover_a_period():
+    with pytest.raises(ConfigError, match="sensing_window"):
+        SpsParams(sensing_window_s=50e-3, resource_period_s=100e-3)
+    SpsParams(sensing_window_s=100e-3, resource_period_s=100e-3)

@@ -200,7 +200,11 @@ def test_simulate_nonexistent_curve_exits_3(tmp_path):
 @pytest.mark.parametrize("key, value", [("run.max_range_m", "0"),
                                         ("run.max_range_m", "-100"),
                                         ("run.warmup_s", "-0.5"),
-                                        ("cv2x.counter_min", "16")])
+                                        ("cv2x.counter_min", "16"),
+                                        ("cv2x.t1_ms", "150"),
+                                        ("cv2x.sensing_window_ms", "50"),
+                                        ("road.lanes_per_direction", "0"),
+                                        ("road.placement", "grid")])
 def test_simulate_bad_value_exits_2(tmp_path, capsys, key, value):
     args = small_sim_args(tmp_path, tmp_path / "x", "--set", f"{key}={value}")
     assert run_cli(*args) == 2
