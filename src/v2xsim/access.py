@@ -71,7 +71,7 @@ class CsmaNode:
     per packet that finds the medium busy or sees it turn busy during AIFS.
     """
 
-    def __init__(self, params: CsmaParams, rngs: list):
+    def __init__(self, params: CsmaParams, rngs: list[np.random.Generator]):
         n = len(rngs)
         self.params = params
         self.rngs = rngs
@@ -172,7 +172,6 @@ class CsmaNode:
         """Fire the earliest scheduled access (`next`); returns its station."""
         vid = self.next[2]
         self.phase[vid] = TRANSMITTING
-        self.remaining[vid] = 0
         self.access_at[vid] = np.inf
         self._find_next()
         return vid
