@@ -4,7 +4,8 @@ The digests pin `prr.csv` and `ipg_ccdf.csv` of small runs covering both
 technologies, both reception modes and the NLOS path-loss branch (the
 urban_grid layout). Any change to the SINR arithmetic, to the order in which
 reception decisions draw from the RNG, or to the PRR/IPG bookkeeping moves
-them. Re-record only for a change that is meant to move simulation outputs.
+them. Further pins cover `mae.csv` of a short 802.11p `select-beta` and
+802.11p runs whose warmup and mobility step are not aligned. Re-record only for a change that is meant to move simulation outputs.
 
 The MAC-trace digests pin, for short 802.11p highway runs at three
 densities, the full list of transmission starts (time, station, sensed
@@ -117,3 +118,62 @@ def simulate_traced(name, out):
 @pytest.mark.parametrize("name", sorted(MAC_CASES))
 def test_mac_trace_matches_recorded_digests(name, tmp_path):
     assert simulate_traced(name, tmp_path) == MAC_DIGESTS[name]
+
+
+SELECT_BETA_DIGEST = "a65d93a8b2895dbbef2227b1c6a30a63ef1195a7bbdebf898aaa3ed7acf85e86"
+
+
+def test_select_beta_mae_matches_recorded_digest(tmp_path):
+    """One curve run and seven step runs of the 802.11p engine on one channel."""
+    sets = {
+        "run.technology": "11p",
+        "run.seed": 31,
+        "run.sim_duration_s": 0.6,
+        "run.warmup_s": 0.15,
+        "reception.curve_file": curve_path("highway_los_11p_mcs2_350B.csv"),
+        "road.placement": "fixed_count",
+        "road.density_vpk": 100.0,
+    }
+    argv = ["select-beta", "--out", str(tmp_path)]
+    for key, value in sets.items():
+        argv += ["--set", f"{key}={value}"]
+    assert main(argv) == 0
+    digest = hashlib.sha256((tmp_path / "mae.csv").read_bytes()).hexdigest()
+    assert digest == SELECT_BETA_DIGEST
+
+
+# warmup and mobility step deliberately not aligned to each other, so that
+# reception batches straddle the warmup instant and epoch boundaries; at 10
+# veh/km a single batch holds many frames of each station
+UNALIGNED_CASES = {"11p-curve-unaligned-100": 100.0, "11p-curve-unaligned-10": 10.0}
+
+UNALIGNED_DIGESTS = {
+    "11p-curve-unaligned-100": (
+        "d50c2caab09dc291a91f74b522d68bb5129adfc74b65687dbfe0b15ede8242b7",
+        "9c56b33d059dae6f53883071719fbd07de78d857208fa818f2d2c407212a4ad8"),
+    "11p-curve-unaligned-10": (
+        "0cf0120bfbf9bc2c5c3bbaeca3b7a6589ce13f7a94259dbd0c09dae2e79e156d",
+        "4ae651a462d60a584a4de6d3d7e897c6e2c95bc8c11aa0fdaecacf22490d8f3e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNALIGNED_CASES))
+def test_unaligned_warmup_and_epochs_match_recorded_digests(name, tmp_path):
+    sets = {
+        "run.technology": "11p",
+        "run.seed": 37,
+        "run.sim_duration_s": 1.5,
+        "run.warmup_s": 0.37,
+        "run.mobility_step_ms": 50,
+        "reception.mode": "curve",
+        "reception.curve_file": curve_path("highway_los_11p_mcs2_350B.csv"),
+        "road.placement": "fixed_count",
+        "road.density_vpk": UNALIGNED_CASES[name],
+    }
+    argv = ["simulate", "--out", str(tmp_path)]
+    for key, value in sets.items():
+        argv += ["--set", f"{key}={value}"]
+    assert main(argv) == 0
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in ("prr.csv", "ipg_ccdf.csv"))
+    assert got == UNALIGNED_DIGESTS[name]
