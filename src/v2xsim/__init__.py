@@ -6,7 +6,7 @@ from .abstraction import (AbstractionModel, FitPoint, PerCurve, StepFunction,
                           threshold_from_curve)
 from .channel import LinkSample, PropagationConfig, noise_power_dbm, path_loss_db, sinr
 from .engine import (ReceptionModel, RunConfig, SimulationSetup, TraceLog,
-                     TransmissionEvent, decide_reception, interference_set, run)
+                     TransmissionEvent, run)
 from .errors import ConfigError, CurveRangeError, DataError, V2xSimError
 from .metrics import IpgStore, MetricStore, PrrSeries, ipg_ccdf, mae, prr_curve
 from .scenario import RoadConfig, TrafficConfig, VehicleState, advance, spawn

@@ -6,9 +6,14 @@ next event is the earlier of the heap top and the earliest access, ties
 going by one shared sequence counter. C-V2X runs on a TTI-slotted
 timeline. Both share the same vectorized link-budget cache: per mobility
 epoch the engine refreshes an NxN received-power matrix (path loss +
-correlated shadowing). Reception is scored in batches: all F frames of a
-C-V2X TTI, or one 802.11p frame when it ends, against all in-range
-receivers in one F x N pass.
+correlated shadowing).
+
+The event loops only record frames; one scorer turns them into link
+outcomes in F x N passes against all in-range receivers. A C-V2X TTI is
+scored as one batch. An ended 802.11p frame is kept with its power and
+distance rows, its interferers and its half-duplex set, and the pending
+frames are scored once they reach SCORE_BATCH_ELEMENTS frame x receiver
+elements, and at the end of the run.
 
 Reception is decided either by a hard SINR threshold or by a Bernoulli draw
 against the interpolated PER curve; each generated packet resolves, per
@@ -38,6 +43,10 @@ from .settings import (CV2xSettings, Ieee80211pSettings, TechnologySettings,
 from .util import stream
 
 POWER_FLOOR_DBM = -999.0
+# pending 802.11p frames are scored once they hold this many frame x receiver
+# elements (64 frames at 200 vehicles): large enough to amortize the numpy
+# calls of a pass, small enough to keep the held rows out of peak memory
+SCORE_BATCH_ELEMENTS = 12_800
 
 
 @dataclass(frozen=True)
@@ -115,12 +124,6 @@ class TraceLog:
     sps_counters: list = field(default_factory=list)  # (vid, before, after) per tx
 
 
-def decide_reception(sinr_linear: float, model: ReceptionModel,
-                     rng: np.random.Generator) -> bool:
-    """Scalar reception decision; the engine uses the vector twin below."""
-    return bool(decide_reception_vector(np.array([sinr_linear]), model, rng)[0])
-
-
 def decide_reception_vector(sinr_linear: np.ndarray, model: ReceptionModel,
                             rng: np.random.Generator) -> np.ndarray:
     if np.any(sinr_linear < 0):
@@ -156,18 +159,6 @@ def prb_overlap(prb_start: np.ndarray, prb_count: int) -> np.ndarray:
     shared = np.maximum(prb_count - np.abs(prb_start[:, None] - prb_start[None, :]), 0)
     np.fill_diagonal(shared, 0)
     return shared / prb_count
-
-
-def interference_set(event: TransmissionEvent, all_events):
-    """Interferers of `event` with their overlap fractions (zero-overlap dropped)."""
-    out = []
-    for other in all_events:
-        if other is event or other.sequence == event.sequence:
-            continue
-        frac = overlap_fraction(event, other)
-        if frac > 0.0:
-            out.append((other, frac))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,41 +220,60 @@ class _RunBase:
             generation_phase(v.id, cfg.seed, traffic.period_s) for v in self.vehicles
         ]) if self.n else np.zeros(0)
 
-    def _score(self, tx: np.ndarray, signal: np.ndarray, dist: np.ndarray,
-               overlap: np.ndarray, sources, deaf: np.ndarray, start: float,
-               time_of_reception: float):
-        """Reception outcomes of F concurrent frames at every in-range receiver.
+    def _score(self, tx: np.ndarray, start: np.ndarray, end: np.ndarray,
+               signal: np.ndarray, dist: np.ndarray, deaf: np.ndarray, hits,
+               sources: np.ndarray):
+        """Reception outcomes of F recorded frames at every in-range receiver.
 
-        tx: (F,) transmitter ids; signal, dist: (F, N) received power (mW)
-        and distance from each frame's transmitter; overlap: (F, S) share of
-        frame f hit by interferer s, whose (N,) power row is sources[s];
-        deaf: (N,) receivers that are transmitting themselves (half duplex).
-        Decisions are drawn frame by frame, receivers ascending.
+        tx, start, end: (F,) transmitter, start and end time of each frame,
+        frames sorted by end time; signal, dist: (F, N) received power
+        (mW) and distance from each frame's transmitter; deaf: (F, N)
+        receivers transmitting during the frame (half duplex). hits =
+        (frame, source, frac), sorted by frame and each frame's in its
+        interferer order: hit h covers a share frac[h] of frame frame[h]
+        with the (N,) power row sources[source[h]]. Decisions are drawn
+        frame by frame, receivers ascending; frames that start before warmup
+        draw but are not tallied.
         """
         in_range = dist <= self.cfg.max_range_m
         in_range[np.arange(tx.size), tx] = False
-        fi, ri = np.nonzero(in_range)
-        if fi.size == 0:
+        # flat (frame, receiver) indices: frame-major, receivers ascending
+        link = np.flatnonzero(in_range)
+        if link.size == 0:
             return
-        # summed source by source, like a per-frame loop over its interferers:
-        # a matmul would reorder the sum and can flip a threshold decision
+        # the k-th interferer of every frame in one add, so each frame sums
+        # in its own interferer order like a per-frame loop: a matmul would
+        # reorder the sum and can flip a threshold decision
         denom = np.full(signal.shape, self.noise_mw)
-        for j in np.flatnonzero(overlap.any(axis=0)):
-            denom += overlap[:, j, None] * sources[j]
-        decisions = decide_reception_vector(signal[fi, ri] / denom[fi, ri],
+        hit_frame, hit_source, hit_frac = hits
+        level = np.arange(hit_frame.size) - np.searchsorted(hit_frame, hit_frame)
+        for k in range(int(level.max()) + 1 if level.size else 0):
+            at = level == k
+            part = sources[hit_source[at]]
+            part *= hit_frac[at, None]
+            frames = hit_frame[at]
+            if frames.size == tx.size:  # every frame, as in a dense C-V2X TTI
+                denom += part
+            else:
+                denom[frames] += part
+        decisions = decide_reception_vector(signal.take(link) / denom.take(link),
                                             self.cfg.reception, self.rng_reception)
-        if start < self.cfg.warmup_s:
-            return
-        blocked = deaf[ri]
+        fi, ri = np.divmod(link, signal.shape[1])
+        counted = start[fi] >= self.cfg.warmup_s
+        if not counted.all():
+            link, fi, ri = link[counted], fi[counted], ri[counted]
+            decisions = decisions[counted]
+        blocked = deaf.take(link)
         received = decisions & ~blocked
-        d = dist[fi, ri]
+        d = dist.take(link)
         m = self.metrics
-        m.opportunities += fi.size
+        m.opportunities += link.size
         m.prr.add_many(d, received)
         m.received_total += int(received.sum())
         m.lost_half_duplex += int(blocked.sum())
         m.lost_sinr += int((~received & ~blocked).sum())
-        m.ipg.add_many(tx[fi[received]], ri[received], d[received], time_of_reception)
+        got = fi[received]
+        m.ipg.add_many(tx[got], ri[received], d[received], end[got])
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +303,7 @@ class _Run11p(_RunBase):
         self.busy = np.zeros(self.n, dtype=bool)
         self.e65_mw = 10.0 ** (csma.sense_energy_dbm / 10.0)
         self.active: list[_Frame] = []
+        self.ended: list[_Frame] = []  # recorded, not yet scored
         self.heap: list = []  # (time, sequence number, kind, data)
         self.frame_seq = itertools.count()
         self.duration_s = tx_time(cfg.theta)
@@ -348,18 +359,40 @@ class _Run11p(_RunBase):
         self.busy_decod -= frame.sense_mask
         self.energy_mw -= frame.mw_row
         self._recompute_busy(now)
-        fracs, sources = [], []
-        deaf = np.zeros(self.n, dtype=bool)
-        for other in frame.overlappers:
-            frac = overlap_fraction(frame.event, other.event)
-            if frac > 0.0:
-                fracs.append(frac)
-                sources.append(other.mw_row)
-            deaf[other.event.tx_id] = True
+        self.ended.append(frame)
+        if len(self.ended) * self.n >= SCORE_BATCH_ELEMENTS:
+            self._score_ended()
         vid = frame.event.tx_id
-        self._score(np.array([vid]), frame.mw_row[None], frame.dist_row[None],
-                    np.array([fracs]), sources, deaf, frame.event.start, now)
         self.mac.on_tx_end(now, vid, self.busy[vid])
+
+    def _score_ended(self):
+        """Score the recorded frames in one pass, in the order they ended."""
+        frames, self.ended = self.ended, []
+        if not frames:
+            return
+        hit_frame, hit_frac, hit_rows, deaf_frame, deaf_tx = [], [], [], [], []
+        for f, frame in enumerate(frames):
+            for other in frame.overlappers:
+                deaf_frame.append(f)
+                deaf_tx.append(other.event.tx_id)
+                frac = overlap_fraction(frame.event, other.event)
+                if frac > 0.0:
+                    hit_frame.append(f)
+                    hit_frac.append(frac)
+                    hit_rows.append(other.mw_row)
+            # frames that end later still hold this one; it needs no one else
+            frame.overlappers = None
+        deaf = np.zeros((len(frames), self.n), dtype=bool)
+        deaf[deaf_frame, deaf_tx] = True
+        events = [frame.event for frame in frames]
+        hits = (np.array(hit_frame, dtype=np.intp), np.arange(len(hit_rows)),
+                np.array(hit_frac))
+        self._score(np.array([e.tx_id for e in events]),
+                    np.array([e.start for e in events]),
+                    np.array([e.end for e in events]),
+                    np.stack([frame.mw_row for frame in frames]),
+                    np.stack([frame.dist_row for frame in frames]), deaf, hits,
+                    np.stack(hit_rows) if hit_rows else np.zeros((0, self.n)))
 
     def run(self) -> MetricStore:
         cfg = self.cfg
@@ -396,6 +429,7 @@ class _Run11p(_RunBase):
                     self._push(nxt, "gen", vid)
             elif kind == "tx_end":
                 self._end_frame(data, now)
+        self._score_ended()
         return self.metrics
 
 
@@ -502,10 +536,13 @@ class _RunCv2x(_RunBase):
         overlap = prb_overlap(self.reserved_subch[tx] * self.cfg.theta.n_prb_subch,
                               self.footprint_prbs)
         signal = self.phy.power_mw[tx]
-        deaf = np.zeros(self.n, dtype=bool)
-        deaf[tx] = True
-        self._score(tx, signal, self.phy.dist[tx], overlap, signal, deaf, start,
-                    time_of_reception)
+        deaf = np.zeros((tx.size, self.n), dtype=bool)
+        deaf[:, tx] = True
+        # row-major: frame by frame, interferers ascending
+        hit_frame, source = np.nonzero(overlap)
+        hits = (hit_frame, source, overlap[hit_frame, source])
+        self._score(tx, np.full(tx.size, start), np.full(tx.size, time_of_reception),
+                    signal, self.phy.dist[tx], deaf, hits, signal)
 
     def _sense(self, tx: np.ndarray, k: int):
         """Write this TTI's received power per subchannel into every sensing window."""

@@ -96,32 +96,48 @@ class IpgStore:
                       np.array([distance_m]), time_s)
 
     def add_many(self, tx: np.ndarray, rx: np.ndarray, distance_m: np.ndarray,
-                 time_s: float):
-        """Receptions at `time_s` on distinct (tx[i], rx[i]) pairs.
+                 time_s: float | np.ndarray):
+        """Receptions on the (tx[i], rx[i]) pairs at times time_s[i].
 
-        Gaps are appended in the order of the pairs; pairs beyond the range
+        `time_s` holds one time per reception, or one time for all of them;
+        the receptions are in chronological order and a pair may repeat.
+        Each reception opens a gap to its pair's previous one, and gaps are
+        appended in the order of the receptions; pairs beyond the range
         limit are ignored.
         """
         near = np.asarray(distance_m) <= self.range_limit_m
         tx, rx = np.asarray(tx)[near], np.asarray(rx)[near]
         if tx.size == 0:
             return
+        times = np.broadcast_to(np.asarray(time_s, dtype=float), near.shape)[near]
         side = int(max(tx.max(), rx.max())) + 1
         if side > self.last_time.shape[0]:
             grown = np.full((side, side), np.nan)
             old = self.last_time.shape[0]
             grown[:old, :old] = self.last_time
             self.last_time = grown
-        prev = self.last_time[tx, rx]
+        key = tx * self.last_time.shape[0] + rx
+        # group each pair's receptions, keeping them in chronological order
+        order = np.argsort(key, kind="stable")
+        key, t = key[order], times[order]
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        prev_sorted = np.empty(key.size)
+        prev_sorted[1:] = t[:-1]
+        prev_sorted[first] = self.last_time.flat[key[first]]
+        prev = np.empty(key.size)
+        prev[order] = prev_sorted
         seen = ~np.isnan(prev)
-        gaps = time_s - prev[seen]
+        gaps = times[seen] - prev[seen]
         bad = np.flatnonzero(gaps <= 0)
         if bad.size:
             i = np.flatnonzero(seen)[bad[0]]
             raise DataError(f"non-positive gap {gaps[bad[0]]} for pair "
                             f"{(int(tx[i]), int(rx[i]))}")
         self.gaps.extend(gaps.tolist())
-        self.last_time[tx, rx] = time_s
+        last = np.ones(key.size, dtype=bool)
+        last[:-1] = first[1:]
+        self.last_time.flat[key[last]] = t[last]
 
     def merge(self, other: "IpgStore") -> "IpgStore":
         out = IpgStore(self.range_limit_m)

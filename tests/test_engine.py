@@ -9,8 +9,7 @@ from conftest import curve_model, make_setup, vehicle_pair
 from v2xsim.abstraction import PerCurve, StepFunction
 from v2xsim.channel import PropagationConfig, noise_power_dbm, rx_power_dbm
 from v2xsim.engine import (ReceptionModel, RunConfig, SimulationSetup, TraceLog,
-                           TransmissionEvent, decide_reception,
-                           decide_reception_vector, interference_set,
+                           TransmissionEvent, decide_reception_vector,
                            overlap_fraction, prb_overlap, run)
 from v2xsim.errors import ConfigError
 from v2xsim.metrics import prr_curve
@@ -37,14 +36,18 @@ def test_reception_model_exactly_one_payload():
         ReceptionModel(mode="other")
 
 
-# --- decide_reception -------------------------------------------------------------
+# --- decide_reception_vector ------------------------------------------------------
+
+def decide_one(sinr_linear, model, rng):
+    return bool(decide_reception_vector(np.array([sinr_linear]), model, rng)[0])
+
 
 def test_step_strictly_above_threshold():
     model = zero_db_step()
     rng = stream(1, "r")
-    assert decide_reception(2.0, model, rng) is True
-    assert decide_reception(0.5, model, rng) is False
-    assert decide_reception(1.0, model, rng) is False  # boundary is a loss
+    assert decide_one(2.0, model, rng) is True
+    assert decide_one(0.5, model, rng) is False
+    assert decide_one(1.0, model, rng) is False  # boundary is a loss
 
 
 def test_step_monotone_in_sinr():
@@ -75,10 +78,10 @@ def test_curve_mode_clamps_outside_range():
 
 def test_negative_sinr_rejected():
     with pytest.raises(ConfigError):
-        decide_reception(-0.1, zero_db_step(), stream(5, "r"))
+        decide_one(-0.1, zero_db_step(), stream(5, "r"))
 
 
-# --- interference_set ---------------------------------------------------------------
+# --- overlap_fraction ---------------------------------------------------------------
 
 def ev(tx, start, dur, seq, tti=None, prb_start=0, prb_count=0):
     return TransmissionEvent(tx_id=tx, start=start, duration=dur, payload_bytes=350,
@@ -89,28 +92,27 @@ def ev(tx, start, dur, seq, tti=None, prb_start=0, prb_count=0):
 def test_disjoint_airtimes_no_interference():
     a = ev(0, 0.0, 1e-3, 0)
     b = ev(1, 2e-3, 1e-3, 1)
-    assert interference_set(a, [a, b]) == []
+    assert overlap_fraction(a, b) == 0.0
 
 
 def test_half_overlap_fraction():
     a = ev(0, 0.0, 1.0, 0)
     b = ev(1, 0.5, 1.0, 1)
-    got = interference_set(a, [a, b])
-    assert len(got) == 1
-    assert got[0][1] == pytest.approx(0.5)
+    assert overlap_fraction(a, b) == pytest.approx(0.5)
 
 
 def test_same_tti_disjoint_subchannels_excluded():
     a = ev(0, 0.0, 1e-3, 0, tti=5, prb_start=0, prb_count=10)
     b = ev(1, 0.0, 1e-3, 1, tti=5, prb_start=10, prb_count=10)
     c = ev(2, 0.0, 1e-3, 2, tti=6, prb_start=0, prb_count=10)
-    assert interference_set(a, [a, b, c]) == []
+    assert overlap_fraction(a, b) == 0.0
+    assert overlap_fraction(a, c) == 0.0
 
 
 def test_shared_prbs_fraction():
     a = ev(0, 0.0, 1e-3, 0, tti=5, prb_start=0, prb_count=20)
     b = ev(1, 0.0, 1e-3, 1, tti=5, prb_start=10, prb_count=20)
-    assert interference_set(a, [a, b])[0][1] == pytest.approx(0.5)
+    assert overlap_fraction(a, b) == pytest.approx(0.5)
     assert overlap_fraction(b, a) == pytest.approx(0.5)
 
 

@@ -151,6 +151,33 @@ def test_ipg_add_many_rejects_non_positive_gap():
         store.add_many(np.array([3]), np.array([4]), np.array([5.0]), 0.5)
 
 
+def test_ipg_add_many_repeated_pairs_per_reception_times():
+    """One call with repeated pairs at increasing times equals one call per reception."""
+    rng = np.random.default_rng(14)
+    n = 300
+    tx = rng.integers(0, 5, size=n)
+    rx = rng.integers(0, 5, size=n)
+    dist = rng.uniform(0.0, 300.0, size=n)
+    times = np.cumsum(rng.uniform(0.001, 0.05, size=n))
+    batched = IpgStore(150.0, n_nodes=5)
+    batched.add_many(tx, rx, dist, times)
+    one_by_one = IpgStore(150.0, n_nodes=5)
+    for args in zip(tx, rx, dist, times):
+        one_by_one.add_many(*(np.array([a]) for a in args[:3]), float(args[3]))
+    expected = reference_gaps([([a], [b], [c], t) for a, b, c, t in
+                               zip(tx, rx, dist, times)], 150.0)
+    assert batched.gaps == one_by_one.gaps == expected
+    assert len(batched.gaps) == len(expected) > 100
+    assert np.array_equal(batched.last_time, one_by_one.last_time, equal_nan=True)
+
+
+def test_ipg_add_many_rejects_non_positive_gap_inside_one_batch():
+    store = IpgStore(150.0)
+    with pytest.raises(DataError, match=r"\(2, 1\)"):
+        store.add_many(np.array([0, 2, 0, 2]), np.array([1, 1, 1, 1]),
+                       np.array([5.0, 5.0, 5.0, 5.0]), np.array([0.1, 0.2, 0.3, 0.2]))
+
+
 def test_prr_add_many_matches_scalar_loop():
     rng = np.random.default_rng(13)
     d = rng.uniform(-50.0, 800.0, size=500)  # below the first and past the last edge
