@@ -258,11 +258,12 @@ class _RunBase:
                 denom[frames] += part
         decisions = decide_reception_vector(signal.take(link) / denom.take(link),
                                             self.cfg.reception, self.rng_reception)
-        fi, ri = np.divmod(link, signal.shape[1])
-        counted = start[fi] >= self.cfg.warmup_s
-        if not counted.all():
-            link, fi, ri = link[counted], fi[counted], ri[counted]
-            decisions = decisions[counted]
+        n = signal.shape[1]
+        if start.min() < self.cfg.warmup_s:
+            counted = start[link // n] >= self.cfg.warmup_s
+            if not counted.any():
+                return
+            link, decisions = link[counted], decisions[counted]
         blocked = deaf.take(link)
         received = decisions & ~blocked
         d = dist.take(link)
@@ -272,8 +273,8 @@ class _RunBase:
         m.received_total += int(received.sum())
         m.lost_half_duplex += int(blocked.sum())
         m.lost_sinr += int((~received & ~blocked).sum())
-        got = fi[received]
-        m.ipg.add_many(tx[got], ri[received], d[received], end[got])
+        frame, rx = np.divmod(link[received], n)
+        m.ipg.add_many(tx[frame], rx, d[received], end[frame])
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +381,8 @@ class _Run11p(_RunBase):
                     hit_frame.append(f)
                     hit_frac.append(frac)
                     hit_rows.append(other.mw_row)
-            # frames that end later still hold this one; it needs no one else
+            # scored: drop its references to other frames, so that frames no
+            # longer needed are freed without waiting for the cycle collector
             frame.overlappers = None
         deaf = np.zeros((len(frames), self.n), dtype=bool)
         deaf[deaf_frame, deaf_tx] = True

@@ -117,16 +117,17 @@ class IpgStore:
             grown[:old, :old] = self.last_time
             self.last_time = grown
         key = tx * self.last_time.shape[0] + rx
-        # group each pair's receptions, keeping them in chronological order
-        order = np.argsort(key, kind="stable")
-        key, t = key[order], times[order]
-        first = np.ones(key.size, dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        prev_sorted = np.empty(key.size)
-        prev_sorted[1:] = t[:-1]
-        prev_sorted[first] = self.last_time.flat[key[first]]
-        prev = np.empty(key.size)
-        prev[order] = prev_sorted
+        prev = self.last_time.flat[key]
+        latest = np.ones(key.size, dtype=bool)  # the pair's last reception here
+        # strictly increasing keys are distinct pairs; otherwise a pair may
+        # repeat, and each later reception gaps against its earlier one (a
+        # stable sort keeps each pair's receptions in order)
+        if not np.all(key[1:] > key[:-1]):
+            order = np.argsort(key, kind="stable")
+            grouped = key[order]
+            again = np.flatnonzero(grouped[1:] == grouped[:-1])
+            prev[order[again + 1]] = times[order[again]]
+            latest[order[again]] = False
         seen = ~np.isnan(prev)
         gaps = times[seen] - prev[seen]
         bad = np.flatnonzero(gaps <= 0)
@@ -135,9 +136,7 @@ class IpgStore:
             raise DataError(f"non-positive gap {gaps[bad[0]]} for pair "
                             f"{(int(tx[i]), int(rx[i]))}")
         self.gaps.extend(gaps.tolist())
-        last = np.ones(key.size, dtype=bool)
-        last[:-1] = first[1:]
-        self.last_time.flat[key[last]] = t[last]
+        self.last_time.flat[key[latest]] = times[latest]
 
     def merge(self, other: "IpgStore") -> "IpgStore":
         out = IpgStore(self.range_limit_m)
