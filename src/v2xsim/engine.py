@@ -251,11 +251,7 @@ class _RunBase:
             at = level == k
             part = sources[hit_source[at]]
             part *= hit_frac[at, None]
-            frames = hit_frame[at]
-            if frames.size == tx.size:  # every frame, as in a dense C-V2X TTI
-                denom += part
-            else:
-                denom[frames] += part
+            denom[hit_frame[at]] += part
         decisions = decide_reception_vector(signal.take(link) / denom.take(link),
                                             self.cfg.reception, self.rng_reception)
         n = signal.shape[1]
