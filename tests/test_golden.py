@@ -5,7 +5,8 @@ technologies, both reception modes and the NLOS path-loss branch (the
 urban_grid layout). Any change to the SINR arithmetic, to the order in which
 reception decisions draw from the RNG, or to the PRR/IPG bookkeeping moves
 them. Further pins cover `mae.csv` of a short 802.11p `select-beta` and
-802.11p runs whose warmup and mobility step are not aligned. Re-record only for a change that is meant to move simulation outputs.
+802.11p runs whose warmup and mobility step are not aligned. Re-record only
+for a change that is meant to move simulation outputs.
 
 The MAC-trace digests pin, for short 802.11p highway runs at three
 densities, the full list of transmission starts (time, station, sensed

@@ -1,12 +1,16 @@
 """Property tests over small random configurations of both engines.
 
 Every run, whatever its technology, reception mode, layout, size, horizon,
-warmup, mobility step or seed, must resolve each reception opportunity to exactly one outcome,
-never count more receptions than opportunities in a PRR bin, and record
-only positive inter-packet gaps.
+warmup, mobility step or seed, must give the same outputs when the engine
+scores its recorded frames in bounded batches as when it scores each frame
+as soon as it ends: the same reception draws, the same warmup cut and the
+same inter-packet gaps in the same order. Each run must also resolve each
+reception opportunity to exactly one outcome, never count more receptions
+than opportunities in a PRR bin, and record only positive inter-packet gaps.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,8 +18,8 @@ from hypothesis import strategies as st
 
 from conftest import curve_model, curve_path, make_setup, step_model
 
+from v2xsim import engine
 from v2xsim.cli import load_curve_csv
-from v2xsim.engine import run
 
 CURVES = {"11p": load_curve_csv(curve_path("highway_los_11p_mcs2_350B.csv")),
           "cv2x": load_curve_csv(curve_path("highway_los_cv2x_mcs7_350B.csv"))}
@@ -45,10 +49,19 @@ def small_setups(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(setup=small_setups())
-def test_outcomes_conserved_and_gaps_positive(setup):
-    store = run(setup)
-    assert store.opportunities == \
-        store.received_total + store.lost_sinr + store.lost_half_duplex
-    assert np.all(store.prr.received <= store.prr.opportunities)
-    assert store.prr.opportunities.sum() <= store.opportunities
-    assert all(gap > 0 for gap in store.ipg.gaps)
+def test_batched_scoring_matches_per_frame_scoring(setup):
+    batched = engine.run(setup)
+    with mock.patch.object(engine, "SCORE_BATCH_ELEMENTS", 1):
+        per_frame = engine.run(setup)
+    for name in ("generated", "transmitted", "opportunities", "received_total",
+                 "lost_sinr", "lost_half_duplex"):
+        assert getattr(batched, name) == getattr(per_frame, name), name
+    np.testing.assert_array_equal(batched.prr.opportunities,
+                                  per_frame.prr.opportunities)
+    np.testing.assert_array_equal(batched.prr.received, per_frame.prr.received)
+    assert batched.ipg.gaps == per_frame.ipg.gaps
+    assert batched.opportunities == \
+        batched.received_total + batched.lost_sinr + batched.lost_half_duplex
+    assert np.all(batched.prr.received <= batched.prr.opportunities)
+    assert batched.prr.opportunities.sum() <= batched.opportunities
+    assert all(gap > 0 for gap in batched.ipg.gaps)
