@@ -4,9 +4,10 @@ The digests pin `prr.csv` and `ipg_ccdf.csv` of small runs covering both
 technologies, both reception modes and the NLOS path-loss branch (the
 urban_grid layout). Any change to the SINR arithmetic, to the order in which
 reception decisions draw from the RNG, or to the PRR/IPG bookkeeping moves
-them. Further pins cover `mae.csv` of a short 802.11p `select-beta` and
-802.11p runs whose warmup and mobility step are not aligned. Re-record only
-for a change that is meant to move simulation outputs.
+them. Further pins cover `mae.csv` of short 802.11p and C-V2X `select-beta`
+runs, all five output files of a short 802.11p `validate`, and 802.11p runs
+whose warmup and mobility step are not aligned. Re-record only for a change
+that is meant to move simulation outputs.
 
 The MAC-trace digests pin, for short 802.11p highway runs at three
 densities, the full list of transmission starts (time, station, sensed
@@ -124,23 +125,54 @@ def test_mac_trace_matches_recorded_digests(name, tmp_path):
 SELECT_BETA_DIGEST = "a65d93a8b2895dbbef2227b1c6a30a63ef1195a7bbdebf898aaa3ed7acf85e86"
 
 
-def test_select_beta_mae_matches_recorded_digest(tmp_path):
-    """One curve run and seven step runs of the 802.11p engine on one channel."""
+def short_command(command, tech, seed, curve, out):
+    """Run a 0.6 s, 100 veh/km `select-beta` or `validate` into `out`."""
     sets = {
-        "run.technology": "11p",
-        "run.seed": 31,
+        "run.technology": tech,
+        "run.seed": seed,
         "run.sim_duration_s": 0.6,
         "run.warmup_s": 0.15,
-        "reception.curve_file": curve_path("highway_los_11p_mcs2_350B.csv"),
+        "reception.curve_file": curve_path(curve),
         "road.placement": "fixed_count",
         "road.density_vpk": 100.0,
     }
-    argv = ["select-beta", "--out", str(tmp_path)]
+    argv = [command, "--out", str(out)]
     for key, value in sets.items():
         argv += ["--set", f"{key}={value}"]
     assert main(argv) == 0
+
+
+def test_select_beta_mae_matches_recorded_digest(tmp_path):
+    """One curve run and seven step runs of the 802.11p engine on one channel."""
+    short_command("select-beta", "11p", 31, "highway_los_11p_mcs2_350B.csv", tmp_path)
     digest = hashlib.sha256((tmp_path / "mae.csv").read_bytes()).hexdigest()
     assert digest == SELECT_BETA_DIGEST
+
+
+CV2X_SELECT_BETA_DIGEST = "f73b227d0defae3323ce6b5f02dab564388be11eaed21d1673f9564b88de6cd0"
+
+
+def test_cv2x_select_beta_mae_matches_recorded_digest(tmp_path):
+    short_command("select-beta", "cv2x", 43, "highway_los_cv2x_mcs7_350B.csv", tmp_path)
+    digest = hashlib.sha256((tmp_path / "mae.csv").read_bytes()).hexdigest()
+    assert digest == CV2X_SELECT_BETA_DIGEST
+
+
+VALIDATE_DIGESTS = {
+    "curve/prr.csv": "cdc1ca6d416cce1ad38cb8da05b3b513e434944a66b83df1cfcfc43e02811e3f",
+    "curve/ipg_ccdf.csv": "cf32338825d368f21d58db65c62d667e7d88450f01a404137c20872292171dbf",
+    "step/prr.csv": "61c8ef30d81aad4e10946c499e0a64c9eb42858a65ca7bae190300f3d86cf739",
+    "step/ipg_ccdf.csv": "cf32338825d368f21d58db65c62d667e7d88450f01a404137c20872292171dbf",
+    "mae.csv": "ecfa5d52f6204b7cfc87f44b4dbde295f978ee8b7c9d727726a75ffba349be0d",
+}
+
+
+def test_validate_outputs_match_recorded_digests(tmp_path):
+    """The curve run and the step run of one 802.11p `validate`."""
+    short_command("validate", "11p", 41, "highway_los_11p_mcs2_350B.csv", tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in VALIDATE_DIGESTS}
+    assert got == VALIDATE_DIGESTS
 
 
 # warmup and mobility step deliberately not aligned to each other, so that
