@@ -238,19 +238,16 @@ class Selection:
 class SensingWindow:
     """Rolling per-(TTI, subchannel) received-power history for one vehicle.
 
-    Rows hold linear mW (0 = silence); NaN marks TTIs the vehicle could not
-    sense because it was transmitting (half duplex).
+    power_mw is a (window TTIs, subchannels) ring: absolute TTI t is row
+    t % window TTIs. Rows hold linear mW (0 = silence); NaN marks TTIs the
+    vehicle could not sense because it was transmitting (half duplex).
+    filled_until is the absolute TTI one past the last recorded row.
     """
 
-    def __init__(self, window_ttis: int, n_subch: int):
-        self.window_ttis = window_ttis
-        self.n_subch = n_subch
-        self.power_mw = np.zeros((window_ttis, n_subch))
-        self.filled_until = 0  # absolute TTI index one past the last recorded row
-
-    def record(self, tti: int, row_mw: np.ndarray):
-        self.power_mw[tti % self.window_ttis] = row_mw
-        self.filled_until = tti + 1
+    def __init__(self, power_mw: np.ndarray, filled_until: int = 0):
+        self.power_mw = power_mw
+        self.window_ttis, self.n_subch = power_mw.shape
+        self.filled_until = filled_until
 
     def projected_average_mw(self, candidate_ttis: np.ndarray, period_ttis: int) -> np.ndarray:
         """Average sensed power per (candidate TTI, subchannel).

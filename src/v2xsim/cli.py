@@ -15,7 +15,7 @@ from . import __version__, config as cfgmod
 from .abstraction import (AbstractionModel, FitPoint, fit_alpha, normalize_curve,
                           select_beta, shannon_throughput, threshold_for_settings,
                           threshold_from_curve, CurveMeta, PerCurve, StepFunction)
-from .engine import ReceptionModel, run
+from .engine import LinkRecord, ReceptionModel, run
 from .errors import ConfigError, DataError
 from .metrics import MetricStore, ipg_ccdf, mae, prr_curve
 from .settings import effective_throughput, tx_time
@@ -223,9 +223,9 @@ def build_reception(cp, mode: str | None = None, beta: float | None = None):
     return ReceptionModel(mode="step_threshold", step=step)
 
 
-def run_from_config(cp, reception) -> MetricStore:
+def run_from_config(cp, reception, links: LinkRecord | None = None) -> MetricStore:
     setup = cfgmod.build_setup(cp, reception)
-    return run(setup)
+    return run(setup, links=links)
 
 
 def ipg_grid(cp):
@@ -307,22 +307,24 @@ def cmd_derive_threshold(args) -> int:
     if args.payload is not None:
         cp["traffic"]["payload_bytes"] = str(args.payload)
     theta = cfgmod.build_theta(cp, tech)
-    psi_e = effective_throughput(theta)
-    exponent = psi_e / (model.alpha_hat * model.bandwidth_hz)
-    gamma = 2.0 ** exponent - 1.0
     print(f"technology: {tech}  payload: {theta.payload_bytes} B  "
           f"mcs: {theta.mcs_index}")
-    print(f"effective throughput: {psi_e / 1e6:.4f} Mb/s  airtime: {tx_time(theta) * 1e6:.1f} us")
-    if gamma <= 0.0:
+    print(f"effective throughput: {effective_throughput(theta) / 1e6:.4f} Mb/s  "
+          f"airtime: {tx_time(theta) * 1e6:.1f} us")
+    try:
+        step = threshold_for_settings(theta, model)
+    except ConfigError:  # the only failure: the threshold collapses to gamma <= 0
         print("threshold: below any threshold (zero-throughput limit)")
         return 0
-    print(f"threshold: {float(linear_to_db(gamma)):.2f} dB (linear {gamma:.4f})")
+    print(f"threshold: {float(linear_to_db(step.gamma_th)):.2f} dB "
+          f"(linear {step.gamma_th:.4f})")
     return 0
 
 
-def _simulate_to_dir(cp, reception, out_dir: str, command: str) -> MetricStore:
+def _simulate_to_dir(cp, reception, out_dir: str, command: str,
+                     links: LinkRecord | None = None) -> MetricStore:
     os.makedirs(out_dir, exist_ok=True)
-    store = run_from_config(cp, reception)
+    store = run_from_config(cp, reception, links)
     write_prr_csv(os.path.join(out_dir, "prr.csv"), store)
     write_ipg_csv(os.path.join(out_dir, "ipg_ccdf.csv"), store, ipg_grid(cp))
     write_manifest(os.path.join(out_dir, "manifest.ini"), cp, command)
@@ -347,12 +349,15 @@ def cmd_select_beta(args) -> int:
         raise ConfigError("select-beta needs reception.curve_file as the benchmark")
     curve = load_curve_csv(curve_file)
     betas = [float(b) for b in args.betas.split(",")] if args.betas else list(DEFAULT_BETAS)
-    benchmark = run_from_config(cp, ReceptionModel(mode="per_curve", curve=curve)).prr
+    # the channel is simulated once; each beta replays its link outcomes
+    links = LinkRecord()
+    benchmark = run_from_config(cp, ReceptionModel(mode="per_curve", curve=curve),
+                                links).prr
 
     def simulate_beta(beta):
         step = threshold_from_curve(curve, beta)
         model = ReceptionModel(mode="step_threshold", step=step)
-        return run_from_config(cp, model).prr
+        return run_from_config(cp, model, links).prr
 
     beta_hat, table = select_beta(betas, benchmark, simulate_beta)
     os.makedirs(args.out, exist_ok=True)
@@ -372,10 +377,13 @@ def cmd_validate(args) -> int:
     if not curve_file:
         raise ConfigError("validate needs reception.curve_file as the benchmark")
     os.makedirs(args.out, exist_ok=True)
+    # the channel is simulated once; the step run replays its link outcomes
+    links = LinkRecord()
     bench = _simulate_to_dir(cp, build_reception(cp, mode="curve"),
-                             os.path.join(args.out, "curve"), "validate")
+                             os.path.join(args.out, "curve"), "validate", links)
     step_model = build_reception(cp, mode="step")
-    step = _simulate_to_dir(cp, step_model, os.path.join(args.out, "step"), "validate")
+    step = _simulate_to_dir(cp, step_model, os.path.join(args.out, "step"), "validate",
+                            links)
     value = mae(bench.prr, step.prr)
     beta = float(cp["reception"]["beta"])
     write_mae_csv(os.path.join(args.out, "mae.csv"), [(beta, value)], beta)

@@ -15,10 +15,23 @@ distance rows, its interferers and its half-duplex set, and the pending
 frames are scored once they reach SCORE_BATCH_ELEMENTS frame x receiver
 elements, and at the end of the run.
 
-Reception is decided either by a hard SINR threshold or by a Bernoulli draw
-against the interpolated PER curve; each generated packet resolves, per
-in-range receiver, to exactly one of received / lost-by-SINR /
-lost-by-half-duplex.
+A batch of link outcomes (`LinkBatch`) holds, per in-range (frame,
+receiver) link, its SINR, distance and half-duplex flag; it does not depend
+on the reception model, because the MAC never sees reception outcomes. One
+tally function (`tally`) draws the decisions of a batch, applies the warmup
+cut and fills a `MetricStore`. Reception is decided either by a hard SINR
+threshold or by a Bernoulli draw against the interpolated PER curve; each
+generated packet resolves, per in-range receiver, to exactly one of
+received / lost-by-SINR / lost-by-half-duplex.
+
+Link records and replay: `run(setup, links=LinkRecord())` keeps every batch
+of the live run in the record, with the vehicle count, the generated and
+transmitted counters and the setup it was filled under (reception model
+removed). A later `run` with another reception model and the filled record
+replays the batches through the same tally with a fresh reception stream,
+without building geometry, channel or MAC, and returns the store a live run
+under that model would. `select-beta` and `validate` simulate the channel
+once this way; a record only replays for the setup that filled it.
 """
 
 from __future__ import annotations
@@ -26,7 +39,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,6 +148,77 @@ def decide_reception_vector(sinr_linear: np.ndarray, model: ReceptionModel,
     return rng.random(sinr_linear.shape) >= per
 
 
+class LinkBatch(NamedTuple):
+    """Link outcomes of F frames, one entry per in-range (frame, receiver) link.
+
+    tx, start, end: (F,) transmitter, start and end time of each frame, in
+    the order the frames were scored. link: flat frame * N + receiver index
+    of each link, frame-major and receivers ascending (the order reception
+    decisions are drawn in); sinr: linear SINR; blocked: the receiver was
+    transmitting (half duplex); dist: transmitter-receiver distance (m).
+    """
+
+    tx: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    link: np.ndarray
+    sinr: np.ndarray
+    blocked: np.ndarray
+    dist: np.ndarray
+
+
+@dataclass(eq=False)
+class LinkRecord:
+    """The link outcomes of one live run, for replay under other reception models.
+
+    Pass an empty record to `run` and the live run fills it; pass the
+    filled record again and `run` replays it instead of simulating. `key`
+    is the setup it was filled under with the reception model removed (None
+    while empty); n, generated and transmitted are the run's vehicle count
+    and MAC counters, which do not depend on the reception model.
+    """
+
+    key: SimulationSetup | None = None
+    n: int = 0
+    generated: int = 0
+    transmitted: int = 0
+    batches: list = field(default_factory=list)
+
+    @property
+    def filled(self) -> bool:
+        return self.key is not None
+
+
+def new_store(cfg: RunConfig, n: int) -> MetricStore:
+    edges = default_bin_edges(cfg.prr_max_distance_m, cfg.prr_bin_width_m)
+    return MetricStore(prr=PrrSeries(edges), ipg=IpgStore(cfg.ipg_range_m, n))
+
+
+def tally(batch: LinkBatch, n: int, cfg: RunConfig, rng: np.random.Generator,
+          metrics: MetricStore):
+    """Decide every link of a batch under cfg.reception and count the outcomes.
+
+    Decisions are drawn for all links, frame by frame and receivers
+    ascending; links of frames that start before warmup are not counted.
+    """
+    decisions = decide_reception_vector(batch.sinr, cfg.reception, rng)
+    link, blocked, d = batch.link, batch.blocked, batch.dist
+    if batch.start.min() < cfg.warmup_s:
+        counted = batch.start[link // n] >= cfg.warmup_s
+        if not counted.any():
+            return
+        link, decisions = link[counted], decisions[counted]
+        blocked, d = blocked[counted], d[counted]
+    received = decisions & ~blocked
+    metrics.opportunities += link.size
+    metrics.prr.add_many(d, received)
+    metrics.received_total += int(received.sum())
+    metrics.lost_half_duplex += int(blocked.sum())
+    metrics.lost_sinr += int((~received & ~blocked).sum())
+    frame, rx = np.divmod(link[received], n)
+    metrics.ipg.add_many(batch.tx[frame], rx, d[received], batch.end[frame])
+
+
 def overlap_fraction(a: TransmissionEvent, b: TransmissionEvent) -> float:
     """Share of event `a` hit by event `b` on a's resource granularity."""
     if a.tti is None:
@@ -213,9 +298,8 @@ class _RunBase:
         self.phy = _PhyCache(self.geom, prop, cfg.seed)
         self.noise_mw = 10.0 ** (noise_power_dbm(prop) / 10.0)
         self.rng_reception = stream(cfg.seed, "reception")
-        edges = default_bin_edges(cfg.prr_max_distance_m, cfg.prr_bin_width_m)
-        self.metrics = MetricStore(prr=PrrSeries(edges),
-                                   ipg=IpgStore(cfg.ipg_range_m, self.n))
+        self.metrics = new_store(cfg, self.n)
+        self.batches = None  # a list when the run fills a link record
         self.phases = np.array([
             generation_phase(v.id, cfg.seed, traffic.period_s) for v in self.vehicles
         ]) if self.n else np.zeros(0)
@@ -223,7 +307,7 @@ class _RunBase:
     def _score(self, tx: np.ndarray, start: np.ndarray, end: np.ndarray,
                signal: np.ndarray, dist: np.ndarray, deaf: np.ndarray, hits,
                sources: np.ndarray):
-        """Reception outcomes of F recorded frames at every in-range receiver.
+        """Link outcomes of F recorded frames at every in-range receiver, tallied.
 
         tx, start, end: (F,) transmitter, start and end time of each frame,
         frames sorted by end time; signal, dist: (F, N) received power
@@ -231,9 +315,7 @@ class _RunBase:
         receivers transmitting during the frame (half duplex). hits =
         (frame, source, frac), sorted by frame and each frame's in its
         interferer order: hit h covers a share frac[h] of frame frame[h]
-        with the (N,) power row sources[source[h]]. Decisions are drawn
-        frame by frame, receivers ascending; frames that start before warmup
-        draw but are not tallied.
+        with the (N,) power row sources[source[h]].
         """
         in_range = dist <= self.cfg.max_range_m
         in_range[np.arange(tx.size), tx] = False
@@ -252,25 +334,11 @@ class _RunBase:
             part = sources[hit_source[at]]
             part *= hit_frac[at, None]
             denom[hit_frame[at]] += part
-        decisions = decide_reception_vector(signal.take(link) / denom.take(link),
-                                            self.cfg.reception, self.rng_reception)
-        n = signal.shape[1]
-        if start.min() < self.cfg.warmup_s:
-            counted = start[link // n] >= self.cfg.warmup_s
-            if not counted.any():
-                return
-            link, decisions = link[counted], decisions[counted]
-        blocked = deaf.take(link)
-        received = decisions & ~blocked
-        d = dist.take(link)
-        m = self.metrics
-        m.opportunities += link.size
-        m.prr.add_many(d, received)
-        m.received_total += int(received.sum())
-        m.lost_half_duplex += int(blocked.sum())
-        m.lost_sinr += int((~received & ~blocked).sum())
-        frame, rx = np.divmod(link[received], n)
-        m.ipg.add_many(tx[frame], rx, d[received], end[frame])
+        batch = LinkBatch(tx, start, end, link, signal.take(link) / denom.take(link),
+                          deaf.take(link), dist.take(link))
+        if self.batches is not None:
+            self.batches.append(batch)
+        tally(batch, self.n, self.cfg, self.rng_reception, self.metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -464,17 +532,9 @@ class _RunCv2x(_RunBase):
         self.reserved_tti = np.full(self.n, -1, dtype=np.int64)
         self.reserved_subch = np.zeros(self.n, dtype=np.int64)
 
-    def _sensing_view(self, vid: int, now_tti: int) -> SensingWindow:
-        sw = SensingWindow.__new__(SensingWindow)
-        sw.window_ttis = self.window_ttis
-        sw.n_subch = self.cfg.theta.n_subch
-        sw.power_mw = self.ring[vid]
-        sw.filled_until = now_tti
-        return sw
-
     def _select(self, vid: int, now_tti: int):
         st = self.sps_states[vid]
-        sel = sps_select(st, self._sensing_view(vid, now_tti), now_tti,
+        sel = sps_select(st, SensingWindow(self.ring[vid], now_tti), now_tti,
                          self.sps_params, self.t_tti, self.sps_rngs[vid],
                          n_subch_needed=self.n_subch_needed)
         self.reserved_subch[vid] = sel.subchannel
@@ -569,13 +629,43 @@ class SimulationSetup:
     vehicles: list | None = None
 
 
-def run(setup: SimulationSetup, trace: TraceLog | None = None) -> MetricStore:
-    """Execute one seeded run and return its metric store."""
+def channel_key(setup: SimulationSetup) -> SimulationSetup:
+    """The setup without its reception model: what a link record depends on."""
+    return replace(setup, run=replace(setup.run, reception=None))
+
+
+def run(setup: SimulationSetup, trace: TraceLog | None = None,
+        links: LinkRecord | None = None) -> MetricStore:
+    """Execute one seeded run and return its metric store.
+
+    With an empty `links` record the run also fills it; with a filled one
+    the run replays its link outcomes under setup.run.reception instead of
+    simulating, which needs the setup the record was filled under.
+    """
     cfg = setup.run
+    if links is not None and links.filled:
+        if trace is not None:
+            raise ConfigError("a replayed run has no MAC to trace")
+        if links.key != channel_key(setup):
+            raise ConfigError("the link record was filled under a different setup; "
+                              "only the reception model may change")
+        metrics = new_store(cfg, links.n)
+        metrics.generated, metrics.transmitted = links.generated, links.transmitted
+        rng = stream(cfg.seed, "reception")
+        for batch in links.batches:
+            tally(batch, links.n, cfg, rng, metrics)
+        return metrics
     if cfg.technology == "11p":
         sim = _Run11p(cfg, setup.road, setup.traffic, setup.propagation,
                       setup.csma, trace, setup.vehicles)
     else:
         sim = _RunCv2x(cfg, setup.road, setup.traffic, setup.propagation,
                        setup.sps, setup.prb_table, trace, setup.vehicles)
-    return sim.run()
+    if links is None:
+        return sim.run()
+    sim.batches = []
+    metrics = sim.run()
+    # filled only once the run completed, so a failed run leaves it empty
+    links.key, links.n, links.batches = channel_key(setup), sim.n, sim.batches
+    links.generated, links.transmitted = metrics.generated, metrics.transmitted
+    return metrics

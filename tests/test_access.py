@@ -200,9 +200,7 @@ SPS = SpsParams()
 
 
 def empty_window(ttis=1000, subch=5, filled=1000):
-    win = SensingWindow(ttis, subch)
-    win.filled_until = filled
-    return win
+    return SensingWindow(np.zeros((ttis, subch)), filled)
 
 
 def test_cold_start_uniform_over_window():

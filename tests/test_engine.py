@@ -4,12 +4,14 @@ determinism, and the noise-limited sanity checks."""
 import numpy as np
 import pytest
 
-from conftest import curve_model, make_setup, vehicle_pair
+from dataclasses import replace
+
+from conftest import curve_model, make_setup, step_model, vehicle_pair
 
 from v2xsim.abstraction import PerCurve, StepFunction
 from v2xsim.channel import PropagationConfig, noise_power_dbm, rx_power_dbm
-from v2xsim.engine import (ReceptionModel, RunConfig, SimulationSetup, TraceLog,
-                           TransmissionEvent, decide_reception_vector,
+from v2xsim.engine import (LinkRecord, ReceptionModel, RunConfig, SimulationSetup,
+                           TraceLog, TransmissionEvent, decide_reception_vector,
                            overlap_fraction, prb_overlap, run)
 from v2xsim.errors import ConfigError
 from v2xsim.metrics import prr_curve
@@ -272,3 +274,51 @@ def test_trace_records_mac_events(curve_cv2x):
     for trigger, sel in trace.sps_selections:
         assert trigger + 1 <= sel.tti <= trigger + 100
         assert 5 <= sel.reselection_counter <= 15
+
+
+# --- link records --------------------------------------------------------------
+
+def small_record_setup(curve, tech="11p"):
+    return make_setup(tech, curve_model(curve), seed=5, duration=0.3, warmup=0.1,
+                      density=40.0, road_length=1000.0)
+
+
+def assert_same_store(a, b):
+    for name in ("generated", "transmitted", "opportunities", "received_total",
+                 "lost_sinr", "lost_half_duplex"):
+        assert getattr(a, name) == getattr(b, name), name
+    np.testing.assert_array_equal(a.prr.opportunities, b.prr.opportunities)
+    np.testing.assert_array_equal(a.prr.received, b.prr.received)
+    assert a.ipg.gaps == b.ipg.gaps
+
+
+@pytest.mark.parametrize("tech", ["11p", "cv2x"])
+def test_filling_a_record_leaves_the_run_unchanged(tech, curve_11p, curve_cv2x):
+    setup = small_record_setup(curve_11p if tech == "11p" else curve_cv2x, tech)
+    links = LinkRecord()
+    filled = run(setup, links=links)
+    assert links.filled and links.batches
+    assert_same_store(filled, run(setup))
+
+
+@pytest.mark.parametrize("change", [
+    {"seed": 6}, {"sim_duration_s": 0.4}, {"density_vpk": 50.0}])
+def test_replay_under_a_different_setup_raises(change, curve_11p):
+    setup = small_record_setup(curve_11p)
+    links = LinkRecord()
+    run(setup, links=links)
+    other = replace(setup, run=replace(setup.run, reception=step_model(curve_11p)))
+    if "density_vpk" in change:
+        other = replace(other, road=replace(other.road, **change))
+    else:
+        other = replace(other, run=replace(other.run, **change))
+    with pytest.raises(ConfigError, match="different setup"):
+        run(other, links=links)
+
+
+def test_replay_cannot_be_traced(curve_11p):
+    setup = small_record_setup(curve_11p)
+    links = LinkRecord()
+    run(setup, trace=TraceLog(), links=links)
+    with pytest.raises(ConfigError, match="trace"):
+        run(setup, trace=TraceLog(), links=links)

@@ -7,12 +7,17 @@ as soon as it ends: the same reception draws, the same warmup cut and the
 same inter-packet gaps in the same order. Each run must also resolve each
 reception opportunity to exactly one outcome, never count more receptions
 than opportunities in a PRR bin, and record only positive inter-packet gaps.
+
+A run that replays the link outcomes recorded under one reception model must
+give what a live run under another model gives, in both directions and on
+both technologies.
 """
 
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,14 +31,19 @@ CURVES = {"11p": load_curve_csv(curve_path("highway_los_11p_mcs2_350B.csv")),
 ROAD_LENGTH_M = 1000.0
 
 
-@st.composite
-def small_setups(draw):
-    tech = draw(st.sampled_from(sorted(CURVES)))
+def reception_models(tech, curve_mode):
     curve = CURVES[tech]
-    if draw(st.booleans()):
-        reception = curve_model(curve)
-    else:
-        reception = step_model(curve, draw(st.floats(0.1, 0.9)))
+    if curve_mode:
+        return st.just(curve_model(curve))
+    return st.floats(0.1, 0.9).map(lambda beta: step_model(curve, beta))
+
+
+@st.composite
+def small_setups(draw, tech=None, curve_mode=None):
+    tech = draw(st.sampled_from(sorted(CURVES))) if tech is None else tech
+    if curve_mode is None:
+        curve_mode = draw(st.booleans())
+    reception = draw(reception_models(tech, curve_mode))
     vehicles = draw(st.integers(1, 60))
     horizon = draw(st.floats(0.05, 0.5))
     warmup = draw(st.floats(0.0, 0.99)) * horizon
@@ -47,21 +57,38 @@ def small_setups(draw):
     return replace(setup, road=road)
 
 
+def assert_same_outputs(a, b):
+    for name in ("generated", "transmitted", "opportunities", "received_total",
+                 "lost_sinr", "lost_half_duplex"):
+        assert getattr(a, name) == getattr(b, name), name
+    np.testing.assert_array_equal(a.prr.opportunities, b.prr.opportunities)
+    np.testing.assert_array_equal(a.prr.received, b.prr.received)
+    assert a.ipg.gaps == b.ipg.gaps
+
+
 @settings(max_examples=300, deadline=None)
 @given(setup=small_setups())
 def test_batched_scoring_matches_per_frame_scoring(setup):
     batched = engine.run(setup)
     with mock.patch.object(engine, "SCORE_BATCH_ELEMENTS", 1):
         per_frame = engine.run(setup)
-    for name in ("generated", "transmitted", "opportunities", "received_total",
-                 "lost_sinr", "lost_half_duplex"):
-        assert getattr(batched, name) == getattr(per_frame, name), name
-    np.testing.assert_array_equal(batched.prr.opportunities,
-                                  per_frame.prr.opportunities)
-    np.testing.assert_array_equal(batched.prr.received, per_frame.prr.received)
-    assert batched.ipg.gaps == per_frame.ipg.gaps
+    assert_same_outputs(batched, per_frame)
     assert batched.opportunities == \
         batched.received_total + batched.lost_sinr + batched.lost_half_duplex
     assert np.all(batched.prr.received <= batched.prr.opportunities)
     assert batched.prr.opportunities.sum() <= batched.opportunities
     assert all(gap > 0 for gap in batched.ipg.gaps)
+
+
+@pytest.mark.parametrize("recorded_mode", ["curve", "step"])
+@pytest.mark.parametrize("tech", sorted(CURVES))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_replayed_links_match_a_live_run(tech, recorded_mode, data):
+    recorded = data.draw(small_setups(tech, recorded_mode == "curve"))
+    other = data.draw(reception_models(tech, recorded_mode != "curve"))
+    replayed_setup = replace(recorded, run=replace(recorded.run, reception=other))
+    links = engine.LinkRecord()
+    engine.run(recorded, links=links)
+    assert_same_outputs(engine.run(replayed_setup, links=links),
+                        engine.run(replayed_setup))
