@@ -189,7 +189,7 @@ class LinkRecord:
         return self.key is not None
 
 
-def new_store(cfg: RunConfig, n: int) -> MetricStore:
+def _new_store(cfg: RunConfig, n: int) -> MetricStore:
     edges = default_bin_edges(cfg.prr_max_distance_m, cfg.prr_bin_width_m)
     return MetricStore(prr=PrrSeries(edges), ipg=IpgStore(cfg.ipg_range_m, n))
 
@@ -298,7 +298,7 @@ class _RunBase:
         self.phy = _PhyCache(self.geom, prop, cfg.seed)
         self.noise_mw = 10.0 ** (noise_power_dbm(prop) / 10.0)
         self.rng_reception = stream(cfg.seed, "reception")
-        self.metrics = new_store(cfg, self.n)
+        self.metrics = _new_store(cfg, self.n)
         self.batches = None  # a list when the run fills a link record
         self.phases = np.array([
             generation_phase(v.id, cfg.seed, traffic.period_s) for v in self.vehicles
@@ -629,7 +629,7 @@ class SimulationSetup:
     vehicles: list | None = None
 
 
-def channel_key(setup: SimulationSetup) -> SimulationSetup:
+def _channel_key(setup: SimulationSetup) -> SimulationSetup:
     """The setup without its reception model: what a link record depends on."""
     return replace(setup, run=replace(setup.run, reception=None))
 
@@ -646,10 +646,10 @@ def run(setup: SimulationSetup, trace: TraceLog | None = None,
     if links is not None and links.filled:
         if trace is not None:
             raise ConfigError("a replayed run has no MAC to trace")
-        if links.key != channel_key(setup):
+        if links.key != _channel_key(setup):
             raise ConfigError("the link record was filled under a different setup; "
                               "only the reception model may change")
-        metrics = new_store(cfg, links.n)
+        metrics = _new_store(cfg, links.n)
         metrics.generated, metrics.transmitted = links.generated, links.transmitted
         rng = stream(cfg.seed, "reception")
         for batch in links.batches:
@@ -666,6 +666,6 @@ def run(setup: SimulationSetup, trace: TraceLog | None = None,
     sim.batches = []
     metrics = sim.run()
     # filled only once the run completed, so a failed run leaves it empty
-    links.key, links.n, links.batches = channel_key(setup), sim.n, sim.batches
+    links.key, links.n, links.batches = _channel_key(setup), sim.n, sim.batches
     links.generated, links.transmitted = metrics.generated, metrics.transmitted
     return metrics

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from v2xsim.abstraction import threshold_from_curve
@@ -65,6 +66,16 @@ def vehicle_pair(distance_m: float, speed_ms: float = 0.0):
     ]
 
 
+def assert_same_store(a, b):
+    """Two metric stores hold the same counters, PRR bins and IPG gap list."""
+    for name in ("generated", "transmitted", "opportunities", "received_total",
+                 "lost_sinr", "lost_half_duplex"):
+        assert getattr(a, name) == getattr(b, name), name
+    np.testing.assert_array_equal(a.prr.opportunities, b.prr.opportunities)
+    np.testing.assert_array_equal(a.prr.received, b.prr.received)
+    assert a.ipg.gaps == b.ipg.gaps
+
+
 class RunBank:
     """Memoized simulation runs shared across acceptance tests."""
 
@@ -83,4 +94,4 @@ def run_bank():
 
 
 __all__ = ["make_setup", "step_model", "curve_model", "vehicle_pair", "run",
-           "curve_path"]
+           "curve_path", "assert_same_store"]

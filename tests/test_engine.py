@@ -6,7 +6,8 @@ import pytest
 
 from dataclasses import replace
 
-from conftest import curve_model, make_setup, step_model, vehicle_pair
+from conftest import (assert_same_store, curve_model, make_setup, step_model,
+                      vehicle_pair)
 
 from v2xsim.abstraction import PerCurve, StepFunction
 from v2xsim.channel import PropagationConfig, noise_power_dbm, rx_power_dbm
@@ -281,15 +282,6 @@ def test_trace_records_mac_events(curve_cv2x):
 def small_record_setup(curve, tech="11p"):
     return make_setup(tech, curve_model(curve), seed=5, duration=0.3, warmup=0.1,
                       density=40.0, road_length=1000.0)
-
-
-def assert_same_store(a, b):
-    for name in ("generated", "transmitted", "opportunities", "received_total",
-                 "lost_sinr", "lost_half_duplex"):
-        assert getattr(a, name) == getattr(b, name), name
-    np.testing.assert_array_equal(a.prr.opportunities, b.prr.opportunities)
-    np.testing.assert_array_equal(a.prr.received, b.prr.received)
-    assert a.ipg.gaps == b.ipg.gaps
 
 
 @pytest.mark.parametrize("tech", ["11p", "cv2x"])

@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import curve_model, curve_path, make_setup, step_model
+from conftest import (assert_same_store, curve_model, curve_path, make_setup,
+                      step_model)
 
 from v2xsim import engine
 from v2xsim.cli import load_curve_csv
@@ -57,22 +58,13 @@ def small_setups(draw, tech=None, curve_mode=None):
     return replace(setup, road=road)
 
 
-def assert_same_outputs(a, b):
-    for name in ("generated", "transmitted", "opportunities", "received_total",
-                 "lost_sinr", "lost_half_duplex"):
-        assert getattr(a, name) == getattr(b, name), name
-    np.testing.assert_array_equal(a.prr.opportunities, b.prr.opportunities)
-    np.testing.assert_array_equal(a.prr.received, b.prr.received)
-    assert a.ipg.gaps == b.ipg.gaps
-
-
 @settings(max_examples=300, deadline=None)
 @given(setup=small_setups())
 def test_batched_scoring_matches_per_frame_scoring(setup):
     batched = engine.run(setup)
     with mock.patch.object(engine, "SCORE_BATCH_ELEMENTS", 1):
         per_frame = engine.run(setup)
-    assert_same_outputs(batched, per_frame)
+    assert_same_store(batched, per_frame)
     assert batched.opportunities == \
         batched.received_total + batched.lost_sinr + batched.lost_half_duplex
     assert np.all(batched.prr.received <= batched.prr.opportunities)
@@ -90,5 +82,5 @@ def test_replayed_links_match_a_live_run(tech, recorded_mode, data):
     replayed_setup = replace(recorded, run=replace(recorded.run, reception=other))
     links = engine.LinkRecord()
     engine.run(recorded, links=links)
-    assert_same_outputs(engine.run(replayed_setup, links=links),
-                        engine.run(replayed_setup))
+    assert_same_store(engine.run(replayed_setup, links=links),
+                      engine.run(replayed_setup))
