@@ -1,10 +1,10 @@
 """Event-loop behavior: reception decisions, interference, conservation,
 determinism, and the noise-limited sanity checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-
-from dataclasses import replace
 
 from conftest import (assert_same_store, curve_model, make_setup, step_model,
                       vehicle_pair)
@@ -293,17 +293,15 @@ def test_filling_a_record_leaves_the_run_unchanged(tech, curve_11p, curve_cv2x):
     assert_same_store(filled, run(setup))
 
 
-@pytest.mark.parametrize("change", [
-    {"seed": 6}, {"sim_duration_s": 0.4}, {"density_vpk": 50.0}])
-def test_replay_under_a_different_setup_raises(change, curve_11p):
+@pytest.mark.parametrize("section, change", [
+    ("run", {"seed": 6}), ("run", {"sim_duration_s": 0.4}),
+    ("road", {"density_vpk": 50.0})])
+def test_replay_under_a_different_setup_raises(section, change, curve_11p):
     setup = small_record_setup(curve_11p)
     links = LinkRecord()
     run(setup, links=links)
     other = replace(setup, run=replace(setup.run, reception=step_model(curve_11p)))
-    if "density_vpk" in change:
-        other = replace(other, road=replace(other.road, **change))
-    else:
-        other = replace(other, run=replace(other.run, **change))
+    other = replace(other, **{section: replace(getattr(other, section), **change)})
     with pytest.raises(ConfigError, match="different setup"):
         run(other, links=links)
 
