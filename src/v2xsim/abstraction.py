@@ -74,7 +74,7 @@ class StepFunction:
     beta: float
 
     def __post_init__(self):
-        if self.gamma_th <= 0:
+        if not self.gamma_th > 0:
             raise ConfigError(f"gamma_th must be > 0, got {self.gamma_th}")
 
     @property
@@ -107,10 +107,10 @@ class AbstractionModel:
     n_points: int = 0
 
     def __post_init__(self):
-        if self.alpha_hat <= 0:
-            raise ConfigError("alpha_hat must be > 0")
-        if self.bandwidth_hz <= 0:
-            raise ConfigError("bandwidth_hz must be > 0")
+        if not self.alpha_hat > 0:
+            raise ConfigError(f"alpha_hat must be > 0, got {self.alpha_hat}")
+        if not self.bandwidth_hz > 0:
+            raise ConfigError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
 
 
 def pav_non_increasing(values: np.ndarray) -> np.ndarray:

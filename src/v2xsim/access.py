@@ -15,7 +15,7 @@ threshold-relaxation loop and a probabilistic keep at counter expiry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,13 +34,13 @@ class CsmaParams:
     sense_decodable_dbm: float = -85.0
     sense_energy_dbm: float = -65.0
 
-
-def csma_carrier_sense(rx_power_dbm: float, decodable: bool,
-                       params: CsmaParams = CsmaParams()) -> bool:
-    """Busy iff a decodable signal clears the low threshold or any energy the high one."""
-    if decodable and rx_power_dbm >= params.sense_decodable_dbm:
-        return True
-    return rx_power_dbm >= params.sense_energy_dbm
+    def __post_init__(self):
+        if self.cw_max < 0:
+            raise ConfigError("cw_max must be >= 0")
+        if not self.aifs_s > 0:
+            raise ConfigError("aifs_s must be > 0")
+        if not self.slot_s > 0:
+            raise ConfigError("slot_s must be > 0")
 
 
 IDLE, AIFS_WAIT, BACKOFF_FROZEN, BACKOFF_COUNTING, TRANSMITTING = range(5)
@@ -325,40 +325,3 @@ def sps_after_transmission(state: SpsState, params: SpsParams,
     else:
         state.needs_reselection = True
     return keep
-
-
-# ---------------------------------------------------------------------------
-# Shared helpers
-
-
-@dataclass
-class ResourceGrid:
-    """Occupancy bookkeeping: transmitter ids per (tti, subchannel)."""
-
-    n_subch: int
-    occupancy: dict = field(default_factory=dict)
-
-    def add(self, tti: int, subchannels, tx_id: int):
-        for s in subchannels:
-            self.occupancy.setdefault((tti, s), set()).add(tx_id)
-
-    def sharing(self, tti: int, subchannels) -> set:
-        out = set()
-        for s in subchannels:
-            out |= self.occupancy.get((tti, s), set())
-        return out
-
-
-def intervals_overlap(a_start: float, a_end: float, b_start: float, b_end: float) -> bool:
-    return a_start < b_end and b_start < a_end
-
-
-def half_duplex_filter(tx_intervals, rx_events):
-    """Drop receptions whose airtime overlaps any of the receiver's own transmissions."""
-    kept = []
-    for event in rx_events:
-        start, end = event[0], event[1]
-        if any(intervals_overlap(start, end, ts, te) for ts, te in tx_intervals):
-            continue
-        kept.append(event)
-    return kept

@@ -1,8 +1,10 @@
-"""Link-level power math: path loss, correlated shadowing, noise, SINR.
+"""Link-level power math: path loss, correlated shadowing, noise, link budget.
 
 Path loss follows the WINNER+ B1 street layout with a dual-slope LOS branch
 and a distance-only NLOS branch. Coefficients are configuration data; the
 defaults below the breakpoint reproduce the standard B1 LOS curve at 5.9 GHz.
+SINR is not computed here: the engine's scorer sums the received powers of
+each link in the linear domain.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .util import db_to_linear, linear_to_db
 
 SPEED_OF_LIGHT = 299792458.0
 THERMAL_NOISE_DBM_HZ = -174.0
@@ -70,19 +71,6 @@ class PropagationConfig:
         return 4.0 * self.antenna_height_m ** 2 * self.carrier_hz / SPEED_OF_LIGHT
 
 
-@dataclass(frozen=True)
-class LinkSample:
-    """Received powers feeding one SINR evaluation."""
-
-    rx_power_dbm: float
-    interferers: tuple = ()  # (source_id, overlap_fraction in [0,1], power_dbm)
-
-    def __post_init__(self):
-        for _, overlap, _ in self.interferers:
-            if not 0.0 <= overlap <= 1.0:
-                raise ConfigError(f"overlap_fraction {overlap} outside [0, 1]")
-
-
 def _free_space_db(log_d, carrier_hz: float):
     return 20.0 * log_d + 20.0 * np.log10(carrier_hz) + 20.0 * math.log10(
         4.0 * math.pi / SPEED_OF_LIGHT
@@ -134,43 +122,14 @@ def noise_power_dbm(cfg: PropagationConfig) -> float:
     return THERMAL_NOISE_DBM_HZ + 10.0 * math.log10(cfg.bandwidth_hz) + cfg.noise_figure_db
 
 
-def sinr(link: LinkSample, noise_dbm: float) -> float:
-    """Linear SINR: everything converted to mW before summation."""
-    s = float(db_to_linear(link.rx_power_dbm))
-    denom = float(db_to_linear(noise_dbm))
-    for _, overlap, power_dbm in link.interferers:
-        denom += overlap * float(db_to_linear(power_dbm))
-    return s / denom
-
-
 class LinkShadowing:
     """Correlated log-normal shadowing, one process per directed link.
 
     The process decorrelates with the transmitter's traveled distance:
-    s' = rho*s + sigma*sqrt(1-rho^2)*z with rho = exp(-delta/decorr).
-    Used matrix-wise by the engine; `sample` serves single-link callers.
+    s' = rho*s + sigma*sqrt(1-rho^2)*z with rho = exp(-delta/decorr). The
+    engine keeps all links in one matrix and draws its initial values as
+    sigma * N(0, 1).
     """
-
-    def __init__(self, sigma_db: float, decorrelation_m: float, rng: np.random.Generator):
-        self.sigma_db = sigma_db
-        self.decorrelation_m = decorrelation_m
-        self.rng = rng
-        self._state: dict = {}  # link key -> (traveled_m, value_db)
-
-    def sample(self, link_key, traveled_m: float) -> float:
-        """Shadowing in dB for the link after the transmitter moved to traveled_m."""
-        prev = self._state.get(link_key)
-        if prev is None:
-            value = self.sigma_db * self.rng.standard_normal()
-        else:
-            prev_traveled, prev_value = prev
-            delta = abs(traveled_m - prev_traveled)
-            rho = math.exp(-delta / self.decorrelation_m)
-            value = rho * prev_value + self.sigma_db * math.sqrt(1.0 - rho * rho) * (
-                self.rng.standard_normal()
-            )
-        self._state[link_key] = (traveled_m, value)
-        return value
 
     @staticmethod
     def evolve_matrix(values: np.ndarray, delta_m: np.ndarray, sigma_db: float,
@@ -190,22 +149,3 @@ def rx_power_dbm(distance_m, cfg: PropagationConfig, shadowing_db=0.0,
         - path_loss_db(distance_m, cfg, los=los)
         - shadowing_db
     )
-
-
-def sinr_vector(signal_dbm, interferer_dbm_overlap, noise_dbm: float):
-    """Array form of `sinr` for one frame against many receivers.
-
-    interferer_dbm_overlap: iterable of (power_dbm_array, overlap_fraction).
-    """
-    s = db_to_linear(signal_dbm)
-    denom = np.full_like(s, float(db_to_linear(noise_dbm)))
-    for power_dbm, overlap in interferer_dbm_overlap:
-        denom = denom + overlap * db_to_linear(power_dbm)
-    return s / denom
-
-
-__all__ = [
-    "PropagationConfig", "WinnerCoefficients", "LinkSample", "LinkShadowing",
-    "path_loss_db", "free_space_loss_db", "winner_formula_db", "noise_power_dbm",
-    "sinr", "sinr_vector", "rx_power_dbm", "linear_to_db", "db_to_linear",
-]

@@ -223,11 +223,6 @@ def build_reception(cp, mode: str | None = None, beta: float | None = None):
     return ReceptionModel(mode="step_threshold", step=step)
 
 
-def run_from_config(cp, reception, links: LinkRecord | None = None) -> MetricStore:
-    setup = cfgmod.build_setup(cp, reception)
-    return run(setup, links=links)
-
-
 def ipg_grid(cp):
     step = float(cp["metrics"]["ipg_grid_step_s"])
     top = float(cp["metrics"]["ipg_grid_max_s"])
@@ -283,14 +278,19 @@ def cmd_fit_alpha(args) -> int:
     return 0
 
 
-def _theta_from_meta(cp, tech: str, mcs: int, payload: int):
+def _theta_from_meta(cp, tech: str, mcs: int | None, payload: int | None):
+    """The config's theta for `tech`, with the MCS and payload given overriding it.
+
+    An overridden MCS or payload re-resolves the C-V2X PRB count, since a
+    configured n_prb_pkt was sized for the configured packet.
+    """
     scratch = cfgmod.new_parser()
     scratch.read_dict({s: dict(cp[s]) for s in cp.sections()})
-    scratch["traffic"]["payload_bytes"] = str(payload)
-    if tech == "11p":
-        scratch["ieee80211p"]["mcs_index"] = str(mcs)
-    else:
-        scratch["cv2x"]["mcs_index"] = str(mcs)
+    if payload is not None:
+        scratch["traffic"]["payload_bytes"] = str(payload)
+    if mcs is not None:
+        scratch["ieee80211p" if tech == "11p" else "cv2x"]["mcs_index"] = str(mcs)
+    if tech == "cv2x" and (mcs is not None or payload is not None):
         scratch["cv2x"]["n_prb_pkt"] = ""
     return cfgmod.build_theta(scratch, tech)
 
@@ -299,14 +299,7 @@ def cmd_derive_threshold(args) -> int:
     cp = cfgmod.load_config(args.config, args.set or [])
     model = load_model_file(args.model)
     tech = args.tech or cp["run"]["technology"].strip()
-    if args.mcs is not None:
-        section = "ieee80211p" if tech == "11p" else "cv2x"
-        cp[section]["mcs_index"] = str(args.mcs)
-        if tech == "cv2x":
-            cp["cv2x"]["n_prb_pkt"] = ""
-    if args.payload is not None:
-        cp["traffic"]["payload_bytes"] = str(args.payload)
-    theta = cfgmod.build_theta(cp, tech)
+    theta = _theta_from_meta(cp, tech, args.mcs, args.payload)
     print(f"technology: {tech}  payload: {theta.payload_bytes} B  "
           f"mcs: {theta.mcs_index}")
     print(f"effective throughput: {effective_throughput(theta) / 1e6:.4f} Mb/s  "
@@ -321,10 +314,10 @@ def cmd_derive_threshold(args) -> int:
     return 0
 
 
-def _simulate_to_dir(cp, reception, out_dir: str, command: str,
+def _simulate_to_dir(cp, setup, reception, out_dir: str, command: str,
                      links: LinkRecord | None = None) -> MetricStore:
     os.makedirs(out_dir, exist_ok=True)
-    store = run_from_config(cp, reception, links)
+    store = run(setup, reception, links=links)
     write_prr_csv(os.path.join(out_dir, "prr.csv"), store)
     write_ipg_csv(os.path.join(out_dir, "ipg_ccdf.csv"), store, ipg_grid(cp))
     write_manifest(os.path.join(out_dir, "manifest.ini"), cp, command)
@@ -334,7 +327,7 @@ def _simulate_to_dir(cp, reception, out_dir: str, command: str,
 def cmd_simulate(args) -> int:
     cp = cfgmod.load_config(args.config, args.set or [])
     reception = build_reception(cp)
-    store = _simulate_to_dir(cp, reception, args.out, "simulate")
+    store = _simulate_to_dir(cp, cfgmod.build_setup(cp), reception, args.out, "simulate")
     print(f"simulated {store.transmitted} transmissions, "
           f"{store.opportunities} reception opportunities, "
           f"{store.received_total} received")
@@ -350,14 +343,14 @@ def cmd_select_beta(args) -> int:
     curve = load_curve_csv(curve_file)
     betas = [float(b) for b in args.betas.split(",")] if args.betas else list(DEFAULT_BETAS)
     # the channel is simulated once; each beta replays its link outcomes
+    setup = cfgmod.build_setup(cp)
     links = LinkRecord()
-    benchmark = run_from_config(cp, ReceptionModel(mode="per_curve", curve=curve),
-                                links).prr
+    benchmark = run(setup, ReceptionModel(mode="per_curve", curve=curve), links=links).prr
 
     def simulate_beta(beta):
         step = threshold_from_curve(curve, beta)
         model = ReceptionModel(mode="step_threshold", step=step)
-        return run_from_config(cp, model, links).prr
+        return run(setup, model, links=links).prr
 
     beta_hat, table = select_beta(betas, benchmark, simulate_beta)
     os.makedirs(args.out, exist_ok=True)
@@ -377,13 +370,16 @@ def cmd_validate(args) -> int:
     if not curve_file:
         raise ConfigError("validate needs reception.curve_file as the benchmark")
     os.makedirs(args.out, exist_ok=True)
-    # the channel is simulated once; the step run replays its link outcomes
-    links = LinkRecord()
-    bench = _simulate_to_dir(cp, build_reception(cp, mode="curve"),
-                             os.path.join(args.out, "curve"), "validate", links)
+    # both models first, so that a bad one writes no output; the channel is
+    # simulated once and the step run replays its link outcomes
+    curve_model = build_reception(cp, mode="curve")
     step_model = build_reception(cp, mode="step")
-    step = _simulate_to_dir(cp, step_model, os.path.join(args.out, "step"), "validate",
-                            links)
+    setup = cfgmod.build_setup(cp)
+    links = LinkRecord()
+    bench = _simulate_to_dir(cp, setup, curve_model, os.path.join(args.out, "curve"),
+                             "validate", links)
+    step = _simulate_to_dir(cp, setup, step_model, os.path.join(args.out, "step"),
+                            "validate", links)
     value = mae(bench.prr, step.prr)
     beta = float(cp["reception"]["beta"])
     write_mae_csv(os.path.join(args.out, "mae.csv"), [(beta, value)], beta)

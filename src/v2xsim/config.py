@@ -8,7 +8,7 @@ implementation decisions. Overrides are flat `section.key=value` strings.
 from __future__ import annotations
 
 import configparser
-import io
+import math
 
 from .access import CsmaParams, SpsParams
 from .channel import PropagationConfig, WinnerCoefficients
@@ -167,21 +167,36 @@ def load_config(path: str | None = None, overrides=()) -> configparser.ConfigPar
     cp = new_parser()
     cp.read_string(DEFAULT_CONFIG)
     if path is not None:
-        read = cp.read(path)
-        if not read:
+        read = new_parser()
+        try:
+            found = read.read(path)
+        except configparser.Error as exc:
+            raise ConfigError(f"config file {path}: {exc}") from exc
+        if not found:
             raise ConfigError(f"config file not found: {path}")
+        for section in read.sections():
+            # PRB table rows and a manifest's [meta] are not among the defaults
+            if section not in ("prb_table", "meta"):
+                _check_known(cp, section, read[section], f" in {path}")
+        cp.read_dict(read)
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value: {item!r}")
         key, value = item.split("=", 1)
         section, option = key.split(".", 1)
         section, option = section.strip(), option.strip()
-        if not cp.has_section(section):
-            raise ConfigError(f"unknown config section {section!r}")
-        if option not in cp[section]:
-            raise ConfigError(f"unknown config key {section}.{option}")
+        _check_known(cp, section, [option])
         cp[section][option] = value.strip()
     return cp
+
+
+def _check_known(cp, section, options, where=""):
+    """Reject a section or key that the defaults do not have."""
+    if not cp.has_section(section):
+        raise ConfigError(f"unknown config section {section!r}{where}")
+    for option in options:
+        if option not in cp[section]:
+            raise ConfigError(f"unknown config key {section}.{option}{where}")
 
 
 def _get(cp, section, key, conv, allow_blank=False):
@@ -194,9 +209,12 @@ def _get(cp, section, key, conv, allow_blank=False):
             return None
         raise ConfigError(f"config key {section}.{key} must not be empty")
     try:
-        return conv(raw)
+        value = conv(raw)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
+    if conv is float and math.isnan(value):
+        raise ConfigError(f"bad value for {section}.{key}: {raw!r}")
+    return value
 
 
 def _bool(raw: str) -> bool:
@@ -228,8 +246,6 @@ def build_theta(cp, technology: str):
             t_symbol_s=_get(cp, "ieee80211p", "t_symbol_us", float) * 1e-6,
             n_bps=resolve_nbps(mcs),
             mcs_index=mcs,
-            cw_max=_get(cp, "ieee80211p", "cw_max", int),
-            slot_time_s=_get(cp, "ieee80211p", "slot_time_us", float) * 1e-6,
         )
     if technology == "cv2x":
         mcs = _get(cp, "cv2x", "mcs_index", int)
@@ -318,7 +334,7 @@ def build_sps(cp) -> SpsParams:
     )
 
 
-def build_setup(cp, reception) -> SimulationSetup:
+def build_setup(cp) -> SimulationSetup:
     technology = _get(cp, "run", "technology", str)
     theta = build_theta(cp, technology)
     run_cfg = RunConfig(
@@ -327,7 +343,6 @@ def build_setup(cp, reception) -> SimulationSetup:
         warmup_s=_get(cp, "run", "warmup_s", float),
         technology=technology,
         theta=theta,
-        reception=reception,
         max_range_m=_get(cp, "run", "max_range_m", float),
         mobility_step_s=_get(cp, "run", "mobility_step_ms", float) * 1e-3,
         prr_bin_width_m=_get(cp, "metrics", "prr_bin_width_m", float),
@@ -343,9 +358,3 @@ def build_setup(cp, reception) -> SimulationSetup:
         sps=build_sps(cp),
         prb_table=build_prb_table(cp),
     )
-
-
-def dump_config(cp) -> str:
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()

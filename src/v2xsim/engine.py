@@ -5,8 +5,8 @@ mobility epochs, while channel-access instants live in the CSMA arrays; the
 next event is the earlier of the heap top and the earliest access, ties
 going by one shared sequence counter. C-V2X runs on a TTI-slotted
 timeline. Both share the same vectorized link-budget cache: per mobility
-epoch the engine refreshes an NxN received-power matrix (path loss +
-correlated shadowing).
+epoch the engine refreshes an NxN received-power matrix with
+`channel.rx_power_dbm` (path loss + correlated shadowing).
 
 The event loops only record frames; one scorer turns them into link
 outcomes in F x N passes against all in-range receivers. A C-V2X TTI is
@@ -19,15 +19,16 @@ A batch of link outcomes (`LinkBatch`) holds, per in-range (frame,
 receiver) link, its SINR, distance and half-duplex flag; it does not depend
 on the reception model, because the MAC never sees reception outcomes. One
 tally function (`tally`) draws the decisions of a batch, applies the warmup
-cut and fills a `MetricStore`. Reception is decided either by a hard SINR
-threshold or by a Bernoulli draw against the interpolated PER curve; each
-generated packet resolves, per in-range receiver, to exactly one of
-received / lost-by-SINR / lost-by-half-duplex.
+cut and fills a `MetricStore`; it is the only reader of the reception
+model, which `run(setup, reception)` takes beside the setup. Reception is
+decided either by a hard SINR threshold or by a Bernoulli draw against the
+interpolated PER curve; each generated packet resolves, per in-range
+receiver, to exactly one of received / lost-by-SINR / lost-by-half-duplex.
 
-Link records and replay: `run(setup, links=LinkRecord())` keeps every batch
-of the live run in the record, with the vehicle count, the generated and
-transmitted counters and the setup it was filled under (reception model
-removed). A later `run` with another reception model and the filled record
+Link records and replay: `run(setup, reception, links=LinkRecord())` keeps
+every batch of the live run in the record, with the vehicle count, the
+generated and transmitted counters and the setup it was filled under. A
+later `run` with another reception model and the filled record
 replays the batches through the same tally with a fresh reception stream,
 without building geometry, channel or MAC, and returns the store a live run
 under that model would. `select-beta` and `validate` simulate the channel
@@ -37,9 +38,8 @@ once this way; a record only replays for the setup that filled it.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +48,7 @@ from . import scenario as scen
 from .abstraction import PerCurve, StepFunction
 from .access import (CsmaNode, CsmaParams, SensingWindow, SpsParams, SpsState,
                      sps_after_transmission, sps_select)
-from .channel import LinkShadowing, PropagationConfig, noise_power_dbm, path_loss_db
+from .channel import LinkShadowing, PropagationConfig, noise_power_dbm, rx_power_dbm
 from .errors import ConfigError
 from .metrics import IpgStore, MetricStore, PrrSeries, default_bin_edges
 from .scenario import Geometry, RoadConfig, TrafficConfig, generation_phase
@@ -85,8 +85,6 @@ class TransmissionEvent:
     tx_id: int
     start: float
     duration: float
-    payload_bytes: int
-    sequence: int
     # C-V2X resource footprint; None means the frame takes the whole channel
     tti: int | None = None
     prb_start: int = 0
@@ -103,7 +101,6 @@ class RunConfig:
     sim_duration_s: float
     technology: str  # 11p | cv2x
     theta: TechnologySettings
-    reception: ReceptionModel
     warmup_s: float = 0.0
     max_range_m: float = 1000.0
     mobility_step_s: float = 0.1
@@ -173,9 +170,9 @@ class LinkRecord:
 
     Pass an empty record to `run` and the live run fills it; pass the
     filled record again and `run` replays it instead of simulating. `key`
-    is the setup it was filled under with the reception model removed (None
-    while empty); n, generated and transmitted are the run's vehicle count
-    and MAC counters, which do not depend on the reception model.
+    is the setup it was filled under (None while empty); n, generated and
+    transmitted are the run's vehicle count and MAC counters, which do not
+    depend on the reception model.
     """
 
     key: SimulationSetup | None = None
@@ -194,14 +191,14 @@ def _new_store(cfg: RunConfig, n: int) -> MetricStore:
     return MetricStore(prr=PrrSeries(edges), ipg=IpgStore(cfg.ipg_range_m, n))
 
 
-def tally(batch: LinkBatch, n: int, cfg: RunConfig, rng: np.random.Generator,
-          metrics: MetricStore):
-    """Decide every link of a batch under cfg.reception and count the outcomes.
+def tally(batch: LinkBatch, n: int, cfg: RunConfig, reception: ReceptionModel,
+          rng: np.random.Generator, metrics: MetricStore):
+    """Decide every link of a batch under `reception` and count the outcomes.
 
     Decisions are drawn for all links, frame by frame and receivers
     ascending; links of frames that start before warmup are not counted.
     """
-    decisions = decide_reception_vector(batch.sinr, cfg.reception, rng)
+    decisions = decide_reception_vector(batch.sinr, reception, rng)
     link, blocked, d = batch.link, batch.blocked, batch.dist
     if batch.start.min() < cfg.warmup_s:
         counted = batch.start[link // n] >= cfg.warmup_s
@@ -276,18 +273,17 @@ class _PhyCache:
         los = geom.los_matrix()
         self.dist = geom.distance_matrix()
         pd = geom.propagation_distance_matrix(los, self.dist)
-        loss = path_loss_db(pd, prop, los=los)
-        self.power_dbm = (prop.tx_power_dbm + 2.0 * prop.antenna_gain_dbi
-                          - loss - self.shadow_db)
+        self.power_dbm = rx_power_dbm(pd, prop, self.shadow_db, los=los)
         np.fill_diagonal(self.power_dbm, POWER_FLOOR_DBM)
         self.power_mw = 10.0 ** (self.power_dbm / 10.0)
 
 
 class _RunBase:
-    def __init__(self, cfg: RunConfig, road: RoadConfig, traffic: TrafficConfig,
-                 prop: PropagationConfig, trace: TraceLog | None,
-                 vehicles: list | None = None):
+    def __init__(self, cfg: RunConfig, reception: ReceptionModel, road: RoadConfig,
+                 traffic: TrafficConfig, prop: PropagationConfig,
+                 trace: TraceLog | None, vehicles: list | None = None):
         self.cfg = cfg
+        self.reception = reception
         self.road = road
         self.traffic = traffic
         self.prop = prop
@@ -338,7 +334,7 @@ class _RunBase:
                           deaf.take(link), dist.take(link))
         if self.batches is not None:
             self.batches.append(batch)
-        tally(batch, self.n, self.cfg, self.rng_reception, self.metrics)
+        tally(batch, self.n, self.cfg, self.reception, self.rng_reception, self.metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +353,9 @@ class _Frame:
 
 
 class _Run11p(_RunBase):
-    def __init__(self, cfg, road, traffic, prop, csma: CsmaParams, trace,
+    def __init__(self, cfg, reception, road, traffic, prop, csma: CsmaParams, trace,
                  vehicles=None):
-        super().__init__(cfg, road, traffic, prop, trace, vehicles)
+        super().__init__(cfg, reception, road, traffic, prop, trace, vehicles)
         self.csma = csma
         self.mac = CsmaNode(csma, [stream(cfg.seed, "backoff", v.id)
                                    for v in self.vehicles])
@@ -370,7 +366,6 @@ class _Run11p(_RunBase):
         self.active: list[_Frame] = []
         self.ended: list[_Frame] = []  # recorded, not yet scored
         self.heap: list = []  # (time, sequence number, kind, data)
-        self.frame_seq = itertools.count()
         self.duration_s = tx_time(cfg.theta)
         self.m85 = None
         self._refresh_masks()
@@ -400,9 +395,7 @@ class _Run11p(_RunBase):
         self.mac.take_packet(vid)
         if self.trace is not None:
             self.trace.tx_starts.append((now, vid, bool(self.busy[vid])))
-        event = TransmissionEvent(tx_id=vid, start=now, duration=self.duration_s,
-                                  payload_bytes=self.cfg.theta.payload_bytes,
-                                  sequence=next(self.frame_seq))
+        event = TransmissionEvent(tx_id=vid, start=now, duration=self.duration_s)
         sense_mask = self.m85[vid].copy()
         sense_mask[vid] = False
         mw_row = self.phy.power_mw[vid].copy()
@@ -504,9 +497,9 @@ class _Run11p(_RunBase):
 
 
 class _RunCv2x(_RunBase):
-    def __init__(self, cfg, road, traffic, prop, sps: SpsParams,
+    def __init__(self, cfg, reception, road, traffic, prop, sps: SpsParams,
                  prb_table: PrbTable, trace, vehicles=None):
-        super().__init__(cfg, road, traffic, prop, trace, vehicles)
+        super().__init__(cfg, reception, road, traffic, prop, trace, vehicles)
         theta: CV2xSettings = cfg.theta
         self.sps_params = sps
         self.t_tti = theta.t_tti_s
@@ -629,43 +622,38 @@ class SimulationSetup:
     vehicles: list | None = None
 
 
-def _channel_key(setup: SimulationSetup) -> SimulationSetup:
-    """The setup without its reception model: what a link record depends on."""
-    return replace(setup, run=replace(setup.run, reception=None))
-
-
-def run(setup: SimulationSetup, trace: TraceLog | None = None,
-        links: LinkRecord | None = None) -> MetricStore:
-    """Execute one seeded run and return its metric store.
+def run(setup: SimulationSetup, reception: ReceptionModel,
+        trace: TraceLog | None = None, links: LinkRecord | None = None) -> MetricStore:
+    """Execute one seeded run under `reception` and return its metric store.
 
     With an empty `links` record the run also fills it; with a filled one
-    the run replays its link outcomes under setup.run.reception instead of
+    the run replays its link outcomes under `reception` instead of
     simulating, which needs the setup the record was filled under.
     """
     cfg = setup.run
     if links is not None and links.filled:
         if trace is not None:
             raise ConfigError("a replayed run has no MAC to trace")
-        if links.key != _channel_key(setup):
+        if links.key != setup:
             raise ConfigError("the link record was filled under a different setup; "
                               "only the reception model may change")
         metrics = _new_store(cfg, links.n)
         metrics.generated, metrics.transmitted = links.generated, links.transmitted
         rng = stream(cfg.seed, "reception")
         for batch in links.batches:
-            tally(batch, links.n, cfg, rng, metrics)
+            tally(batch, links.n, cfg, reception, rng, metrics)
         return metrics
     if cfg.technology == "11p":
-        sim = _Run11p(cfg, setup.road, setup.traffic, setup.propagation,
+        sim = _Run11p(cfg, reception, setup.road, setup.traffic, setup.propagation,
                       setup.csma, trace, setup.vehicles)
     else:
-        sim = _RunCv2x(cfg, setup.road, setup.traffic, setup.propagation,
+        sim = _RunCv2x(cfg, reception, setup.road, setup.traffic, setup.propagation,
                        setup.sps, setup.prb_table, trace, setup.vehicles)
     if links is None:
         return sim.run()
     sim.batches = []
     metrics = sim.run()
     # filled only once the run completed, so a failed run leaves it empty
-    links.key, links.n, links.batches = _channel_key(setup), sim.n, sim.batches
+    links.key, links.n, links.batches = setup, sim.n, sim.batches
     links.generated, links.transmitted = metrics.generated, metrics.transmitted
     return metrics

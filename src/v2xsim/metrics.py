@@ -138,21 +138,6 @@ class IpgStore:
         self.gaps.extend(gaps.tolist())
         self.last_time.flat[key[latest]] = times[latest]
 
-    def merge(self, other: "IpgStore") -> "IpgStore":
-        out = IpgStore(self.range_limit_m)
-        out.gaps = self.gaps + other.gaps
-        return out
-
-
-def record_reception(prr: PrrSeries, ipg: IpgStore, pair, tx_rx_distance: float,
-                     received: bool, time_s: float):
-    """Tally one reception opportunity into both accumulators."""
-    if tx_rx_distance < 0:
-        raise DataError("distance must be >= 0")
-    prr.add(tx_rx_distance, received)
-    if received:
-        ipg.add(pair, tx_rx_distance, time_s)
-
 
 def prr_curve(prr: PrrSeries):
     """(bin_center, ratio) pairs; bins with zero opportunities are omitted."""
@@ -198,15 +183,3 @@ class MetricStore:
     lost_half_duplex: int = 0
     lost_sinr: int = 0
     received_total: int = 0
-
-    def merge(self, other: "MetricStore") -> "MetricStore":
-        return MetricStore(
-            prr=self.prr.merge(other.prr),
-            ipg=self.ipg.merge(other.ipg),
-            generated=self.generated + other.generated,
-            transmitted=self.transmitted + other.transmitted,
-            opportunities=self.opportunities + other.opportunities,
-            lost_half_duplex=self.lost_half_duplex + other.lost_half_duplex,
-            lost_sinr=self.lost_sinr + other.lost_sinr,
-            received_total=self.received_total + other.received_total,
-        )

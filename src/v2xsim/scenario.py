@@ -8,8 +8,7 @@ corner geometry, not to reproduce any particular map.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,30 +106,9 @@ def spawn(road: RoadConfig, seed: int) -> list[VehicleState]:
     return vehicles
 
 
-def advance(vehicles: list[VehicleState], dt: float, road: RoadConfig):
-    """Constant-speed kinematics; wrap-around keeps positions in [0, L)."""
-    if dt < 0:
-        raise ConfigError("dt must be >= 0")
-    for v in vehicles:
-        p = v.position_m + v.speed_ms * v.heading * dt
-        if road.wrap_around:
-            p %= road.road_length_m
-        v.position_m = p
-    return vehicles
-
-
 def generation_phase(vehicle_id: int, seed: int, period_s: float) -> float:
     """Fixed per-vehicle random phase in [0, period)."""
     return float(stream(seed, "phase", vehicle_id).uniform(0.0, period_s))
-
-
-def next_generation_time(vehicle_id: int, now: float, seed: int,
-                         period_s: float) -> float:
-    """First generation instant strictly after `now` on the vehicle's grid."""
-    phase = generation_phase(vehicle_id, seed, period_s)
-    # the epsilon keeps on-grid queries from returning `now` itself
-    k = math.floor((now - phase) / period_s + 1e-9) + 1
-    return phase + max(k, 0) * period_s
 
 
 class Geometry:
@@ -138,7 +116,6 @@ class Geometry:
 
     def __init__(self, road: RoadConfig, vehicles: list[VehicleState]):
         self.road = road
-        self.vehicles = vehicles
         self.n = len(vehicles)
         self.heading = np.array([v.heading for v in vehicles], dtype=float)
         self.speed = np.array([v.speed_ms for v in vehicles], dtype=float)

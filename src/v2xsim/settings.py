@@ -57,15 +57,13 @@ class Ieee80211pSettings:
     t_symbol_s: float = 8e-6
     n_bps: int = 48
     mcs_index: int = 2
-    cw_max: int = 15
-    slot_time_s: float = 13e-6
 
     def __post_init__(self):
         if self.payload_bytes < 1:
             raise ConfigError(f"payload_bytes must be >= 1, got {self.payload_bytes}")
         if self.n_bps not in NBPS_TABLE:
             raise ConfigError(f"n_bps {self.n_bps} is not a 10 MHz MCS value {NBPS_TABLE}")
-        for name in ("t_aifs_s", "t_preamble_s", "t_symbol_s", "slot_time_s"):
+        for name in ("t_aifs_s", "t_preamble_s", "t_symbol_s"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
 

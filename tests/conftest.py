@@ -33,13 +33,13 @@ def default_theta(tech: str):
     return CV2xSettings(payload_bytes=350)
 
 
-def make_setup(tech: str, reception: ReceptionModel, *, seed=1, duration=10.0,
+def make_setup(tech: str, *, seed=1, duration=10.0,
                warmup=1.0, density=100.0, speed=96.0, road_length=2000.0,
                vehicles=None, max_prr_distance=600.0, **run_kwargs) -> SimulationSetup:
     return SimulationSetup(
         run=RunConfig(seed=seed, sim_duration_s=duration, warmup_s=warmup,
                       technology=tech, theta=default_theta(tech),
-                      reception=reception, prr_max_distance_m=max_prr_distance,
+                      prr_max_distance_m=max_prr_distance,
                       **run_kwargs),
         road=RoadConfig(road_length_m=road_length, density_vpk=density,
                         mean_speed_kmh=speed),

@@ -52,10 +52,10 @@ def highway_run(bank, tech, mode, beta, seed, density=100.0, speed=96.0,
     key = ("hwy", tech, mode, beta, seed, density, road_length, duration)
 
     def factory():
-        return run(make_setup(tech, reception_for(tech, mode, beta), seed=seed,
-                              duration=duration, warmup=2.0, density=density,
-                              speed=speed, road_length=road_length,
-                              max_prr_distance=max_prr))
+        return run(make_setup(tech, seed=seed, duration=duration, warmup=2.0,
+                              density=density, speed=speed, road_length=road_length,
+                              max_prr_distance=max_prr),
+                   reception_for(tech, mode, beta))
     return bank.get(key, factory)
 
 
@@ -158,11 +158,11 @@ def sweep_series(tech, mode, seeds):
     distances = (250.0, 650.0, 950.0, 1050.0, 1150.0, 1250.0, 1350.0)
     for d in distances:
         for seed in seeds:
-            store = run(make_setup(tech, reception_for(tech, mode), seed=seed,
-                                   duration=10.0, warmup=0.5, road_length=4000.0,
-                                   max_range_m=2500.0, max_prr_distance=1600.0,
-                                   prr_bin_width_m=100.0,
-                                   vehicles=vehicle_pair(d, speed_ms=26.67)))
+            store = run(make_setup(tech, seed=seed, duration=10.0, warmup=0.5,
+                                   road_length=4000.0, max_range_m=2500.0,
+                                   max_prr_distance=1600.0, prr_bin_width_m=100.0,
+                                   vehicles=vehicle_pair(d, speed_ms=26.67)),
+                        reception_for(tech, mode))
             out = out.merge(store.prr)
     return out
 
@@ -245,9 +245,9 @@ def test_criterion_07_ipg_floor():
     # 11p: an isolated pair; phases from the seed stay far enough apart that
     # access delay is the bare AIFS every period, so gaps sit at the period
     theta = Ieee80211pSettings(payload_bytes=350)
-    store = run(make_setup("11p", reception_for("11p", "curve"), seed=2,
-                           duration=20.0, warmup=0.5, road_length=4000.0,
-                           vehicles=vehicle_pair(100.0, speed_ms=26.67)))
+    store = run(make_setup("11p", seed=2, duration=20.0, warmup=0.5, road_length=4000.0,
+                           vehicles=vehicle_pair(100.0, speed_ms=26.67)),
+                reception_for("11p", "curve"))
     gaps_11p = ccdf_checks(store, tx_time(theta), "11p")
 
     # C-V2X: keep probability 1 pins each reservation, isolating the periodic
@@ -256,13 +256,13 @@ def test_criterion_07_ipg_floor():
     theta_cv = CV2xSettings(payload_bytes=350)
     setup = SimulationSetup(
         run=RunConfig(seed=1, sim_duration_s=20.0, warmup_s=0.5, technology="cv2x",
-                      theta=theta_cv, reception=reception_for("cv2x", "curve")),
+                      theta=theta_cv),
         road=RoadConfig(road_length_m=4000.0),
         traffic=TrafficConfig(),
         sps=SpsParams(keep_probability=1.0),
         vehicles=vehicles,
     )
-    store_cv = run(setup)
+    store_cv = run(setup, reception_for("cv2x", "curve"))
     gaps_cv = ccdf_checks(store_cv, tx_time(theta_cv), "cv2x")
     print(f"[acceptance] criterion 7 PASS - 11p min gap {gaps_11p.min()*1e3:.2f} ms "
           f"({gaps_11p.size} gaps), cv2x min gap {gaps_cv.min()*1e3:.2f} ms "
@@ -294,16 +294,16 @@ def test_criterion_09_determinism_byte_identical(tmp_path):
 def test_criterion_10_mac_invariant_sweeps():
     # 802.11p: no node may start transmitting while it senses the medium busy
     trace = TraceLog()
-    run(make_setup("11p", reception_for("11p", "curve"), seed=4, duration=10.0,
-                   warmup=0.5, density=50.0, road_length=1000.0), trace=trace)
+    run(make_setup("11p", seed=4, duration=10.0, warmup=0.5, density=50.0,
+                   road_length=1000.0), reception_for("11p", "curve"), trace=trace)
     assert len(trace.tx_starts) > 2000
     busy_starts = [t for t in trace.tx_starts if t[2]]
     assert not busy_starts, f"{len(busy_starts)} transmissions started while busy"
 
     # sidelink: selection window bounds, candidate share, counter stepping
     trace_cv = TraceLog()
-    run(make_setup("cv2x", reception_for("cv2x", "curve"), seed=4, duration=10.0,
-                   warmup=0.5, density=50.0, road_length=1000.0), trace=trace_cv)
+    run(make_setup("cv2x", seed=4, duration=10.0, warmup=0.5, density=50.0,
+                   road_length=1000.0), reception_for("cv2x", "curve"), trace=trace_cv)
     assert trace_cv.sps_selections
     for trigger, sel in trace_cv.sps_selections:
         assert trigger + 1 <= sel.tti <= trigger + 100

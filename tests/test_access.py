@@ -1,13 +1,19 @@
-"""CSMA state machine, carrier sensing, and sidelink resource selection."""
+"""CSMA state machine, carrier sensing, half duplex and sidelink resource selection."""
+
+import heapq
 
 import numpy as np
 import pytest
 
+from conftest import make_setup, vehicle_pair
+
+from v2xsim import engine
+from v2xsim.abstraction import StepFunction
 from v2xsim.access import (AIFS_WAIT, BACKOFF_FROZEN, IDLE, TRANSMITTING, CsmaNode,
-                           CsmaParams, ResourceGrid, SensingWindow, SpsParams,
-                           SpsState, csma_carrier_sense, half_duplex_filter,
+                           CsmaParams, SensingWindow, SpsParams, SpsState,
                            sps_after_transmission, sps_select)
 from v2xsim.errors import ConfigError
+from v2xsim.scenario import VehicleState
 from v2xsim.util import stream
 
 PARAMS = CsmaParams()
@@ -23,17 +29,83 @@ class FixedRng:
         return self.draws.pop(0)
 
 
-# --- carrier sensing ----------------------------------------------------------
+# --- the engine's medium -------------------------------------------------------
 
-@pytest.mark.parametrize("power,decodable,busy", [
-    (-84.0, True, True),    # decodable above the known-signal threshold
-    (-70.0, False, False),  # below the unknown-signal threshold
-    (-60.0, False, True),   # raw energy above the unknown-signal threshold
-    (-86.0, True, False),
-    (-60.0, True, True),
+STEP = engine.ReceptionModel(mode="step_threshold", step=StepFunction(1.0, 0.5))
+
+
+def engine_run(tech, vehicles):
+    """An engine whose frames the test starts, ends and scores by hand."""
+    setup = make_setup(tech, duration=1.0, warmup=0.0, vehicles=vehicles)
+    if tech == "11p":
+        sim = engine._Run11p(setup.run, STEP, setup.road, setup.traffic,
+                             setup.propagation, setup.csma, None, setup.vehicles)
+    else:
+        sim = engine._RunCv2x(setup.run, STEP, setup.road, setup.traffic,
+                              setup.propagation, setup.sps, setup.prb_table, None,
+                              setup.vehicles)
+    sim.batches = []
+    return sim
+
+
+def play_11p(sim, frames):
+    """Put (station, start time) frames on the medium in start order, then score them."""
+    def end_frames_until(t):
+        while sim.heap and sim.heap[0][0] <= t:
+            at, _, _, frame = heapq.heappop(sim.heap)
+            sim._end_frame(frame, at)
+
+    for vid, start in frames:
+        end_frames_until(start)
+        sim._begin_frame(vid, start)
+    end_frames_until(np.inf)
+    sim._score_ended()
+
+
+@pytest.mark.parametrize("power_dbm, frames, busy", [
+    (-84.0, 1, True),    # a frame above the decodable threshold
+    (-86.0, 1, False),   # a frame below it
+    (-70.0, 1, True),    # between the thresholds: still decodable
+    (-86.0, 99, False),  # 99 such frames: -66.0 dBm of energy
+    (-86.0, 130, True),  # 130 such frames: -64.9 dBm of energy
 ])
-def test_carrier_sense_thresholds(power, decodable, busy):
-    assert csma_carrier_sense(power, decodable) is busy
+def test_carrier_sense_thresholds(power_dbm, frames, busy):
+    sim = engine_run("11p", [VehicleState(i, 0, 500.0 + 10.0 * i, 0.0, +1)
+                             for i in range(frames + 1)])
+    sim.phy.power_dbm[:] = power_dbm
+    sim.phy.power_mw[:] = 10.0 ** (power_dbm / 10.0)
+    sim._refresh_masks()
+    for vid in range(1, frames + 1):
+        sim._begin_frame(vid, 0.0)
+    assert bool(sim.busy[0]) is busy
+
+
+def half_duplex_at_0(sim):
+    """Per frame of station 1, whether station 0 lost it to half duplex."""
+    (batch,) = sim.batches
+    frame, rx = np.divmod(batch.link, sim.n)
+    into_0 = (rx == 0) & (batch.tx[frame] == 1)
+    return batch.blocked[into_0].tolist()
+
+
+def test_half_duplex_disjoint_kept():
+    sim = engine_run("11p", vehicle_pair(10.0))
+    airtime = sim.duration_s
+    play_11p(sim, [(1, 0.0), (0, 1.5 * airtime), (1, 3.0 * airtime)])
+    assert half_duplex_at_0(sim) == [False, False]
+
+
+def test_half_duplex_same_tti_lost():
+    sim = engine_run("cv2x", vehicle_pair(10.0))
+    sim._deliver(np.array([0, 1]), 0.0, 1e-3)
+    assert half_duplex_at_0(sim) == [True]
+
+
+def test_half_duplex_partial_overlap_lost():
+    sim = engine_run("11p", vehicle_pair(10.0))
+    airtime = sim.duration_s
+    play_11p(sim, [(0, 0.0), (1, 0.8 * airtime), (1, 2.0 * airtime)])
+    assert half_duplex_at_0(sim) == [True, False]
 
 
 # --- CSMA stations -------------------------------------------------------------
@@ -289,31 +361,7 @@ def test_footprint_wider_than_grid_rejected():
                    stream(9, "sps-test"), n_subch_needed=3)
 
 
-# --- shared helpers --------------------------------------------------------------
-
-def test_half_duplex_disjoint_kept():
-    events = [(0.0, 0.1), (0.3, 0.4)]
-    assert half_duplex_filter([(0.15, 0.25)], events) == events
-
-
-def test_half_duplex_same_tti_lost():
-    assert half_duplex_filter([(0.001, 0.002)], [(0.001, 0.002)]) == []
-
-
-def test_half_duplex_partial_overlap_lost():
-    kept = half_duplex_filter([(0.0, 0.0005)], [(0.0004, 0.001), (0.0006, 0.0012)])
-    assert kept == [(0.0006, 0.0012)]
-
-
-def test_resource_grid_sharing():
-    grid = ResourceGrid(n_subch=5)
-    grid.add(10, [0, 1], tx_id=7)
-    grid.add(10, [1, 2], tx_id=9)
-    grid.add(11, [0], tx_id=3)
-    assert grid.sharing(10, [1]) == {7, 9}
-    assert grid.sharing(10, [4]) == set()
-    assert grid.sharing(11, [0, 1]) == {3}
-
+# --- parameter checks --------------------------------------------------------------
 
 def test_counter_range_must_be_ordered():
     with pytest.raises(ConfigError, match="counter_min"):

@@ -1,14 +1,18 @@
 """Link budget pieces: path loss, shadowing process, noise, SINR arithmetic."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from v2xsim.channel import (LinkSample, LinkShadowing, PropagationConfig,
-                            WinnerCoefficients, free_space_loss_db,
-                            noise_power_dbm, path_loss_db, rx_power_dbm, sinr,
-                            winner_formula_db)
+from conftest import make_setup, vehicle_pair
+
+from v2xsim import engine
+from v2xsim.abstraction import StepFunction
+from v2xsim.channel import (LinkShadowing, PropagationConfig, WinnerCoefficients,
+                            free_space_loss_db, noise_power_dbm, path_loss_db,
+                            rx_power_dbm, winner_formula_db)
 from v2xsim.util import stream
 
 
@@ -63,38 +67,36 @@ def test_dual_slope_continuous_at_breakpoint():
 
 # --- shadowing ---------------------------------------------------------------
 
+def evolve(values, delta_m, rng):
+    """The engine's shadowing update, every transmitter displaced by delta_m."""
+    return LinkShadowing.evolve_matrix(values, np.full(values.shape[0], delta_m),
+                                       3.0, 25.0, rng)
+
+
 def test_shadowing_unchanged_without_displacement():
-    sh = LinkShadowing(3.0, 25.0, stream(1, "t"))
-    first = sh.sample("a", 0.0)
-    assert sh.sample("a", 0.0) == pytest.approx(first, rel=1e-12)
+    rng = stream(1, "t")
+    first = 3.0 * rng.standard_normal((20, 20))
+    np.testing.assert_allclose(evolve(first, 0.0, rng), first, rtol=1e-12)
 
 
 def test_shadowing_decorrelates_at_large_displacement():
-    sh = LinkShadowing(3.0, 25.0, stream(2, "t"))
-    first = sh.sample("a", 0.0)
-    far = sh.sample("a", 1e6)
-    # rho ~ 0: the new sample is a fresh Gaussian, not a copy
-    assert far != pytest.approx(first, abs=1e-6)
-    rng = stream(3, "t")
-    sh2 = LinkShadowing(3.0, 25.0, rng)
-    draws = []
-    for i in range(4000):
-        sh2.sample(("link", i), 0.0)
-        draws.append(sh2.sample(("link", i), 1e9))
-    assert abs(np.std(draws) - 3.0) < 0.15
+    rng = stream(2, "t")
+    first = 3.0 * rng.standard_normal((64, 64))
+    far = evolve(first, 1e6, rng)
+    # rho ~ 0: each link gets a fresh Gaussian, not a copy
+    assert not np.any(np.isclose(far, first, rtol=0.0, atol=1e-6))
+    assert abs(np.corrcoef(first.ravel(), far.ravel())[0, 1]) < 0.05
+    assert abs(np.std(far) - 3.0) < 0.15
 
 
 def test_shadowing_marginal_std_preserved():
-    sh = LinkShadowing(3.0, 25.0, stream(4, "t"))
-    samples = [sh.sample(("fresh", i), 0.0) for i in range(100_000)]
-    assert np.std(samples) == pytest.approx(3.0, rel=0.02)
+    rng = stream(4, "t")
+    values = evolve(3.0 * rng.standard_normal((316, 316)), 25.0, rng)
+    assert np.std(values) == pytest.approx(3.0, rel=0.02)
 
 
 def test_shadowing_links_independent():
-    rng = stream(5, "t")
-    sh = LinkShadowing(3.0, 25.0, rng)
-    a = np.array([sh.sample(("a", i), 0.0) for i in range(10_000)])
-    b = np.array([sh.sample(("b", i), 0.0) for i in range(10_000)])
+    a, b = evolve(np.zeros((2, 10_000)), 1e6, stream(5, "t"))
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
 
 
@@ -134,12 +136,37 @@ def test_total_tx_power_23_dbm():
     assert PropagationConfig().tx_power_dbm == pytest.approx(23.0, abs=1e-12)
 
 
+def engine_sinr(signal_dbm, interferers=(), noise_dbm=-98.0):
+    """Linear SINR of one link as the engine's scorer computes it.
+
+    The link runs from vehicle 0 to vehicle 1; `interferers` holds one
+    (overlap share, received power dBm) pair per interfering frame. The
+    noise figure is set so that the channel's noise power is noise_dbm.
+    """
+    setup = make_setup("11p", duration=1.0, warmup=0.0, vehicles=vehicle_pair(10.0))
+    prop = replace(setup.propagation, noise_figure_db=noise_dbm + 104.0)
+    assert noise_power_dbm(prop) == noise_dbm
+    step = engine.ReceptionModel(mode="step_threshold", step=StepFunction(1.0, 0.5))
+    sim = engine._RunBase(setup.run, step, setup.road, setup.traffic, prop, None,
+                          setup.vehicles)
+    sim.batches = []
+    k = len(interferers)
+    hits = (np.zeros(k, dtype=np.intp), np.arange(k),
+            np.array([share for share, _ in interferers], dtype=float))
+    sources = np.array([[0.0, 10.0 ** (p / 10.0)] for _, p in interferers]).reshape(k, 2)
+    sim._score(np.array([0]), np.zeros(1), np.full(1, 1e-3),
+               np.array([[0.0, 10.0 ** (signal_dbm / 10.0)]]), np.array([[0.0, 10.0]]),
+               np.zeros((1, 2), dtype=bool), hits, sources)
+    (batch,) = sim.batches
+    return float(batch.sinr[0])
+
+
 def test_sinr_signal_equals_noise():
-    assert sinr(LinkSample(-98.0), -98.0) == pytest.approx(1.0, rel=1e-12)
+    assert engine_sinr(-98.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_sinr_interference_dominated():
-    got = sinr(LinkSample(-80.0, ((1, 1.0, -80.0),)), -150.0)
+    got = engine_sinr(-80.0, ((1.0, -80.0),), noise_dbm=-150.0)
     assert got == pytest.approx(1.0, rel=1e-4)
 
 
@@ -147,23 +174,17 @@ def test_sinr_mixed_terms_linear_domain():
     # independent oracle: straight linear-domain arithmetic
     s_mw, i_mw, n_mw = 10 ** -8.0, 10 ** -9.0, 10 ** -9.8
     expected = s_mw / (i_mw + n_mw)
-    got = sinr(LinkSample(-80.0, ((1, 1.0, -90.0),)), -98.0)
+    got = engine_sinr(-80.0, ((1.0, -90.0),))
     assert got == pytest.approx(expected, rel=1e-12)
     assert 10 * math.log10(got) == pytest.approx(9.361, abs=5e-4)
 
 
 def test_sinr_monotone_in_interference():
-    base = sinr(LinkSample(-80.0, ((1, 0.5, -90.0),)), -98.0)
-    worse_power = sinr(LinkSample(-80.0, ((1, 0.5, -85.0),)), -98.0)
-    worse_overlap = sinr(LinkSample(-80.0, ((1, 0.9, -90.0),)), -98.0)
+    base = engine_sinr(-80.0, ((0.5, -90.0),))
+    worse_power = engine_sinr(-80.0, ((0.5, -85.0),))
+    worse_overlap = engine_sinr(-80.0, ((0.9, -90.0),))
     assert worse_power < base
     assert worse_overlap < base
-
-
-def test_link_sample_rejects_bad_overlap():
-    from v2xsim.errors import ConfigError
-    with pytest.raises(ConfigError):
-        LinkSample(-80.0, ((1, 1.5, -90.0),))
 
 
 def test_rx_power_link_budget():

@@ -57,6 +57,25 @@ def test_missing_config_file_rejected():
         load_config("/nonexistent/config.ini")
 
 
+def test_config_file_unknown_key_exits_2(tmp_path, capsys):
+    config = tmp_path / "typo.ini"
+    config.write_text("[run]\nsed = 7\n")
+    assert run_cli(*small_sim_args(tmp_path, tmp_path / "x", "--config", str(config))) == 2
+    assert "run.sed" in capsys.readouterr().err
+    config.write_text("[runs]\nseed = 7\n")
+    with pytest.raises(ConfigError, match="runs"):
+        load_config(str(config))
+    config.write_text("seed = 7\n")  # no section header
+    with pytest.raises(ConfigError, match="typo.ini"):
+        load_config(str(config))
+
+
+def test_config_file_takes_prb_table_rows(tmp_path):
+    config = tmp_path / "prb.ini"
+    config.write_text("[prb_table]\n7 = 100\n")
+    assert load_config(str(config))["prb_table"]["7"] == "100"
+
+
 # --- curve files ------------------------------------------------------------------
 
 def test_parse_curve_filename_round_trip():
@@ -146,6 +165,26 @@ def test_derive_threshold_malformed_model_exits_3(tmp_path, capsys):
     assert run_cli("derive-threshold", "--model", str(bad), "--tech", "11p") == 3
 
 
+def test_derive_threshold_nan_model_exits_2(tmp_path, capsys):
+    model = tmp_path / "m.ini"
+    write_model(str(model), alpha=float("nan"))
+    assert run_cli("derive-threshold", "--model", str(model), "--tech", "11p") == 2
+    captured = capsys.readouterr()
+    assert "alpha_hat must be > 0" in captured.err
+    assert "threshold" not in captured.out
+
+
+def test_derive_threshold_payload_resizes_prbs(tmp_path, capsys):
+    model = tmp_path / "m.ini"
+    write_model(str(model))
+    args = ("derive-threshold", "--model", str(model), "--tech", "cv2x", "--payload", "550")
+    assert run_cli(*args) == 0
+    resolved = capsys.readouterr().out
+    # a configured PRB count was sized for the configured packet, not for 550 B
+    assert run_cli(*args, "--set", "cv2x.n_prb_pkt=37") == 0
+    assert capsys.readouterr().out == resolved
+
+
 def test_derive_threshold_vanishing_exponent(tmp_path, capsys):
     # alpha*B so large that the exponent underflows: gamma collapses to zero
     model = tmp_path / "m.ini"
@@ -204,7 +243,10 @@ def test_simulate_nonexistent_curve_exits_3(tmp_path):
                                         ("cv2x.t1_ms", "150"),
                                         ("cv2x.sensing_window_ms", "50"),
                                         ("road.lanes_per_direction", "0"),
-                                        ("road.placement", "grid")])
+                                        ("road.placement", "grid"),
+                                        ("ieee80211p.cw_max", "-1"),
+                                        ("ieee80211p.slot_time_us", "nan"),
+                                        ("ieee80211p.slot_time_us", "0")])
 def test_simulate_bad_value_exits_2(tmp_path, capsys, key, value):
     args = small_sim_args(tmp_path, tmp_path / "x", "--set", f"{key}={value}")
     assert run_cli(*args) == 2
@@ -261,3 +303,13 @@ def test_validate_compares_modes(tmp_path, capsys):
 
 def test_validate_without_curve_exits_2(tmp_path):
     assert run_cli("validate", "--out", str(tmp_path / "v")) == 2
+
+
+def test_validate_bad_step_model_writes_nothing(tmp_path):
+    out = tmp_path / "v"
+    curve = os.path.join(CURVE_DIR, "highway_los_11p_mcs2_350B.csv")
+    assert run_cli("validate", "--out", str(out),
+                   "--set", f"reception.curve_file={curve}",
+                   "--set", "reception.threshold_source=model",
+                   "--set", "run.sim_duration_s=0.3", "--set", "run.warmup_s=0.1") == 2
+    assert not list(out.rglob("*.csv"))

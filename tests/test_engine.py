@@ -86,35 +86,34 @@ def test_negative_sinr_rejected():
 
 # --- overlap_fraction ---------------------------------------------------------------
 
-def ev(tx, start, dur, seq, tti=None, prb_start=0, prb_count=0):
-    return TransmissionEvent(tx_id=tx, start=start, duration=dur, payload_bytes=350,
-                             sequence=seq, tti=tti, prb_start=prb_start,
-                             prb_count=prb_count)
+def ev(tx, start, dur, tti=None, prb_start=0, prb_count=0):
+    return TransmissionEvent(tx_id=tx, start=start, duration=dur, tti=tti,
+                             prb_start=prb_start, prb_count=prb_count)
 
 
 def test_disjoint_airtimes_no_interference():
-    a = ev(0, 0.0, 1e-3, 0)
-    b = ev(1, 2e-3, 1e-3, 1)
+    a = ev(0, 0.0, 1e-3)
+    b = ev(1, 2e-3, 1e-3)
     assert overlap_fraction(a, b) == 0.0
 
 
 def test_half_overlap_fraction():
-    a = ev(0, 0.0, 1.0, 0)
-    b = ev(1, 0.5, 1.0, 1)
+    a = ev(0, 0.0, 1.0)
+    b = ev(1, 0.5, 1.0)
     assert overlap_fraction(a, b) == pytest.approx(0.5)
 
 
 def test_same_tti_disjoint_subchannels_excluded():
-    a = ev(0, 0.0, 1e-3, 0, tti=5, prb_start=0, prb_count=10)
-    b = ev(1, 0.0, 1e-3, 1, tti=5, prb_start=10, prb_count=10)
-    c = ev(2, 0.0, 1e-3, 2, tti=6, prb_start=0, prb_count=10)
+    a = ev(0, 0.0, 1e-3, tti=5, prb_start=0, prb_count=10)
+    b = ev(1, 0.0, 1e-3, tti=5, prb_start=10, prb_count=10)
+    c = ev(2, 0.0, 1e-3, tti=6, prb_start=0, prb_count=10)
     assert overlap_fraction(a, b) == 0.0
     assert overlap_fraction(a, c) == 0.0
 
 
 def test_shared_prbs_fraction():
-    a = ev(0, 0.0, 1e-3, 0, tti=5, prb_start=0, prb_count=20)
-    b = ev(1, 0.0, 1e-3, 1, tti=5, prb_start=10, prb_count=20)
+    a = ev(0, 0.0, 1e-3, tti=5, prb_start=0, prb_count=20)
+    b = ev(1, 0.0, 1e-3, tti=5, prb_start=10, prb_count=20)
     assert overlap_fraction(a, b) == pytest.approx(0.5)
     assert overlap_fraction(b, a) == pytest.approx(0.5)
 
@@ -123,7 +122,7 @@ def test_prb_overlap_matches_pairwise_fraction():
     rng = np.random.default_rng(21)
     for _ in range(20):
         starts = rng.integers(0, 40, size=int(rng.integers(1, 9)))
-        events = [ev(i, 0.0, 1e-3, i, tti=3, prb_start=int(p), prb_count=12)
+        events = [ev(i, 0.0, 1e-3, tti=3, prb_start=int(p), prb_count=12)
                   for i, p in enumerate(starts)]
         got = prb_overlap(starts, 12)
         want = [[0.0 if a is b else overlap_fraction(a, b) for b in events]
@@ -134,9 +133,8 @@ def test_prb_overlap_matches_pairwise_fraction():
 # --- whole-run behavior -----------------------------------------------------------
 
 def test_two_isolated_vehicles_perfect_reception():
-    setup = make_setup("11p", zero_db_step(), duration=3.0, warmup=0.5,
-                       vehicles=vehicle_pair(10.0))
-    store = run(setup)
+    setup = make_setup("11p", duration=3.0, warmup=0.5, vehicles=vehicle_pair(10.0))
+    store = run(setup, zero_db_step())
     ratios = dict(prr_curve(store.prr))
     assert ratios[12.5] == 1.0
     assert store.lost_sinr == 0
@@ -144,9 +142,8 @@ def test_two_isolated_vehicles_perfect_reception():
 
 def test_single_vehicle_empty_metrics():
     vehicles = [VehicleState(0, 0, 100.0, 26.0, +1)]
-    setup = make_setup("11p", zero_db_step(), duration=2.0, warmup=0.5,
-                       vehicles=vehicles)
-    store = run(setup)
+    setup = make_setup("11p", duration=2.0, warmup=0.5, vehicles=vehicles)
+    store = run(setup, zero_db_step())
     assert store.opportunities == 0
     assert prr_curve(store.prr) == []
     assert store.ipg.gaps == []
@@ -155,8 +152,8 @@ def test_single_vehicle_empty_metrics():
 @pytest.mark.parametrize("tech", ["11p", "cv2x"])
 def test_identical_seeds_identical_metrics(tech, curve_11p, curve_cv2x):
     curve = curve_11p if tech == "11p" else curve_cv2x
-    stores = [run(make_setup(tech, curve_model(curve), seed=42, duration=4.0,
-                             warmup=0.5, density=30.0, road_length=1000.0))
+    stores = [run(make_setup(tech, seed=42, duration=4.0, warmup=0.5, density=30.0,
+                             road_length=1000.0), curve_model(curve))
               for _ in range(2)]
     a, b = stores
     assert np.array_equal(a.prr.received, b.prr.received)
@@ -167,18 +164,18 @@ def test_identical_seeds_identical_metrics(tech, curve_11p, curve_cv2x):
 
 
 def test_different_seeds_differ():
-    a = run(make_setup("11p", zero_db_step(), seed=1, duration=3.0, warmup=0.5,
-                       density=30.0, road_length=1000.0))
-    b = run(make_setup("11p", zero_db_step(), seed=2, duration=3.0, warmup=0.5,
-                       density=30.0, road_length=1000.0))
+    a = run(make_setup("11p", seed=1, duration=3.0, warmup=0.5, density=30.0,
+                       road_length=1000.0), zero_db_step())
+    b = run(make_setup("11p", seed=2, duration=3.0, warmup=0.5, density=30.0,
+                       road_length=1000.0), zero_db_step())
     assert not np.array_equal(a.prr.opportunities, b.prr.opportunities)
 
 
 @pytest.mark.parametrize("tech", ["11p", "cv2x"])
 def test_packet_outcome_conservation(tech, curve_11p, curve_cv2x):
     curve = curve_11p if tech == "11p" else curve_cv2x
-    store = run(make_setup(tech, curve_model(curve), duration=5.0, warmup=0.5,
-                           density=80.0, road_length=1000.0))
+    store = run(make_setup(tech, duration=5.0, warmup=0.5, density=80.0,
+                           road_length=1000.0), curve_model(curve))
     assert store.received_total + store.lost_sinr + store.lost_half_duplex \
         == store.opportunities
     assert store.opportunities > 0
@@ -187,27 +184,24 @@ def test_packet_outcome_conservation(tech, curve_11p, curve_cv2x):
 def test_theta_must_match_technology():
     with pytest.raises(ConfigError):
         RunConfig(seed=1, sim_duration_s=1.0, technology="cv2x",
-                  theta=Ieee80211pSettings(payload_bytes=350),
-                  reception=zero_db_step())
+                  theta=Ieee80211pSettings(payload_bytes=350))
 
 
 def test_warmup_must_precede_end():
     with pytest.raises(ConfigError):
         RunConfig(seed=1, sim_duration_s=1.0, warmup_s=1.0, technology="11p",
-                  theta=Ieee80211pSettings(payload_bytes=350),
-                  reception=zero_db_step())
+                  theta=Ieee80211pSettings(payload_bytes=350))
 
 
 def test_multi_tti_packets_rejected_by_slotted_engine():
     theta = CV2xSettings(payload_bytes=350, n_prb_pkt=80)
     assert theta.n_tti == 2
     setup = SimulationSetup(
-        run=RunConfig(seed=1, sim_duration_s=1.0, technology="cv2x", theta=theta,
-                      reception=zero_db_step()),
+        run=RunConfig(seed=1, sim_duration_s=1.0, technology="cv2x", theta=theta),
         vehicles=vehicle_pair(10.0),
     )
     with pytest.raises(ConfigError):
-        run(setup)
+        run(setup, zero_db_step())
 
 
 def test_noise_limited_curve_prr_matches_integration(curve_11p):
@@ -233,10 +227,11 @@ def test_noise_limited_curve_prr_matches_integration(curve_11p):
     # estimate needs many seeds before the Gaussian average is trustworthy
     received = opportunities = 0
     for seed in range(40):
-        store = run(make_setup("11p", curve_model(curve_11p), seed=seed,
-                               duration=20.0, warmup=0.5, max_range_m=2500.0,
-                               max_prr_distance=2000.0, road_length=4000.0,
-                               vehicles=vehicle_pair(dist, speed_ms=26.67)))
+        store = run(make_setup("11p", seed=seed, duration=20.0, warmup=0.5,
+                               max_range_m=2500.0, max_prr_distance=2000.0,
+                               road_length=4000.0,
+                               vehicles=vehicle_pair(dist, speed_ms=26.67)),
+                    curve_model(curve_11p))
         received += store.received_total
         opportunities += store.opportunities
     assert opportunities > 10_000
@@ -252,13 +247,12 @@ def test_urban_crossing_runs_and_degrades_early():
     curve = load_curve_csv(curve_path("crossing_nlos_11p_mcs2_350B.csv"))
     setup = SimulationSetup(
         run=RunConfig(seed=1, sim_duration_s=5.0, warmup_s=0.5, technology="11p",
-                      theta=Ieee80211pSettings(payload_bytes=350),
-                      reception=curve_model(curve)),
+                      theta=Ieee80211pSettings(payload_bytes=350)),
         road=RoadConfig(layout="urban_grid", road_length_m=1000.0,
                         density_vpk=60.0, mean_speed_kmh=40.0),
         traffic=TrafficConfig(),
     )
-    store = run(setup)
+    store = run(setup, curve_model(curve))
     assert store.received_total + store.lost_sinr + store.lost_half_duplex \
         == store.opportunities
     ratios = dict(prr_curve(store.prr))
@@ -269,8 +263,8 @@ def test_urban_crossing_runs_and_degrades_early():
 
 def test_trace_records_mac_events(curve_cv2x):
     trace = TraceLog()
-    run(make_setup("cv2x", curve_model(curve_cv2x), duration=4.0, warmup=0.5,
-                   density=50.0, road_length=1000.0), trace=trace)
+    run(make_setup("cv2x", duration=4.0, warmup=0.5, density=50.0, road_length=1000.0),
+        curve_model(curve_cv2x), trace=trace)
     assert trace.sps_selections
     for trigger, sel in trace.sps_selections:
         assert trigger + 1 <= sel.tti <= trigger + 100
@@ -279,36 +273,36 @@ def test_trace_records_mac_events(curve_cv2x):
 
 # --- link records --------------------------------------------------------------
 
-def small_record_setup(curve, tech="11p"):
-    return make_setup(tech, curve_model(curve), seed=5, duration=0.3, warmup=0.1,
-                      density=40.0, road_length=1000.0)
+def small_record_setup(tech="11p"):
+    return make_setup(tech, seed=5, duration=0.3, warmup=0.1, density=40.0,
+                      road_length=1000.0)
 
 
 @pytest.mark.parametrize("tech", ["11p", "cv2x"])
 def test_filling_a_record_leaves_the_run_unchanged(tech, curve_11p, curve_cv2x):
-    setup = small_record_setup(curve_11p if tech == "11p" else curve_cv2x, tech)
+    setup = small_record_setup(tech)
+    model = curve_model(curve_11p if tech == "11p" else curve_cv2x)
     links = LinkRecord()
-    filled = run(setup, links=links)
+    filled = run(setup, model, links=links)
     assert links.filled and links.batches
-    assert_same_store(filled, run(setup))
+    assert_same_store(filled, run(setup, model))
 
 
 @pytest.mark.parametrize("section, change", [
     ("run", {"seed": 6}), ("run", {"sim_duration_s": 0.4}),
     ("road", {"density_vpk": 50.0})])
 def test_replay_under_a_different_setup_raises(section, change, curve_11p):
-    setup = small_record_setup(curve_11p)
+    setup = small_record_setup()
     links = LinkRecord()
-    run(setup, links=links)
-    other = replace(setup, run=replace(setup.run, reception=step_model(curve_11p)))
-    other = replace(other, **{section: replace(getattr(other, section), **change)})
+    run(setup, curve_model(curve_11p), links=links)
+    other = replace(setup, **{section: replace(getattr(setup, section), **change)})
     with pytest.raises(ConfigError, match="different setup"):
-        run(other, links=links)
+        run(other, step_model(curve_11p), links=links)
 
 
 def test_replay_cannot_be_traced(curve_11p):
-    setup = small_record_setup(curve_11p)
+    setup = small_record_setup()
     links = LinkRecord()
-    run(setup, trace=TraceLog(), links=links)
+    run(setup, curve_model(curve_11p), trace=TraceLog(), links=links)
     with pytest.raises(ConfigError, match="trace"):
-        run(setup, trace=TraceLog(), links=links)
+        run(setup, curve_model(curve_11p), trace=TraceLog(), links=links)

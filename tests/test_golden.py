@@ -109,7 +109,7 @@ def simulate_traced(name, out):
     }
     cp = cfgmod.load_config(None, [f"{k}={v}" for k, v in sets.items()])
     trace = TraceLog()
-    store = run(cfgmod.build_setup(cp, build_reception(cp)), trace)
+    store = run(cfgmod.build_setup(cp), build_reception(cp), trace)
     write_prr_csv(str(out / "prr.csv"), store)
     write_ipg_csv(str(out / "ipg_ccdf.csv"), store, ipg_grid(cp))
     outputs = b"".join((out / f).read_bytes() for f in ("prr.csv", "ipg_ccdf.csv"))

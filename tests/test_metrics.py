@@ -5,7 +5,7 @@ import pytest
 
 from v2xsim.errors import ConfigError, DataError
 from v2xsim.metrics import (IpgStore, PrrSeries, default_bin_edges, ipg_ccdf,
-                            mae, prr_curve, record_reception)
+                            mae, prr_curve)
 
 
 def fresh():
@@ -13,54 +13,51 @@ def fresh():
 
 
 def test_single_reception_fills_bin():
-    prr, ipg = fresh()
-    record_reception(prr, ipg, (0, 1), 5.0, True, 1.0)
+    prr, _ = fresh()
+    prr.add_many(np.array([5.0]), np.array([True]))
     assert prr.opportunities[0] == 1 and prr.received[0] == 1
     assert prr_curve(prr)[0] == (12.5, 1.0)
 
 
 def test_gap_between_consecutive_receptions():
-    prr, ipg = fresh()
-    record_reception(prr, ipg, (0, 1), 50.0, True, 0.1)
-    record_reception(prr, ipg, (0, 1), 50.0, True, 0.3)
+    _, ipg = fresh()
+    ipg.add_many(np.array([0, 0]), np.array([1, 1]), np.array([50.0, 50.0]),
+                 np.array([0.1, 0.3]))
     assert ipg.gaps == [pytest.approx(0.2)]
 
 
 def test_beyond_ipg_range_counts_for_prr_only():
     prr, ipg = fresh()
-    record_reception(prr, ipg, (0, 1), 151.0, True, 0.1)
-    record_reception(prr, ipg, (0, 1), 151.0, True, 0.2)
+    d = np.array([151.0, 151.0])
+    prr.add_many(d, np.array([True, True]))
+    ipg.add_many(np.array([0, 0]), np.array([1, 1]), d, np.array([0.1, 0.2]))
     assert prr.opportunities.sum() == 2
     assert ipg.gaps == []
 
 
 def test_beyond_last_edge_ignored():
-    prr, ipg = fresh()
-    record_reception(prr, ipg, (0, 1), 700.0, False, 0.1)
+    prr, _ = fresh()
+    prr.add_many(np.array([700.0]), np.array([False]))
     assert prr.opportunities.sum() == 0
 
 
 def test_losses_counted_as_opportunities():
-    prr, ipg = fresh()
-    for k in range(7):
-        record_reception(prr, ipg, (0, 1), 30.0, True, 0.1 * (k + 1))
-    for k in range(3):
-        record_reception(prr, ipg, (0, 2), 30.0, False, 0.1 * (k + 1))
+    prr, _ = fresh()
+    prr.add_many(np.full(10, 30.0), np.arange(10) < 7)
     assert dict(prr_curve(prr))[37.5] == pytest.approx(0.7)
 
 
 def test_empty_bins_omitted_not_zero():
-    prr, ipg = fresh()
-    record_reception(prr, ipg, (0, 1), 5.0, True, 0.1)
-    record_reception(prr, ipg, (0, 1), 80.0, True, 0.2)
+    prr, _ = fresh()
+    prr.add_many(np.array([5.0, 80.0]), np.array([True, True]))
     centers = [c for c, _ in prr_curve(prr)]
     assert centers == [12.5, 87.5]
 
 
 def test_prr_flat_when_everything_received():
-    prr, ipg = fresh()
-    for k, d in enumerate(np.linspace(5, 595, 100)):
-        record_reception(prr, ipg, (0, k), float(d), True, 0.1)
+    prr, _ = fresh()
+    d = np.linspace(5, 595, 100)
+    prr.add_many(d, np.ones(d.size, dtype=bool))
     assert all(r == 1.0 for _, r in prr_curve(prr))
 
 

@@ -41,6 +41,7 @@ def reception_models(tech, curve_mode):
 
 @st.composite
 def small_setups(draw, tech=None, curve_mode=None):
+    """A small setup and the reception model to run it under."""
     tech = draw(st.sampled_from(sorted(CURVES))) if tech is None else tech
     if curve_mode is None:
         curve_mode = draw(st.booleans())
@@ -48,22 +49,22 @@ def small_setups(draw, tech=None, curve_mode=None):
     vehicles = draw(st.integers(1, 60))
     horizon = draw(st.floats(0.05, 0.5))
     warmup = draw(st.floats(0.0, 0.99)) * horizon
-    setup = make_setup(tech, reception, seed=draw(st.integers(0, 2**31 - 1)),
+    setup = make_setup(tech, seed=draw(st.integers(0, 2**31 - 1)),
                        duration=horizon, warmup=warmup,
                        density=vehicles / (ROAD_LENGTH_M / 1000.0),
                        road_length=ROAD_LENGTH_M,
                        mobility_step_s=draw(st.sampled_from([0.01, 0.037, 0.1])))
     road = replace(setup.road, placement="fixed_count",
                    layout=draw(st.sampled_from(["highway", "urban_grid"])))
-    return replace(setup, road=road)
+    return replace(setup, road=road), reception
 
 
 @settings(max_examples=300, deadline=None)
-@given(setup=small_setups())
-def test_batched_scoring_matches_per_frame_scoring(setup):
-    batched = engine.run(setup)
+@given(case=small_setups())
+def test_batched_scoring_matches_per_frame_scoring(case):
+    batched = engine.run(*case)
     with mock.patch.object(engine, "SCORE_BATCH_ELEMENTS", 1):
-        per_frame = engine.run(setup)
+        per_frame = engine.run(*case)
     assert_same_store(batched, per_frame)
     assert batched.opportunities == \
         batched.received_total + batched.lost_sinr + batched.lost_half_duplex
@@ -77,10 +78,8 @@ def test_batched_scoring_matches_per_frame_scoring(setup):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_replayed_links_match_a_live_run(tech, recorded_mode, data):
-    recorded = data.draw(small_setups(tech, recorded_mode == "curve"))
+    setup, recorded = data.draw(small_setups(tech, recorded_mode == "curve"))
     other = data.draw(reception_models(tech, recorded_mode != "curve"))
-    replayed_setup = replace(recorded, run=replace(recorded.run, reception=other))
     links = engine.LinkRecord()
-    engine.run(recorded, links=links)
-    assert_same_store(engine.run(replayed_setup, links=links),
-                      engine.run(replayed_setup))
+    engine.run(setup, recorded, links=links)
+    assert_same_store(engine.run(setup, other, links=links), engine.run(setup, other))

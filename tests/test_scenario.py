@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_setup
+
+from v2xsim.abstraction import StepFunction
+from v2xsim.engine import ReceptionModel, TraceLog, run
 from v2xsim.errors import ConfigError
-from v2xsim.scenario import (Geometry, RoadConfig, VehicleState, advance,
-                             generation_phase, next_generation_time, spawn)
+from v2xsim.scenario import Geometry, RoadConfig, VehicleState, generation_phase, spawn
 
 
 def road(**kw):
@@ -54,49 +57,51 @@ def test_spawn_rejects_bad_road():
         RoadConfig(road_length_m=0.0)
 
 
-# --- advance ---------------------------------------------------------------------
+# --- mobility --------------------------------------------------------------------
 
 def test_advance_converts_kmh():
-    cfg = road()
-    v = VehicleState(0, 0, 100.0, 96.0 / 3.6, +1)
-    advance([v], 0.1, cfg)
-    assert v.position_m == pytest.approx(100.0 + 2.667, abs=1e-3)
+    geom = Geometry(road(), [VehicleState(0, 0, 100.0, 96.0 / 3.6, +1)])
+    geom.step(0.1)
+    assert geom.pos[0] == pytest.approx(100.0 + 2.667, abs=1e-3)
 
 
 def test_advance_zero_dt_identity():
-    cfg = road()
-    v = VehicleState(0, 0, 123.456, 26.0, +1)
-    advance([v], 0.0, cfg)
-    assert v.position_m == 123.456
+    geom = Geometry(road(), [VehicleState(0, 0, 123.456, 26.0, +1)])
+    geom.step(0.0)
+    assert geom.pos[0] == 123.456
 
 
 def test_advance_wraps():
-    cfg = road(road_length_m=500.0)
-    v = VehicleState(0, 0, 499.0, 20.0, +1)
-    advance([v], 0.1, cfg)
-    assert v.position_m == pytest.approx(1.0, abs=1e-9)
+    geom = Geometry(road(road_length_m=500.0), [VehicleState(0, 0, 499.0, 20.0, +1)])
+    geom.step(0.1)
+    assert geom.pos[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_wrap_conserves_count_and_range():
     cfg = road(road_length_m=1000.0)
-    vehicles = spawn(cfg, seed=5)
-    n = len(vehicles)
+    geom = Geometry(cfg, spawn(cfg, seed=5))
+    n = geom.n
     for _ in range(100):
-        advance(vehicles, 0.1, cfg)
-    assert len(vehicles) == n
-    assert all(0.0 <= v.position_m < 1000.0 for v in vehicles)
+        geom.step(0.1)
+    assert geom.n == n == geom.pos.size
+    assert np.all((geom.pos >= 0.0) & (geom.pos < 1000.0))
 
 
 # --- generation timing --------------------------------------------------------------
 
 def test_generation_grid_is_periodic():
     period = 0.1
-    phase = generation_phase(7, seed=1, period_s=period)
+    phase = generation_phase(0, seed=1, period_s=period)
     assert 0.0 <= phase < period
-    t1 = next_generation_time(7, 0.0, 1, period)
-    t2 = next_generation_time(7, t1, 1, period)
-    t3 = next_generation_time(7, t2, 1, period)
-    assert t1 == pytest.approx(phase if phase > 0 else period)
+    # a lone 802.11p station always finds the medium idle, so each of its
+    # frames starts one AIFS after the generation that queued it
+    trace = TraceLog()
+    setup = make_setup("11p", seed=1, duration=0.35, warmup=0.0,
+                       vehicles=[VehicleState(0, 0, 100.0, 0.0, +1)])
+    run(setup, ReceptionModel(mode="step_threshold", step=StepFunction(1.0, 0.5)),
+        trace=trace)
+    t1, t2, t3 = (t - setup.csma.aifs_s for t, _, _ in trace.tx_starts[:3])
+    assert t1 == pytest.approx(phase)
     assert t2 - t1 == pytest.approx(period)
     assert t3 - t2 == pytest.approx(period)
 
