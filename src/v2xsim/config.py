@@ -230,7 +230,15 @@ def build_prb_table(cp) -> PrbTable:
     bits = dict(DEFAULT_BITS_PER_PRB)
     if cp.has_section("prb_table"):
         for key, value in cp.items("prb_table"):
-            bits[int(key)] = int(value)
+            try:
+                mcs, per_prb = int(key), int(value)
+            except ValueError as exc:
+                raise ConfigError(f"bad [prb_table] row '{key} = {value}': "
+                                  "MCS index and bits per PRB must be integers") from exc
+            if per_prb <= 0:
+                raise ConfigError(f"bad [prb_table] row '{key} = {value}': "
+                                  "bits per PRB must be > 0")
+            bits[mcs] = per_prb
     return PrbTable(bits_per_prb=bits,
                     control_overhead_prbs=_get(cp, "cv2x", "control_overhead_prbs", int))
 

@@ -9,11 +9,13 @@ epoch the engine refreshes an NxN received-power matrix with
 `channel.rx_power_dbm` (path loss + correlated shadowing).
 
 The event loops only record frames; one scorer turns them into link
-outcomes in F x N passes against all in-range receivers. A C-V2X TTI is
-scored as one batch. An ended 802.11p frame is kept with its power and
-distance rows, its interferers and its half-duplex set, and the pending
-frames are scored once they reach SCORE_BATCH_ELEMENTS frame x receiver
-elements, and at the end of the run.
+outcomes in F x N passes against all in-range receivers. An ended 802.11p
+frame is kept with its power and distance rows, its interferers and its
+half-duplex set; a sent C-V2X TTI is kept as its transmitters and their
+first PRBs, its frames interfering and deafening only each other. Either
+engine scores its held frames once they reach SCORE_BATCH_ELEMENTS frame x
+receiver elements and at the end of the run; C-V2X also scores them before
+each mobility epoch, while the power and distance rows are still theirs.
 
 A batch of link outcomes (`LinkBatch`) holds, per in-range (frame,
 receiver) link, its SINR, distance and half-duplex flag; it does not depend
@@ -57,10 +59,11 @@ from .settings import (CV2xSettings, Ieee80211pSettings, TechnologySettings,
 from .util import stream
 
 POWER_FLOOR_DBM = -999.0
-# pending 802.11p frames are scored once they hold this many frame x receiver
-# elements (64 frames at 200 vehicles): large enough to amortize the numpy
-# calls of a pass, small enough to keep the held rows out of peak memory
-SCORE_BATCH_ELEMENTS = 12_800
+# held frames of either technology are scored once they hold this many
+# frame x receiver elements (256 frames at 200 vehicles, 64 at 800): large
+# enough to amortize the numpy calls of a pass, small enough to keep the
+# held rows out of peak memory
+SCORE_BATCH_ELEMENTS = 51_200
 
 
 @dataclass(frozen=True)
@@ -232,15 +235,23 @@ def overlap_fraction(a: TransmissionEvent, b: TransmissionEvent) -> float:
     return (hi - lo) / a.prb_count
 
 
-def prb_overlap(prb_start: np.ndarray, prb_count: int) -> np.ndarray:
-    """(F, F) `overlap_fraction` of F same-TTI frames of equal PRB footprint.
+def prb_overlap(tti: np.ndarray, prb_start: np.ndarray, prb_count: int):
+    """`overlap_fraction` hits among F frames of equal PRB footprint.
 
-    Entry [f, j] is the share of frame f's PRBs that frame j also occupies;
-    the diagonal is zero.
+    tti: (F,) nondecreasing TTI of each frame; frames overlap only within
+    their TTI. Returns (frame, source, frac) over the pairs of distinct
+    frames that share PRBs, frame-major and sources ascending: a share
+    frac of frame's PRBs is also occupied by source.
     """
-    shared = np.maximum(prb_count - np.abs(prb_start[:, None] - prb_start[None, :]), 0)
-    np.fill_diagonal(shared, 0)
-    return shared / prb_count
+    first = np.searchsorted(tti, tti)
+    size = np.searchsorted(tti, tti, side="right") - first
+    # pair p of frame f is f against frame first[f] + p of the same TTI
+    frame = np.repeat(np.arange(tti.size), size)
+    source = first[frame] + np.arange(frame.size) - np.repeat(np.cumsum(size) - size, size)
+    shared = np.maximum(prb_count - np.abs(prb_start[frame] - prb_start[source]), 0)
+    shared[frame == source] = 0
+    hit = np.flatnonzero(shared)
+    return frame[hit], source[hit], shared[hit] / prb_count
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +526,8 @@ class _RunCv2x(_RunBase):
             raise ConfigError("packet footprint exceeds the subchannel grid")
         self.footprint_prbs = footprint
         self.window_ttis = max(int(round(sps.sensing_window_s / self.t_tti)), 1)
-        self.ring = np.zeros((self.n, self.window_ttis, theta.n_subch))
+        # TTI-major: row t % window TTIs holds every vehicle's sensed subchannels
+        self.ring = np.zeros((self.window_ttis, self.n, theta.n_subch))
         self.sps_states = [SpsState(keep_probability=sps.keep_probability)
                            for _ in range(self.n)]
         self.sps_rngs = [stream(cfg.seed, "sps", v.id) for v in self.vehicles]
@@ -524,10 +536,14 @@ class _RunCv2x(_RunBase):
         self.pending = np.full(self.n, np.nan)
         self.reserved_tti = np.full(self.n, -1, dtype=np.int64)
         self.reserved_subch = np.zeros(self.n, dtype=np.int64)
+        # sent, not yet scored TTIs: (transmitters, their first PRBs, start);
+        # the PRBs are taken at send time, before a reselection can move them
+        self.held = []
+        self.held_frames = 0
 
     def _select(self, vid: int, now_tti: int):
         st = self.sps_states[vid]
-        sel = sps_select(st, SensingWindow(self.ring[vid], now_tti), now_tti,
+        sel = sps_select(st, SensingWindow(self.ring[:, vid], now_tti), now_tti,
                          self.sps_params, self.t_tti, self.sps_rngs[vid],
                          n_subch_needed=self.n_subch_needed)
         self.reserved_subch[vid] = sel.subchannel
@@ -545,6 +561,7 @@ class _RunCv2x(_RunBase):
         for k in range(n_ttis):
             t_k = k * self.t_tti
             if k > 0 and k % epoch_every == 0:
+                self._score_held()
                 self.geom.step(epoch_every * self.t_tti)
                 self.phy.refresh()
             # generations due before the next TTI boundary
@@ -568,7 +585,11 @@ class _RunCv2x(_RunBase):
             if t_k >= cfg.warmup_s:
                 self.metrics.transmitted += tx.size
             if tx.size:
-                self._deliver(tx, t_k, t_k + self.t_tti)
+                self.held.append((tx, self.reserved_subch[tx] * self.cfg.theta.n_prb_subch,
+                                  t_k))
+                self.held_frames += tx.size
+                if self.held_frames * self.n >= SCORE_BATCH_ELEMENTS:
+                    self._score_held()
             self._sense(tx, k)
             for vid in tx.tolist():
                 st = self.sps_states[vid]
@@ -580,27 +601,34 @@ class _RunCv2x(_RunBase):
                         self.trace.sps_keeps.append(keep)
                 if not st.needs_reselection:
                     self.reserved_tti[vid] += self.period_ttis
+        self._score_held()
         return self.metrics
 
-    def _deliver(self, tx: np.ndarray, start: float, time_of_reception: float):
-        """Score the TTI's frames (sent by `tx`, ascending) against each other."""
-        overlap = prb_overlap(self.reserved_subch[tx] * self.cfg.theta.n_prb_subch,
-                              self.footprint_prbs)
+    def _score_held(self):
+        """Score the held TTIs in one pass, in the order they were sent."""
+        if not self.held:
+            return
+        txs, prbs, starts = zip(*self.held)
+        self.held, self.held_frames = [], 0
+        sizes = [t.size for t in txs]
+        tti = np.repeat(np.arange(len(sizes)), sizes)
+        tx = np.concatenate(txs)
+        start = np.repeat(starts, sizes)
+        # half duplex: the TTI's transmitters hear none of its frames
+        on_air = np.zeros((len(sizes), self.n), dtype=bool)
+        on_air[tti, tx] = True
         signal = self.phy.power_mw[tx]
-        deaf = np.zeros((tx.size, self.n), dtype=bool)
-        deaf[:, tx] = True
-        # row-major: frame by frame, interferers ascending
-        hit_frame, source = np.nonzero(overlap)
-        hits = (hit_frame, source, overlap[hit_frame, source])
-        self._score(tx, np.full(tx.size, start), np.full(tx.size, time_of_reception),
-                    signal, self.phy.dist[tx], deaf, hits, signal)
+        self._score(tx, start, start + self.t_tti, signal, self.phy.dist[tx], on_air[tti],
+                    prb_overlap(tti, np.concatenate(prbs), self.footprint_prbs), signal)
 
     def _sense(self, tx: np.ndarray, k: int):
         """Write this TTI's received power per subchannel into every sensing window."""
-        row = self.ring[:, k % self.window_ttis]
+        row = self.ring[k % self.window_ttis]
         row[...] = 0.0
         for vid, s0 in zip(tx.tolist(), self.reserved_subch[tx].tolist()):
-            row[:, s0:s0 + self.n_subch_needed] += self.phy.power_mw[vid][:, None]
+            power = self.phy.power_mw[vid]
+            for s in range(s0, s0 + self.n_subch_needed):
+                row[:, s] += power
         row[tx] = np.nan  # half duplex: own TTI unsensed
 
 

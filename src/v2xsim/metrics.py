@@ -24,6 +24,34 @@ def default_bin_edges(max_distance_m: float = DEFAULT_MAX_DISTANCE_M,
     return np.linspace(0.0, width_m * n, n + 1)
 
 
+def bin_index(edges: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(edges, d, side="right") - 1` for strictly increasing edges.
+
+    The guess assumes uniform bins; each pass moves every wrong index one
+    bin toward the i with edges[i] <= d < edges[i + 1] (-1 below the first
+    edge, n from the last edge on), so uniform edges take one checking pass.
+    """
+    n = edges.size - 1
+    guess = d - edges[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a wild guess is still corrected
+        guess *= n / (edges[-1] - edges[0])
+    np.floor(guess, out=guess)
+    np.fmin(guess, n, out=guess)  # before fmax: NaN lands on n, as in searchsorted
+    np.fmax(guess, -1, out=guess)
+    idx = guess.astype(np.intp)
+    # lower[i] = edges[i] and upper[i] = edges[i + 1]; NaN, never crossed,
+    # keeps an index from moving below -1 or above n
+    lower = np.concatenate((edges, [np.nan]))
+    upper = np.concatenate((edges[1:], [np.nan], edges[:1]))
+    while True:
+        down = d < lower.take(idx)
+        up = d >= upper.take(idx)
+        if not (down.any() or up.any()):
+            return idx
+        idx += up
+        idx -= down
+
+
 @dataclass
 class PrrSeries:
     """Per-distance-bin tallies of reception opportunities and successes."""
@@ -55,7 +83,7 @@ class PrrSeries:
             self.received[idx] += 1
 
     def add_many(self, distances_m: np.ndarray, received: np.ndarray):
-        idx = np.searchsorted(self.bin_edges, distances_m, side="right") - 1
+        idx = bin_index(self.bin_edges, np.asarray(distances_m, dtype=float))
         ok = (idx >= 0) & (idx < self.opportunities.size)
         n = self.opportunities.size
         self.opportunities += np.bincount(idx[ok], minlength=n)

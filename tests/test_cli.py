@@ -76,6 +76,14 @@ def test_config_file_takes_prb_table_rows(tmp_path):
     assert load_config(str(config))["prb_table"]["7"] == "100"
 
 
+@pytest.mark.parametrize("row", ["abc = 5", "7 = x", "7 = 0", "7 = -40"])
+def test_simulate_bad_prb_table_row_exits_2(tmp_path, capsys, row):
+    config = tmp_path / "prb.ini"
+    config.write_text(f"[prb_table]\n{row}\n")
+    assert run_cli(*small_sim_args(tmp_path, tmp_path / "x", "--config", str(config))) == 2
+    assert "[prb_table]" in capsys.readouterr().err
+
+
 # --- curve files ------------------------------------------------------------------
 
 def test_parse_curve_filename_round_trip():

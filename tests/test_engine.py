@@ -120,14 +120,16 @@ def test_shared_prbs_fraction():
 
 def test_prb_overlap_matches_pairwise_fraction():
     rng = np.random.default_rng(21)
-    for _ in range(20):
-        starts = rng.integers(0, 40, size=int(rng.integers(1, 9)))
-        events = [ev(i, 0.0, 1e-3, tti=3, prb_start=int(p), prb_count=12)
-                  for i, p in enumerate(starts)]
-        got = prb_overlap(starts, 12)
-        want = [[0.0 if a is b else overlap_fraction(a, b) for b in events]
-                for a in events]
-        assert got.tolist() == want
+    for _ in range(40):
+        size = int(rng.integers(1, 13))
+        ttis = np.sort(rng.integers(0, 4, size=size))
+        starts = rng.integers(0, 40, size=size)
+        events = [ev(i, 0.0, 1e-3, tti=int(t), prb_start=int(p), prb_count=12)
+                  for i, (t, p) in enumerate(zip(ttis, starts))]
+        frame, source, frac = prb_overlap(ttis, starts, 12)
+        want = [(f, j, overlap_fraction(a, b)) for f, a in enumerate(events)
+                for j, b in enumerate(events) if a is not b and overlap_fraction(a, b) > 0]
+        assert list(zip(frame.tolist(), source.tolist(), frac.tolist())) == want
 
 
 # --- whole-run behavior -----------------------------------------------------------

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from v2xsim.errors import ConfigError, DataError
-from v2xsim.metrics import (IpgStore, PrrSeries, default_bin_edges, ipg_ccdf,
-                            mae, prr_curve)
+from v2xsim.metrics import (IpgStore, PrrSeries, bin_index, default_bin_edges,
+                            ipg_ccdf, mae, prr_curve)
 
 
 def fresh():
@@ -188,6 +190,28 @@ def test_prr_add_many_matches_scalar_loop():
     assert np.array_equal(many.received, one.received)
     assert many.opportunities.dtype == np.int64 and many.received.dtype == np.int64
     assert one.opportunities.sum() < 500
+
+
+bin_edges = st.one_of(
+    st.just(default_bin_edges()),
+    st.just(np.array([0.0, 30.0, 60.0])),
+    st.builds(lambda width, bins: default_bin_edges(width * bins, width),
+              st.floats(0.5, 100.0), st.integers(1, 60)),
+    st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=40, unique=True)
+    .map(lambda e: np.array(sorted(e))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges=bin_edges, data=st.data())
+def test_bin_index_matches_searchsorted(edges, data):
+    near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    span = edges[-1] - edges[0]
+    anywhere = data.draw(st.lists(
+        st.floats(edges[0] - span - 1.0, edges[-1] + span + 1.0), max_size=50))
+    d = np.concatenate([near, anywhere, [-1.0, -0.0, -1e9, edges[-1] + 1e9, np.inf, -np.inf]])
+    np.testing.assert_array_equal(bin_index(edges, d),
+                                  np.searchsorted(edges, d, side="right") - 1)
 
 
 # --- MAE ------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Every run, whatever its technology, reception mode, layout, size, horizon,
 warmup, mobility step or seed, must give the same outputs when the engine
 scores its recorded frames in bounded batches as when it scores each frame
-as soon as it ends: the same reception draws, the same warmup cut and the
-same inter-packet gaps in the same order. Each run must also resolve each
+(802.11p) or TTI (C-V2X) as soon as it ends: the same reception draws, the
+same warmup cut and the same inter-packet gaps in the same order, also when
+every C-V2X transmission triggers a resource reselection. Each run must also resolve each
 reception opportunity to exactly one outcome, never count more receptions
 than opportunities in a PRR bin, and record only positive inter-packet gaps.
 
@@ -71,6 +72,20 @@ def test_batched_scoring_matches_per_frame_scoring(case):
     assert np.all(batched.prr.received <= batched.prr.opportunities)
     assert batched.prr.opportunities.sum() <= batched.opportunities
     assert all(gap > 0 for gap in batched.ipg.gaps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=small_setups("cv2x"))
+def test_held_ttis_keep_their_resource_through_a_reselection(case):
+    # every transmission ends its reservation, so the next generation
+    # reselects while the sent TTI may still wait to be scored
+    setup, reception = case
+    setup = replace(setup, sps=replace(setup.sps, counter_min=1, counter_max=1,
+                                       keep_probability=0.0))
+    batched = engine.run(setup, reception)
+    with mock.patch.object(engine, "SCORE_BATCH_ELEMENTS", 1):
+        per_tti = engine.run(setup, reception)
+    assert_same_store(batched, per_tti)
 
 
 @pytest.mark.parametrize("recorded_mode", ["curve", "step"])
