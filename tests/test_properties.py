@@ -5,9 +5,10 @@ warmup, mobility step or seed, must give the same outputs when the engine
 scores its recorded frames in bounded batches as when it scores each frame
 (802.11p) or TTI (C-V2X) as soon as it ends: the same reception draws, the
 same warmup cut and the same inter-packet gaps in the same order, also when
-every C-V2X transmission triggers a resource reselection. Each run must also resolve each
-reception opportunity to exactly one outcome, never count more receptions
-than opportunities in a PRR bin, and record only positive inter-packet gaps.
+every C-V2X transmission triggers a resource reselection. Each run must
+also resolve each reception opportunity to exactly one outcome, never count
+more receptions than opportunities in a PRR bin, and record only positive
+inter-packet gaps.
 
 A run that replays the link outcomes recorded under one reception model must
 give what a live run under another model gives, in both directions and on
