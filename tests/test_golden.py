@@ -5,9 +5,9 @@ technologies, both reception modes and the NLOS path-loss branch (the
 urban_grid layout). Any change to the SINR arithmetic, to the order in which
 reception decisions draw from the RNG, or to the PRR/IPG bookkeeping moves
 them. Further pins cover `mae.csv` of short 802.11p and C-V2X `select-beta`
-runs, all five output files of a short 802.11p `validate`, and 802.11p runs
-whose warmup and mobility step are not aligned. Re-record only for a change
-that is meant to move simulation outputs.
+runs, all five output files of a short 802.11p and a short C-V2X `validate`,
+and 802.11p runs whose warmup and mobility step are not aligned. Re-record
+only for a change that is meant to move simulation outputs.
 
 The MAC-trace digests pin, for short 802.11p highway runs at three
 densities, the full list of transmission starts (time, station, sensed
@@ -173,6 +173,23 @@ def test_validate_outputs_match_recorded_digests(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in VALIDATE_DIGESTS}
     assert got == VALIDATE_DIGESTS
+
+
+CV2X_VALIDATE_DIGESTS = {
+    "curve/prr.csv": "1df7b8a3c0be2ad82b75383f9e26b91228b2a36c6c5b130602f8cd2899bb84db",
+    "curve/ipg_ccdf.csv": "9b93b183a244e7ed611cd64366db87554b131368a7054ac946c7d338aa6797d1",
+    "step/prr.csv": "9e607d5bc5752817e250c41f14d9939fd86e4db8d27b8e020ec7805fb0754a19",
+    "step/ipg_ccdf.csv": "4cfc597bd2d4646ba2393d30d5bd1bad004d771c38e6d3a062dbf3b66a09c80a",
+    "mae.csv": "ee2a90d8f2fc3a8c7e36da2750eaf06389e53af9c46702c84397687c5c9cba87",
+}
+
+
+def test_cv2x_validate_outputs_match_recorded_digests(tmp_path):
+    """The curve run and the step run of one C-V2X `validate`."""
+    short_command("validate", "cv2x", 47, "highway_los_cv2x_mcs7_350B.csv", tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in CV2X_VALIDATE_DIGESTS}
+    assert got == CV2X_VALIDATE_DIGESTS
 
 
 # warmup and mobility step deliberately not aligned to each other, so that
