@@ -137,7 +137,7 @@ def write_prr_csv(path: str, store: MetricStore):
 def write_ipg_csv(path: str, store: MetricStore, grid):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t_s,ccdf\n")
-        if store.ipg.gaps:
+        if store.ipg.gaps.size:
             for t, c in ipg_ccdf(store.ipg, grid):
                 fh.write(f"{t:.3f},{c:.8f}\n")
 
@@ -335,21 +335,30 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def parse_betas(text: str) -> list[float]:
+    """The beta list of `--betas`: comma-separated numbers."""
+    try:
+        return [float(b) for b in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--betas must be a comma list of numbers, got {text!r}") from exc
+
+
 def cmd_select_beta(args) -> int:
     cp = cfgmod.load_config(args.config, args.set or [])
     curve_file = cp["reception"]["curve_file"].strip()
     if not curve_file:
         raise ConfigError("select-beta needs reception.curve_file as the benchmark")
     curve = load_curve_csv(curve_file)
-    betas = [float(b) for b in args.betas.split(",")] if args.betas else list(DEFAULT_BETAS)
+    betas = parse_betas(args.betas) if args.betas else list(DEFAULT_BETAS)
+    # every threshold first, so that a bad beta fails before any simulation
+    steps = {beta: threshold_from_curve(curve, beta) for beta in betas}
     # the channel is simulated once; each beta replays its link outcomes
     setup = cfgmod.build_setup(cp)
     links = LinkRecord()
     benchmark = run(setup, ReceptionModel(mode="per_curve", curve=curve), links=links).prr
 
     def simulate_beta(beta):
-        step = threshold_from_curve(curve, beta)
-        model = ReceptionModel(mode="step_threshold", step=step)
+        model = ReceptionModel(mode="step_threshold", step=steps[beta])
         return run(setup, model, links=links).prr
 
     beta_hat, table = select_beta(betas, benchmark, simulate_beta)

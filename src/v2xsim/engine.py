@@ -17,24 +17,28 @@ engine scores its held frames once they reach SCORE_BATCH_ELEMENTS frame x
 receiver elements and at the end of the run; C-V2X also scores them before
 each mobility epoch, while the power and distance rows are still theirs.
 
-A batch of link outcomes (`LinkBatch`) holds, per in-range (frame,
-receiver) link, its SINR, distance and half-duplex flag; it does not depend
-on the reception model, because the MAC never sees reception outcomes. One
-tally function (`tally`) draws the decisions of a batch, applies the warmup
-cut and fills a `MetricStore`; it is the only reader of the reception
-model, which `run(setup, reception)` takes beside the setup. Reception is
-decided either by a hard SINR threshold or by a Bernoulli draw against the
-interpolated PER curve; each generated packet resolves, per in-range
-receiver, to exactly one of received / lost-by-SINR / lost-by-half-duplex.
+A batch of link outcomes (`LinkBatch`) holds what every reception model
+needs of the in-range (frame, receiver) links of frames that start after
+warmup: the SINR, the half-duplex flag, the PRR bin and the IPG in-range
+flag, each computed once; the links of frames that start before warmup are
+kept only as a count. A batch does not depend on the reception model,
+because the MAC never sees reception outcomes. One tally function (`tally`)
+draws the decisions of a batch and fills a `MetricStore`; it is the only
+reader of the reception model, which `run(setup, reception)` takes beside
+the setup. Reception is decided either by a hard SINR threshold or by a
+Bernoulli draw against the interpolated PER curve; each generated packet
+resolves, per in-range receiver, to exactly one of received /
+lost-by-SINR / lost-by-half-duplex.
 
 Link records and replay: `run(setup, reception, links=LinkRecord())` keeps
-every batch of the live run in the record, with the vehicle count, the
-generated and transmitted counters and the setup it was filled under. A
-later `run` with another reception model and the filled record
-replays the batches through the same tally with a fresh reception stream,
-without building geometry, channel or MAC, and returns the store a live run
-under that model would. `select-beta` and `validate` simulate the channel
-once this way; a record only replays for the setup that filled it.
+the batches of the live run in the record, merged in scoring order into
+chunks of bounded size, with the vehicle count, the generated and
+transmitted counters and the setup it was filled under. A later `run` with
+another reception model and the filled record replays the chunks through
+the same tally with a fresh reception stream, without building geometry,
+channel or MAC, and returns the store a live run under that model would.
+`select-beta` and `validate` simulate the channel once this way; a record
+only replays for the setup that filled it.
 """
 
 from __future__ import annotations
@@ -64,6 +68,11 @@ POWER_FLOOR_DBM = -999.0
 # enough to amortize the numpy calls of a pass, small enough to keep the
 # held rows out of peak memory
 SCORE_BATCH_ELEMENTS = 51_200
+# a link record merges scored batches into chunks of about this many counted
+# links: few tally calls per replay, and a bounded copy per merge
+RECORD_CHUNK_LINKS = 1 << 18
+# a chunk's flat frame x receiver link indices are int32
+_LINK_INDEX_MAX = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
@@ -149,22 +158,46 @@ def decide_reception_vector(sinr_linear: np.ndarray, model: ReceptionModel,
 
 
 class LinkBatch(NamedTuple):
-    """Link outcomes of F frames, one entry per in-range (frame, receiver) link.
+    """Link outcomes of F counted frames, one entry per in-range (frame, receiver) link.
 
-    tx, start, end: (F,) transmitter, start and end time of each frame, in
-    the order the frames were scored. link: flat frame * N + receiver index
-    of each link, frame-major and receivers ascending (the order reception
-    decisions are drawn in); sinr: linear SINR; blocked: the receiver was
-    transmitting (half duplex); dist: transmitter-receiver distance (m).
+    skipped: the number of in-range links of frames that start before
+    warmup; they come before every other link of the run and are kept only
+    as this count. tx, end: (F,) transmitter and end time of each frame
+    that starts after warmup, in the order the frames were scored. Links
+    are frame-major with receivers ascending (the order reception decisions
+    are drawn in); per link, sinr: linear SINR; blocked: the receiver was
+    transmitting (half duplex); bin: PRR bin (`PrrSeries.bin_of`). near:
+    the positions of the links inside the IPG range, the only links whose
+    receptions IPG reads; near_link: their flat frame * N + receiver index.
     """
 
+    skipped: int
     tx: np.ndarray
-    start: np.ndarray
     end: np.ndarray
-    link: np.ndarray
     sinr: np.ndarray
     blocked: np.ndarray
-    dist: np.ndarray
+    bin: np.ndarray
+    near: np.ndarray
+    near_link: np.ndarray
+
+
+def _merge(batches: list, n: int) -> LinkBatch:
+    """One batch holding the links of `batches` in order, positions and link indices as int32."""
+    frames = np.cumsum([0] + [b.tx.size for b in batches])
+    links = np.cumsum([0] + [b.sinr.size for b in batches])
+    if frames[-1] * n > _LINK_INDEX_MAX:
+        raise AssertionError("a merged batch's link indices must fit in int32")
+
+    def joined(name):
+        return np.concatenate([getattr(b, name) for b in batches])
+
+    def rebased(name, offsets):
+        return np.concatenate([getattr(b, name) + o for b, o in zip(batches, offsets)]
+                              ).astype(np.int32)
+
+    return LinkBatch(sum(b.skipped for b in batches), joined("tx"), joined("end"),
+                     joined("sinr"), joined("blocked"), joined("bin"),
+                     rebased("near", links), rebased("near_link", frames * n))
 
 
 @dataclass(eq=False)
@@ -175,18 +208,39 @@ class LinkRecord:
     filled record again and `run` replays it instead of simulating. `key`
     is the setup it was filled under (None while empty); n, generated and
     transmitted are the run's vehicle count and MAC counters, which do not
-    depend on the reception model.
+    depend on the reception model. `chunks` holds the run's batches merged
+    in scoring order, each up to about RECORD_CHUNK_LINKS counted links.
     """
 
     key: SimulationSetup | None = None
     n: int = 0
     generated: int = 0
     transmitted: int = 0
-    batches: list = field(default_factory=list)
+    chunks: list = field(default_factory=list)
+
+    def __post_init__(self):
+        self._open = []  # added batches not yet merged into a chunk
+        self._frames = self._links = 0
 
     @property
     def filled(self) -> bool:
         return self.key is not None
+
+    def add(self, batch: LinkBatch):
+        """Append a batch; the open batches become a chunk once they are large enough."""
+        if (self._frames + batch.tx.size) * self.n > _LINK_INDEX_MAX:
+            self.close()
+        self._open.append(batch)
+        self._frames += batch.tx.size
+        self._links += batch.sinr.size
+        if self._links >= RECORD_CHUNK_LINKS:
+            self.close()
+
+    def close(self):
+        """Merge the open batches into one chunk."""
+        if self._open:
+            self.chunks.append(_merge(self._open, self.n))
+        self._open, self._frames, self._links = [], 0, 0
 
 
 def _new_store(cfg: RunConfig, n: int) -> MetricStore:
@@ -194,29 +248,30 @@ def _new_store(cfg: RunConfig, n: int) -> MetricStore:
     return MetricStore(prr=PrrSeries(edges), ipg=IpgStore(cfg.ipg_range_m, n))
 
 
-def tally(batch: LinkBatch, n: int, cfg: RunConfig, reception: ReceptionModel,
+def tally(batch: LinkBatch, n: int, reception: ReceptionModel,
           rng: np.random.Generator, metrics: MetricStore):
-    """Decide every link of a batch under `reception` and count the outcomes.
+    """Decide every counted link of a batch under `reception` and count the outcomes.
 
-    Decisions are drawn for all links, frame by frame and receivers
-    ascending; links of frames that start before warmup are not counted.
+    Decisions are drawn frame by frame, receivers ascending. A curve
+    decision draws one double, which is one PCG64 output, so the stream
+    skips the draws of the skipped links by advancing; a step decision
+    draws nothing.
     """
-    decisions = decide_reception_vector(batch.sinr, reception, rng)
-    link, blocked, d = batch.link, batch.blocked, batch.dist
-    if batch.start.min() < cfg.warmup_s:
-        counted = batch.start[link // n] >= cfg.warmup_s
-        if not counted.any():
-            return
-        link, decisions = link[counted], decisions[counted]
-        blocked, d = blocked[counted], d[counted]
-    received = decisions & ~blocked
-    metrics.opportunities += link.size
-    metrics.prr.add_many(d, received)
-    metrics.received_total += int(received.sum())
-    metrics.lost_half_duplex += int(blocked.sum())
-    metrics.lost_sinr += int((~received & ~blocked).sum())
-    frame, rx = np.divmod(link[received], n)
-    metrics.ipg.add_many(batch.tx[frame], rx, d[received], batch.end[frame])
+    if batch.skipped and reception.mode == "per_curve":
+        rng.bit_generator.advance(batch.skipped)
+    if batch.sinr.size == 0:
+        return
+    received = decide_reception_vector(batch.sinr, reception, rng)
+    received &= ~batch.blocked
+    n_received = int(np.count_nonzero(received))
+    n_blocked = int(np.count_nonzero(batch.blocked))
+    metrics.opportunities += batch.sinr.size
+    metrics.received_total += n_received
+    metrics.lost_half_duplex += n_blocked
+    metrics.lost_sinr += batch.sinr.size - n_received - n_blocked
+    metrics.prr.add_many(batch.bin, received)
+    frame, rx = np.divmod(batch.near_link.compress(received.take(batch.near)), n)
+    metrics.ipg.add_many(batch.tx[frame], rx, batch.end[frame])
 
 
 def overlap_fraction(a: TransmissionEvent, b: TransmissionEvent) -> float:
@@ -306,7 +361,8 @@ class _RunBase:
         self.noise_mw = 10.0 ** (noise_power_dbm(prop) / 10.0)
         self.rng_reception = stream(cfg.seed, "reception")
         self.metrics = _new_store(cfg, self.n)
-        self.batches = None  # a list when the run fills a link record
+        self.record = None  # a LinkRecord when the run fills one
+        self.counting = False  # a frame that starts after warmup was scored
         self.phases = np.array([
             generation_phase(v.id, cfg.seed, traffic.period_s) for v in self.vehicles
         ]) if self.n else np.zeros(0)
@@ -317,35 +373,49 @@ class _RunBase:
         """Link outcomes of F recorded frames at every in-range receiver, tallied.
 
         tx, start, end: (F,) transmitter, start and end time of each frame,
-        frames sorted by end time; signal, dist: (F, N) received power
+        frames sorted by start time; signal, dist: (F, N) received power
         (mW) and distance from each frame's transmitter; deaf: (F, N)
         receivers transmitting during the frame (half duplex). hits =
         (frame, source, frac), sorted by frame and each frame's in its
         interferer order: hit h covers a share frac[h] of frame frame[h]
-        with the (N,) power row sources[source[h]].
+        with the (N,) power row sources[source[h]]. The frames that start
+        before warmup come first, in the batch and in the run; only their
+        in-range links are counted.
         """
-        in_range = dist <= self.cfg.max_range_m
+        cfg = self.cfg
+        in_range = dist <= cfg.max_range_m
         in_range[np.arange(tx.size), tx] = False
-        # flat (frame, receiver) indices: frame-major, receivers ascending
-        link = np.flatnonzero(in_range)
-        if link.size == 0:
+        early = start < cfg.warmup_s
+        n_early = int(np.count_nonzero(early))
+        if not early[:n_early].all() or (n_early and self.counting):
+            raise AssertionError("frames that start before warmup must be scored first")
+        self.counting = self.counting or n_early < tx.size
+        skipped = int(np.count_nonzero(in_range[:n_early]))
+        # flat (counted frame, receiver) indices: frame-major, receivers ascending
+        link = np.flatnonzero(in_range[n_early:])
+        if link.size == 0 and skipped == 0:
             return
+        tx, end, signal, dist, deaf = (a[n_early:] for a in (tx, end, signal, dist, deaf))
+        first = np.searchsorted(hits[0], n_early)
+        hit_frame = hits[0][first:] - n_early
+        hit_source, hit_frac = hits[1][first:], hits[2][first:]
         # the k-th interferer of every frame in one add, so each frame sums
         # in its own interferer order like a per-frame loop: a matmul would
         # reorder the sum and can flip a threshold decision
         denom = np.full(signal.shape, self.noise_mw)
-        hit_frame, hit_source, hit_frac = hits
         level = np.arange(hit_frame.size) - np.searchsorted(hit_frame, hit_frame)
         for k in range(int(level.max()) + 1 if level.size else 0):
             at = level == k
             part = sources[hit_source[at]]
             part *= hit_frac[at, None]
             denom[hit_frame[at]] += part
-        batch = LinkBatch(tx, start, end, link, signal.take(link) / denom.take(link),
-                          deaf.take(link), dist.take(link))
-        if self.batches is not None:
-            self.batches.append(batch)
-        tally(batch, self.n, self.cfg, self.reception, self.rng_reception, self.metrics)
+        d = dist.take(link)
+        near = np.flatnonzero(self.metrics.ipg.near(d))
+        batch = LinkBatch(skipped, tx, end, signal.take(link) / denom.take(link),
+                          deaf.take(link), self.metrics.prr.bin_of(d), near, link.take(near))
+        if self.record is not None:
+            self.record.add(batch)
+        tally(batch, self.n, self.reception, self.rng_reception, self.metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +738,8 @@ def run(setup: SimulationSetup, reception: ReceptionModel,
         metrics = _new_store(cfg, links.n)
         metrics.generated, metrics.transmitted = links.generated, links.transmitted
         rng = stream(cfg.seed, "reception")
-        for batch in links.batches:
-            tally(batch, links.n, cfg, reception, rng, metrics)
+        for chunk in links.chunks:
+            tally(chunk, links.n, reception, rng, metrics)
         return metrics
     if cfg.technology == "11p":
         sim = _Run11p(cfg, reception, setup.road, setup.traffic, setup.propagation,
@@ -679,9 +749,10 @@ def run(setup: SimulationSetup, reception: ReceptionModel,
                        setup.sps, setup.prb_table, trace, setup.vehicles)
     if links is None:
         return sim.run()
-    sim.batches = []
+    sim.record = LinkRecord(n=sim.n)
     metrics = sim.run()
+    sim.record.close()
     # filled only once the run completed, so a failed run leaves it empty
-    links.key, links.n, links.batches = setup, sim.n, sim.batches
+    links.key, links.n, links.chunks = setup, sim.n, sim.record.chunks
     links.generated, links.transmitted = metrics.generated, metrics.transmitted
     return metrics

@@ -82,13 +82,25 @@ class PrrSeries:
         if received:
             self.received[idx] += 1
 
-    def add_many(self, distances_m: np.ndarray, received: np.ndarray):
-        idx = bin_index(self.bin_edges, np.asarray(distances_m, dtype=float))
-        ok = (idx >= 0) & (idx < self.opportunities.size)
+    def bin_of(self, distances_m: np.ndarray) -> np.ndarray:
+        """The bin of each distance, n (one past the last bin) where none holds it.
+
+        Returned in the smallest signed type of int16 and intp that holds n.
+        """
         n = self.opportunities.size
-        self.opportunities += np.bincount(idx[ok], minlength=n)
-        self.received += np.bincount(idx[ok & np.asarray(received, dtype=bool)],
-                                     minlength=n)
+        idx = bin_index(self.bin_edges, np.asarray(distances_m, dtype=float))
+        idx[idx < 0] = n
+        return idx.astype(np.int16 if n < np.iinfo(np.int16).max else np.intp)
+
+    def add_many(self, bins: np.ndarray, received: np.ndarray):
+        """One opportunity per entry of `bins` (from `bin_of`); `received` flags the successes."""
+        n = self.opportunities.size
+        # one count over (bin, received) pairs: 2 * bin + received
+        pair = np.left_shift(bins, 1, dtype=np.intp)
+        pair += received
+        counts = np.bincount(pair, minlength=2 * n + 2)[:2 * n].reshape(n, 2)
+        self.opportunities += counts[:, 0] + counts[:, 1]
+        self.received += counts[:, 1]
 
     def ratios(self) -> np.ndarray:
         """PRR per bin; NaN where no opportunity was recorded."""
@@ -109,35 +121,47 @@ class IpgStore:
 
     `last_time[tx, rx]` is the time of the pair's latest reception inside
     the range limit (NaN = none yet); the array starts at `n_nodes` square
-    and grows when a larger vehicle id arrives.
+    and grows when a larger vehicle id arrives. `gaps` is a float64 array of
+    every gap, in the order the receptions were added.
     """
 
     range_limit_m: float = DEFAULT_IPG_RANGE_M
     n_nodes: int = 0
-    gaps: list = field(default_factory=list)
 
     def __post_init__(self):
         self.last_time = np.full((self.n_nodes, self.n_nodes), np.nan)
+        self._gaps = []  # gap arrays in order, joined when read
+
+    @property
+    def gaps(self) -> np.ndarray:
+        if len(self._gaps) != 1:
+            self._gaps = [np.concatenate(self._gaps) if self._gaps else np.zeros(0)]
+        return self._gaps[0]
+
+    @gaps.setter
+    def gaps(self, values):
+        self._gaps = [np.asarray(values, dtype=float)]
+
+    def near(self, distance_m: np.ndarray) -> np.ndarray:
+        """Which links lie inside the range limit."""
+        return np.asarray(distance_m) <= self.range_limit_m
 
     def add(self, pair, distance_m: float, time_s: float):
-        self.add_many(np.array([pair[0]]), np.array([pair[1]]),
-                      np.array([distance_m]), time_s)
+        if self.near(distance_m):
+            self.add_many(np.array([pair[0]]), np.array([pair[1]]), time_s)
 
-    def add_many(self, tx: np.ndarray, rx: np.ndarray, distance_m: np.ndarray,
-                 time_s: float | np.ndarray):
-        """Receptions on the (tx[i], rx[i]) pairs at times time_s[i].
+    def add_many(self, tx: np.ndarray, rx: np.ndarray, time_s: float | np.ndarray):
+        """Receptions inside the range limit on the (tx[i], rx[i]) pairs at times time_s[i].
 
         `time_s` holds one time per reception, or one time for all of them;
         the receptions are in chronological order and a pair may repeat.
         Each reception opens a gap to its pair's previous one, and gaps are
-        appended in the order of the receptions; pairs beyond the range
-        limit are ignored.
+        appended in the order of the receptions.
         """
-        near = np.asarray(distance_m) <= self.range_limit_m
-        tx, rx = np.asarray(tx)[near], np.asarray(rx)[near]
+        tx, rx = np.asarray(tx), np.asarray(rx)
         if tx.size == 0:
             return
-        times = np.broadcast_to(np.asarray(time_s, dtype=float), near.shape)[near]
+        times = np.broadcast_to(np.asarray(time_s, dtype=float), tx.shape)
         side = int(max(tx.max(), rx.max())) + 1
         if side > self.last_time.shape[0]:
             grown = np.full((side, side), np.nan)
@@ -163,7 +187,8 @@ class IpgStore:
             i = np.flatnonzero(seen)[bad[0]]
             raise DataError(f"non-positive gap {gaps[bad[0]]} for pair "
                             f"{(int(tx[i]), int(rx[i]))}")
-        self.gaps.extend(gaps.tolist())
+        if gaps.size:
+            self._gaps.append(gaps)
         self.last_time.flat[key[latest]] = times[latest]
 
 
@@ -179,9 +204,9 @@ def prr_curve(prr: PrrSeries):
 
 def ipg_ccdf(ipg: IpgStore, grid):
     """Empirical P(IPG > t) on the given grid of durations."""
-    if not ipg.gaps:
+    if ipg.gaps.size == 0:
         raise DataError("no inter-packet gaps recorded")
-    gaps = np.sort(np.asarray(ipg.gaps, dtype=float))
+    gaps = np.sort(ipg.gaps)
     t = np.asarray(grid, dtype=float)
     exceed = gaps.size - np.searchsorted(gaps, t, side="right")
     return [(float(ti), float(e / gaps.size)) for ti, e in zip(t, exceed)]

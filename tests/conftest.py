@@ -67,13 +67,14 @@ def vehicle_pair(distance_m: float, speed_ms: float = 0.0):
 
 
 def assert_same_store(a, b):
-    """Two metric stores hold the same counters, PRR bins and IPG gap list."""
+    """Two metric stores hold the same counters, PRR bins and IPG gaps, in order."""
     for name in ("generated", "transmitted", "opportunities", "received_total",
                  "lost_sinr", "lost_half_duplex"):
         assert getattr(a, name) == getattr(b, name), name
     np.testing.assert_array_equal(a.prr.opportunities, b.prr.opportunities)
     np.testing.assert_array_equal(a.prr.received, b.prr.received)
-    assert a.ipg.gaps == b.ipg.gaps
+    assert a.ipg.gaps.dtype == b.ipg.gaps.dtype == np.float64
+    np.testing.assert_array_equal(a.ipg.gaps, b.ipg.gaps)
 
 
 class RunBank:

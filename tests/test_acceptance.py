@@ -19,7 +19,7 @@ from v2xsim.abstraction import (AbstractionModel, FitPoint, fit_alpha,
 from v2xsim.access import SpsParams, SpsState, sps_after_transmission
 from v2xsim.channel import PropagationConfig, noise_power_dbm
 from v2xsim.cli import load_curve_csv, main as cli_main
-from v2xsim.engine import RunConfig, SimulationSetup, TraceLog, run
+from v2xsim.engine import LinkRecord, RunConfig, SimulationSetup, TraceLog, run
 from v2xsim.metrics import PrrSeries, default_bin_edges, ipg_ccdf, mae
 from v2xsim.scenario import RoadConfig, TrafficConfig, VehicleState
 from v2xsim.settings import (CV2xSettings, Ieee80211pSettings, NBPS_TABLE,
@@ -47,22 +47,33 @@ def reception_for(tech, mode, beta=0.5):
     return step_model(curve, beta)
 
 
-def highway_run(bank, tech, mode, beta, seed, density=100.0, speed=96.0,
-                road_length=2000.0, duration=20.0, max_prr=600.0):
-    key = ("hwy", tech, mode, beta, seed, density, road_length, duration)
+def highway_prr(bank, tech, mode, beta, seed, density=100.0, speed=96.0,
+                road_length=2000.0, duration=20.0, max_prr=600.0, betas=(0.1, 0.5, 0.9)):
+    """PRR series of one highway run under the curve model or the step model at `beta`.
+
+    The channel of a (technology, seed, density, road, horizon) is simulated
+    once: the curve run is live and fills a link record, each step model of
+    `betas` replays the record, and the record is dropped. The replay
+    property test shows that a replay gives the store of a live run.
+    """
+    key = ("hwy", tech, seed, density, road_length, duration)
 
     def factory():
-        return run(make_setup(tech, seed=seed, duration=duration, warmup=2.0,
-                              density=density, speed=speed, road_length=road_length,
-                              max_prr_distance=max_prr),
-                   reception_for(tech, mode, beta))
-    return bank.get(key, factory)
+        setup = make_setup(tech, seed=seed, duration=duration, warmup=2.0,
+                           density=density, speed=speed, road_length=road_length,
+                           max_prr_distance=max_prr)
+        links = LinkRecord()
+        series = {"curve": run(setup, reception_for(tech, "curve"), links=links).prr}
+        for b in betas:
+            series[b] = run(setup, reception_for(tech, "step", b), links=links).prr
+        return series
+    return bank.get(key, factory)["curve" if mode == "curve" else beta]
 
 
-def merge_series(stores):
-    out = stores[0].prr
-    for s in stores[1:]:
-        out = out.merge(s.prr)
+def merge_series(series):
+    out = series[0]
+    for s in series[1:]:
+        out = out.merge(s)
     return out
 
 
@@ -152,30 +163,35 @@ def test_criterion_03_timing_and_throughput_oracle():
     print("[acceptance] criterion 3 PASS - oracle values and 1000 random settings")
 
 
-def sweep_series(tech, mode, seeds):
-    """Two-vehicle sweep across the reception transition zone."""
-    out = PrrSeries(default_bin_edges(1600.0, 100.0))
+def sweep_series(tech, seeds):
+    """Two-vehicle sweep across the reception transition zone: (curve, step) PRR.
+
+    Each channel is simulated once: the curve run fills a link record and
+    the step model replays it.
+    """
+    out = {mode: PrrSeries(default_bin_edges(1600.0, 100.0)) for mode in ("curve", "step")}
     distances = (250.0, 650.0, 950.0, 1050.0, 1150.0, 1250.0, 1350.0)
     for d in distances:
         for seed in seeds:
-            store = run(make_setup(tech, seed=seed, duration=10.0, warmup=0.5,
-                                   road_length=4000.0, max_range_m=2500.0,
-                                   max_prr_distance=1600.0, prr_bin_width_m=100.0,
-                                   vehicles=vehicle_pair(d, speed_ms=26.67)),
-                        reception_for(tech, mode))
-            out = out.merge(store.prr)
-    return out
+            setup = make_setup(tech, seed=seed, duration=10.0, warmup=0.5,
+                               road_length=4000.0, max_range_m=2500.0,
+                               max_prr_distance=1600.0, prr_bin_width_m=100.0,
+                               vehicles=vehicle_pair(d, speed_ms=26.67))
+            links = LinkRecord()
+            for mode in ("curve", "step"):
+                store = run(setup, reception_for(tech, mode), links=links)
+                out[mode] = out[mode].merge(store.prr)
+    return out["curve"], out["step"]
 
 
 @pytest.mark.parametrize("tech", TECHS)
 def test_criterion_04_step_vs_curve_fidelity(tech, run_bank):
-    sweep_curve = sweep_series(tech, "curve", SEEDS)
-    sweep_step = sweep_series(tech, "step", SEEDS)
+    sweep_curve, sweep_step = sweep_series(tech, SEEDS)
     sweep_mae = mae(sweep_curve, sweep_step)
     assert sweep_mae <= 0.03
 
-    cur = merge_series([highway_run(run_bank, tech, "curve", 0.5, s) for s in SEEDS])
-    stp = merge_series([highway_run(run_bank, tech, "step", 0.5, s) for s in SEEDS])
+    cur = merge_series([highway_prr(run_bank, tech, "curve", 0.5, s) for s in SEEDS])
+    stp = merge_series([highway_prr(run_bank, tech, "step", 0.5, s) for s in SEEDS])
     highway_mae = mae(cur, stp)
     assert highway_mae <= 0.03
     print(f"[acceptance] criterion 4 PASS ({tech}) - sweep MAE {sweep_mae:.4f}, "
@@ -187,8 +203,8 @@ def test_criterion_05_beta_ordering(tech, run_bank):
     wins = 0
     per_seed = []
     for seed in SEEDS:
-        bench = highway_run(run_bank, tech, "curve", 0.5, seed).prr
-        maes = {beta: mae(bench, highway_run(run_bank, tech, "step", beta, seed).prr)
+        bench = highway_prr(run_bank, tech, "curve", 0.5, seed)
+        maes = {beta: mae(bench, highway_prr(run_bank, tech, "step", beta, seed))
                 for beta in (0.1, 0.5, 0.9)}
         per_seed.append(maes)
         if maes[0.5] < maes[0.1] and maes[0.5] < maes[0.9]:
@@ -203,11 +219,10 @@ def test_criterion_05_beta_ordering(tech, run_bank):
 @pytest.mark.parametrize("mode", ("curve", "step"))
 def test_criterion_06_density_ordering(tech, mode, run_bank):
     def pooled(density, speed):
-        stores = [highway_run(run_bank, tech, mode, 0.5, seed, density=density,
-                              speed=speed, road_length=1000.0, duration=10.0,
-                              max_prr=500.0)
-                  for seed in (1, 2, 3)]
-        return merge_series(stores)
+        return merge_series([highway_prr(run_bank, tech, mode, 0.5, seed, density=density,
+                                         speed=speed, road_length=1000.0, duration=10.0,
+                                         max_prr=500.0, betas=(0.5,))
+                             for seed in (1, 2, 3)])
 
     low = pooled(100.0, 96.0)
     high = pooled(400.0, 56.0)

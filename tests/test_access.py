@@ -44,7 +44,7 @@ def engine_run(tech, vehicles):
         sim = engine._RunCv2x(setup.run, STEP, setup.road, setup.traffic,
                               setup.propagation, setup.sps, setup.prb_table, None,
                               setup.vehicles)
-    sim.batches = []
+    sim.record = engine.LinkRecord(n=sim.n)
     return sim
 
 
@@ -82,8 +82,11 @@ def test_carrier_sense_thresholds(power_dbm, frames, busy):
 
 def half_duplex_at_0(sim):
     """Per frame of station 1, whether station 0 lost it to half duplex."""
-    (batch,) = sim.batches
-    frame, rx = np.divmod(batch.link, sim.n)
+    sim.record.close()
+    (batch,) = sim.record.chunks
+    # the stations are 10 m apart, so every link is inside the IPG range
+    assert batch.near.tolist() == list(range(batch.sinr.size))
+    frame, rx = np.divmod(batch.near_link, sim.n)
     into_0 = (rx == 0) & (batch.tx[frame] == 1)
     return batch.blocked[into_0].tolist()
 

@@ -149,7 +149,7 @@ def engine_sinr(signal_dbm, interferers=(), noise_dbm=-98.0):
     step = engine.ReceptionModel(mode="step_threshold", step=StepFunction(1.0, 0.5))
     sim = engine._RunBase(setup.run, step, setup.road, setup.traffic, prop, None,
                           setup.vehicles)
-    sim.batches = []
+    sim.record = engine.LinkRecord(n=sim.n)
     k = len(interferers)
     hits = (np.zeros(k, dtype=np.intp), np.arange(k),
             np.array([share for share, _ in interferers], dtype=float))
@@ -157,7 +157,8 @@ def engine_sinr(signal_dbm, interferers=(), noise_dbm=-98.0):
     sim._score(np.array([0]), np.zeros(1), np.full(1, 1e-3),
                np.array([[0.0, 10.0 ** (signal_dbm / 10.0)]]), np.array([[0.0, 10.0]]),
                np.zeros((1, 2), dtype=bool), hits, sources)
-    (batch,) = sim.batches
+    sim.record.close()
+    (batch,) = sim.record.chunks
     return float(batch.sinr[0])
 
 

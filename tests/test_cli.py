@@ -7,9 +7,11 @@ import subprocess
 import sys
 
 import pytest
+from unittest import mock
 
 from conftest import CURVE_DIR
 
+from v2xsim import cli
 from v2xsim.cli import (load_curve_csv, load_model_file, main,
                         parse_curve_filename, read_ipg_csv, read_mae_csv,
                         read_prr_csv)
@@ -290,6 +292,26 @@ def test_select_beta_single_candidate(tmp_path):
     assert len(rows) == 1
     assert rows[0][0] == pytest.approx(0.5)
     assert rows[0][2] == 1.0
+
+
+@pytest.mark.parametrize("betas", ["abc", "0.5,", "0.5,,0.9"])
+def test_select_beta_malformed_beta_list_exits_2(betas, tmp_path, capsys):
+    curve = os.path.join(CURVE_DIR, "highway_los_11p_mcs2_350B.csv")
+    code = run_cli("select-beta", "--out", str(tmp_path / "sb"), "--betas", betas,
+                   "--set", f"reception.curve_file={curve}")
+    assert code == 2
+    assert "--betas" in capsys.readouterr().err
+
+
+def test_select_beta_beta_outside_the_curve_exits_3_before_simulating(tmp_path, capsys):
+    curve = os.path.join(CURVE_DIR, "highway_los_11p_mcs2_350B.csv")
+    with mock.patch.object(cli, "run") as simulate:
+        code = run_cli("select-beta", "--out", str(tmp_path / "sb"), "--betas", "0.5,0",
+                       "--set", f"reception.curve_file={curve}")
+    assert code == 3
+    assert "beta=0" in capsys.readouterr().err
+    simulate.assert_not_called()
+    assert not (tmp_path / "sb").exists()
 
 
 def test_validate_compares_modes(tmp_path, capsys):

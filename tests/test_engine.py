@@ -9,13 +9,15 @@ import pytest
 from conftest import (assert_same_store, curve_model, make_setup, step_model,
                       vehicle_pair)
 
+from v2xsim import engine
 from v2xsim.abstraction import PerCurve, StepFunction
 from v2xsim.channel import PropagationConfig, noise_power_dbm, rx_power_dbm
-from v2xsim.engine import (LinkRecord, ReceptionModel, RunConfig, SimulationSetup,
-                           TraceLog, TransmissionEvent, decide_reception_vector,
-                           overlap_fraction, prb_overlap, run)
+from v2xsim.engine import (LinkBatch, LinkRecord, ReceptionModel, RunConfig,
+                           SimulationSetup, TraceLog, TransmissionEvent,
+                           decide_reception_vector, overlap_fraction, prb_overlap, run,
+                           tally)
 from v2xsim.errors import ConfigError
-from v2xsim.metrics import prr_curve
+from v2xsim.metrics import IpgStore, MetricStore, prr_curve
 from v2xsim.scenario import VehicleState
 from v2xsim.settings import CV2xSettings, Ieee80211pSettings
 from v2xsim.util import stream
@@ -148,7 +150,7 @@ def test_single_vehicle_empty_metrics():
     store = run(setup, zero_db_step())
     assert store.opportunities == 0
     assert prr_curve(store.prr) == []
-    assert store.ipg.gaps == []
+    assert store.ipg.gaps.size == 0
 
 
 @pytest.mark.parametrize("tech", ["11p", "cv2x"])
@@ -160,7 +162,7 @@ def test_identical_seeds_identical_metrics(tech, curve_11p, curve_cv2x):
     a, b = stores
     assert np.array_equal(a.prr.received, b.prr.received)
     assert np.array_equal(a.prr.opportunities, b.prr.opportunities)
-    assert a.ipg.gaps == b.ipg.gaps
+    np.testing.assert_array_equal(a.ipg.gaps, b.ipg.gaps)
     assert (a.generated, a.transmitted, a.received_total) == \
            (b.generated, b.transmitted, b.received_total)
 
@@ -286,8 +288,78 @@ def test_filling_a_record_leaves_the_run_unchanged(tech, curve_11p, curve_cv2x):
     model = curve_model(curve_11p if tech == "11p" else curve_cv2x)
     links = LinkRecord()
     filled = run(setup, model, links=links)
-    assert links.filled and links.batches
+    assert links.filled and links.chunks
     assert_same_store(filled, run(setup, model))
+
+
+def one_link_frames(sinr, skipped):
+    """A batch of one link per frame, from vehicle 0 to vehicle 1 of two."""
+    f = np.arange(sinr.size)
+    return LinkBatch(skipped, np.zeros(sinr.size, dtype=np.intp), 0.1 * (f + 1), sinr,
+                     np.zeros(sinr.size, dtype=bool), np.zeros(sinr.size, dtype=np.int16),
+                     f, 2 * f + 1)
+
+
+def test_tally_skips_the_curve_draws_of_the_skipped_links(curve_11p):
+    sinr = 10.0 ** np.random.default_rng(3).uniform(-1.0, 1.5, size=500)
+    model = curve_model(curve_11p)
+    drawn = decide_reception_vector(sinr, model, stream(9, "reception"))[200:]
+    store = MetricStore(ipg=IpgStore(n_nodes=2))
+    rng = stream(9, "reception")
+    tally(one_link_frames(sinr[200:], skipped=200), 2, model, rng, store)
+    assert store.received_total == drawn.sum() and store.prr.received[0] == drawn.sum()
+    assert store.ipg.gaps.size == drawn.sum() - 1
+    # the next draw follows the 500 decided links
+    reference = stream(9, "reception")
+    reference.random(500)
+    assert rng.random() == reference.random()
+
+
+def test_tally_draws_nothing_for_a_step_model(curve_11p):
+    rng = stream(9, "reception")
+    tally(one_link_frames(np.ones(50), skipped=200), 2, step_model(curve_11p),
+          rng, MetricStore(ipg=IpgStore(n_nodes=2)))
+    assert rng.random() == stream(9, "reception").random()
+
+
+def test_frames_that_start_before_warmup_must_be_scored_first():
+    setup = make_setup("11p", duration=1.0, warmup=0.5, vehicles=vehicle_pair(10.0))
+    sim = engine._RunBase(setup.run, zero_db_step(), setup.road, setup.traffic,
+                          setup.propagation, None, setup.vehicles)
+    no_hits = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
+
+    def score(tx, start):
+        f = len(tx)
+        signal = np.where(np.eye(2, dtype=bool), 0.0, 1e-6)[tx]
+        dist = np.where(np.eye(2, dtype=bool), 0.0, 10.0)[tx]
+        sim._score(np.array(tx), np.array(start), np.array(start) + 0.001, signal, dist,
+                   np.zeros((f, 2), dtype=bool), no_hits, np.zeros((0, 2)))
+
+    with pytest.raises(AssertionError, match="before warmup"):
+        score([0, 1], [0.6, 0.1])  # within a batch
+    score([0], [0.6])
+    with pytest.raises(AssertionError, match="before warmup"):
+        score([1], [0.4])  # in a later batch
+
+
+@pytest.mark.parametrize("tech", ["11p", "cv2x"])
+def test_a_record_keeps_16_bytes_per_counted_link_and_a_count_of_the_rest(
+        tech, curve_11p, curve_cv2x):
+    # the highway of the benchmarks: 200 vehicles on a 2 km ring
+    setup = make_setup(tech, seed=5, duration=0.8, warmup=0.3, density=100.0)
+    setup = replace(setup, road=replace(setup.road, placement="fixed_count"))
+    model = curve_model(curve_11p if tech == "11p" else curve_cv2x)
+    links = LinkRecord()
+    counted = run(setup, model, links=links).opportunities
+    held = sum(a.nbytes for chunk in links.chunks for a in chunk
+               if isinstance(a, np.ndarray))
+    assert sum(chunk.sinr.size for chunk in links.chunks) == counted > 0
+    assert held <= 16 * counted
+    # the links of frames that start before warmup: those of a run without
+    # warmup on the same channel, less the counted ones
+    no_warmup = replace(setup, run=replace(setup.run, warmup_s=0.0))
+    every = run(no_warmup, model).opportunities
+    assert sum(chunk.skipped for chunk in links.chunks) == every - counted > 0
 
 
 @pytest.mark.parametrize("section, change", [

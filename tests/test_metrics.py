@@ -14,44 +14,55 @@ def fresh():
     return PrrSeries(default_bin_edges(600.0, 25.0)), IpgStore(150.0)
 
 
+def add_distances(prr, distances_m, received):
+    prr.add_many(prr.bin_of(distances_m), np.asarray(received))
+
+
+def add_receptions(ipg, tx, rx, distances_m, time_s):
+    """IpgStore.add_many on the receptions inside the store's range limit."""
+    near = ipg.near(distances_m)
+    times = np.broadcast_to(np.asarray(time_s, dtype=float), near.shape)
+    ipg.add_many(np.asarray(tx)[near], np.asarray(rx)[near], times[near])
+
+
 def test_single_reception_fills_bin():
     prr, _ = fresh()
-    prr.add_many(np.array([5.0]), np.array([True]))
+    add_distances(prr, np.array([5.0]), np.array([True]))
     assert prr.opportunities[0] == 1 and prr.received[0] == 1
     assert prr_curve(prr)[0] == (12.5, 1.0)
 
 
 def test_gap_between_consecutive_receptions():
     _, ipg = fresh()
-    ipg.add_many(np.array([0, 0]), np.array([1, 1]), np.array([50.0, 50.0]),
-                 np.array([0.1, 0.3]))
-    assert ipg.gaps == [pytest.approx(0.2)]
+    add_receptions(ipg, np.array([0, 0]), np.array([1, 1]), np.array([50.0, 50.0]),
+                   np.array([0.1, 0.3]))
+    assert ipg.gaps.tolist() == [pytest.approx(0.2)]
 
 
 def test_beyond_ipg_range_counts_for_prr_only():
     prr, ipg = fresh()
     d = np.array([151.0, 151.0])
-    prr.add_many(d, np.array([True, True]))
-    ipg.add_many(np.array([0, 0]), np.array([1, 1]), d, np.array([0.1, 0.2]))
+    add_distances(prr, d, np.array([True, True]))
+    add_receptions(ipg, np.array([0, 0]), np.array([1, 1]), d, np.array([0.1, 0.2]))
     assert prr.opportunities.sum() == 2
-    assert ipg.gaps == []
+    assert ipg.gaps.size == 0
 
 
 def test_beyond_last_edge_ignored():
     prr, _ = fresh()
-    prr.add_many(np.array([700.0]), np.array([False]))
+    add_distances(prr, np.array([700.0]), np.array([False]))
     assert prr.opportunities.sum() == 0
 
 
 def test_losses_counted_as_opportunities():
     prr, _ = fresh()
-    prr.add_many(np.full(10, 30.0), np.arange(10) < 7)
+    add_distances(prr, np.full(10, 30.0), np.arange(10) < 7)
     assert dict(prr_curve(prr))[37.5] == pytest.approx(0.7)
 
 
 def test_empty_bins_omitted_not_zero():
     prr, _ = fresh()
-    prr.add_many(np.array([5.0, 80.0]), np.array([True, True]))
+    add_distances(prr, np.array([5.0, 80.0]), np.array([True, True]))
     centers = [c for c, _ in prr_curve(prr)]
     assert centers == [12.5, 87.5]
 
@@ -59,7 +70,7 @@ def test_empty_bins_omitted_not_zero():
 def test_prr_flat_when_everything_received():
     prr, _ = fresh()
     d = np.linspace(5, 595, 100)
-    prr.add_many(d, np.ones(d.size, dtype=bool))
+    add_distances(prr, d, np.ones(d.size, dtype=bool))
     assert all(r == 1.0 for _, r in prr_curve(prr))
 
 
@@ -120,10 +131,10 @@ def test_ipg_add_many_gap_values_and_order():
                ([0, 1, 2], [1, 0, 3], [30.0, 30.0, 100.0], 0.6)]
     store = IpgStore(150.0)
     for tx, rx, dist, t in batches:
-        store.add_many(np.array(tx), np.array(rx), np.array(dist), t)
+        add_receptions(store, np.array(tx), np.array(rx), np.array(dist), t)
     # (2, 3) was out of range at 0.1, so its reception at 0.6 opens no gap
-    assert store.gaps == [0.3 - 0.1, 0.6 - 0.1, 0.6 - 0.3]
-    assert all(type(g) is float for g in store.gaps)
+    assert store.gaps.tolist() == [0.3 - 0.1, 0.6 - 0.1, 0.6 - 0.3]
+    assert store.gaps.dtype == np.float64
     assert len(store.gaps) == 3
 
 
@@ -138,16 +149,16 @@ def test_ipg_add_many_matches_reference_loop():
         batches.append((tx, rx, rng.uniform(0.0, 300.0, size=tx.size), 0.1 * (step + 1)))
     store = IpgStore(150.0, n_nodes=12)
     for tx, rx, dist, t in batches:
-        store.add_many(tx, rx, dist, t)
+        add_receptions(store, tx, rx, dist, t)
     expected = reference_gaps(batches, 150.0)
-    assert store.gaps == expected and len(expected) > 50
+    assert store.gaps.tolist() == expected and len(expected) > 50
 
 
 def test_ipg_add_many_rejects_non_positive_gap():
     store = IpgStore(150.0)
-    store.add_many(np.array([0, 3]), np.array([1, 4]), np.array([5.0, 5.0]), 0.5)
+    store.add_many(np.array([0, 3]), np.array([1, 4]), 0.5)
     with pytest.raises(DataError, match=r"\(3, 4\)"):
-        store.add_many(np.array([3]), np.array([4]), np.array([5.0]), 0.5)
+        store.add_many(np.array([3]), np.array([4]), 0.5)
 
 
 def test_ipg_add_many_repeated_pairs_per_reception_times():
@@ -159,13 +170,13 @@ def test_ipg_add_many_repeated_pairs_per_reception_times():
     dist = rng.uniform(0.0, 300.0, size=n)
     times = np.cumsum(rng.uniform(0.001, 0.05, size=n))
     batched = IpgStore(150.0, n_nodes=5)
-    batched.add_many(tx, rx, dist, times)
+    add_receptions(batched, tx, rx, dist, times)
     one_by_one = IpgStore(150.0, n_nodes=5)
     for args in zip(tx, rx, dist, times):
-        one_by_one.add_many(*(np.array([a]) for a in args[:3]), float(args[3]))
+        add_receptions(one_by_one, *(np.array([a]) for a in args[:3]), float(args[3]))
     expected = reference_gaps([([a], [b], [c], t) for a, b, c, t in
                                zip(tx, rx, dist, times)], 150.0)
-    assert batched.gaps == one_by_one.gaps == expected
+    assert batched.gaps.tolist() == one_by_one.gaps.tolist() == expected
     assert len(batched.gaps) == len(expected) > 100
     assert np.array_equal(batched.last_time, one_by_one.last_time, equal_nan=True)
 
@@ -174,7 +185,7 @@ def test_ipg_add_many_rejects_non_positive_gap_inside_one_batch():
     store = IpgStore(150.0)
     with pytest.raises(DataError, match=r"\(2, 1\)"):
         store.add_many(np.array([0, 2, 0, 2]), np.array([1, 1, 1, 1]),
-                       np.array([5.0, 5.0, 5.0, 5.0]), np.array([0.1, 0.2, 0.3, 0.2]))
+                       np.array([0.1, 0.2, 0.3, 0.2]))
 
 
 def test_prr_add_many_matches_scalar_loop():
@@ -183,13 +194,22 @@ def test_prr_add_many_matches_scalar_loop():
     d[:3] = [0.0, 600.0, 599.999]
     ok = rng.random(500) < 0.6
     many, one = PrrSeries(default_bin_edges()), PrrSeries(default_bin_edges())
-    many.add_many(d, ok)
+    add_distances(many, d, ok)
     for di, oi in zip(d, ok):
         one.add(float(di), bool(oi))
     assert np.array_equal(many.opportunities, one.opportunities)
     assert np.array_equal(many.received, one.received)
     assert many.opportunities.dtype == np.int64 and many.received.dtype == np.int64
     assert one.opportunities.sum() < 500
+
+
+def test_bin_of_gives_n_outside_every_bin():
+    prr = PrrSeries(np.array([0.0, 30.0, 60.0]))
+    bins = prr.bin_of(np.array([-1.0, 0.0, 29.9, 30.0, 60.0, 1e9, np.nan]))
+    assert bins.tolist() == [2, 0, 0, 1, 2, 2, 2]
+    assert bins.dtype == np.int16
+    many = PrrSeries(np.arange(70_001, dtype=float))  # more bins than int16 holds
+    assert many.bin_of(np.array([69_999.5, 70_000.0])).tolist() == [69_999, 70_000]
 
 
 bin_edges = st.one_of(

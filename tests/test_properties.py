@@ -12,7 +12,10 @@ inter-packet gaps.
 
 A run that replays the link outcomes recorded under one reception model must
 give what a live run under another model gives, in both directions and on
-both technologies.
+both technologies; also when warmup falls inside a scoring batch, when many
+small batches merge into each chunk of the record, and when a curve model
+replays a record filled under a step model, skipping the draws of the links
+before warmup.
 """
 
 from dataclasses import replace
@@ -99,3 +102,33 @@ def test_replayed_links_match_a_live_run(tech, recorded_mode, data):
     links = engine.LinkRecord()
     engine.run(setup, recorded, links=links)
     assert_same_store(engine.run(setup, other, links=links), engine.run(setup, other))
+
+
+def straddling_setup(tech):
+    """A setup whose warmup falls inside a scoring batch of either engine."""
+    setup = make_setup(tech, seed=37, duration=1.2, warmup=0.37, density=40.0,
+                       road_length=ROAD_LENGTH_M, mobility_step_s=0.05)
+    return replace(setup, road=replace(setup.road, placement="fixed_count"))
+
+
+@pytest.mark.parametrize("case", ["warmup-inside-a-batch", "many-batches-per-chunk",
+                                  "curve-replay-of-a-step-record"])
+@pytest.mark.parametrize("tech", sorted(CURVES))
+def test_replayed_links_match_a_live_run_in_edge_cases(tech, case):
+    setup = straddling_setup(tech)
+    curve, step = curve_model(CURVES[tech]), step_model(CURVES[tech], 0.3)
+    recorded = step if case == "curve-replay-of-a-step-record" else curve
+    links = engine.LinkRecord()
+    small = 1 if case == "many-batches-per-chunk" else engine.SCORE_BATCH_ELEMENTS
+    with mock.patch.object(engine, "SCORE_BATCH_ELEMENTS", small), \
+            mock.patch.object(engine, "RECORD_CHUNK_LINKS", 5000), \
+            mock.patch.object(engine, "tally", wraps=engine.tally) as scored:
+        engine.run(setup, recorded, links=links)
+    batches = [call.args[0] for call in scored.call_args_list]
+    assert sum(chunk.skipped for chunk in links.chunks) > 0
+    if case == "warmup-inside-a-batch":
+        assert any(b.skipped and b.sinr.size for b in batches)
+    if case == "many-batches-per-chunk":
+        assert 1 < len(links.chunks) < len(batches) / 10
+    for other in (curve, step):
+        assert_same_store(engine.run(setup, other, links=links), engine.run(setup, other))
