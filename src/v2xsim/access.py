@@ -209,6 +209,9 @@ class SpsParams:
             raise ConfigError("keep_probability must be in [0, 1]")
         if not 0.0 < self.best_fraction <= 1.0:
             raise ConfigError("best_fraction must be in (0, 1]")
+        # a step <= 0 never lets the relaxation loop reach the candidate share
+        if not self.rsrp_relax_step_db > 0:
+            raise ConfigError("rsrp_relax_step_db must be > 0")
         if self.counter_min > self.counter_max:
             raise ConfigError("counter_min must be <= counter_max")
         if self.t1_s > self.t2_s:
@@ -221,7 +224,6 @@ class SpsParams:
 @dataclass
 class SpsState:
     reselection_counter: int = 0
-    keep_probability: float = 0.5
     needs_reselection: bool = True
 
 
@@ -268,9 +270,8 @@ class SensingWindow:
         return rows.sum(axis=1) / np.maximum(counts, 1)
 
 
-def sps_select(state: SpsState, sensing: SensingWindow, now_tti: int,
-               params: SpsParams, t_tti_s: float, rng: np.random.Generator,
-               n_subch_needed: int = 1) -> Selection:
+def sps_select(sensing: SensingWindow, now_tti: int, params: SpsParams, t_tti_s: float,
+               rng: np.random.Generator, n_subch_needed: int = 1) -> Selection:
     """Pick a resource in [now+T1, now+T2] following the sensing procedure.
 
     Candidates above the RSRP threshold are excluded, the threshold relaxing
@@ -317,7 +318,7 @@ def sps_after_transmission(state: SpsState, params: SpsParams,
     state.reselection_counter -= 1
     if state.reselection_counter > 0:
         return None
-    keep = bool(rng.random() < state.keep_probability)
+    keep = bool(rng.random() < params.keep_probability)
     if keep:
         state.reselection_counter = int(
             rng.integers(params.counter_min, params.counter_max + 1)

@@ -48,6 +48,10 @@ class PropagationConfig:
     coefficients: WinnerCoefficients = field(default_factory=WinnerCoefficients)
 
     def __post_init__(self):
+        if not self.carrier_hz > 0:
+            raise ConfigError("carrier_hz must be > 0")
+        if not self.shadowing_std_db >= 0:
+            raise ConfigError("shadowing_std_db must be >= 0")
         if self.decorrelation_m <= 0:
             raise ConfigError("decorrelation_m must be > 0")
         if self.bandwidth_hz <= 0:

@@ -15,9 +15,9 @@ from . import __version__, config as cfgmod
 from .abstraction import (AbstractionModel, FitPoint, fit_alpha, normalize_curve,
                           select_beta, shannon_throughput, threshold_for_settings,
                           threshold_from_curve, CurveMeta, PerCurve, StepFunction)
-from .engine import LinkRecord, ReceptionModel, run
+from .engine import LinkRecord, run
 from .errors import ConfigError, DataError
-from .metrics import MetricStore, ipg_ccdf, mae, prr_curve
+from .metrics import MetricStore, ipg_ccdf, mae
 from .settings import effective_throughput, tx_time
 from .util import linear_to_db
 
@@ -122,16 +122,13 @@ def load_model_file(path: str) -> AbstractionModel:
 
 
 def write_prr_csv(path: str, store: MetricStore):
-    curve = prr_curve(store.prr)
-    opportunities = store.prr.opportunities
-    edges = store.prr.bin_edges
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    prr = store.prr
+    centers = 0.5 * (prr.bin_edges[:-1] + prr.bin_edges[1:])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("bin_center_m,prr,opportunities\n")
-        by_center = {c: r for c, r in curve}
-        for c, n in zip(centers, opportunities):
+        for c, r, n in zip(centers, prr.received, prr.opportunities):
             if n > 0:
-                fh.write(f"{c:.1f},{by_center[float(c)]:.8f},{int(n)}\n")
+                fh.write(f"{c:.1f},{r / n:.8f},{int(n)}\n")
 
 
 def write_ipg_csv(path: str, store: MetricStore, grid):
@@ -190,42 +187,44 @@ def write_manifest(path: str, cp, command: str):
 # reception model assembly
 
 
-def build_reception(cp, mode: str | None = None, beta: float | None = None):
+def build_reception(cp, mode: str | None = None) -> PerCurve | StepFunction:
+    """The configured reception model: the PER curve, or a step threshold."""
     section = cp["reception"]
     mode = mode or section.get("mode", "step").strip()
-    beta = beta if beta is not None else float(section.get("beta", "0.5"))
+    beta = cfgmod._get(cp, "reception", "beta", float)
     curve_file = section.get("curve_file", "").strip()
     if mode == "curve":
         if not curve_file:
             raise ConfigError("reception.curve_file is required in curve mode")
-        return ReceptionModel(mode="per_curve", curve=load_curve_csv(curve_file))
+        return load_curve_csv(curve_file)
     if mode != "step":
         raise ConfigError(f"reception.mode must be step or curve, got {mode!r}")
     source = section.get("threshold_source", "curve").strip()
     if source == "curve":
         if not curve_file:
             raise ConfigError("reception.curve_file is required for threshold_source=curve")
-        step = threshold_from_curve(load_curve_csv(curve_file), beta)
-    elif source == "model":
+        return threshold_from_curve(load_curve_csv(curve_file), beta)
+    if source == "model":
         model_file = section.get("model_file", "").strip()
         if not model_file:
             raise ConfigError("reception.model_file is required for threshold_source=model")
         model = load_model_file(model_file)
         theta = cfgmod.build_theta(cp, cp["run"]["technology"].strip())
-        step = threshold_for_settings(theta, model)
-    elif source == "explicit":
-        raw = section.get("threshold_db", "").strip()
-        if not raw:
+        return threshold_for_settings(theta, model)
+    if source == "explicit":
+        threshold_db = cfgmod._get(cp, "reception", "threshold_db", float, allow_blank=True)
+        if threshold_db is None:
             raise ConfigError("reception.threshold_db is required for threshold_source=explicit")
-        step = StepFunction(gamma_th=10.0 ** (float(raw) / 10.0), beta=beta)
-    else:
-        raise ConfigError(f"unknown threshold_source {source!r}")
-    return ReceptionModel(mode="step_threshold", step=step)
+        return StepFunction(gamma_th=10.0 ** (threshold_db / 10.0), beta=beta)
+    raise ConfigError(f"unknown threshold_source {source!r}")
 
 
 def ipg_grid(cp):
-    step = float(cp["metrics"]["ipg_grid_step_s"])
-    top = float(cp["metrics"]["ipg_grid_max_s"])
+    step = cfgmod._get(cp, "metrics", "ipg_grid_step_s", float)
+    top = cfgmod._get(cp, "metrics", "ipg_grid_max_s", float)
+    if not 0 < step <= top:
+        raise ConfigError("metrics.ipg_grid_step_s must be > 0 and at most "
+                          "metrics.ipg_grid_max_s")
     n = int(round(top / step))
     return [step * i for i in range(1, n + 1)]
 
@@ -314,12 +313,12 @@ def cmd_derive_threshold(args) -> int:
     return 0
 
 
-def _simulate_to_dir(cp, setup, reception, out_dir: str, command: str,
+def _simulate_to_dir(cp, setup, reception, grid, out_dir: str, command: str,
                      links: LinkRecord | None = None) -> MetricStore:
     os.makedirs(out_dir, exist_ok=True)
     store = run(setup, reception, links=links)
     write_prr_csv(os.path.join(out_dir, "prr.csv"), store)
-    write_ipg_csv(os.path.join(out_dir, "ipg_ccdf.csv"), store, ipg_grid(cp))
+    write_ipg_csv(os.path.join(out_dir, "ipg_ccdf.csv"), store, grid)
     write_manifest(os.path.join(out_dir, "manifest.ini"), cp, command)
     return store
 
@@ -327,7 +326,8 @@ def _simulate_to_dir(cp, setup, reception, out_dir: str, command: str,
 def cmd_simulate(args) -> int:
     cp = cfgmod.load_config(args.config, args.set or [])
     reception = build_reception(cp)
-    store = _simulate_to_dir(cp, cfgmod.build_setup(cp), reception, args.out, "simulate")
+    store = _simulate_to_dir(cp, cfgmod.build_setup(cp), reception, ipg_grid(cp), args.out,
+                             "simulate")
     print(f"simulated {store.transmitted} transmissions, "
           f"{store.opportunities} reception opportunities, "
           f"{store.received_total} received")
@@ -355,11 +355,10 @@ def cmd_select_beta(args) -> int:
     # the channel is simulated once; each beta replays its link outcomes
     setup = cfgmod.build_setup(cp)
     links = LinkRecord()
-    benchmark = run(setup, ReceptionModel(mode="per_curve", curve=curve), links=links).prr
+    benchmark = run(setup, curve, links=links).prr
 
     def simulate_beta(beta):
-        model = ReceptionModel(mode="step_threshold", step=steps[beta])
-        return run(setup, model, links=links).prr
+        return run(setup, steps[beta], links=links).prr
 
     beta_hat, table = select_beta(betas, benchmark, simulate_beta)
     os.makedirs(args.out, exist_ok=True)
@@ -379,18 +378,19 @@ def cmd_validate(args) -> int:
     if not curve_file:
         raise ConfigError("validate needs reception.curve_file as the benchmark")
     os.makedirs(args.out, exist_ok=True)
-    # both models first, so that a bad one writes no output; the channel is
-    # simulated once and the step run replays its link outcomes
+    # both models and the IPG grid first, so that a bad one writes no output;
+    # the channel is simulated once and the step run replays its link outcomes
     curve_model = build_reception(cp, mode="curve")
     step_model = build_reception(cp, mode="step")
+    grid = ipg_grid(cp)
     setup = cfgmod.build_setup(cp)
     links = LinkRecord()
-    bench = _simulate_to_dir(cp, setup, curve_model, os.path.join(args.out, "curve"),
+    bench = _simulate_to_dir(cp, setup, curve_model, grid, os.path.join(args.out, "curve"),
                              "validate", links)
-    step = _simulate_to_dir(cp, setup, step_model, os.path.join(args.out, "step"),
+    step = _simulate_to_dir(cp, setup, step_model, grid, os.path.join(args.out, "step"),
                             "validate", links)
     value = mae(bench.prr, step.prr)
-    beta = float(cp["reception"]["beta"])
+    beta = cfgmod._get(cp, "reception", "beta", float)
     write_mae_csv(os.path.join(args.out, "mae.csv"), [(beta, value)], beta)
     print(f"MAE(step beta={beta} vs curve) = {value:.4f}")
     print(f"outputs in {args.out}/curve and {args.out}/step")

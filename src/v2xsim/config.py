@@ -212,7 +212,8 @@ def _get(cp, section, key, conv, allow_blank=False):
         value = conv(raw)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-    if conv is float and math.isnan(value):
+    # NaN and infinities make no quantity: a horizon of inf never ends
+    if conv is float and not math.isfinite(value):
         raise ConfigError(f"bad value for {section}.{key}: {raw!r}")
     return value
 
@@ -312,7 +313,6 @@ def build_road(cp) -> RoadConfig:
 
 def build_traffic(cp) -> TrafficConfig:
     return TrafficConfig(
-        payload_bytes=_get(cp, "traffic", "payload_bytes", int),
         generation_period_ms=_get(cp, "traffic", "generation_period_ms", float),
     )
 
@@ -343,14 +343,11 @@ def build_sps(cp) -> SpsParams:
 
 
 def build_setup(cp) -> SimulationSetup:
-    technology = _get(cp, "run", "technology", str)
-    theta = build_theta(cp, technology)
     run_cfg = RunConfig(
         seed=_get(cp, "run", "seed", int),
         sim_duration_s=_get(cp, "run", "sim_duration_s", float),
         warmup_s=_get(cp, "run", "warmup_s", float),
-        technology=technology,
-        theta=theta,
+        theta=build_theta(cp, _get(cp, "run", "technology", str)),
         max_range_m=_get(cp, "run", "max_range_m", float),
         mobility_step_s=_get(cp, "run", "mobility_step_ms", float) * 1e-3,
         prr_bin_width_m=_get(cp, "metrics", "prr_bin_width_m", float),

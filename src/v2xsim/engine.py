@@ -22,20 +22,22 @@ needs of the in-range (frame, receiver) links of frames that start after
 warmup: the SINR, the half-duplex flag, the PRR bin and the IPG in-range
 flag, each computed once; the links of frames that start before warmup are
 kept only as a count. A batch does not depend on the reception model,
-because the MAC never sees reception outcomes. One tally function (`tally`)
-draws the decisions of a batch and fills a `MetricStore`; it is the only
-reader of the reception model, which `run(setup, reception)` takes beside
-the setup. Reception is decided either by a hard SINR threshold or by a
-Bernoulli draw against the interpolated PER curve; each generated packet
-resolves, per in-range receiver, to exactly one of received /
-lost-by-SINR / lost-by-half-duplex.
+because the MAC never sees reception outcomes, so the engines know no
+model: each takes the setup whole and hands every scored batch to `emit`.
 
-Link records and replay: `run(setup, reception, links=LinkRecord())` keeps
-the batches of the live run in the record, merged in scoring order into
+`run(setup, reception)` owns the reception stream and the one tally loop.
+A reception model is a `PerCurve` (a Bernoulli draw against the
+interpolated PER curve) or a `StepFunction` (a hard SINR threshold);
+`tally` draws the decisions of a batch under it and fills a `MetricStore`.
+Each generated packet resolves, per in-range receiver, to exactly one of
+received / lost-by-SINR / lost-by-half-duplex.
+
+Link records and replay: `run(setup, reception, links=LinkRecord())` also
+keeps the emitted batches in the record, merged in scoring order into
 chunks of bounded size, with the vehicle count, the generated and
 transmitted counters and the setup it was filled under. A later `run` with
-another reception model and the filled record replays the chunks through
-the same tally with a fresh reception stream, without building geometry,
+another reception model and the filled record tallies the chunks through
+the same loop with a fresh reception stream, without building geometry,
 channel or MAC, and returns the store a live run under that model would.
 `select-beta` and `validate` simulate the channel once this way; a record
 only replays for the setup that filled it.
@@ -76,23 +78,6 @@ _LINK_INDEX_MAX = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
-class ReceptionModel:
-    mode: str  # per_curve | step_threshold
-    curve: PerCurve | None = None
-    step: StepFunction | None = None
-
-    def __post_init__(self):
-        if self.mode == "per_curve":
-            if self.curve is None or self.step is not None:
-                raise ConfigError("per_curve mode needs exactly a curve")
-        elif self.mode == "step_threshold":
-            if self.step is None or self.curve is not None:
-                raise ConfigError("step_threshold mode needs exactly a step function")
-        else:
-            raise ConfigError(f"unknown reception mode {self.mode!r}")
-
-
-@dataclass(frozen=True)
 class TransmissionEvent:
     tx_id: int
     start: float
@@ -111,8 +96,7 @@ class TransmissionEvent:
 class RunConfig:
     seed: int
     sim_duration_s: float
-    technology: str  # 11p | cv2x
-    theta: TechnologySettings
+    theta: TechnologySettings  # its type picks the engine
     warmup_s: float = 0.0
     max_range_m: float = 1000.0
     mobility_step_s: float = 0.1
@@ -130,11 +114,10 @@ class RunConfig:
         # a zero step would re-schedule the mobility epoch at the same instant forever
         if not self.mobility_step_s > 0:
             raise ConfigError("mobility_step_s must be > 0")
-        if self.technology not in ("11p", "cv2x"):
-            raise ConfigError(f"unknown technology {self.technology!r}")
-        wants_11p = self.technology == "11p"
-        if wants_11p != isinstance(self.theta, Ieee80211pSettings):
-            raise ConfigError("theta does not match the configured technology")
+        if not self.prr_bin_width_m > 0:
+            raise ConfigError("prr_bin_width_m must be > 0")
+        if not self.prr_max_distance_m > 0:
+            raise ConfigError("prr_max_distance_m must be > 0")
 
 
 @dataclass
@@ -147,13 +130,13 @@ class TraceLog:
     sps_counters: list = field(default_factory=list)  # (vid, before, after) per tx
 
 
-def decide_reception_vector(sinr_linear: np.ndarray, model: ReceptionModel,
+def decide_reception_vector(sinr_linear: np.ndarray, model: PerCurve | StepFunction,
                             rng: np.random.Generator) -> np.ndarray:
     if np.any(sinr_linear < 0):
         raise ConfigError("SINR must be >= 0")
-    if model.mode == "step_threshold":
-        return sinr_linear > model.step.gamma_th
-    per = model.curve.per_at_linear(sinr_linear)
+    if isinstance(model, StepFunction):
+        return sinr_linear > model.gamma_th
+    per = model.per_at_linear(sinr_linear)
     return rng.random(sinr_linear.shape) >= per
 
 
@@ -248,7 +231,7 @@ def _new_store(cfg: RunConfig, n: int) -> MetricStore:
     return MetricStore(prr=PrrSeries(edges), ipg=IpgStore(cfg.ipg_range_m, n))
 
 
-def tally(batch: LinkBatch, n: int, reception: ReceptionModel,
+def tally(batch: LinkBatch, n: int, reception: PerCurve | StepFunction,
           rng: np.random.Generator, metrics: MetricStore):
     """Decide every counted link of a batch under `reception` and count the outcomes.
 
@@ -257,7 +240,7 @@ def tally(batch: LinkBatch, n: int, reception: ReceptionModel,
     skips the draws of the skipped links by advancing; a step decision
     draws nothing.
     """
-    if batch.skipped and reception.mode == "per_curve":
+    if batch.skipped and isinstance(reception, PerCurve):
         rng.bit_generator.advance(batch.skipped)
     if batch.sinr.size == 0:
         return
@@ -345,32 +328,33 @@ class _PhyCache:
 
 
 class _RunBase:
-    def __init__(self, cfg: RunConfig, reception: ReceptionModel, road: RoadConfig,
-                 traffic: TrafficConfig, prop: PropagationConfig,
-                 trace: TraceLog | None, vehicles: list | None = None):
-        self.cfg = cfg
-        self.reception = reception
-        self.road = road
-        self.traffic = traffic
-        self.prop = prop
+    """The engine state both technologies share; scored batches go to `emit`.
+
+    `metrics` holds the MAC counters; its PRR bins and IPG range also give
+    each link its bin and in-range flag. The engine tallies nothing.
+    """
+
+    def __init__(self, setup: SimulationSetup, emit, trace: TraceLog | None):
+        cfg = self.cfg = setup.run
+        self.traffic = setup.traffic
+        self.emit = emit
         self.trace = trace
-        self.vehicles = scen.spawn(road, cfg.seed) if vehicles is None else vehicles
-        self.geom = Geometry(road, self.vehicles)
+        self.vehicles = (scen.spawn(setup.road, cfg.seed) if setup.vehicles is None
+                         else setup.vehicles)
+        self.geom = Geometry(setup.road, self.vehicles)
         self.n = self.geom.n
-        self.phy = _PhyCache(self.geom, prop, cfg.seed)
-        self.noise_mw = 10.0 ** (noise_power_dbm(prop) / 10.0)
-        self.rng_reception = stream(cfg.seed, "reception")
+        self.phy = _PhyCache(self.geom, setup.propagation, cfg.seed)
+        self.noise_mw = 10.0 ** (noise_power_dbm(setup.propagation) / 10.0)
         self.metrics = _new_store(cfg, self.n)
-        self.record = None  # a LinkRecord when the run fills one
         self.counting = False  # a frame that starts after warmup was scored
         self.phases = np.array([
-            generation_phase(v.id, cfg.seed, traffic.period_s) for v in self.vehicles
+            generation_phase(v.id, cfg.seed, self.traffic.period_s) for v in self.vehicles
         ]) if self.n else np.zeros(0)
 
     def _score(self, tx: np.ndarray, start: np.ndarray, end: np.ndarray,
                signal: np.ndarray, dist: np.ndarray, deaf: np.ndarray, hits,
                sources: np.ndarray):
-        """Link outcomes of F recorded frames at every in-range receiver, tallied.
+        """Link outcomes of F recorded frames at every in-range receiver, emitted.
 
         tx, start, end: (F,) transmitter, start and end time of each frame,
         frames sorted by start time; signal, dist: (F, N) received power
@@ -411,11 +395,9 @@ class _RunBase:
             denom[hit_frame[at]] += part
         d = dist.take(link)
         near = np.flatnonzero(self.metrics.ipg.near(d))
-        batch = LinkBatch(skipped, tx, end, signal.take(link) / denom.take(link),
-                          deaf.take(link), self.metrics.prr.bin_of(d), near, link.take(near))
-        if self.record is not None:
-            self.record.add(batch)
-        tally(batch, self.n, self.reception, self.rng_reception, self.metrics)
+        self.emit(LinkBatch(skipped, tx, end, signal.take(link) / denom.take(link),
+                            deaf.take(link), self.metrics.prr.bin_of(d), near,
+                            link.take(near)))
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +416,10 @@ class _Frame:
 
 
 class _Run11p(_RunBase):
-    def __init__(self, cfg, reception, road, traffic, prop, csma: CsmaParams, trace,
-                 vehicles=None):
-        super().__init__(cfg, reception, road, traffic, prop, trace, vehicles)
-        self.csma = csma
-        self.mac = CsmaNode(csma, [stream(cfg.seed, "backoff", v.id)
+    def __init__(self, setup: SimulationSetup, emit, trace: TraceLog | None):
+        super().__init__(setup, emit, trace)
+        csma = self.csma = setup.csma
+        self.mac = CsmaNode(csma, [stream(self.cfg.seed, "backoff", v.id)
                                    for v in self.vehicles])
         self.busy_decod = np.zeros(self.n, dtype=np.int64)
         self.energy_mw = np.zeros(self.n)
@@ -447,7 +428,7 @@ class _Run11p(_RunBase):
         self.active: list[_Frame] = []
         self.ended: list[_Frame] = []  # recorded, not yet scored
         self.heap: list = []  # (time, sequence number, kind, data)
-        self.duration_s = tx_time(cfg.theta)
+        self.duration_s = tx_time(self.cfg.theta)
         self.m85 = None
         self._refresh_masks()
 
@@ -578,19 +559,18 @@ class _Run11p(_RunBase):
 
 
 class _RunCv2x(_RunBase):
-    def __init__(self, cfg, reception, road, traffic, prop, sps: SpsParams,
-                 prb_table: PrbTable, trace, vehicles=None):
-        super().__init__(cfg, reception, road, traffic, prop, trace, vehicles)
-        theta: CV2xSettings = cfg.theta
-        self.sps_params = sps
+    def __init__(self, setup: SimulationSetup, emit, trace: TraceLog | None):
+        super().__init__(setup, emit, trace)
+        theta: CV2xSettings = self.cfg.theta
+        sps = self.sps_params = setup.sps
         self.t_tti = theta.t_tti_s
         if theta.n_tti != 1:
             raise ConfigError("the slotted engine supports single-TTI packets only")
-        period = traffic.period_s
+        period = self.traffic.period_s
         self.period_ttis = int(round(period / self.t_tti))
         if not math.isclose(self.period_ttis * self.t_tti, period):
             raise ConfigError("generation period must be a whole number of TTIs")
-        footprint = theta.n_prb_pkt + prb_table.control_overhead_prbs
+        footprint = theta.n_prb_pkt + setup.prb_table.control_overhead_prbs
         self.n_subch_needed = math.ceil(footprint / theta.n_prb_subch)
         if self.n_subch_needed > theta.n_subch:
             raise ConfigError("packet footprint exceeds the subchannel grid")
@@ -598,9 +578,8 @@ class _RunCv2x(_RunBase):
         self.window_ttis = max(int(round(sps.sensing_window_s / self.t_tti)), 1)
         # TTI-major: row t % window TTIs holds every vehicle's sensed subchannels
         self.ring = np.zeros((self.window_ttis, self.n, theta.n_subch))
-        self.sps_states = [SpsState(keep_probability=sps.keep_probability)
-                           for _ in range(self.n)]
-        self.sps_rngs = [stream(cfg.seed, "sps", v.id) for v in self.vehicles]
+        self.sps_states = [SpsState() for _ in range(self.n)]
+        self.sps_rngs = [stream(self.cfg.seed, "sps", v.id) for v in self.vehicles]
         # per vehicle: generation time of the packet awaiting its slot (NaN =
         # none) and the reserved resource (absolute TTI, first subchannel)
         self.pending = np.full(self.n, np.nan)
@@ -613,7 +592,7 @@ class _RunCv2x(_RunBase):
 
     def _select(self, vid: int, now_tti: int):
         st = self.sps_states[vid]
-        sel = sps_select(st, SensingWindow(self.ring[:, vid], now_tti), now_tti,
+        sel = sps_select(SensingWindow(self.ring[:, vid], now_tti), now_tti,
                          self.sps_params, self.t_tti, self.sps_rngs[vid],
                          n_subch_needed=self.n_subch_needed)
         self.reserved_subch[vid] = sel.subchannel
@@ -720,7 +699,7 @@ class SimulationSetup:
     vehicles: list | None = None
 
 
-def run(setup: SimulationSetup, reception: ReceptionModel,
+def run(setup: SimulationSetup, reception: PerCurve | StepFunction,
         trace: TraceLog | None = None, links: LinkRecord | None = None) -> MetricStore:
     """Execute one seeded run under `reception` and return its metric store.
 
@@ -729,30 +708,35 @@ def run(setup: SimulationSetup, reception: ReceptionModel,
     simulating, which needs the setup the record was filled under.
     """
     cfg = setup.run
+    rng = stream(cfg.seed, "reception")
+    record = None  # the record a live run fills
+
+    # n, metrics and record are bound below, before the first batch
+    def emit(batch: LinkBatch):
+        if record is not None:
+            record.add(batch)
+        tally(batch, n, reception, rng, metrics)
+
     if links is not None and links.filled:
         if trace is not None:
             raise ConfigError("a replayed run has no MAC to trace")
         if links.key != setup:
             raise ConfigError("the link record was filled under a different setup; "
                               "only the reception model may change")
-        metrics = _new_store(cfg, links.n)
+        n, metrics = links.n, _new_store(cfg, links.n)
         metrics.generated, metrics.transmitted = links.generated, links.transmitted
-        rng = stream(cfg.seed, "reception")
         for chunk in links.chunks:
-            tally(chunk, links.n, reception, rng, metrics)
+            emit(chunk)
         return metrics
-    if cfg.technology == "11p":
-        sim = _Run11p(cfg, reception, setup.road, setup.traffic, setup.propagation,
-                      setup.csma, trace, setup.vehicles)
-    else:
-        sim = _RunCv2x(cfg, reception, setup.road, setup.traffic, setup.propagation,
-                       setup.sps, setup.prb_table, trace, setup.vehicles)
+    engine = _Run11p if isinstance(cfg.theta, Ieee80211pSettings) else _RunCv2x
+    sim = engine(setup, emit, trace)
+    n, metrics = sim.n, sim.metrics
     if links is None:
         return sim.run()
-    sim.record = LinkRecord(n=sim.n)
-    metrics = sim.run()
-    sim.record.close()
+    record = LinkRecord(n=n)
+    sim.run()
+    record.close()
     # filled only once the run completed, so a failed run leaves it empty
-    links.key, links.n, links.chunks = setup, sim.n, sim.record.chunks
+    links.key, links.n, links.chunks = setup, n, record.chunks
     links.generated, links.transmitted = metrics.generated, metrics.transmitted
     return metrics

@@ -38,6 +38,8 @@ class RoadConfig:
             raise ConfigError("road_length_m must be > 0")
         if self.density_vpk <= 0:
             raise ConfigError("density_vpk must be > 0")
+        if not self.speed_std_kmh >= 0:
+            raise ConfigError("speed_std_kmh must be >= 0")
         if self.layout not in ("highway", "urban_grid"):
             raise ConfigError(f"unknown layout {self.layout!r}")
         if self.lanes_per_direction < 1:
@@ -48,9 +50,7 @@ class RoadConfig:
 
 @dataclass(frozen=True)
 class TrafficConfig:
-    payload_bytes: int = 350
     generation_period_ms: float = 100.0
-    jitter_rule: str = "fixed_phase_random_offset"
 
     def __post_init__(self):
         if self.generation_period_ms <= 0:

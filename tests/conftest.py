@@ -3,9 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from v2xsim.abstraction import threshold_from_curve
+from v2xsim.abstraction import StepFunction, threshold_from_curve
 from v2xsim.cli import load_curve_csv
-from v2xsim.engine import ReceptionModel, RunConfig, SimulationSetup, run
+from v2xsim.engine import RunConfig, SimulationSetup, run
 from v2xsim.scenario import RoadConfig, TrafficConfig, VehicleState
 from v2xsim.settings import CV2xSettings, Ieee80211pSettings
 
@@ -38,23 +38,18 @@ def make_setup(tech: str, *, seed=1, duration=10.0,
                vehicles=None, max_prr_distance=600.0, **run_kwargs) -> SimulationSetup:
     return SimulationSetup(
         run=RunConfig(seed=seed, sim_duration_s=duration, warmup_s=warmup,
-                      technology=tech, theta=default_theta(tech),
+                      theta=default_theta(tech),
                       prr_max_distance_m=max_prr_distance,
                       **run_kwargs),
         road=RoadConfig(road_length_m=road_length, density_vpk=density,
                         mean_speed_kmh=speed),
-        traffic=TrafficConfig(payload_bytes=350),
+        traffic=TrafficConfig(),
         vehicles=vehicles,
     )
 
 
-def step_model(curve, beta=0.5) -> ReceptionModel:
-    return ReceptionModel(mode="step_threshold",
-                          step=threshold_from_curve(curve, beta))
-
-
-def curve_model(curve) -> ReceptionModel:
-    return ReceptionModel(mode="per_curve", curve=curve)
+def step_model(curve, beta=0.5) -> StepFunction:
+    return threshold_from_curve(curve, beta)
 
 
 def vehicle_pair(distance_m: float, speed_ms: float = 0.0):
@@ -94,5 +89,5 @@ def run_bank():
     return RunBank()
 
 
-__all__ = ["make_setup", "step_model", "curve_model", "vehicle_pair", "run",
+__all__ = ["make_setup", "step_model", "vehicle_pair", "run",
            "curve_path", "assert_same_store"]

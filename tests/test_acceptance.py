@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (curve_model, curve_path, make_setup, step_model,
+from conftest import (curve_path, make_setup, step_model,
                       vehicle_pair)
 
 from v2xsim.abstraction import (AbstractionModel, FitPoint, fit_alpha,
@@ -43,7 +43,7 @@ def bundled_curve(tech):
 def reception_for(tech, mode, beta=0.5):
     curve = bundled_curve(tech)
     if mode == "curve":
-        return curve_model(curve)
+        return curve
     return step_model(curve, beta)
 
 
@@ -270,8 +270,7 @@ def test_criterion_07_ipg_floor():
     vehicles = [VehicleState(i, 0, 300.0 + 80.0 * i, 26.67, +1) for i in range(4)]
     theta_cv = CV2xSettings(payload_bytes=350)
     setup = SimulationSetup(
-        run=RunConfig(seed=1, sim_duration_s=20.0, warmup_s=0.5, technology="cv2x",
-                      theta=theta_cv),
+        run=RunConfig(seed=1, sim_duration_s=20.0, warmup_s=0.5, theta=theta_cv),
         road=RoadConfig(road_length_m=4000.0),
         traffic=TrafficConfig(),
         sps=SpsParams(keep_probability=1.0),
@@ -332,7 +331,7 @@ def test_criterion_10_mac_invariant_sweeps():
 
     # keep decisions stay near one half over ten thousand seeded draws
     params = SpsParams()
-    state = SpsState(keep_probability=0.5)
+    state = SpsState()
     rng = stream(77, "keep-sweep")
     keeps = []
     for _ in range(10_000):

@@ -1,6 +1,7 @@
 """CSMA state machine, carrier sensing, half duplex and sidelink resource selection."""
 
 import heapq
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from conftest import make_setup, vehicle_pair
 
 from v2xsim import engine
-from v2xsim.abstraction import StepFunction
 from v2xsim.access import (AIFS_WAIT, BACKOFF_FROZEN, IDLE, TRANSMITTING, CsmaNode,
                            CsmaParams, SensingWindow, SpsParams, SpsState,
                            sps_after_transmission, sps_select)
@@ -31,21 +31,15 @@ class FixedRng:
 
 # --- the engine's medium -------------------------------------------------------
 
-STEP = engine.ReceptionModel(mode="step_threshold", step=StepFunction(1.0, 0.5))
-
-
 def engine_run(tech, vehicles):
-    """An engine whose frames the test starts, ends and scores by hand."""
+    """An engine whose frames the test starts, ends and scores by hand.
+
+    Returns the engine and the list its scored batches go to.
+    """
     setup = make_setup(tech, duration=1.0, warmup=0.0, vehicles=vehicles)
-    if tech == "11p":
-        sim = engine._Run11p(setup.run, STEP, setup.road, setup.traffic,
-                             setup.propagation, setup.csma, None, setup.vehicles)
-    else:
-        sim = engine._RunCv2x(setup.run, STEP, setup.road, setup.traffic,
-                              setup.propagation, setup.sps, setup.prb_table, None,
-                              setup.vehicles)
-    sim.record = engine.LinkRecord(n=sim.n)
-    return sim
+    emitted = []
+    sim = (engine._Run11p if tech == "11p" else engine._RunCv2x)(setup, emitted.append, None)
+    return sim, emitted
 
 
 def play_11p(sim, frames):
@@ -70,8 +64,8 @@ def play_11p(sim, frames):
     (-86.0, 130, True),  # 130 such frames: -64.9 dBm of energy
 ])
 def test_carrier_sense_thresholds(power_dbm, frames, busy):
-    sim = engine_run("11p", [VehicleState(i, 0, 500.0 + 10.0 * i, 0.0, +1)
-                             for i in range(frames + 1)])
+    sim, _ = engine_run("11p", [VehicleState(i, 0, 500.0 + 10.0 * i, 0.0, +1)
+                                for i in range(frames + 1)])
     sim.phy.power_dbm[:] = power_dbm
     sim.phy.power_mw[:] = 10.0 ** (power_dbm / 10.0)
     sim._refresh_masks()
@@ -80,10 +74,9 @@ def test_carrier_sense_thresholds(power_dbm, frames, busy):
     assert bool(sim.busy[0]) is busy
 
 
-def half_duplex_at_0(sim):
+def half_duplex_at_0(sim, emitted):
     """Per frame of station 1, whether station 0 lost it to half duplex."""
-    sim.record.close()
-    (batch,) = sim.record.chunks
+    (batch,) = emitted
     # the stations are 10 m apart, so every link is inside the IPG range
     assert batch.near.tolist() == list(range(batch.sinr.size))
     frame, rx = np.divmod(batch.near_link, sim.n)
@@ -92,24 +85,24 @@ def half_duplex_at_0(sim):
 
 
 def test_half_duplex_disjoint_kept():
-    sim = engine_run("11p", vehicle_pair(10.0))
+    sim, emitted = engine_run("11p", vehicle_pair(10.0))
     airtime = sim.duration_s
     play_11p(sim, [(1, 0.0), (0, 1.5 * airtime), (1, 3.0 * airtime)])
-    assert half_duplex_at_0(sim) == [False, False]
+    assert half_duplex_at_0(sim, emitted) == [False, False]
 
 
 def test_half_duplex_same_tti_lost():
-    sim = engine_run("cv2x", vehicle_pair(10.0))
+    sim, emitted = engine_run("cv2x", vehicle_pair(10.0))
     sim.held = [(np.array([0, 1]), np.array([0, 20]), 0.0)]
     sim._score_held()
-    assert half_duplex_at_0(sim) == [True]
+    assert half_duplex_at_0(sim, emitted) == [True]
 
 
 def test_half_duplex_partial_overlap_lost():
-    sim = engine_run("11p", vehicle_pair(10.0))
+    sim, emitted = engine_run("11p", vehicle_pair(10.0))
     airtime = sim.duration_s
     play_11p(sim, [(0, 0.0), (1, 0.8 * airtime), (1, 2.0 * airtime)])
-    assert half_duplex_at_0(sim) == [True, False]
+    assert half_duplex_at_0(sim, emitted) == [True, False]
 
 
 # --- CSMA stations -------------------------------------------------------------
@@ -282,7 +275,7 @@ def empty_window(ttis=1000, subch=5, filled=1000):
 def test_cold_start_uniform_over_window():
     win = empty_window()
     rng = stream(1, "sps-test")
-    picks = [sps_select(SpsState(), win, 1000, SPS, 1e-3, rng) for _ in range(4000)]
+    picks = [sps_select(win, 1000, SPS, 1e-3, rng) for _ in range(4000)]
     ttis = np.array([p.tti for p in picks])
     subs = np.array([p.subchannel for p in picks])
     assert ttis.min() >= 1001 and ttis.max() <= 1100
@@ -297,7 +290,7 @@ def test_selection_respects_window_bounds():
     rng = stream(2, "sps-test")
     for now in (1000, 1500, 2000):
         win.filled_until = now
-        sel = sps_select(SpsState(), win, now, SPS, 1e-3, rng)
+        sel = sps_select(win, now, SPS, 1e-3, rng)
         assert now + 1 <= sel.tti <= now + 100
         assert 5 <= sel.reselection_counter <= 15
 
@@ -305,7 +298,7 @@ def test_selection_respects_window_bounds():
 def test_loud_window_relaxes_threshold():
     win = empty_window()
     win.power_mw[:, :] = 10 ** (-60 / 10.0)  # everything far above -110 dBm
-    sel = sps_select(SpsState(), win, 1000, SPS, 1e-3, stream(3, "sps-test"))
+    sel = sps_select(win, 1000, SPS, 1e-3, stream(3, "sps-test"))
     assert sel.threshold_dbm > SPS.rsrp_exclude_dbm
     assert sel.candidates_kept >= int(np.ceil(0.2 * sel.candidates_total))
 
@@ -315,7 +308,7 @@ def test_selection_prefers_quiet_resources():
     win.power_mw[:, :] = 10 ** (-70 / 10.0)
     win.power_mw[:, 2] = 0.0  # subchannel 2 is silent in every TTI
     rng = stream(4, "sps-test")
-    picks = [sps_select(SpsState(), win, 1000, SPS, 1e-3, rng) for _ in range(200)]
+    picks = [sps_select(win, 1000, SPS, 1e-3, rng) for _ in range(200)]
     assert all(p.subchannel == 2 for p in picks)
 
 
@@ -325,23 +318,23 @@ def test_candidate_set_at_least_best_fraction():
     win.power_mw[:, :] = rng.uniform(0, 1e-7, size=win.power_mw.shape)
     for now in (1000, 1250, 1999):
         win.filled_until = now
-        sel = sps_select(SpsState(), win, now, SPS, 1e-3, rng)
+        sel = sps_select(win, now, SPS, 1e-3, rng)
         assert sel.candidates_kept >= int(np.ceil(0.2 * sel.candidates_total))
 
 
 def test_keep_probability_one_retains_resource():
-    state = SpsState(keep_probability=1.0, reselection_counter=1,
-                     needs_reselection=False)
+    state = SpsState(reselection_counter=1, needs_reselection=False)
+    params = replace(SPS, keep_probability=1.0)
     rng = stream(6, "sps-test")
     for _ in range(200):
         state.reselection_counter = 1
-        keep = sps_after_transmission(state, SPS, rng)
+        keep = sps_after_transmission(state, params, rng)
         assert keep is True
         assert not state.needs_reselection
 
 
 def test_keep_fraction_near_half():
-    state = SpsState(keep_probability=0.5)
+    state = SpsState()
     rng = stream(7, "sps-test")
     keeps = []
     for _ in range(10_000):
@@ -353,7 +346,7 @@ def test_keep_fraction_near_half():
 
 
 def test_counter_decrements_without_draw():
-    state = SpsState(keep_probability=0.5, reselection_counter=5)
+    state = SpsState(reselection_counter=5)
     rng = stream(8, "sps-test")
     assert sps_after_transmission(state, SPS, rng) is None
     assert state.reselection_counter == 4
@@ -361,7 +354,7 @@ def test_counter_decrements_without_draw():
 
 def test_footprint_wider_than_grid_rejected():
     with pytest.raises(ConfigError):
-        sps_select(SpsState(), empty_window(subch=2), 1000, SPS, 1e-3,
+        sps_select(empty_window(subch=2), 1000, SPS, 1e-3,
                    stream(9, "sps-test"), n_subch_needed=3)
 
 

@@ -9,7 +9,6 @@ import pytest
 from conftest import make_setup, vehicle_pair
 
 from v2xsim import engine
-from v2xsim.abstraction import StepFunction
 from v2xsim.channel import (LinkShadowing, PropagationConfig, WinnerCoefficients,
                             free_space_loss_db, noise_power_dbm, path_loss_db,
                             rx_power_dbm, winner_formula_db)
@@ -146,10 +145,8 @@ def engine_sinr(signal_dbm, interferers=(), noise_dbm=-98.0):
     setup = make_setup("11p", duration=1.0, warmup=0.0, vehicles=vehicle_pair(10.0))
     prop = replace(setup.propagation, noise_figure_db=noise_dbm + 104.0)
     assert noise_power_dbm(prop) == noise_dbm
-    step = engine.ReceptionModel(mode="step_threshold", step=StepFunction(1.0, 0.5))
-    sim = engine._RunBase(setup.run, step, setup.road, setup.traffic, prop, None,
-                          setup.vehicles)
-    sim.record = engine.LinkRecord(n=sim.n)
+    emitted = []
+    sim = engine._RunBase(replace(setup, propagation=prop), emitted.append, None)
     k = len(interferers)
     hits = (np.zeros(k, dtype=np.intp), np.arange(k),
             np.array([share for share, _ in interferers], dtype=float))
@@ -157,8 +154,7 @@ def engine_sinr(signal_dbm, interferers=(), noise_dbm=-98.0):
     sim._score(np.array([0]), np.zeros(1), np.full(1, 1e-3),
                np.array([[0.0, 10.0 ** (signal_dbm / 10.0)]]), np.array([[0.0, 10.0]]),
                np.zeros((1, 2), dtype=bool), hits, sources)
-    sim.record.close()
-    (batch,) = sim.record.chunks
+    (batch,) = emitted
     return float(batch.sinr[0])
 
 

@@ -263,17 +263,63 @@ def test_simulate_bad_value_exits_2(tmp_path, capsys, key, value):
     assert "config error:" in capsys.readouterr().err
 
 
-def test_simulate_zero_mobility_step_exits_2(tmp_path):
-    # a child process, so that a hang fails the test instead of stalling the suite
+def run_cli_child(*argv):
+    """The CLI in a child process, so that a hang fails the test instead of stalling the suite."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    args = small_sim_args(tmp_path, tmp_path / "x", "--set", "run.mobility_step_ms=0",
-                          "--set", "run.sim_duration_s=1.0")
-    proc = subprocess.run([sys.executable, "-m", "v2xsim.cli", *args],
+    return subprocess.run([sys.executable, "-m", "v2xsim.cli", *argv],
                           capture_output=True, text=True, timeout=20, env=env)
+
+
+def test_simulate_zero_mobility_step_exits_2(tmp_path):
+    proc = run_cli_child(*small_sim_args(tmp_path, tmp_path / "x",
+                                         "--set", "run.mobility_step_ms=0",
+                                         "--set", "run.sim_duration_s=1.0"))
     assert proc.returncode == 2
     assert "config error:" in proc.stderr
+
+
+# the settings under which a bad value of these keys did harm
+BAD_VALUE_CONTEXT = {
+    # a crowded C-V2X channel where no candidate passes the first RSRP
+    # threshold, so that the first selection has to relax it
+    "cv2x.rsrp_relax_step_db": ("run.technology=cv2x", "road.density_vpk=400",
+                                "cv2x.rsrp_exclude_dbm=-200",
+                                "reception.curve_file="
+                                + os.path.join(CURVE_DIR, "highway_los_cv2x_mcs7_350B.csv")),
+    "propagation.shadowing_std_db": ("propagation.shadowing_is_variance=true",),
+    "reception.threshold_db": ("reception.threshold_source=explicit",),
+}
+
+
+@pytest.mark.parametrize("setting", [
+    "cv2x.rsrp_relax_step_db=0",  # relaxation loop never ends
+    "cv2x.rsrp_relax_step_db=-3",
+    "run.sim_duration_s=inf",  # never ends
+    "road.road_length_m=inf",
+    "road.density_vpk=inf",
+    "metrics.prr_bin_width_m=0",
+    "metrics.prr_bin_width_m=-5",
+    "metrics.prr_max_distance_m=-600",
+    "road.speed_std_kmh=-1",
+    "propagation.carrier_hz=0",
+    "propagation.carrier_hz=-5.9e9",
+    "propagation.shadowing_std_db=-3",  # read as a variance
+    "metrics.ipg_grid_step_s=0",
+    "metrics.ipg_grid_step_s=-0.01",  # ran to a header-only ipg_ccdf.csv
+    "metrics.ipg_grid_max_s=0",
+    "reception.beta=abc",
+    "reception.threshold_db=x",
+])
+def test_simulate_config_that_hung_or_crashed_exits_2(tmp_path, setting):
+    key = setting.split("=")[0]
+    overrides = [arg for item in (*BAD_VALUE_CONTEXT.get(key, ()), setting)
+                 for arg in ("--set", item)]
+    proc = run_cli_child(*small_sim_args(tmp_path, tmp_path / "x", *overrides))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:"), proc.stderr
+    assert key.split(".")[1] in proc.stderr, proc.stderr
 
 
 # --- select-beta and validate ----------------------------------------------------------

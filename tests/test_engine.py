@@ -6,16 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (assert_same_store, curve_model, make_setup, step_model,
-                      vehicle_pair)
+from conftest import assert_same_store, make_setup, step_model, vehicle_pair
 
 from v2xsim import engine
 from v2xsim.abstraction import PerCurve, StepFunction
 from v2xsim.channel import PropagationConfig, noise_power_dbm, rx_power_dbm
-from v2xsim.engine import (LinkBatch, LinkRecord, ReceptionModel, RunConfig,
-                           SimulationSetup, TraceLog, TransmissionEvent,
-                           decide_reception_vector, overlap_fraction, prb_overlap, run,
-                           tally)
+from v2xsim.engine import (LinkBatch, LinkRecord, RunConfig, SimulationSetup, TraceLog,
+                           TransmissionEvent, decide_reception_vector, overlap_fraction,
+                           prb_overlap, run, tally)
 from v2xsim.errors import ConfigError
 from v2xsim.metrics import IpgStore, MetricStore, prr_curve
 from v2xsim.scenario import VehicleState
@@ -24,21 +22,7 @@ from v2xsim.util import stream
 
 
 def zero_db_step():
-    return ReceptionModel(mode="step_threshold", step=StepFunction(1.0, 0.5))
-
-
-# --- reception model validation ------------------------------------------------
-
-def test_reception_model_exactly_one_payload():
-    curve = PerCurve(np.array([0.0, 10.0]), np.array([0.9, 0.1]))
-    with pytest.raises(ConfigError):
-        ReceptionModel(mode="per_curve")
-    with pytest.raises(ConfigError):
-        ReceptionModel(mode="step_threshold", curve=curve)
-    with pytest.raises(ConfigError):
-        ReceptionModel(mode="per_curve", curve=curve, step=StepFunction(1.0, 0.5))
-    with pytest.raises(ConfigError):
-        ReceptionModel(mode="other")
+    return StepFunction(1.0, 0.5)
 
 
 # --- decide_reception_vector ------------------------------------------------------
@@ -64,16 +48,14 @@ def test_step_monotone_in_sinr():
 
 
 def test_curve_mode_bernoulli_rate():
-    curve = PerCurve(np.array([-10.0, 10.0]), np.array([0.5, 0.5]))
-    model = ReceptionModel(mode="per_curve", curve=curve)
+    model = PerCurve(np.array([-10.0, 10.0]), np.array([0.5, 0.5]))
     rng = stream(3, "r")
     draws = decide_reception_vector(np.ones(10_000), model, rng)
     assert np.mean(draws) == pytest.approx(0.5, abs=0.01)
 
 
 def test_curve_mode_clamps_outside_range():
-    curve = PerCurve(np.array([0.0, 10.0]), np.array([0.9, 0.1]))
-    model = ReceptionModel(mode="per_curve", curve=curve)
+    model = PerCurve(np.array([0.0, 10.0]), np.array([0.9, 0.1]))
     rng = stream(4, "r")
     low = decide_reception_vector(np.full(100, 1e-6), model, rng)
     high = decide_reception_vector(np.full(100, 1e6), model, rng)
@@ -157,7 +139,7 @@ def test_single_vehicle_empty_metrics():
 def test_identical_seeds_identical_metrics(tech, curve_11p, curve_cv2x):
     curve = curve_11p if tech == "11p" else curve_cv2x
     stores = [run(make_setup(tech, seed=42, duration=4.0, warmup=0.5, density=30.0,
-                             road_length=1000.0), curve_model(curve))
+                             road_length=1000.0), curve)
               for _ in range(2)]
     a, b = stores
     assert np.array_equal(a.prr.received, b.prr.received)
@@ -179,21 +161,15 @@ def test_different_seeds_differ():
 def test_packet_outcome_conservation(tech, curve_11p, curve_cv2x):
     curve = curve_11p if tech == "11p" else curve_cv2x
     store = run(make_setup(tech, duration=5.0, warmup=0.5, density=80.0,
-                           road_length=1000.0), curve_model(curve))
+                           road_length=1000.0), curve)
     assert store.received_total + store.lost_sinr + store.lost_half_duplex \
         == store.opportunities
     assert store.opportunities > 0
 
 
-def test_theta_must_match_technology():
-    with pytest.raises(ConfigError):
-        RunConfig(seed=1, sim_duration_s=1.0, technology="cv2x",
-                  theta=Ieee80211pSettings(payload_bytes=350))
-
-
 def test_warmup_must_precede_end():
     with pytest.raises(ConfigError):
-        RunConfig(seed=1, sim_duration_s=1.0, warmup_s=1.0, technology="11p",
+        RunConfig(seed=1, sim_duration_s=1.0, warmup_s=1.0,
                   theta=Ieee80211pSettings(payload_bytes=350))
 
 
@@ -201,7 +177,7 @@ def test_multi_tti_packets_rejected_by_slotted_engine():
     theta = CV2xSettings(payload_bytes=350, n_prb_pkt=80)
     assert theta.n_tti == 2
     setup = SimulationSetup(
-        run=RunConfig(seed=1, sim_duration_s=1.0, technology="cv2x", theta=theta),
+        run=RunConfig(seed=1, sim_duration_s=1.0, theta=theta),
         vehicles=vehicle_pair(10.0),
     )
     with pytest.raises(ConfigError):
@@ -235,7 +211,7 @@ def test_noise_limited_curve_prr_matches_integration(curve_11p):
                                max_range_m=2500.0, max_prr_distance=2000.0,
                                road_length=4000.0,
                                vehicles=vehicle_pair(dist, speed_ms=26.67)),
-                    curve_model(curve_11p))
+                    curve_11p)
         received += store.received_total
         opportunities += store.opportunities
     assert opportunities > 10_000
@@ -250,13 +226,13 @@ def test_urban_crossing_runs_and_degrades_early():
 
     curve = load_curve_csv(curve_path("crossing_nlos_11p_mcs2_350B.csv"))
     setup = SimulationSetup(
-        run=RunConfig(seed=1, sim_duration_s=5.0, warmup_s=0.5, technology="11p",
+        run=RunConfig(seed=1, sim_duration_s=5.0, warmup_s=0.5,
                       theta=Ieee80211pSettings(payload_bytes=350)),
         road=RoadConfig(layout="urban_grid", road_length_m=1000.0,
                         density_vpk=60.0, mean_speed_kmh=40.0),
         traffic=TrafficConfig(),
     )
-    store = run(setup, curve_model(curve))
+    store = run(setup, curve)
     assert store.received_total + store.lost_sinr + store.lost_half_duplex \
         == store.opportunities
     ratios = dict(prr_curve(store.prr))
@@ -268,7 +244,7 @@ def test_urban_crossing_runs_and_degrades_early():
 def test_trace_records_mac_events(curve_cv2x):
     trace = TraceLog()
     run(make_setup("cv2x", duration=4.0, warmup=0.5, density=50.0, road_length=1000.0),
-        curve_model(curve_cv2x), trace=trace)
+        curve_cv2x, trace=trace)
     assert trace.sps_selections
     for trigger, sel in trace.sps_selections:
         assert trigger + 1 <= sel.tti <= trigger + 100
@@ -285,7 +261,7 @@ def small_record_setup(tech="11p"):
 @pytest.mark.parametrize("tech", ["11p", "cv2x"])
 def test_filling_a_record_leaves_the_run_unchanged(tech, curve_11p, curve_cv2x):
     setup = small_record_setup(tech)
-    model = curve_model(curve_11p if tech == "11p" else curve_cv2x)
+    model = curve_11p if tech == "11p" else curve_cv2x
     links = LinkRecord()
     filled = run(setup, model, links=links)
     assert links.filled and links.chunks
@@ -302,7 +278,7 @@ def one_link_frames(sinr, skipped):
 
 def test_tally_skips_the_curve_draws_of_the_skipped_links(curve_11p):
     sinr = 10.0 ** np.random.default_rng(3).uniform(-1.0, 1.5, size=500)
-    model = curve_model(curve_11p)
+    model = curve_11p
     drawn = decide_reception_vector(sinr, model, stream(9, "reception"))[200:]
     store = MetricStore(ipg=IpgStore(n_nodes=2))
     rng = stream(9, "reception")
@@ -324,8 +300,7 @@ def test_tally_draws_nothing_for_a_step_model(curve_11p):
 
 def test_frames_that_start_before_warmup_must_be_scored_first():
     setup = make_setup("11p", duration=1.0, warmup=0.5, vehicles=vehicle_pair(10.0))
-    sim = engine._RunBase(setup.run, zero_db_step(), setup.road, setup.traffic,
-                          setup.propagation, None, setup.vehicles)
+    sim = engine._RunBase(setup, lambda batch: None, None)
     no_hits = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
 
     def score(tx, start):
@@ -348,7 +323,7 @@ def test_a_record_keeps_16_bytes_per_counted_link_and_a_count_of_the_rest(
     # the highway of the benchmarks: 200 vehicles on a 2 km ring
     setup = make_setup(tech, seed=5, duration=0.8, warmup=0.3, density=100.0)
     setup = replace(setup, road=replace(setup.road, placement="fixed_count"))
-    model = curve_model(curve_11p if tech == "11p" else curve_cv2x)
+    model = curve_11p if tech == "11p" else curve_cv2x
     links = LinkRecord()
     counted = run(setup, model, links=links).opportunities
     held = sum(a.nbytes for chunk in links.chunks for a in chunk
@@ -368,7 +343,7 @@ def test_a_record_keeps_16_bytes_per_counted_link_and_a_count_of_the_rest(
 def test_replay_under_a_different_setup_raises(section, change, curve_11p):
     setup = small_record_setup()
     links = LinkRecord()
-    run(setup, curve_model(curve_11p), links=links)
+    run(setup, curve_11p, links=links)
     other = replace(setup, **{section: replace(getattr(setup, section), **change)})
     with pytest.raises(ConfigError, match="different setup"):
         run(other, step_model(curve_11p), links=links)
@@ -377,6 +352,6 @@ def test_replay_under_a_different_setup_raises(section, change, curve_11p):
 def test_replay_cannot_be_traced(curve_11p):
     setup = small_record_setup()
     links = LinkRecord()
-    run(setup, curve_model(curve_11p), trace=TraceLog(), links=links)
+    run(setup, curve_11p, trace=TraceLog(), links=links)
     with pytest.raises(ConfigError, match="trace"):
-        run(setup, curve_model(curve_11p), trace=TraceLog(), links=links)
+        run(setup, curve_11p, trace=TraceLog(), links=links)

@@ -26,8 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (assert_same_store, curve_model, curve_path, make_setup,
-                      step_model)
+from conftest import assert_same_store, curve_path, make_setup, step_model
 
 from v2xsim import engine
 from v2xsim.cli import load_curve_csv
@@ -40,7 +39,7 @@ ROAD_LENGTH_M = 1000.0
 def reception_models(tech, curve_mode):
     curve = CURVES[tech]
     if curve_mode:
-        return st.just(curve_model(curve))
+        return st.just(curve)
     return st.floats(0.1, 0.9).map(lambda beta: step_model(curve, beta))
 
 
@@ -116,7 +115,7 @@ def straddling_setup(tech):
 @pytest.mark.parametrize("tech", sorted(CURVES))
 def test_replayed_links_match_a_live_run_in_edge_cases(tech, case):
     setup = straddling_setup(tech)
-    curve, step = curve_model(CURVES[tech]), step_model(CURVES[tech], 0.3)
+    curve, step = CURVES[tech], step_model(CURVES[tech], 0.3)
     recorded = step if case == "curve-replay-of-a-step-record" else curve
     links = engine.LinkRecord()
     small = 1 if case == "many-batches-per-chunk" else engine.SCORE_BATCH_ELEMENTS

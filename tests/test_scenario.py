@@ -8,7 +8,7 @@ import pytest
 from conftest import make_setup
 
 from v2xsim.abstraction import StepFunction
-from v2xsim.engine import ReceptionModel, TraceLog, run
+from v2xsim.engine import TraceLog, run
 from v2xsim.errors import ConfigError
 from v2xsim.scenario import Geometry, RoadConfig, VehicleState, generation_phase, spawn
 
@@ -98,8 +98,7 @@ def test_generation_grid_is_periodic():
     trace = TraceLog()
     setup = make_setup("11p", seed=1, duration=0.35, warmup=0.0,
                        vehicles=[VehicleState(0, 0, 100.0, 0.0, +1)])
-    run(setup, ReceptionModel(mode="step_threshold", step=StepFunction(1.0, 0.5)),
-        trace=trace)
+    run(setup, StepFunction(1.0, 0.5), trace=trace)
     t1, t2, t3 = (t - setup.csma.aifs_s for t, _, _ in trace.tx_starts[:3])
     assert t1 == pytest.approx(phase)
     assert t2 - t1 == pytest.approx(period)
