@@ -12,7 +12,12 @@ only for a change that is meant to move simulation outputs.
 The MAC-trace digests pin, for short 802.11p highway runs at three
 densities, the full list of transmission starts (time, station, sensed
 busy) besides the two output files: any change to the CSMA state machine,
-its random draws or the order of same-instant events moves them.
+its random draws or the order of same-instant events moves them. The SPS
+digests pin, for two short C-V2X highway runs, the full list of resource
+selections besides the two output files: one on the default subchannel grid
+and one on a single 50-PRB subchannel, where numpy sums the sensing-window
+projection pairwise instead of in order. Any change to the projection's last
+bits, to the relaxed threshold or to the selection draws moves them.
 """
 
 import hashlib
@@ -94,10 +99,25 @@ MAC_DIGESTS = {
 }
 
 
-def simulate_traced(name, out):
-    """(tx_starts digest, prr.csv + ipg_ccdf.csv digest) of one traced run."""
+def simulate_traced(sets, out):
+    """(trace, prr.csv + ipg_ccdf.csv digest) of one traced run."""
+    cp = cfgmod.load_config(None, [f"{k}={v}" for k, v in sets.items()])
+    trace = TraceLog()
+    store = run(cfgmod.build_setup(cp), build_reception(cp), trace)
+    write_prr_csv(str(out / "prr.csv"), store)
+    write_ipg_csv(str(out / "ipg_ccdf.csv"), store, ipg_grid(cp))
+    outputs = b"".join((out / f).read_bytes() for f in ("prr.csv", "ipg_ccdf.csv"))
+    return trace, hashlib.sha256(outputs).hexdigest()
+
+
+def digest_repr(items):
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(MAC_CASES))
+def test_mac_trace_matches_recorded_digests(name, tmp_path):
     density, mode, duration = MAC_CASES[name]
-    sets = {
+    trace, outputs = simulate_traced({
         "run.technology": "11p",
         "run.seed": 23,
         "run.sim_duration_s": duration,
@@ -106,20 +126,40 @@ def simulate_traced(name, out):
         "reception.curve_file": curve_path("highway_los_11p_mcs2_350B.csv"),
         "road.placement": "fixed_count",
         "road.density_vpk": density,
-    }
-    cp = cfgmod.load_config(None, [f"{k}={v}" for k, v in sets.items()])
-    trace = TraceLog()
-    store = run(cfgmod.build_setup(cp), build_reception(cp), trace)
-    write_prr_csv(str(out / "prr.csv"), store)
-    write_ipg_csv(str(out / "ipg_ccdf.csv"), store, ipg_grid(cp))
-    outputs = b"".join((out / f).read_bytes() for f in ("prr.csv", "ipg_ccdf.csv"))
-    return (hashlib.sha256(repr(trace.tx_starts).encode()).hexdigest(),
-            hashlib.sha256(outputs).hexdigest())
+    }, tmp_path)
+    assert (digest_repr(trace.tx_starts), outputs) == MAC_DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", sorted(MAC_CASES))
-def test_mac_trace_matches_recorded_digests(name, tmp_path):
-    assert simulate_traced(name, tmp_path) == MAC_DIGESTS[name]
+SPS_CASES = {
+    # name: subchannel grid overrides
+    "cv2x-sps-default-grid": {},
+    # one subchannel of depth-10 windows: numpy's pairwise summation case
+    "cv2x-sps-one-subchannel": {"cv2x.n_subch": 1, "cv2x.n_prb_subch": 50},
+}
+
+SPS_DIGESTS = {
+    "cv2x-sps-default-grid": (
+        "e4e3490939bb98b31852cd1b8c0935b8f362446d3459e64730463b3885e2ffd5",
+        "0a2592755a48cebd60a125e020d37e47773240680b6497584890cf3283c7cd31"),
+    "cv2x-sps-one-subchannel": (
+        "b46800416ebf2312e5094f50cfa00352360dbe56f9903e39d951c90426d35cfb",
+        "689dcd9291a120cd70c4cca1495c681041fdc62ac6cfabe03b923b3b0d793273"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPS_CASES))
+def test_sps_trace_matches_recorded_digests(name, tmp_path):
+    trace, outputs = simulate_traced({
+        "run.technology": "cv2x",
+        "run.seed": 5,
+        "run.sim_duration_s": 2.5,
+        "run.warmup_s": 0.5,
+        "reception.curve_file": curve_path("highway_los_cv2x_mcs7_350B.csv"),
+        "road.placement": "fixed_count",
+        "road.density_vpk": 100.0,
+        **SPS_CASES[name],
+    }, tmp_path)
+    assert (digest_repr(trace.sps_selections), outputs) == SPS_DIGESTS[name]
 
 
 SELECT_BETA_DIGEST = "a65d93a8b2895dbbef2227b1c6a30a63ef1195a7bbdebf898aaa3ed7acf85e86"
