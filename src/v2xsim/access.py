@@ -257,17 +257,30 @@ class SensingWindow:
         Each candidate is judged by the past occurrences of its slot on the
         resource period grid that fall inside the sensing window; unsensed
         occurrences are skipped, and a fully unsensed candidate counts as free.
+
+        Occurrence m of candidate c is the row c - m·period, m = 1..depth
+        (depth = window TTIs // period). Only the levels m that can land in
+        the recorded span [max(filled_until - window TTIs, 0), filled_until)
+        for some candidate are read; for ascending candidates they form one
+        range [m_lo, m_hi], and none are read when it is empty. The read
+        levels keep their own depth positions in a (candidate, depth,
+        subchannel) stack that is zero elsewhere, and the stack is summed over
+        the depth axis. So numpy's reduction order (in order, or pairwise when
+        there is a single subchannel) and every bit of the result stay those
+        of summing all depth levels.
         """
-        depth = max(self.window_ttis // period_ttis, 1)
-        m = np.arange(1, depth + 1)
-        past = candidate_ttis[:, None] - m[None, :] * period_ttis
+        n_cand, depth = candidate_ttis.size, max(self.window_ttis // period_ttis, 1)
         lo = max(self.filled_until - self.window_ttis, 0)
-        valid = (past >= lo) & (past < self.filled_until)
-        rows = self.power_mw[past % self.window_ttis]  # (cand, depth, subch)
-        usable = valid[:, :, None] & ~np.isnan(rows)
-        rows = np.where(usable, rows, 0.0)
-        counts = usable.sum(axis=1)
-        return rows.sum(axis=1) / np.maximum(counts, 1)
+        m_lo = max((int(candidate_ttis[0]) - self.filled_until) // period_ttis + 1, 1)
+        m_hi = min((int(candidate_ttis[-1]) - lo) // period_ttis, depth)
+        if m_lo > m_hi:
+            return np.zeros((n_cand, self.n_subch))
+        past = candidate_ttis[:, None] - np.arange(m_lo, m_hi + 1) * period_ttis
+        rows = self.power_mw[past % self.window_ttis]  # (cand, m_hi - m_lo + 1, subch)
+        usable = ((past >= lo) & (past < self.filled_until))[:, :, None] & ~np.isnan(rows)
+        stack = np.zeros((n_cand, depth, self.n_subch))
+        stack[:, m_lo - 1:m_hi] = np.where(usable, rows, 0.0)
+        return stack.sum(axis=1) / np.maximum(usable.sum(axis=1), 1)
 
 
 def sps_select(sensing: SensingWindow, now_tti: int, params: SpsParams, t_tti_s: float,

@@ -118,6 +118,9 @@ class RunConfig:
             raise ConfigError("prr_bin_width_m must be > 0")
         if not self.prr_max_distance_m > 0:
             raise ConfigError("prr_max_distance_m must be > 0")
+        # a range <= 0 holds no pair, so ipg_ccdf.csv would be a bare header
+        if not self.ipg_range_m > 0:
+            raise ConfigError("ipg_range_m must be > 0")
 
 
 @dataclass

@@ -38,6 +38,8 @@ class RoadConfig:
             raise ConfigError("road_length_m must be > 0")
         if self.density_vpk <= 0:
             raise ConfigError("density_vpk must be > 0")
+        if not self.mean_speed_kmh >= 0:
+            raise ConfigError("mean_speed_kmh must be >= 0")
         if not self.speed_std_kmh >= 0:
             raise ConfigError("speed_std_kmh must be >= 0")
         if self.layout not in ("highway", "urban_grid"):

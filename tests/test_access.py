@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_setup, vehicle_pair
 
@@ -350,6 +352,49 @@ def test_counter_decrements_without_draw():
     rng = stream(8, "sps-test")
     assert sps_after_transmission(state, SPS, rng) is None
     assert state.reselection_counter == 4
+
+
+def projected_average_full_depth(window, candidate_ttis, period_ttis):
+    """Reference projection: gathers and sums every depth level of every candidate."""
+    depth = max(window.window_ttis // period_ttis, 1)
+    m = np.arange(1, depth + 1)
+    past = candidate_ttis[:, None] - m[None, :] * period_ttis
+    lo = max(window.filled_until - window.window_ttis, 0)
+    valid = (past >= lo) & (past < window.filled_until)
+    rows = window.power_mw[past % window.window_ttis]  # (cand, depth, subch)
+    usable = valid[:, :, None] & ~np.isnan(rows)
+    rows = np.where(usable, rows, 0.0)
+    counts = usable.sum(axis=1)
+    return rows.sum(axis=1) / np.maximum(counts, 1)
+
+
+@st.composite
+def sensing_cases(draw):
+    """A sensing window and a candidate range around where its recording stops."""
+    n_subch = draw(st.integers(1, 8))
+    period = draw(st.integers(1, 30))
+    depth = draw(st.integers(1, 16))
+    window_ttis = depth * period + draw(st.integers(0, period - 1))
+    filled_until = draw(st.one_of(st.integers(0, window_ttis - 1),  # still filling
+                                  st.integers(window_ttis, 2 * window_ttis),  # full
+                                  st.integers(2 * window_ttis + 1, 6 * window_ttis)))  # wrapped
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    power = 10.0 ** rng.uniform(-14.0, -7.0, size=(window_ttis, n_subch))
+    power[rng.random(power.shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0  # idle subchannels
+    power[rng.random(window_ttis) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0  # silent TTIs
+    power[rng.random(window_ttis) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = np.nan  # own TTIs
+    # candidates from before the recorded span to past its end
+    first = filled_until + draw(st.integers(-(depth + 1) * period, 2 * period))
+    candidates = np.arange(first, first + draw(st.integers(1, 2 * period + 2)))
+    return SensingWindow(power, filled_until), candidates, period
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=sensing_cases())
+def test_projection_matches_full_depth_reference_bit_for_bit(case):
+    window, candidates, period = case
+    got = window.projected_average_mw(candidates, period)
+    assert np.array_equal(got, projected_average_full_depth(window, candidates, period))
 
 
 def test_footprint_wider_than_grid_rejected():

@@ -254,6 +254,9 @@ def test_simulate_nonexistent_curve_exits_3(tmp_path):
                                         ("cv2x.sensing_window_ms", "50"),
                                         ("road.lanes_per_direction", "0"),
                                         ("road.placement", "grid"),
+                                        ("road.mean_speed_kmh", "-50"),
+                                        ("metrics.ipg_range_m", "0"),
+                                        ("metrics.ipg_range_m", "-150"),
                                         ("ieee80211p.cw_max", "-1"),
                                         ("ieee80211p.slot_time_us", "nan"),
                                         ("ieee80211p.slot_time_us", "0")])
