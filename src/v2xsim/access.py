@@ -269,7 +269,8 @@ class SensingWindow:
         there is a single subchannel) and every bit of the result stay those
         of summing all depth levels.
         """
-        n_cand, depth = candidate_ttis.size, max(self.window_ttis // period_ttis, 1)
+        n_cand = candidate_ttis.size
+        depth = max(self.window_ttis // period_ttis, 1)
         lo = max(self.filled_until - self.window_ttis, 0)
         m_lo = max((int(candidate_ttis[0]) - self.filled_until) // period_ttis + 1, 1)
         m_hi = min((int(candidate_ttis[-1]) - lo) // period_ttis, depth)
