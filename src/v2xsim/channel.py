@@ -71,6 +71,11 @@ class PropagationConfig:
         return self.tx_power_density_dbm_mhz + 10.0 * math.log10(self.bandwidth_hz / 1e6)
 
     @property
+    def lossless_rx_dbm(self) -> float:
+        """Received power before path loss and shadowing: tx power plus both antenna gains."""
+        return self.tx_power_dbm + 2.0 * self.antenna_gain_dbi
+
+    @property
     def breakpoint_m(self) -> float:
         return 4.0 * self.antenna_height_m ** 2 * self.carrier_hz / SPEED_OF_LIGHT
 
@@ -147,9 +152,4 @@ class LinkShadowing:
 def rx_power_dbm(distance_m, cfg: PropagationConfig, shadowing_db=0.0,
                  los: bool | np.ndarray | None = None):
     """Link budget: tx power + both antenna gains - path loss - shadowing."""
-    return (
-        cfg.tx_power_dbm
-        + 2.0 * cfg.antenna_gain_dbi
-        - path_loss_db(distance_m, cfg, los=los)
-        - shadowing_db
-    )
+    return cfg.lossless_rx_dbm - path_loss_db(distance_m, cfg, los=los) - shadowing_db

@@ -4,9 +4,12 @@
 mobility epochs, while channel-access instants live in the CSMA arrays; the
 next event is the earlier of the heap top and the earliest access, ties
 going by one shared sequence counter. C-V2X runs on a TTI-slotted
-timeline. Both share the same vectorized link-budget cache: per mobility
-epoch the engine refreshes an NxN received-power matrix with
-`channel.rx_power_dbm` (path loss + correlated shadowing).
+timeline. Both share the same link-budget cache (`_PhyCache`): per
+mobility epoch the engine overwrites its NxN distance, shadowing and
+received-power buffers in place, walking the vehicles in row blocks. The
+terms symmetric in the vehicle pair (distance, LOS, path loss) are
+computed once per pair and mirrored; shadowing and the link budget are
+computed per directed link, the shadowing drawn in row order.
 
 The event loops only record frames; one scorer turns them into link
 outcomes in F x N passes against all in-range receivers. An ended 802.11p
@@ -56,7 +59,7 @@ from . import scenario as scen
 from .abstraction import PerCurve, StepFunction
 from .access import (CsmaNode, CsmaParams, SensingWindow, SpsParams, SpsState,
                      sps_after_transmission, sps_select)
-from .channel import LinkShadowing, PropagationConfig, noise_power_dbm, rx_power_dbm
+from .channel import LinkShadowing, PropagationConfig, noise_power_dbm, path_loss_db
 from .errors import ConfigError
 from .metrics import IpgStore, MetricStore, PrrSeries, default_bin_edges
 from .scenario import Geometry, RoadConfig, TrafficConfig, generation_phase
@@ -70,6 +73,11 @@ POWER_FLOOR_DBM = -999.0
 # enough to amortize the numpy calls of a pass, small enough to keep the
 # held rows out of peak memory
 SCORE_BATCH_ELEMENTS = 51_200
+# the channel refresh computes its links in row blocks of about this many
+# elements (30 rows at 800 vehicles, 122 at 200): more blocks skip more of
+# the symmetric half, fewer amortize their numpy calls (picked by timing
+# evolving refreshes at 200, 400 and 800 vehicles)
+REFRESH_BLOCK_ELEMENTS = 24_576
 # a link record merges scored batches into chunks of about this many counted
 # links: few tally calls per replay, and a bounded copy per merge
 RECORD_CHUNK_LINKS = 1 << 18
@@ -299,35 +307,65 @@ def prb_overlap(tti: np.ndarray, prb_start: np.ndarray, prb_count: int):
 
 
 class _PhyCache:
-    """Per-epoch link state: received power, distances, LOS, shadowing."""
+    """Per-epoch link state: distance, shadowing and received power, (N, N) each.
+
+    The buffers are allocated once per run and each refresh overwrites them
+    in place: a row read after the next refresh holds the next epoch's
+    values, so a reader that keeps a row past an epoch copies it, as
+    `_Run11p._begin_frame` does.
+
+    A refresh walks the vehicles in row blocks [r0, r1) of about
+    REFRESH_BLOCK_ELEMENTS links. Distance, LOS, propagation distance and
+    path loss are symmetric in the vehicle pair, so a block computes them
+    for the columns [r0, N) only and mirrors the off-diagonal part into the
+    rows below; power_dbm holds the path loss of the rows not yet finished.
+    Rows [r0, r1) are then complete and get their directed part: shadowing,
+    the link budget, the power floor on the diagonal and the mW power. The
+    shadowing draws come from the one `shadowing` stream in row order, the
+    order of one (N, N) draw.
+    """
 
     def __init__(self, geom: Geometry, prop: PropagationConfig, seed: int):
         self.geom = geom
         self.prop = prop
         self.rng = stream(seed, "shadowing")
         n = geom.n
-        self.shadow_db = prop.shadowing_sigma_db * self.rng.standard_normal((n, n))
+        self.dist, self.shadow_db, self.power_dbm, self.power_mw = (
+            np.empty((n, n)) for _ in range(4))
         self._last_traveled = geom.traveled.copy()
-        self.power_dbm = None
-        self.power_mw = None
-        self.dist = None
         self.refresh(first=True)
 
     def refresh(self, first: bool = False):
+        """Overwrite the buffers with this epoch's links; the first refresh draws the shadowing."""
         geom, prop = self.geom, self.prop
-        if not first:
-            delta = geom.traveled - self._last_traveled
-            self.shadow_db = LinkShadowing.evolve_matrix(
-                self.shadow_db, delta, prop.shadowing_sigma_db,
-                prop.decorrelation_m, self.rng,
-            )
-            self._last_traveled = geom.traveled.copy()
-        los = geom.los_matrix()
-        self.dist = geom.distance_matrix()
-        pd = geom.propagation_distance_matrix(los, self.dist)
-        self.power_dbm = rx_power_dbm(pd, prop, self.shadow_db, los=los)
-        np.fill_diagonal(self.power_dbm, POWER_FLOOR_DBM)
-        self.power_mw = 10.0 ** (self.power_dbm / 10.0)
+        n, sigma = geom.n, prop.shadowing_sigma_db
+        delta = geom.traveled - self._last_traveled
+        self._last_traveled = geom.traveled.copy()
+        step = max(REFRESH_BLOCK_ELEMENTS // max(n, 1), 1)
+        for r0 in range(0, n, step):
+            r1 = min(r0 + step, n)
+            rows, cols = slice(r0, r1), slice(r0, None)
+            dist = geom.distance_matrix(rows, cols)
+            los = geom.los_matrix(rows, cols)
+            loss = path_loss_db(geom.propagation_distance_matrix(los, dist, rows, cols),
+                                prop, los=los)
+            for buf, block in ((self.dist, dist), (self.power_dbm, loss)):
+                buf[rows, cols] = block
+                buf[r1:, rows] = block[:, r1 - r0:].T
+            shadow = self.shadow_db[rows]
+            if first:
+                self.rng.standard_normal(out=shadow)
+                shadow *= sigma
+            else:
+                shadow[...] = LinkShadowing.evolve_matrix(
+                    shadow, delta[rows], sigma, prop.decorrelation_m, self.rng)
+            # the link budget of `channel.rx_power_dbm`, over the path loss in place
+            power, mw = self.power_dbm[rows], self.power_mw[rows]
+            np.subtract(prop.lossless_rx_dbm, power, out=power)
+            power -= shadow
+            power[np.arange(r1 - r0), np.arange(r0, r1)] = POWER_FLOOR_DBM
+            np.divide(power, 10.0, out=mw)
+            np.power(10.0, mw, out=mw)
 
 
 class _RunBase:

@@ -16,6 +16,7 @@ from .errors import ConfigError
 from .util import stream
 
 KMH_TO_MS = 1000.0 / 3600.0
+ALL = slice(None)  # every vehicle
 
 
 @dataclass(frozen=True)
@@ -135,8 +136,8 @@ class Geometry:
             self.pos %= self.road.road_length_m
         self.traveled = self.traveled + self.speed * dt
 
-    def _axis_delta(self, a: np.ndarray) -> np.ndarray:
-        d = np.abs(a[:, None] - a[None, :])
+    def _axis_delta(self, a: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+        d = np.abs(a[rows, None] - a[None, cols])
         if self.road.wrap_around:
             d = np.minimum(d, self.road.road_length_m - d)
         return d
@@ -148,36 +149,43 @@ class Geometry:
         y = np.where(self.street == 0, self.lateral, centered)
         return x, y
 
-    def distance_matrix(self) -> np.ndarray:
+    # Each link matrix below takes the block of transmitter `rows` against
+    # receiver `cols` (vehicle index slices); by default all against all.
+    # An element depends only on its vehicle pair, so a block equals the
+    # same block of the full matrix bit for bit.
+
+    def distance_matrix(self, rows: slice = ALL, cols: slice = ALL) -> np.ndarray:
         if self.road.layout == "highway":
-            dx = self._axis_delta(self.pos)
-            dy = np.abs(self.lateral[:, None] - self.lateral[None, :])
+            dx = self._axis_delta(self.pos, rows, cols)
+            dy = np.abs(self.lateral[rows, None] - self.lateral[None, cols])
             return np.hypot(dx, dy)
         x, y = self.xy()
-        return np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+        return np.hypot(x[rows, None] - x[None, cols], y[rows, None] - y[None, cols])
 
-    def los_matrix(self) -> np.ndarray:
+    def los_matrix(self, rows: slice = ALL, cols: slice = ALL) -> np.ndarray:
         """True where a link is line-of-sight under the layout's geometry.
 
         Cross-street links are blocked by the corner unless one endpoint sits
         inside the intersection opening.
         """
         if self.road.layout == "highway":
-            return np.ones((self.n, self.n), dtype=bool)
-        same = self.street[:, None] == self.street[None, :]
+            return np.ones((self.pos[rows].size, self.pos[cols].size), dtype=bool)
+        same = self.street[rows, None] == self.street[None, cols]
         x, y = self.xy()
         along = np.where(self.street == 0, x, y)
         near_corner = np.abs(along) <= self.road.corner_los_m
-        return same | near_corner[:, None] | near_corner[None, :]
+        return same | near_corner[rows, None] | near_corner[None, cols]
 
-    def propagation_distance_matrix(self, los: np.ndarray, d: np.ndarray) -> np.ndarray:
+    def propagation_distance_matrix(self, los: np.ndarray, d: np.ndarray,
+                                    rows: slice = ALL, cols: slice = ALL) -> np.ndarray:
         """Euclidean `d` for LOS; around-the-corner (Manhattan) for NLOS links.
 
-        `d` is this geometry's `distance_matrix()`, which callers already hold.
+        `los` and `d` are this geometry's `los_matrix` and `distance_matrix`
+        of the same block, which callers already hold.
         """
         if self.road.layout == "highway":
             return d
         x, y = self.xy()
-        along = np.where(self.street == 0, x, y)
-        manhattan = np.abs(along)[:, None] + np.abs(along)[None, :]
+        along = np.abs(np.where(self.street == 0, x, y))
+        manhattan = along[rows, None] + along[None, cols]
         return np.where(los, d, np.maximum(manhattan, d))

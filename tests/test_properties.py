@@ -8,7 +8,8 @@ same warmup cut and the same inter-packet gaps in the same order, also when
 every C-V2X transmission triggers a resource reselection. Each run must
 also resolve each reception opportunity to exactly one outcome, never count
 more receptions than opportunities in a PRR bin, and record only positive
-inter-packet gaps.
+inter-packet gaps. Nothing changes either when the channel refresh works in
+row blocks of a few links each.
 
 A run that replays the link outcomes recorded under one reception model must
 give what a live run under another model gives, in both directions and on
@@ -75,6 +76,21 @@ def test_batched_scoring_matches_per_frame_scoring(case):
     assert np.all(batched.prr.received <= batched.prr.opportunities)
     assert batched.prr.opportunities.sum() <= batched.opportunities
     assert all(gap > 0 for gap in batched.ipg.gaps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=small_setups(), block_elements=st.integers(1, 200))
+def test_batched_scoring_matches_per_frame_scoring_with_small_refresh_blocks(
+        case, block_elements):
+    # a refresh of many row blocks overwrites the link buffers while 802.11p
+    # frames and C-V2X TTIs recorded in the last epoch still wait to be scored
+    batched = engine.run(*case)
+    with mock.patch.object(engine, "REFRESH_BLOCK_ELEMENTS", block_elements):
+        small_blocks = engine.run(*case)
+        with mock.patch.object(engine, "SCORE_BATCH_ELEMENTS", 1):
+            per_frame = engine.run(*case)
+    assert_same_store(small_blocks, batched)
+    assert_same_store(small_blocks, per_frame)
 
 
 @settings(max_examples=100, deadline=None)
