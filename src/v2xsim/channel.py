@@ -104,13 +104,15 @@ def winner_formula_db(d, a: float, b: float, c: float, carrier_hz: float):
 def path_loss_db(d, cfg: PropagationConfig, los: bool | np.ndarray | None = None):
     """Deterministic path loss at distance d (m), clamped at free-space loss.
 
-    `los` overrides the configured model per element; the LOS branch turns
-    dual-slope past the breakpoint, the NLOS branch is single-slope.
+    `los` is the layout's LOS classification per element (None: every link
+    LOS). The `winner_b1_los` model keeps it; `winner_b1_nlos` puts every
+    link on the NLOS branch. The LOS branch turns dual-slope past the
+    breakpoint, the NLOS branch is single-slope.
     """
     d = np.maximum(np.asarray(d, dtype=float), 1.0)
     log_d = np.log10(d)
     co = cfg.coefficients
-    if los is None:
+    if los is None or cfg.model == "winner_b1_nlos":
         los = cfg.model == "winner_b1_los"
     loss = _winner_db(log_d, co.los_a, co.los_b, co.los_c, cfg.carrier_hz)
     d_bp = cfg.breakpoint_m

@@ -72,7 +72,9 @@ generation_period_ms = 100.0
 carrier_hz = 5.9e9
 ; BASELINE: ITS band
 model = winner_b1_los
-; winner_b1_los | winner_b1_nlos
+; winner_b1_los: each link on the path-loss branch of the layout's LOS
+; classification (every highway link is LOS); winner_b1_nlos: every link on
+; the NLOS branch
 shadowing_std_db = 3.0
 ; BASELINE quotes "variance 3 dB"; read as standard deviation by default
 shadowing_is_variance = false

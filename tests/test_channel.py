@@ -36,6 +36,16 @@ def test_path_loss_nlos_dominates_los():
     assert np.all(nlos >= los)
 
 
+def test_nlos_model_puts_every_link_on_the_nlos_branch():
+    los_model, nlos_model = PropagationConfig(), PropagationConfig(model="winner_b1_nlos")
+    d = np.linspace(10.0, 1000.0, 50)
+    los = np.arange(50) % 3 > 0
+    nlos_branch = path_loss_db(d, los_model, los=False)
+    np.testing.assert_array_equal(path_loss_db(d, nlos_model, los=los), nlos_branch)
+    np.testing.assert_array_equal(path_loss_db(d, nlos_model), nlos_branch)
+    assert not np.array_equal(path_loss_db(d, los_model, los=los), nlos_branch)
+
+
 def test_path_loss_monotone_in_distance():
     cfg = PropagationConfig()
     d = np.linspace(1.0, 2000.0, 1500)

@@ -235,6 +235,17 @@ def test_manifest_reproduces_run(tmp_path):
     assert (out1 / "ipg_ccdf.csv").read_bytes() == (out2 / "ipg_ccdf.csv").read_bytes()
 
 
+def test_propagation_model_moves_highway_prr(tmp_path):
+    # every highway link is LOS, so only the NLOS model moves it to the NLOS branch
+    outputs = {}
+    for model in ("winner_b1_los", "winner_b1_nlos"):
+        out = tmp_path / model
+        assert run_cli(*small_sim_args(tmp_path, out,
+                                       "--set", f"propagation.model={model}")) == 0
+        outputs[model] = (out / "prr.csv").read_bytes()
+    assert outputs["winner_b1_los"] != outputs["winner_b1_nlos"]
+
+
 def test_simulate_curve_mode_missing_file_exits_2(tmp_path, capsys):
     assert run_cli("simulate", "--out", str(tmp_path / "x"),
                    "--set", "reception.mode=curve") == 2
