@@ -40,9 +40,6 @@ class PrbTable:
     bits_per_prb: dict = field(default_factory=lambda: dict(DEFAULT_BITS_PER_PRB))
     control_overhead_prbs: int = 2
 
-    def capacity_bits(self, mcs_index: int, n_prb: int) -> int:
-        return self.bits_per_prb[mcs_index] * n_prb
-
 
 DEFAULT_PRB_TABLE = PrbTable()
 
