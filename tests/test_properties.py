@@ -83,7 +83,7 @@ def test_batched_scoring_matches_per_frame_scoring(case):
 def test_batched_scoring_matches_per_frame_scoring_with_small_refresh_blocks(
         case, block_elements):
     # a refresh of many row blocks overwrites the link buffers while 802.11p
-    # frames and C-V2X TTIs recorded in the last epoch still wait to be scored
+    # frames recorded in an earlier epoch still wait to be scored
     batched = engine.run(*case)
     with mock.patch.object(engine, "REFRESH_BLOCK_ELEMENTS", block_elements):
         small_blocks = engine.run(*case)
