@@ -18,13 +18,19 @@ selections besides the two output files: one on the default subchannel grid
 and one on a single 50-PRB subchannel, where numpy sums the sensing-window
 projection pairwise instead of in order. Any change to the projection's last
 bits, to the relaxed threshold or to the selection draws moves them.
+
+The abstraction pins cover the `fit-alpha` model files of both bundled
+scenarios and the `derive-threshold` report of an 802.11p MCS and a C-V2X
+payload other than the defaults: any change to how a settings vector is
+built from the config and the command line, or to its airtime and
+throughput, moves them.
 """
 
 import hashlib
 
 import pytest
 
-from conftest import curve_path
+from conftest import CURVE_DIR, curve_path
 
 from v2xsim import config as cfgmod
 from v2xsim.cli import build_reception, ipg_grid, main, write_ipg_csv, write_prr_csv
@@ -267,3 +273,37 @@ def test_unaligned_warmup_and_epochs_match_recorded_digests(name, tmp_path):
     got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                 for f in ("prr.csv", "ipg_ccdf.csv"))
     assert got == UNALIGNED_DIGESTS[name]
+
+
+FIT_ALPHA_DIGESTS = {
+    "highway_los": "d565c024a9f9b475b0cf21f196011a924a86707271245713db24cd0891f8afdb",
+    "crossing_nlos": "54d546c7edce187ef706246af89c3ca78efe8c55312eed534c873e237536d607",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(FIT_ALPHA_DIGESTS))
+def test_fit_alpha_model_file_matches_recorded_digest(scenario, tmp_path):
+    out = tmp_path / f"{scenario}.model.ini"
+    assert main(["fit-alpha", "--curves", CURVE_DIR, "--scenario", scenario,
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIT_ALPHA_DIGESTS[scenario]
+
+
+DERIVE_THRESHOLD_DIGESTS = {
+    ("--tech", "11p", "--mcs", "4"):
+        "dd52ff8494b762cde0ea64924d858903c0e5f714643052771dddb86560425d7e",
+    ("--tech", "cv2x", "--payload", "550"):
+        "efcb9f410f6720c73ace7a3497c95019cac661d05d57d6714e830f753b1233ab",
+}
+
+
+@pytest.mark.parametrize("args", sorted(DERIVE_THRESHOLD_DIGESTS))
+def test_derive_threshold_report_matches_recorded_digest(args, tmp_path, capsys):
+    """The threshold report under the fitted highway model."""
+    model = tmp_path / "highway_los.model.ini"
+    assert main(["fit-alpha", "--curves", CURVE_DIR, "--scenario", "highway_los",
+                 "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["derive-threshold", "--model", str(model), *args]) == 0
+    report = capsys.readouterr().out.encode()
+    assert hashlib.sha256(report).hexdigest() == DERIVE_THRESHOLD_DIGESTS[args]
