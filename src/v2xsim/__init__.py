@@ -10,7 +10,7 @@ from .errors import ConfigError, CurveRangeError, DataError, V2xSimError
 from .metrics import IpgStore, MetricStore, PrrSeries, ipg_ccdf, mae, prr_curve
 from .scenario import RoadConfig, TrafficConfig, VehicleState, spawn
 from .settings import (CV2xSettings, Ieee80211pSettings, PrbTable,
-                       TechnologySettings, effective_throughput, resolve_nbps,
-                       resolve_nprb, tx_time, tx_time_11p, tx_time_cv2x)
+                       TechnologySettings, effective_throughput, resolve_nprb,
+                       tx_time, tx_time_11p, tx_time_cv2x)
 
 __version__ = "0.1.0"

@@ -28,7 +28,6 @@ from .util import linear_to_db
 
 @dataclass(frozen=True)
 class CsmaParams:
-    aifs_s: float = 110e-6
     slot_s: float = 13e-6
     cw_max: int = 15
     sense_decodable_dbm: float = -85.0
@@ -37,8 +36,6 @@ class CsmaParams:
     def __post_init__(self):
         if self.cw_max < 0:
             raise ConfigError("cw_max must be >= 0")
-        if not self.aifs_s > 0:
-            raise ConfigError("aifs_s must be > 0")
         if not self.slot_s > 0:
             raise ConfigError("slot_s must be > 0")
 
@@ -69,11 +66,14 @@ class CsmaNode:
 
     Each station draws its backoff from its own generator, one scalar draw
     per packet that finds the medium busy or sees it turn busy during AIFS.
+    `aifs_s` is the AIFS of the settings vector (`Ieee80211pSettings.t_aifs_s`),
+    the same one its frame airtime counts.
     """
 
-    def __init__(self, params: CsmaParams, rngs: list[np.random.Generator]):
+    def __init__(self, params: CsmaParams, aifs_s: float, rngs: list[np.random.Generator]):
         n = len(rngs)
         self.params = params
+        self.aifs_s = aifs_s
         self.rngs = rngs
         self.phase = np.full(n, IDLE, dtype=np.int8)
         self.remaining = np.zeros(n, dtype=np.int64)
@@ -103,7 +103,7 @@ class CsmaNode:
             self._draw_backoff(vid)
             return
         self.phase[vid] = AIFS_WAIT
-        at = now + self.params.aifs_s
+        at = now + self.aifs_s
         seq = self.take_seq()
         self.access_at[vid] = at
         self.access_seq[vid] = seq
@@ -156,7 +156,7 @@ class CsmaNode:
         vids = vids[self.phase[vids] == BACKOFF_FROZEN]
         if not vids.size:
             return
-        start = now + self.params.aifs_s
+        start = now + self.aifs_s
         at = start + self.remaining[vids] * self.params.slot_s
         self.phase[vids] = BACKOFF_COUNTING
         self.counting_start[vids] = start
@@ -202,7 +202,6 @@ class SpsParams:
     best_fraction: float = 0.2
     counter_min: int = 5
     counter_max: int = 15
-    resource_period_s: float = 100e-3
 
     def __post_init__(self):
         if not 0.0 <= self.keep_probability <= 1.0:
@@ -216,9 +215,6 @@ class SpsParams:
             raise ConfigError("counter_min must be <= counter_max")
         if self.t1_s > self.t2_s:
             raise ConfigError("t1 must be <= t2")
-        # a shorter window holds no past occurrence of any candidate resource
-        if self.sensing_window_s < self.resource_period_s:
-            raise ConfigError("sensing_window must be at least one generation period")
 
 
 @dataclass
@@ -285,16 +281,18 @@ class SensingWindow:
 
 
 def sps_select(sensing: SensingWindow, now_tti: int, params: SpsParams, t_tti_s: float,
-               rng: np.random.Generator, n_subch_needed: int = 1) -> Selection:
+               period_ttis: int, rng: np.random.Generator,
+               n_subch_needed: int = 1) -> Selection:
     """Pick a resource in [now+T1, now+T2] following the sensing procedure.
 
-    Candidates above the RSRP threshold are excluded, the threshold relaxing
-    in fixed steps until at least best_fraction of the window survives; the
-    final pick is uniform over the lowest-power best_fraction share.
+    A candidate is judged by its past occurrences `period_ttis` apart, the
+    generation period in TTIs. Candidates above the RSRP threshold are
+    excluded, the threshold relaxing in fixed steps until at least
+    best_fraction of the window survives; the final pick is uniform over
+    the lowest-power best_fraction share.
     """
     t1 = max(int(round(params.t1_s / t_tti_s)), 1)
     t2 = max(int(round(params.t2_s / t_tti_s)), t1)
-    period_ttis = max(int(round(params.resource_period_s / t_tti_s)), 1)
     cand_ttis = np.arange(now_tti + t1, now_tti + t2 + 1)
     n_starts = sensing.n_subch - n_subch_needed + 1
     if n_starts < 1:

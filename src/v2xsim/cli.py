@@ -240,7 +240,7 @@ def cmd_print_config(args) -> int:
 
 def cmd_fit_alpha(args) -> int:
     cp = cfgmod.load_config(args.config, args.set or [])
-    bandwidth = float(cp["propagation"]["bandwidth_hz"])
+    bandwidth = cfgmod.build_propagation(cp).bandwidth_hz
     if not os.path.isdir(args.curves):
         raise DataError(f"curve directory not found: {args.curves}")
     picked = []

@@ -16,7 +16,7 @@ from .engine import RunConfig, SimulationSetup
 from .errors import ConfigError
 from .scenario import RoadConfig, TrafficConfig
 from .settings import (CV2xSettings, Ieee80211pSettings, PrbTable,
-                       DEFAULT_BITS_PER_PRB, resolve_nbps, resolve_nprb)
+                       DEFAULT_BITS_PER_PRB, resolve_nprb)
 
 DEFAULT_CONFIG = """\
 [run]
@@ -249,14 +249,12 @@ def build_prb_table(cp) -> PrbTable:
 def build_theta(cp, technology: str):
     payload = _get(cp, "traffic", "payload_bytes", int)
     if technology == "11p":
-        mcs = _get(cp, "ieee80211p", "mcs_index", int)
         return Ieee80211pSettings(
             payload_bytes=payload,
             t_aifs_s=_get(cp, "ieee80211p", "t_aifs_us", float) * 1e-6,
             t_preamble_s=_get(cp, "ieee80211p", "t_preamble_us", float) * 1e-6,
             t_symbol_s=_get(cp, "ieee80211p", "t_symbol_us", float) * 1e-6,
-            n_bps=resolve_nbps(mcs),
-            mcs_index=mcs,
+            mcs_index=_get(cp, "ieee80211p", "mcs_index", int),
         )
     if technology == "cv2x":
         mcs = _get(cp, "cv2x", "mcs_index", int)
@@ -321,7 +319,6 @@ def build_traffic(cp) -> TrafficConfig:
 
 def build_csma(cp) -> CsmaParams:
     return CsmaParams(
-        aifs_s=_get(cp, "ieee80211p", "t_aifs_us", float) * 1e-6,
         slot_s=_get(cp, "ieee80211p", "slot_time_us", float) * 1e-6,
         cw_max=_get(cp, "ieee80211p", "cw_max", int),
         sense_decodable_dbm=_get(cp, "ieee80211p", "sense_decodable_dbm", float),
@@ -340,16 +337,19 @@ def build_sps(cp) -> SpsParams:
         best_fraction=_get(cp, "cv2x", "best_fraction", float),
         counter_min=_get(cp, "cv2x", "counter_min", int),
         counter_max=_get(cp, "cv2x", "counter_max", int),
-        resource_period_s=_get(cp, "traffic", "generation_period_ms", float) * 1e-3,
     )
 
 
 def build_setup(cp) -> SimulationSetup:
+    technology = _get(cp, "run", "technology", str)
+    theta = build_theta(cp, technology)
+    # the section of the technology that does not run is checked too
+    build_theta(cp, "cv2x" if technology == "11p" else "11p")
     run_cfg = RunConfig(
         seed=_get(cp, "run", "seed", int),
         sim_duration_s=_get(cp, "run", "sim_duration_s", float),
         warmup_s=_get(cp, "run", "warmup_s", float),
-        theta=build_theta(cp, _get(cp, "run", "technology", str)),
+        theta=theta,
         max_range_m=_get(cp, "run", "max_range_m", float),
         mobility_step_s=_get(cp, "run", "mobility_step_ms", float) * 1e-3,
         prr_bin_width_m=_get(cp, "metrics", "prr_bin_width_m", float),

@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .abstraction import AbstractionModel, CurveMeta, PerCurve, threshold_for_settings
-from .settings import (CV2xSettings, Ieee80211pSettings, TechnologySettings,
-                       resolve_nbps, resolve_nprb)
+from .settings import CV2xSettings, Ieee80211pSettings, TechnologySettings, resolve_nprb
 
 
 def logistic_per(sinr_db: np.ndarray, midpoint_db: float, slope_db: float) -> np.ndarray:
@@ -44,8 +43,7 @@ def synth_curve(theta: TechnologySettings, scenario_id: str, alpha_ref: float,
 def theta_for(tech: str, mcs_index: int, payload_bytes: int) -> TechnologySettings:
     """Default-parameter settings vector for a (tech, MCS, payload) triple."""
     if tech == "11p":
-        return Ieee80211pSettings(payload_bytes=payload_bytes, mcs_index=mcs_index,
-                                  n_bps=resolve_nbps(mcs_index))
+        return Ieee80211pSettings(payload_bytes=payload_bytes, mcs_index=mcs_index)
     if tech == "cv2x":
         return CV2xSettings(payload_bytes=payload_bytes, mcs_index=mcs_index,
                             n_prb_pkt=resolve_nprb(mcs_index, payload_bytes))

@@ -90,10 +90,6 @@ class TransmissionEvent:
     tx_id: int
     start: float
     duration: float
-    # C-V2X resource footprint; None means the frame takes the whole channel
-    tti: int | None = None
-    prb_start: int = 0
-    prb_count: int = 0
 
     @property
     def end(self) -> float:
@@ -269,23 +265,15 @@ def tally(batch: LinkBatch, n: int, reception: PerCurve | StepFunction,
 
 
 def overlap_fraction(a: TransmissionEvent, b: TransmissionEvent) -> float:
-    """Share of event `a` hit by event `b` on a's resource granularity."""
-    if a.tti is None:
-        shared = min(a.end, b.end) - max(a.start, b.start)
-        if shared <= 0:
-            return 0.0
-        return shared / a.duration
-    if b.tti != a.tti:
+    """Share of event `a`'s airtime that event `b` is on air too."""
+    shared = min(a.end, b.end) - max(a.start, b.start)
+    if shared <= 0:
         return 0.0
-    lo = max(a.prb_start, b.prb_start)
-    hi = min(a.prb_start + a.prb_count, b.prb_start + b.prb_count)
-    if hi <= lo:
-        return 0.0
-    return (hi - lo) / a.prb_count
+    return shared / a.duration
 
 
 def prb_overlap(tti: np.ndarray, prb_start: np.ndarray, prb_count: int):
-    """`overlap_fraction` hits among F frames of equal PRB footprint.
+    """PRB overlap hits among F frames of equal PRB footprint.
 
     tti: (F,) nondecreasing TTI of each frame; frames overlap only within
     their TTI. Returns (frame, source, frac) over the pairs of distinct
@@ -380,16 +368,18 @@ class _RunBase:
         self.traffic = setup.traffic
         self.emit = emit
         self.trace = trace
-        self.vehicles = (scen.spawn(setup.road, cfg.seed) if setup.vehicles is None
-                         else setup.vehicles)
-        self.geom = Geometry(setup.road, self.vehicles)
+        vehicles = (scen.spawn(setup.road, cfg.seed) if setup.vehicles is None
+                    else setup.vehicles)
+        self.geom = Geometry(setup.road, vehicles)
         self.n = self.geom.n
+        # the vehicle ids name each vehicle's phase, backoff and SPS streams
+        self.ids = [v.id for v in vehicles]
         self.phy = _PhyCache(self.geom, setup.propagation, cfg.seed)
         self.noise_mw = 10.0 ** (noise_power_dbm(setup.propagation) / 10.0)
         self.metrics = _new_store(cfg, self.n)
         self.counting = False  # a frame that starts after warmup was scored
         self.phases = np.array([
-            generation_phase(v.id, cfg.seed, self.traffic.period_s) for v in self.vehicles
+            generation_phase(vid, cfg.seed, self.traffic.period_s) for vid in self.ids
         ]) if self.n else np.zeros(0)
 
     def _score(self, tx: np.ndarray, start: np.ndarray, end: np.ndarray,
@@ -460,8 +450,8 @@ class _Run11p(_RunBase):
     def __init__(self, setup: SimulationSetup, emit, trace: TraceLog | None):
         super().__init__(setup, emit, trace)
         csma = self.csma = setup.csma
-        self.mac = CsmaNode(csma, [stream(self.cfg.seed, "backoff", v.id)
-                                   for v in self.vehicles])
+        self.mac = CsmaNode(csma, self.cfg.theta.t_aifs_s,
+                            [stream(self.cfg.seed, "backoff", vid) for vid in self.ids])
         self.busy_decod = np.zeros(self.n, dtype=np.int64)
         self.energy_mw = np.zeros(self.n)
         self.busy = np.zeros(self.n, dtype=bool)
@@ -620,7 +610,7 @@ class _RunCv2x(_RunBase):
         # TTI-major: row t % window TTIs holds every vehicle's sensed subchannels
         self.ring = np.zeros((self.window_ttis, self.n, theta.n_subch))
         self.sps_states = [SpsState() for _ in range(self.n)]
-        self.sps_rngs = [stream(self.cfg.seed, "sps", v.id) for v in self.vehicles]
+        self.sps_rngs = [stream(self.cfg.seed, "sps", vid) for vid in self.ids]
         # per vehicle: generation time of the packet awaiting its slot (NaN =
         # none) and the reserved resource (absolute TTI, first subchannel)
         self.pending = np.full(self.n, np.nan)
@@ -634,8 +624,8 @@ class _RunCv2x(_RunBase):
     def _select(self, vid: int, now_tti: int):
         st = self.sps_states[vid]
         sel = sps_select(SensingWindow(self.ring[:, vid], now_tti), now_tti,
-                         self.sps_params, self.t_tti, self.sps_rngs[vid],
-                         n_subch_needed=self.n_subch_needed)
+                         self.sps_params, self.t_tti, self.period_ttis,
+                         self.sps_rngs[vid], n_subch_needed=self.n_subch_needed)
         self.reserved_subch[vid] = sel.subchannel
         self.reserved_tti[vid] = sel.tti
         st.reselection_counter = sel.reselection_counter
@@ -738,6 +728,11 @@ class SimulationSetup:
     prb_table: PrbTable = field(default_factory=lambda: DEFAULT_PRB_TABLE)
     # explicit placement for controlled experiments; None means spawn from seed
     vehicles: list | None = None
+
+    def __post_init__(self):
+        # a shorter window holds no past occurrence of any candidate resource
+        if self.sps.sensing_window_s < self.traffic.period_s:
+            raise ConfigError("sensing_window must be at least one generation period")
 
 
 def run(setup: SimulationSetup, reception: PerCurve | StepFunction,

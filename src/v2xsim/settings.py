@@ -18,9 +18,9 @@ NBPS_TABLE = (24, 36, 48, 72, 96, 144, 192, 216)
 
 # Net payload bits per PRB for the sidelink MCS ladder. These are documented
 # approximations of the transport-block capacity after control/DMRS overhead
-# (the exact 3GPP tables are out of scope); override via PrbTable if the
-# deployment needs different sizing. Anchored so MCS 7 (QPSK, CR~0.5)
-# carries a 350-byte packet in 37 PRBs.
+# (the exact 3GPP tables are out of scope); rows of the [prb_table] config
+# section override them if the deployment needs different sizing. Anchored
+# so MCS 7 (QPSK, CR~0.5) carries a 350-byte packet in 37 PRBs.
 DEFAULT_BITS_PER_PRB = {
     0: 18, 1: 23, 2: 28, 3: 36, 4: 44, 5: 54, 6: 64, 7: 76,
     8: 88, 9: 100, 10: 112, 11: 128, 12: 144, 13: 164, 14: 184,
@@ -46,23 +46,27 @@ DEFAULT_PRB_TABLE = PrbTable()
 
 @dataclass(frozen=True)
 class Ieee80211pSettings:
-    """802.11p parameter vector: payload plus frame timing constants."""
+    """802.11p parameter vector: payload, MCS and frame timing constants."""
 
     payload_bytes: int
     t_aifs_s: float = 110e-6
     t_preamble_s: float = 40e-6
     t_symbol_s: float = 8e-6
-    n_bps: int = 48
     mcs_index: int = 2
 
     def __post_init__(self):
         if self.payload_bytes < 1:
             raise ConfigError(f"payload_bytes must be >= 1, got {self.payload_bytes}")
-        if self.n_bps not in NBPS_TABLE:
-            raise ConfigError(f"n_bps {self.n_bps} is not a 10 MHz MCS value {NBPS_TABLE}")
+        if not 0 <= self.mcs_index <= 7:
+            raise ConfigError(f"802.11p mcs_index must be in 0..7, got {self.mcs_index}")
         for name in ("t_aifs_s", "t_preamble_s", "t_symbol_s"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
+
+    @property
+    def n_bps(self) -> int:
+        """Data bits per OFDM symbol at this MCS (10 MHz)."""
+        return NBPS_TABLE[self.mcs_index]
 
 
 @dataclass(frozen=True)
@@ -98,16 +102,8 @@ class CV2xSettings:
 TechnologySettings = Ieee80211pSettings | CV2xSettings
 
 
-def resolve_nbps(mcs_index: int) -> int:
-    """Data bits per OFDM symbol for an 802.11p MCS index (10 MHz)."""
-    if not 0 <= mcs_index <= 7:
-        raise ConfigError(f"802.11p mcs_index must be in 0..7, got {mcs_index}")
-    return NBPS_TABLE[mcs_index]
-
-
-def resolve_nprb(mcs_index: int, payload_bytes: int, table: PrbTable = DEFAULT_PRB_TABLE,
-                 overhead_bits: int = 0) -> int:
-    """Smallest PRB count whose capacity carries the payload (plus overhead bits).
+def resolve_nprb(mcs_index: int, payload_bytes: int, table: PrbTable = DEFAULT_PRB_TABLE) -> int:
+    """Smallest PRB count whose capacity carries the payload.
 
     Returns data PRBs only; the PSCCH footprint constant of the table is
     applied where the on-grid footprint is built, not here.
@@ -116,9 +112,8 @@ def resolve_nprb(mcs_index: int, payload_bytes: int, table: PrbTable = DEFAULT_P
         raise ConfigError(f"payload_bytes must be >= 1, got {payload_bytes}")
     if mcs_index not in table.bits_per_prb:
         raise ConfigError(f"mcs_index {mcs_index} not present in the PRB table")
-    need = 8 * payload_bytes + overhead_bits
     per_prb = table.bits_per_prb[mcs_index]
-    return (need + per_prb - 1) // per_prb
+    return (8 * payload_bytes + per_prb - 1) // per_prb
 
 
 def tx_time_11p(s: Ieee80211pSettings) -> float:

@@ -80,7 +80,7 @@ def merge_series(series):
 def random_theta(rng, tech):
     if tech == "11p":
         return Ieee80211pSettings(payload_bytes=int(rng.integers(1, 3000)),
-                                  n_bps=int(rng.choice(NBPS_TABLE)))
+                                  mcs_index=int(rng.integers(0, 8)))
     return CV2xSettings(payload_bytes=int(rng.integers(1, 3000)),
                         n_subch=int(rng.integers(1, 11)),
                         n_prb_subch=int(rng.integers(1, 21)),
@@ -134,11 +134,11 @@ def test_criterion_02_closed_form_matches_golden_section():
 
 
 def test_criterion_03_timing_and_throughput_oracle():
-    a = Ieee80211pSettings(payload_bytes=350, n_bps=48)
+    a = Ieee80211pSettings(payload_bytes=350, mcs_index=2)
     assert tx_time_11p(a) == pytest.approx(622e-6, rel=1e-12)
     assert effective_throughput(a) == pytest.approx(2800 / 622e-6, rel=1e-12)
     assert round(effective_throughput(a) / 1e6, 4) == 4.5016
-    b = Ieee80211pSettings(payload_bytes=550, n_bps=96)
+    b = Ieee80211pSettings(payload_bytes=550, mcs_index=4)
     assert tx_time_11p(b) == pytest.approx(518e-6, rel=1e-12)
     assert effective_throughput(b) == pytest.approx(4400 / 518e-6, rel=1e-12)
     assert round(effective_throughput(b) / 1e6, 3) == 8.494
@@ -147,8 +147,8 @@ def test_criterion_03_timing_and_throughput_oracle():
     for _ in range(1000):
         if rng.random() < 0.5:
             s = Ieee80211pSettings(payload_bytes=int(rng.integers(1, 3000)),
-                                   n_bps=int(rng.choice(NBPS_TABLE)))
-            n_sym = math.ceil(8 * s.payload_bytes / s.n_bps)
+                                   mcs_index=int(rng.integers(0, 8)))
+            n_sym = math.ceil(8 * s.payload_bytes / NBPS_TABLE[s.mcs_index])
             t_ref = s.t_aifs_s + s.t_preamble_s + s.t_symbol_s * n_sym
             psi_ref = 8 * s.payload_bytes / t_ref
             assert tx_time_11p(s) == pytest.approx(t_ref, rel=1e-12)

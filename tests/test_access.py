@@ -15,10 +15,11 @@ from v2xsim.access import (AIFS_WAIT, BACKOFF_FROZEN, IDLE, TRANSMITTING, CsmaNo
                            CsmaParams, SensingWindow, SpsParams, SpsState,
                            sps_after_transmission, sps_select)
 from v2xsim.errors import ConfigError
-from v2xsim.scenario import VehicleState
+from v2xsim.scenario import TrafficConfig, VehicleState
 from v2xsim.util import stream
 
 PARAMS = CsmaParams()
+AIFS = 110e-6  # the default settings vector's t_aifs_s
 
 
 class FixedRng:
@@ -109,9 +110,9 @@ def test_half_duplex_partial_overlap_lost():
 
 # --- CSMA stations -------------------------------------------------------------
 
-def csma(*draws, params=PARAMS):
+def csma(*draws, params=PARAMS, aifs=AIFS):
     """Array CSMA whose station i draws the scripted backoffs draws[i]."""
-    return CsmaNode(params, [FixedRng(d) for d in draws])
+    return CsmaNode(params, aifs, [FixedRng(d) for d in draws])
 
 
 def ids(*vids):
@@ -152,13 +153,13 @@ def test_backoff_freezes_on_whole_slots_only():
     mac = csma([6])
     mac.on_packet(0.0, 0, medium_busy=True)
     mac.on_idle(1e-3, ids(0))
-    start_counting = 1e-3 + PARAMS.aifs_s
+    start_counting = 1e-3 + AIFS
     assert mac.next[0] == pytest.approx(start_counting + 6 * PARAMS.slot_s)
     # busy again after 2.5 slots of counting: 2 slots consumed, 4 remain
     mac.on_busy(start_counting + 2.5 * PARAMS.slot_s, ids(0))
     assert mac.remaining[0] == 4
     mac.on_idle(2e-3, ids(0))
-    assert mac.next[0] == pytest.approx(2e-3 + PARAMS.aifs_s + 4 * PARAMS.slot_s)
+    assert mac.next[0] == pytest.approx(2e-3 + AIFS + 4 * PARAMS.slot_s)
 
 
 def test_two_nodes_distinct_backoffs_order_strictly():
@@ -202,13 +203,13 @@ def test_tx_end_with_pending_packet_restarts_access():
     mac.on_tx_end(7e-4, 0, medium_busy=False)
     assert mac.phase[0] == AIFS_WAIT
     assert mac.pending[0]
-    assert mac.next[0] == pytest.approx(7e-4 + PARAMS.aifs_s)
+    assert mac.next[0] == pytest.approx(7e-4 + AIFS)
 
 
 def test_same_instant_goes_to_earlier_scheduled_access():
     # dyadic times add up exactly, so both accesses fall on one instant
-    params = CsmaParams(aifs_s=2.0 ** -13, slot_s=2.0 ** -16)
-    mac = csma([2], [4], params=params)
+    params, aifs = CsmaParams(slot_s=2.0 ** -16), 2.0 ** -13
+    mac = csma([2], [4], params=params, aifs=aifs)
     for vid in (0, 1):
         mac.on_packet(0.0, vid, medium_busy=True)
     mac.on_idle(0.0, ids(1))
@@ -226,13 +227,13 @@ def test_same_instant_goes_to_earlier_scheduled_access():
     mac.on_tx_end(end, 1, medium_busy=False)
     assert mac.phase[1] == IDLE
     mac.on_idle(end, ids(0))
-    assert mac.next == (end + params.aifs_s, mac.access_seq[0], 0)
+    assert mac.next == (end + aifs, mac.access_seq[0], 0)
     assert mac.on_timer() == 0
 
 
 def mixed_stations():
     """Six stations with real backoff streams, in every contending phase."""
-    mac = CsmaNode(PARAMS, [stream(17, "backoff", vid) for vid in range(6)])
+    mac = CsmaNode(PARAMS, AIFS, [stream(17, "backoff", vid) for vid in range(6)])
     mac.on_packet(0.0, 0, medium_busy=False)  # AIFS
     mac.on_packet(0.0, 1, medium_busy=True)  # frozen
     mac.on_packet(0.0, 2, medium_busy=True)
@@ -268,6 +269,7 @@ def test_batched_flip_matches_one_station_at_a_time(busy_at, idle_at):
 # --- SPS -----------------------------------------------------------------------
 
 SPS = SpsParams()
+PERIOD_TTIS = 100  # the default 100 ms generation period in 1 ms TTIs
 
 
 def empty_window(ttis=1000, subch=5, filled=1000):
@@ -277,7 +279,7 @@ def empty_window(ttis=1000, subch=5, filled=1000):
 def test_cold_start_uniform_over_window():
     win = empty_window()
     rng = stream(1, "sps-test")
-    picks = [sps_select(win, 1000, SPS, 1e-3, rng) for _ in range(4000)]
+    picks = [sps_select(win, 1000, SPS, 1e-3, PERIOD_TTIS, rng) for _ in range(4000)]
     ttis = np.array([p.tti for p in picks])
     subs = np.array([p.subchannel for p in picks])
     assert ttis.min() >= 1001 and ttis.max() <= 1100
@@ -292,7 +294,7 @@ def test_selection_respects_window_bounds():
     rng = stream(2, "sps-test")
     for now in (1000, 1500, 2000):
         win.filled_until = now
-        sel = sps_select(win, now, SPS, 1e-3, rng)
+        sel = sps_select(win, now, SPS, 1e-3, PERIOD_TTIS, rng)
         assert now + 1 <= sel.tti <= now + 100
         assert 5 <= sel.reselection_counter <= 15
 
@@ -300,7 +302,7 @@ def test_selection_respects_window_bounds():
 def test_loud_window_relaxes_threshold():
     win = empty_window()
     win.power_mw[:, :] = 10 ** (-60 / 10.0)  # everything far above -110 dBm
-    sel = sps_select(win, 1000, SPS, 1e-3, stream(3, "sps-test"))
+    sel = sps_select(win, 1000, SPS, 1e-3, PERIOD_TTIS, stream(3, "sps-test"))
     assert sel.threshold_dbm > SPS.rsrp_exclude_dbm
     assert sel.candidates_kept >= int(np.ceil(0.2 * sel.candidates_total))
 
@@ -310,7 +312,7 @@ def test_selection_prefers_quiet_resources():
     win.power_mw[:, :] = 10 ** (-70 / 10.0)
     win.power_mw[:, 2] = 0.0  # subchannel 2 is silent in every TTI
     rng = stream(4, "sps-test")
-    picks = [sps_select(win, 1000, SPS, 1e-3, rng) for _ in range(200)]
+    picks = [sps_select(win, 1000, SPS, 1e-3, PERIOD_TTIS, rng) for _ in range(200)]
     assert all(p.subchannel == 2 for p in picks)
 
 
@@ -320,7 +322,7 @@ def test_candidate_set_at_least_best_fraction():
     win.power_mw[:, :] = rng.uniform(0, 1e-7, size=win.power_mw.shape)
     for now in (1000, 1250, 1999):
         win.filled_until = now
-        sel = sps_select(win, now, SPS, 1e-3, rng)
+        sel = sps_select(win, now, SPS, 1e-3, PERIOD_TTIS, rng)
         assert sel.candidates_kept >= int(np.ceil(0.2 * sel.candidates_total))
 
 
@@ -399,7 +401,7 @@ def test_projection_matches_full_depth_reference_bit_for_bit(case):
 
 def test_footprint_wider_than_grid_rejected():
     with pytest.raises(ConfigError):
-        sps_select(empty_window(subch=2), 1000, SPS, 1e-3,
+        sps_select(empty_window(subch=2), 1000, SPS, 1e-3, PERIOD_TTIS,
                    stream(9, "sps-test"), n_subch_needed=3)
 
 
@@ -418,6 +420,12 @@ def test_selection_window_must_be_ordered():
 
 
 def test_sensing_window_must_cover_a_period():
+    # the setup checks it: the period is the traffic's, the window the SPS's
+    setup = make_setup("cv2x")
+    assert setup.traffic.period_s == pytest.approx(100e-3)
     with pytest.raises(ConfigError, match="sensing_window"):
-        SpsParams(sensing_window_s=50e-3, resource_period_s=100e-3)
-    SpsParams(sensing_window_s=100e-3, resource_period_s=100e-3)
+        replace(setup, sps=SpsParams(sensing_window_s=50e-3))
+    replace(setup, sps=SpsParams(sensing_window_s=100e-3))
+    with pytest.raises(ConfigError, match="sensing_window"):
+        replace(setup, sps=SpsParams(sensing_window_s=100e-3),
+                traffic=TrafficConfig(generation_period_ms=200.0))

@@ -1,8 +1,10 @@
 """End-to-end command workflows: files in, files out, exit codes."""
 
 import configparser
+import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -11,12 +13,13 @@ from unittest import mock
 
 from conftest import CURVE_DIR
 
-from v2xsim import cli
+from v2xsim import cli, config as cfgmod
 from v2xsim.cli import (load_curve_csv, load_model_file, main,
                         parse_curve_filename, read_ipg_csv, read_mae_csv,
                         read_prr_csv)
 from v2xsim.config import DEFAULT_CONFIG, load_config
 from v2xsim.errors import ConfigError, DataError
+from v2xsim.settings import resolve_nprb
 
 
 def run_cli(*argv):
@@ -137,6 +140,14 @@ def test_fit_alpha_crossing_bundle(tmp_path):
     model = load_model_file(str(out))
     assert model.alpha_hat == pytest.approx(0.25, rel=1e-6)
     assert model.n_points == 7
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_fit_alpha_bad_bandwidth_exits_2(tmp_path, capsys, value):
+    assert run_cli("fit-alpha", "--curves", CURVE_DIR, "--scenario", "highway_los",
+                   "--out", str(tmp_path / "m.ini"),
+                   "--set", f"propagation.bandwidth_hz={value}") == 2
+    assert "bandwidth_hz" in capsys.readouterr().err
 
 
 def test_fit_alpha_empty_dir_exits_3(tmp_path, capsys):
@@ -275,6 +286,142 @@ def test_simulate_bad_value_exits_2(tmp_path, capsys, key, value):
     args = small_sim_args(tmp_path, tmp_path / "x", "--set", f"{key}={value}")
     assert run_cli(*args) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+# --- one home per config key ---------------------------------------------------------
+
+# a valid change of every key that `build_setup` reads; the reception keys and
+# the IPG grid are read by `build_reception` and `ipg_grid`, and the
+# technology picks the settings vector's type
+VALID_CHANGES = {
+    "run.seed": "2", "run.sim_duration_s": "12.0", "run.warmup_s": "2.0",
+    "run.max_range_m": "800.0", "run.mobility_step_ms": "50.0",
+    "road.layout": "urban_grid", "road.lanes_per_direction": "2",
+    "road.lane_width_m": "3.5", "road.road_length_m": "1500.0",
+    "road.density_vpk": "400.0", "road.mean_speed_kmh": "56.0",
+    "road.speed_std_kmh": "2.0", "road.wrap_around": "false",
+    "road.placement": "fixed_count", "road.corner_los_m": "10.0",
+    "traffic.payload_bytes": "550", "traffic.generation_period_ms": "50.0",
+    "propagation.carrier_hz": "5.8e9", "propagation.model": "winner_b1_nlos",
+    "propagation.shadowing_std_db": "4.0", "propagation.shadowing_is_variance": "true",
+    "propagation.decorrelation_m": "20.0", "propagation.antenna_gain_dbi": "0.0",
+    "propagation.noise_figure_db": "9.0", "propagation.tx_power_density_dbm_mhz": "10.0",
+    "propagation.bandwidth_hz": "20e6", "propagation.antenna_height_m": "2.0",
+    "propagation.los_a": "22.0", "propagation.los_b": "40.0", "propagation.los_c": "21.0",
+    "propagation.nlos_a": "36.0", "propagation.nlos_b": "47.0", "propagation.nlos_c": "27.0",
+    "ieee80211p.mcs_index": "4", "ieee80211p.t_aifs_us": "58.0",
+    "ieee80211p.t_preamble_us": "32.0", "ieee80211p.t_symbol_us": "4.0",
+    "ieee80211p.cw_max": "7", "ieee80211p.slot_time_us": "9.0",
+    "ieee80211p.sense_decodable_dbm": "-82.0", "ieee80211p.sense_energy_dbm": "-62.0",
+    "cv2x.mcs_index": "8", "cv2x.n_subch": "10", "cv2x.n_prb_subch": "12",
+    "cv2x.t_tti_ms": "0.5", "cv2x.n_prb_pkt": "40", "cv2x.control_overhead_prbs": "3",
+    "cv2x.keep_probability": "0.8", "cv2x.t1_ms": "2.0", "cv2x.t2_ms": "50.0",
+    "cv2x.sensing_window_ms": "500.0", "cv2x.rsrp_exclude_dbm": "-100.0",
+    "cv2x.rsrp_relax_step_db": "1.0", "cv2x.best_fraction": "0.3",
+    "cv2x.counter_min": "6", "cv2x.counter_max": "14",
+    "metrics.prr_bin_width_m": "50.0", "metrics.prr_max_distance_m": "500.0",
+    "metrics.ipg_range_m": "100.0",
+}
+# the technology whose settings vector reads a section; the others serve both
+SECTION_TECHNOLOGY = {"ieee80211p": "11p", "cv2x": "cv2x"}
+# with cv2x.n_prb_pkt blank, the PRB count is resolved from these
+RESOLVES_N_PRB = ("cv2x.mcs_index", "traffic.payload_bytes", "prb_table.7")
+
+
+def config_defaults():
+    cp = load_config()
+    return {f"{section}.{key}": value for section in cp.sections()
+            for key, value in cp[section].items()}
+
+
+def setup_leaves(obj, path=""):
+    """Every field of a built setup by dotted path, nested dataclasses and dicts flattened."""
+    if dataclasses.is_dataclass(obj):
+        items = [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, dict):
+        items = [(str(k), v) for k, v in obj.items()]
+    else:
+        return {path: obj}
+    leaves = {}
+    for name, value in items:
+        leaves.update(setup_leaves(value, f"{path}.{name}" if path else name))
+    return leaves
+
+
+def built_setup(tech, change=None):
+    cp = load_config(None, [f"run.technology={tech}"])
+    if change is not None:
+        section, key = change[0].split(".", 1)
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp[section][key] = change[1]
+    return cfgmod.build_setup(cp)
+
+
+def test_every_config_key_has_a_valid_change():
+    keys = {k for k in config_defaults() if not k.startswith(("reception.", "metrics.ipg_grid_"))}
+    assert set(VALID_CHANGES) == keys - {"run.technology"}
+
+
+@pytest.mark.parametrize("key", [*VALID_CHANGES, "prb_table.7"])
+def test_each_config_key_sets_one_setup_field(key):
+    """A key moves one leaf of the setup under a technology that reads it, and
+    at most one under the other: no value has a second home."""
+    change = (key, VALID_CHANGES.get(key, "80"))
+    for tech in ("11p", "cv2x"):
+        setup = built_setup(tech, change)
+        base, changed = setup_leaves(built_setup(tech)), setup_leaves(setup)
+        moved = {path for path in base if base[path] != changed[path]}
+        if tech == "cv2x" and key in RESOLVES_N_PRB:
+            theta = setup.run.theta
+            assert "run.theta.n_prb_pkt" in moved
+            assert theta.n_prb_pkt == resolve_nprb(theta.mcs_index, theta.payload_bytes,
+                                                   setup.prb_table)
+            moved.discard("run.theta.n_prb_pkt")
+        uses = SECTION_TECHNOLOGY.get(key.split(".")[0], tech) == tech
+        assert len(moved) in ((1,) if uses else (0, 1)), (tech, sorted(moved))
+
+
+def is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# every key outside [reception] whose default is a number, and the blank PRB
+# count; reception.beta and reception.threshold_db fail in
+# test_simulate_config_that_hung_or_crashed_exits_2
+NUMERIC_KEYS = [key for key, default in config_defaults().items()
+                if not key.startswith("reception.")
+                and (is_number(default) or key == "cv2x.n_prb_pkt")]
+
+
+@pytest.mark.parametrize("tech", ["11p", "cv2x"])
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_non_number_for_every_numeric_key_exits_2(key, tech):
+    """Whichever technology runs: the other's section is checked too."""
+    cp = load_config(None, [f"run.technology={tech}", f"{key}=abc"])
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        cfgmod.build_setup(cp)
+        cli.ipg_grid(cp)
+
+
+@pytest.mark.parametrize("tech, setting", [
+    ("cv2x", "ieee80211p.t_aifs_us=0"),
+    ("cv2x", "ieee80211p.mcs_index=8"),
+    ("cv2x", "ieee80211p.t_preamble_us=abc"),
+    ("11p", "cv2x.n_subch=abc"),
+    ("11p", "cv2x.t_tti_ms=2"),
+    ("11p", "cv2x.mcs_index=99"),
+])
+def test_bad_value_of_the_other_technology_exits_2(tmp_path, capsys, tech, setting):
+    args = small_sim_args(tmp_path, tmp_path / "x", "--set", f"run.technology={tech}",
+                          "--set", setting)
+    assert run_cli(*args) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "prr.csv").exists()
 
 
 def run_cli_child(*argv):

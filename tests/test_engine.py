@@ -2,6 +2,7 @@
 determinism, and the noise-limited sanity checks."""
 
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -68,11 +69,10 @@ def test_negative_sinr_rejected():
         decide_one(-0.1, zero_db_step(), stream(5, "r"))
 
 
-# --- overlap_fraction ---------------------------------------------------------------
+# --- overlap_fraction and prb_overlap ----------------------------------------------
 
-def ev(tx, start, dur, tti=None, prb_start=0, prb_count=0):
-    return TransmissionEvent(tx_id=tx, start=start, duration=dur, tti=tti,
-                             prb_start=prb_start, prb_count=prb_count)
+def ev(tx, start, dur):
+    return TransmissionEvent(tx_id=tx, start=start, duration=dur)
 
 
 def test_disjoint_airtimes_no_interference():
@@ -87,19 +87,47 @@ def test_half_overlap_fraction():
     assert overlap_fraction(a, b) == pytest.approx(0.5)
 
 
+class PrbFrame(NamedTuple):
+    """The resource footprint of a sidelink frame."""
+
+    tti: int
+    prb_start: int
+    prb_count: int
+
+
+def prb_fraction(a: PrbFrame, b: PrbFrame) -> float:
+    """Share of a's PRBs that b occupies too: the pairwise reference for `prb_overlap`."""
+    if b.tti != a.tti:
+        return 0.0
+    lo = max(a.prb_start, b.prb_start)
+    hi = min(a.prb_start + a.prb_count, b.prb_start + b.prb_count)
+    if hi <= lo:
+        return 0.0
+    return (hi - lo) / a.prb_count
+
+
+def prb_hits(frames):
+    """`prb_overlap` of frames sharing one PRB count, as (frame, source, frac) tuples."""
+    tti, start = (np.array([getattr(f, name) for f in frames]) for name in ("tti", "prb_start"))
+    frame, source, frac = prb_overlap(tti, start, frames[0].prb_count)
+    return list(zip(frame.tolist(), source.tolist(), frac.tolist()))
+
+
 def test_same_tti_disjoint_subchannels_excluded():
-    a = ev(0, 0.0, 1e-3, tti=5, prb_start=0, prb_count=10)
-    b = ev(1, 0.0, 1e-3, tti=5, prb_start=10, prb_count=10)
-    c = ev(2, 0.0, 1e-3, tti=6, prb_start=0, prb_count=10)
-    assert overlap_fraction(a, b) == 0.0
-    assert overlap_fraction(a, c) == 0.0
+    a = PrbFrame(tti=5, prb_start=0, prb_count=10)
+    b = PrbFrame(tti=5, prb_start=10, prb_count=10)
+    c = PrbFrame(tti=6, prb_start=0, prb_count=10)
+    assert prb_fraction(a, b) == 0.0
+    assert prb_fraction(a, c) == 0.0
+    assert prb_hits([a, b, c]) == []
 
 
 def test_shared_prbs_fraction():
-    a = ev(0, 0.0, 1e-3, tti=5, prb_start=0, prb_count=20)
-    b = ev(1, 0.0, 1e-3, tti=5, prb_start=10, prb_count=20)
-    assert overlap_fraction(a, b) == pytest.approx(0.5)
-    assert overlap_fraction(b, a) == pytest.approx(0.5)
+    a = PrbFrame(tti=5, prb_start=0, prb_count=20)
+    b = PrbFrame(tti=5, prb_start=10, prb_count=20)
+    assert prb_fraction(a, b) == pytest.approx(0.5)
+    assert prb_fraction(b, a) == pytest.approx(0.5)
+    assert prb_hits([a, b]) == [(0, 1, 0.5), (1, 0, 0.5)]
 
 
 def test_prb_overlap_matches_pairwise_fraction():
@@ -108,12 +136,10 @@ def test_prb_overlap_matches_pairwise_fraction():
         size = int(rng.integers(1, 13))
         ttis = np.sort(rng.integers(0, 4, size=size))
         starts = rng.integers(0, 40, size=size)
-        events = [ev(i, 0.0, 1e-3, tti=int(t), prb_start=int(p), prb_count=12)
-                  for i, (t, p) in enumerate(zip(ttis, starts))]
-        frame, source, frac = prb_overlap(ttis, starts, 12)
-        want = [(f, j, overlap_fraction(a, b)) for f, a in enumerate(events)
-                for j, b in enumerate(events) if a is not b and overlap_fraction(a, b) > 0]
-        assert list(zip(frame.tolist(), source.tolist(), frac.tolist())) == want
+        frames = [PrbFrame(int(t), int(p), 12) for t, p in zip(ttis, starts)]
+        want = [(f, j, prb_fraction(a, b)) for f, a in enumerate(frames)
+                for j, b in enumerate(frames) if f != j and prb_fraction(a, b) > 0]
+        assert prb_hits(frames) == want
 
 
 # --- whole-run behavior -----------------------------------------------------------

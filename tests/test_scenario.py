@@ -99,7 +99,7 @@ def test_generation_grid_is_periodic():
     setup = make_setup("11p", seed=1, duration=0.35, warmup=0.0,
                        vehicles=[VehicleState(0, 0, 100.0, 0.0, +1)])
     run(setup, StepFunction(1.0, 0.5), trace=trace)
-    t1, t2, t3 = (t - setup.csma.aifs_s for t, _, _ in trace.tx_starts[:3])
+    t1, t2, t3 = (t - setup.run.theta.t_aifs_s for t, _, _ in trace.tx_starts[:3])
     assert t1 == pytest.approx(phase)
     assert t2 - t1 == pytest.approx(period)
     assert t3 - t2 == pytest.approx(period)

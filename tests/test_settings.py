@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from v2xsim.errors import ConfigError
-from v2xsim.settings import (CV2xSettings, Ieee80211pSettings, PrbTable,
-                             effective_throughput, resolve_nbps, resolve_nprb,
-                             tx_time_11p, tx_time_cv2x)
+from v2xsim.settings import (NBPS_TABLE, CV2xSettings, Ieee80211pSettings, PrbTable,
+                             effective_throughput, resolve_nprb, tx_time_11p,
+                             tx_time_cv2x)
 
 
-def theta_11p(payload, n_bps=48):
-    return Ieee80211pSettings(payload_bytes=payload, n_bps=n_bps)
+def theta_11p(payload, mcs_index=2):
+    return Ieee80211pSettings(payload_bytes=payload, mcs_index=mcs_index)
 
 
 # --- transmission times -----------------------------------------------------
@@ -28,7 +28,14 @@ def test_tx_time_11p_single_symbol():
 
 def test_tx_time_11p_550_bytes_16qam():
     # 4400 / 96 -> 46 symbols; 110 + 40 + 368 us
-    assert tx_time_11p(theta_11p(550, n_bps=96)) == pytest.approx(518e-6, rel=1e-12)
+    assert tx_time_11p(theta_11p(550, mcs_index=4)) == pytest.approx(518e-6, rel=1e-12)
+
+
+def test_mcs_index_sets_the_symbol_rate():
+    # 2800 / 96 -> 30 symbols; 110 + 40 + 240 us
+    s = Ieee80211pSettings(payload_bytes=350, mcs_index=4)
+    assert s.n_bps == 96
+    assert tx_time_11p(s) == pytest.approx(390e-6, rel=1e-12)
 
 
 def test_tx_time_cv2x_subcapacity_single_tti():
@@ -69,15 +76,16 @@ def test_throughput_cv2x_full_tti_collapses():
 
 # --- table lookups -----------------------------------------------------------
 
+# the symbol rate is resolved from the MCS index by `Ieee80211pSettings.n_bps`
 @pytest.mark.parametrize("mcs,expected", [(2, 48), (0, 24), (4, 96), (7, 216)])
 def test_resolve_nbps(mcs, expected):
-    assert resolve_nbps(mcs) == expected
+    assert theta_11p(350, mcs_index=mcs).n_bps == expected
 
 
 @pytest.mark.parametrize("mcs", [-1, 8])
 def test_resolve_nbps_out_of_range(mcs):
-    with pytest.raises(ConfigError):
-        resolve_nbps(mcs)
+    with pytest.raises(ConfigError, match="mcs_index must be in 0..7"):
+        theta_11p(350, mcs_index=mcs)
 
 
 def test_resolve_nprb_scan():
@@ -114,8 +122,7 @@ def test_default_table_mcs7_350B():
 def test_tx_time_monotone_in_payload_and_mcs():
     times = [tx_time_11p(theta_11p(p)) for p in range(1, 900, 7)]
     assert all(b >= a for a, b in zip(times, times[1:]))
-    from v2xsim.settings import NBPS_TABLE
-    by_rate = [tx_time_11p(theta_11p(350, n_bps=n)) for n in NBPS_TABLE]
+    by_rate = [tx_time_11p(theta_11p(350, mcs_index=m)) for m in range(len(NBPS_TABLE))]
     assert all(b <= a for a, b in zip(by_rate, by_rate[1:]))
 
 
@@ -157,13 +164,12 @@ def straight_line_cv2x(p_b, n_subch, n_prb_subch, t_tti, n_prb_pkt):
 
 def test_agrees_with_independent_reimplementation():
     rng = np.random.default_rng(11)
-    from v2xsim.settings import NBPS_TABLE
     for _ in range(300):
         p = int(rng.integers(1, 3000))
-        n = int(rng.choice(NBPS_TABLE))
-        s = theta_11p(p, n_bps=n)
+        mcs = int(rng.integers(0, 8))
+        s = theta_11p(p, mcs_index=mcs)
         t_ref, psi_ref = straight_line_11p(p, s.t_aifs_s, s.t_preamble_s,
-                                           s.t_symbol_s, n)
+                                           s.t_symbol_s, NBPS_TABLE[mcs])
         assert tx_time_11p(s) == pytest.approx(t_ref, rel=1e-12)
         assert effective_throughput(s) == pytest.approx(psi_ref, rel=1e-12)
     for _ in range(300):
@@ -182,7 +188,7 @@ def test_settings_validation():
     with pytest.raises(ConfigError):
         Ieee80211pSettings(payload_bytes=0)
     with pytest.raises(ConfigError):
-        Ieee80211pSettings(payload_bytes=10, n_bps=50)
+        Ieee80211pSettings(payload_bytes=10, mcs_index=8)
     with pytest.raises(ConfigError):
         CV2xSettings(payload_bytes=10, t_tti_s=2e-3)
     with pytest.raises(ConfigError):
