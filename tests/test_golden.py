@@ -24,15 +24,21 @@ scenarios and the `derive-threshold` report of an 802.11p MCS and a C-V2X
 payload other than the defaults: any change to how a settings vector is
 built from the config and the command line, or to its airtime and
 throughput, moves them.
+
+The bundle pin regenerates every shipped curve file with
+`curvegen.generate_bundles` and compares it byte for byte: every digest
+above reads these files, so the generator must keep writing them.
 """
 
 import hashlib
+import os
 
 import pytest
 
 from conftest import CURVE_DIR, curve_path
 
 from v2xsim import config as cfgmod
+from v2xsim.curvegen import generate_bundles
 from v2xsim.cli import build_reception, ipg_grid, main, write_ipg_csv, write_prr_csv
 from v2xsim.engine import TraceLog, run
 
@@ -307,3 +313,10 @@ def test_derive_threshold_report_matches_recorded_digest(args, tmp_path, capsys)
     assert main(["derive-threshold", "--model", str(model), *args]) == 0
     report = capsys.readouterr().out.encode()
     assert hashlib.sha256(report).hexdigest() == DERIVE_THRESHOLD_DIGESTS[args]
+
+
+def test_generate_bundles_rewrites_the_shipped_curves(tmp_path):
+    written = sorted(os.path.basename(p) for p in generate_bundles(str(tmp_path)))
+    assert written == sorted(os.listdir(CURVE_DIR)) and len(written) == 20
+    for name in written:
+        assert (tmp_path / name).read_bytes() == open(curve_path(name), "rb").read(), name
