@@ -7,7 +7,7 @@ from .abstraction import (AbstractionModel, FitPoint, PerCurve, StepFunction,
 from .channel import PropagationConfig, noise_power_dbm, path_loss_db
 from .engine import RunConfig, SimulationSetup, TraceLog, TransmissionEvent, run
 from .errors import ConfigError, CurveRangeError, DataError, V2xSimError
-from .metrics import IpgStore, MetricStore, PrrSeries, ipg_ccdf, mae, prr_curve
+from .metrics import IpgStore, MetricStore, PrrSeries, ipg_ccdf, mae
 from .scenario import RoadConfig, TrafficConfig, VehicleState, spawn
 from .settings import (CV2xSettings, Ieee80211pSettings, PrbTable,
                        TechnologySettings, effective_throughput, resolve_nprb,

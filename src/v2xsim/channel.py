@@ -90,11 +90,6 @@ def _winner_db(log_d, a: float, b: float, c: float, carrier_hz: float):
     return a * log_d + b + c * math.log10(carrier_hz / 5e9)
 
 
-def free_space_loss_db(d, carrier_hz: float):
-    d = np.maximum(np.asarray(d, dtype=float), 1.0)
-    return _free_space_db(np.log10(d), carrier_hz)
-
-
 def winner_formula_db(d, a: float, b: float, c: float, carrier_hz: float):
     """Single-slope WINNER-style term, unclamped; d floored at 1 m."""
     d = np.maximum(np.asarray(d, dtype=float), 1.0)

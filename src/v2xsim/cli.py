@@ -135,7 +135,7 @@ def write_ipg_csv(path: str, store: MetricStore, grid):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t_s,ccdf\n")
         if store.ipg.gaps.size:
-            for t, c in ipg_ccdf(store.ipg, grid):
+            for t, c in ipg_ccdf(store.ipg.gaps, grid):
                 fh.write(f"{t:.3f},{c:.8f}\n")
 
 
@@ -209,7 +209,7 @@ def build_reception(cp, mode: str | None = None) -> PerCurve | StepFunction:
         if not model_file:
             raise ConfigError("reception.model_file is required for threshold_source=model")
         model = load_model_file(model_file)
-        theta = cfgmod.build_theta(cp, cp["run"]["technology"].strip())
+        theta = cfgmod.theta_for(cp, cp["run"]["technology"].strip())
         return threshold_for_settings(theta, model)
     if source == "explicit":
         threshold_db = cfgmod._get(cp, "reception", "threshold_db", float, allow_blank=True)
@@ -240,7 +240,8 @@ def cmd_print_config(args) -> int:
 
 def cmd_fit_alpha(args) -> int:
     cp = cfgmod.load_config(args.config, args.set or [])
-    bandwidth = cfgmod.build_propagation(cp).bandwidth_hz
+    # the whole setup, so that a bad value of any key fails here as in simulate
+    bandwidth = cfgmod.build_setup(cp).propagation.bandwidth_hz
     if not os.path.isdir(args.curves):
         raise DataError(f"curve directory not found: {args.curves}")
     picked = []
@@ -260,8 +261,8 @@ def cmd_fit_alpha(args) -> int:
     points, rows = [], []
     for name in picked:
         curve = load_curve_csv(os.path.join(args.curves, name))
-        _, tech, mcs, payload = parse_curve_filename(name)
-        theta = _theta_from_meta(cp, tech, mcs, payload)
+        meta = curve.meta
+        theta = cfgmod.theta_for(cp, meta.technology, meta.mcs_index, meta.payload_bytes)
         step = threshold_from_curve(curve, args.beta)
         psi_e = effective_throughput(theta)
         psi_s = shannon_throughput(step.gamma_th, bandwidth)
@@ -277,28 +278,12 @@ def cmd_fit_alpha(args) -> int:
     return 0
 
 
-def _theta_from_meta(cp, tech: str, mcs: int | None, payload: int | None):
-    """The config's theta for `tech`, with the MCS and payload given overriding it.
-
-    An overridden MCS or payload re-resolves the C-V2X PRB count, since a
-    configured n_prb_pkt was sized for the configured packet.
-    """
-    scratch = cfgmod.new_parser()
-    scratch.read_dict({s: dict(cp[s]) for s in cp.sections()})
-    if payload is not None:
-        scratch["traffic"]["payload_bytes"] = str(payload)
-    if mcs is not None:
-        scratch["ieee80211p" if tech == "11p" else "cv2x"]["mcs_index"] = str(mcs)
-    if tech == "cv2x" and (mcs is not None or payload is not None):
-        scratch["cv2x"]["n_prb_pkt"] = ""
-    return cfgmod.build_theta(scratch, tech)
-
-
 def cmd_derive_threshold(args) -> int:
     cp = cfgmod.load_config(args.config, args.set or [])
+    cfgmod.build_setup(cp)  # a bad value of any key fails here as in simulate
     model = load_model_file(args.model)
     tech = args.tech or cp["run"]["technology"].strip()
-    theta = _theta_from_meta(cp, tech, args.mcs, args.payload)
+    theta = cfgmod.theta_for(cp, tech, args.mcs, args.payload)
     print(f"technology: {tech}  payload: {theta.payload_bytes} B  "
           f"mcs: {theta.mcs_index}")
     print(f"effective throughput: {effective_throughput(theta) / 1e6:.4f} Mb/s  "

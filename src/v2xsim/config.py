@@ -246,19 +246,29 @@ def build_prb_table(cp) -> PrbTable:
                     control_overhead_prbs=_get(cp, "cv2x", "control_overhead_prbs", int))
 
 
-def build_theta(cp, technology: str):
-    payload = _get(cp, "traffic", "payload_bytes", int)
+def theta_for(cp, technology: str, mcs: int | None = None, payload: int | None = None):
+    """The config's settings vector for `technology`; a given MCS or payload overrides it.
+
+    An overridden MCS or payload re-resolves the C-V2X PRB count, since a
+    configured n_prb_pkt was sized for the configured packet.
+    """
+    configured = mcs is None and payload is None
+    if payload is None:
+        payload = _get(cp, "traffic", "payload_bytes", int)
     if technology == "11p":
         return Ieee80211pSettings(
             payload_bytes=payload,
             t_aifs_s=_get(cp, "ieee80211p", "t_aifs_us", float) * 1e-6,
             t_preamble_s=_get(cp, "ieee80211p", "t_preamble_us", float) * 1e-6,
             t_symbol_s=_get(cp, "ieee80211p", "t_symbol_us", float) * 1e-6,
-            mcs_index=_get(cp, "ieee80211p", "mcs_index", int),
+            mcs_index=_get(cp, "ieee80211p", "mcs_index", int) if mcs is None else mcs,
         )
     if technology == "cv2x":
-        mcs = _get(cp, "cv2x", "mcs_index", int)
-        n_prb_pkt = _get(cp, "cv2x", "n_prb_pkt", int, allow_blank=True)
+        if mcs is None:
+            mcs = _get(cp, "cv2x", "mcs_index", int)
+        n_prb_pkt = None
+        if configured:
+            n_prb_pkt = _get(cp, "cv2x", "n_prb_pkt", int, allow_blank=True)
         if n_prb_pkt is None:
             n_prb_pkt = resolve_nprb(mcs, payload, build_prb_table(cp))
         return CV2xSettings(
@@ -342,9 +352,9 @@ def build_sps(cp) -> SpsParams:
 
 def build_setup(cp) -> SimulationSetup:
     technology = _get(cp, "run", "technology", str)
-    theta = build_theta(cp, technology)
+    theta = theta_for(cp, technology)
     # the section of the technology that does not run is checked too
-    build_theta(cp, "cv2x" if technology == "11p" else "11p")
+    theta_for(cp, "cv2x" if technology == "11p" else "11p")
     run_cfg = RunConfig(
         seed=_get(cp, "run", "seed", int),
         sim_duration_s=_get(cp, "run", "sim_duration_s", float),

@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .abstraction import AbstractionModel, CurveMeta, PerCurve, threshold_for_settings
-from .settings import CV2xSettings, Ieee80211pSettings, TechnologySettings, resolve_nprb
+from .config import load_config, theta_for
+from .settings import Ieee80211pSettings, TechnologySettings
 
 
 def logistic_per(sinr_db: np.ndarray, midpoint_db: float, slope_db: float) -> np.ndarray:
@@ -38,16 +39,6 @@ def synth_curve(theta: TechnologySettings, scenario_id: str, alpha_ref: float,
     meta = CurveMeta(scenario_id=scenario_id, technology=tech,
                      mcs_index=theta.mcs_index, payload_bytes=theta.payload_bytes)
     return PerCurve(sinr, per, meta)
-
-
-def theta_for(tech: str, mcs_index: int, payload_bytes: int) -> TechnologySettings:
-    """Default-parameter settings vector for a (tech, MCS, payload) triple."""
-    if tech == "11p":
-        return Ieee80211pSettings(payload_bytes=payload_bytes, mcs_index=mcs_index)
-    if tech == "cv2x":
-        return CV2xSettings(payload_bytes=payload_bytes, mcs_index=mcs_index,
-                            n_prb_pkt=resolve_nprb(mcs_index, payload_bytes))
-    raise ValueError(f"unknown technology {tech!r}")
 
 
 # (tech, mcs, payload) triples per bundled scenario, with the reference loss
@@ -80,13 +71,17 @@ def write_curve_csv(curve: PerCurve, path):
 
 
 def generate_bundles(out_dir):
-    """Write every bundled scenario's curves into out_dir; returns the paths."""
+    """Write every bundled scenario's curves into out_dir; returns the paths.
+
+    Each settings vector comes from the default config, as in `fit-alpha`.
+    """
     import os
 
+    cp = load_config()
     paths = []
     for scenario_id, (alpha_ref, triples) in BUNDLES.items():
         for tech, mcs, payload in triples:
-            curve = synth_curve(theta_for(tech, mcs, payload), scenario_id, alpha_ref)
+            curve = synth_curve(theta_for(cp, tech, mcs, payload), scenario_id, alpha_ref)
             path = os.path.join(out_dir, curve_filename(curve))
             write_curve_csv(curve, path)
             paths.append(path)

@@ -133,7 +133,6 @@ class TraceLog:
 
     tx_starts: list = field(default_factory=list)  # (time, vid, sensed_busy)
     sps_selections: list = field(default_factory=list)  # (trigger_tti, Selection)
-    sps_keeps: list = field(default_factory=list)  # bool per keep draw
     sps_counters: list = field(default_factory=list)  # (vid, before, after) per tx
 
 
@@ -674,11 +673,9 @@ class _RunCv2x(_RunBase):
             for vid in tx.tolist():
                 st = self.sps_states[vid]
                 before = st.reselection_counter
-                keep = sps_after_transmission(st, self.sps_params, self.sps_rngs[vid])
+                sps_after_transmission(st, self.sps_params, self.sps_rngs[vid])
                 if self.trace is not None:
                     self.trace.sps_counters.append((vid, before, st.reselection_counter))
-                    if keep is not None:
-                        self.trace.sps_keeps.append(keep)
                 if not st.needs_reselection:
                     self.reserved_tti[vid] += self.period_ttis
         self._score_held()

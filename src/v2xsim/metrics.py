@@ -74,14 +74,6 @@ class PrrSeries:
         if np.any(self.received > self.opportunities):
             raise DataError("received counts exceed opportunities")
 
-    def add(self, distance_m: float, received: bool):
-        idx = np.searchsorted(self.bin_edges, distance_m, side="right") - 1
-        if idx < 0 or idx >= self.opportunities.size:
-            return
-        self.opportunities[idx] += 1
-        if received:
-            self.received[idx] += 1
-
     def bin_of(self, distances_m: np.ndarray) -> np.ndarray:
         """The bin of each distance, n (one past the last bin) where none holds it.
 
@@ -102,27 +94,15 @@ class PrrSeries:
         self.opportunities += counts[:, 0] + counts[:, 1]
         self.received += counts[:, 1]
 
-    def ratios(self) -> np.ndarray:
-        """PRR per bin; NaN where no opportunity was recorded."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(self.opportunities > 0,
-                            self.received / np.maximum(self.opportunities, 1), np.nan)
-
-    def merge(self, other: "PrrSeries") -> "PrrSeries":
-        if not np.array_equal(self.bin_edges, other.bin_edges):
-            raise DataError("cannot merge PRR series with different bins")
-        return PrrSeries(self.bin_edges, self.received + other.received,
-                         self.opportunities + other.opportunities)
-
 
 @dataclass
 class IpgStore:
     """Gaps between consecutive receptions per directed (tx, rx) pair.
 
     `last_time[tx, rx]` is the time of the pair's latest reception inside
-    the range limit (NaN = none yet); the array starts at `n_nodes` square
-    and grows when a larger vehicle id arrives. `gaps` is a float64 array of
-    every gap, in the order the receptions were added.
+    the range limit (NaN = none yet), for vehicle ids below `n_nodes`.
+    `gaps` is a float64 array of every gap, in the order the receptions were
+    added.
     """
 
     range_limit_m: float = DEFAULT_IPG_RANGE_M
@@ -138,15 +118,16 @@ class IpgStore:
             self._gaps = [np.concatenate(self._gaps) if self._gaps else np.zeros(0)]
         return self._gaps[0]
 
-    @gaps.setter
-    def gaps(self, values):
-        self._gaps = [np.asarray(values, dtype=float)]
-
     def near(self, distance_m: np.ndarray) -> np.ndarray:
         """Which links lie inside the range limit."""
         return np.asarray(distance_m) <= self.range_limit_m
 
     def add(self, pair, distance_m: float, time_s: float):
+        """One reception on `pair`: `add_many` for a single link.
+
+        No command calls it, but perfbench/tracing.py looks it up in the
+        class dict to time the IPG layer, so it stays.
+        """
         if self.near(distance_m):
             self.add_many(np.array([pair[0]]), np.array([pair[1]]), time_s)
 
@@ -162,12 +143,6 @@ class IpgStore:
         if tx.size == 0:
             return
         times = np.broadcast_to(np.asarray(time_s, dtype=float), tx.shape)
-        side = int(max(tx.max(), rx.max())) + 1
-        if side > self.last_time.shape[0]:
-            grown = np.full((side, side), np.nan)
-            old = self.last_time.shape[0]
-            grown[:old, :old] = self.last_time
-            self.last_time = grown
         key = tx * self.last_time.shape[0] + rx
         prev = self.last_time.flat[key]
         latest = np.ones(key.size, dtype=bool)  # the pair's last reception here
@@ -192,21 +167,11 @@ class IpgStore:
         self.last_time.flat[key[latest]] = times[latest]
 
 
-def prr_curve(prr: PrrSeries):
-    """(bin_center, ratio) pairs; bins with zero opportunities are omitted."""
-    centers = 0.5 * (prr.bin_edges[:-1] + prr.bin_edges[1:])
-    out = []
-    for c, r, n in zip(centers, prr.received, prr.opportunities):
-        if n > 0:
-            out.append((float(c), r / n))
-    return out
-
-
-def ipg_ccdf(ipg: IpgStore, grid):
-    """Empirical P(IPG > t) on the given grid of durations."""
-    if ipg.gaps.size == 0:
+def ipg_ccdf(gaps: np.ndarray, grid):
+    """Empirical P(IPG > t) of the gaps array on the given grid of durations."""
+    if gaps.size == 0:
         raise DataError("no inter-packet gaps recorded")
-    gaps = np.sort(ipg.gaps)
+    gaps = np.sort(gaps)
     t = np.asarray(grid, dtype=float)
     exceed = gaps.size - np.searchsorted(gaps, t, side="right")
     return [(float(ti), float(e / gaps.size)) for ti, e in zip(t, exceed)]

@@ -6,6 +6,7 @@ import pytest
 from v2xsim.abstraction import StepFunction, threshold_from_curve
 from v2xsim.cli import load_curve_csv
 from v2xsim.engine import RunConfig, SimulationSetup, run
+from v2xsim.metrics import PrrSeries
 from v2xsim.scenario import RoadConfig, TrafficConfig, VehicleState
 from v2xsim.settings import CV2xSettings, Ieee80211pSettings
 
@@ -61,6 +62,20 @@ def vehicle_pair(distance_m: float, speed_ms: float = 0.0):
     ]
 
 
+def prr_curve(prr):
+    """(bin_center, ratio) pairs of a PRR series; bins with zero opportunities are omitted."""
+    centers = 0.5 * (prr.bin_edges[:-1] + prr.bin_edges[1:])
+    return [(float(c), r / n) for c, r, n in zip(centers, prr.received, prr.opportunities)
+            if n > 0]
+
+
+def merge(a, b):
+    """The PRR series holding the tallies of both; their bins must match."""
+    assert np.array_equal(a.bin_edges, b.bin_edges)
+    return PrrSeries(a.bin_edges, a.received + b.received,
+                     a.opportunities + b.opportunities)
+
+
 def assert_same_store(a, b):
     """Two metric stores hold the same counters, PRR bins and IPG gaps, in order."""
     for name in ("generated", "transmitted", "opportunities", "received_total",
@@ -90,4 +105,4 @@ def run_bank():
 
 
 __all__ = ["make_setup", "step_model", "vehicle_pair", "run",
-           "curve_path", "assert_same_store"]
+           "curve_path", "assert_same_store", "prr_curve", "merge"]

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (curve_path, make_setup, step_model,
+from conftest import (curve_path, make_setup, merge, step_model,
                       vehicle_pair)
 
 from v2xsim.abstraction import (AbstractionModel, FitPoint, fit_alpha,
@@ -73,7 +73,7 @@ def highway_prr(bank, tech, mode, beta, seed, density=100.0, speed=96.0,
 def merge_series(series):
     out = series[0]
     for s in series[1:]:
-        out = out.merge(s)
+        out = merge(out, s)
     return out
 
 
@@ -180,7 +180,7 @@ def sweep_series(tech, seeds):
             links = LinkRecord()
             for mode in ("curve", "step"):
                 store = run(setup, reception_for(tech, mode), links=links)
-                out[mode] = out[mode].merge(store.prr)
+                out[mode] = merge(out[mode], store.prr)
     return out["curve"], out["step"]
 
 
@@ -248,9 +248,9 @@ def ccdf_checks(store, airtime_s, label):
     assert gaps.min() >= floor - 1e-9, (
         f"{label}: gap {gaps.min():.6f} below floor {floor:.6f}")
     grid = np.arange(0.01, 1.0, 0.01)
-    values = [c for _, c in ipg_ccdf(store.ipg, grid)]
+    values = [c for _, c in ipg_ccdf(gaps, grid)]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-    just_after = dict(ipg_ccdf(store.ipg, [0.05, 0.101]))
+    just_after = dict(ipg_ccdf(gaps, [0.05, 0.101]))
     assert just_after[0.05] == 1.0
     assert just_after[0.101] < 1.0
     return gaps

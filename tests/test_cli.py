@@ -214,6 +214,26 @@ def test_derive_threshold_vanishing_exponent(tmp_path, capsys):
     assert "below any threshold" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, setting", [
+    ("fit-alpha", "run.seed=abc"),
+    ("derive-threshold", "road.density_vpk=abc"),
+    ("derive-threshold", "cv2x.n_subch=abc"),
+])
+def test_fit_alpha_and_derive_threshold_check_every_setup_key(tmp_path, capsys, command,
+                                                              setting):
+    """Both commands build the whole setup, so a key they do not read fails as in simulate."""
+    if command == "fit-alpha":
+        args = ("--curves", CURVE_DIR, "--scenario", "highway_los",
+                "--out", str(tmp_path / "m.ini"))
+    else:
+        write_model(str(tmp_path / "m.ini"))
+        args = ("--model", str(tmp_path / "m.ini"), "--tech", "11p")
+    assert run_cli(command, *args, "--set", setting) == 2
+    captured = capsys.readouterr()
+    assert setting.split("=")[0] in captured.err
+    assert captured.out == ""
+
+
 # --- simulate ---------------------------------------------------------------------------
 
 def test_simulate_writes_outputs_and_manifest(tmp_path):

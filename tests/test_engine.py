@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from conftest import assert_same_store, make_setup, step_model, vehicle_pair
+from conftest import assert_same_store, make_setup, prr_curve, step_model, vehicle_pair
 
 from v2xsim import engine
 from v2xsim.abstraction import PerCurve, StepFunction
@@ -16,7 +16,7 @@ from v2xsim.engine import (LinkBatch, LinkRecord, RunConfig, SimulationSetup, Tr
                            TransmissionEvent, decide_reception_vector, overlap_fraction,
                            prb_overlap, run, tally)
 from v2xsim.errors import ConfigError
-from v2xsim.metrics import IpgStore, MetricStore, prr_curve
+from v2xsim.metrics import IpgStore, MetricStore
 from v2xsim.scenario import VehicleState
 from v2xsim.settings import CV2xSettings, Ieee80211pSettings
 from v2xsim.util import stream

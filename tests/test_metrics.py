@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import merge, prr_curve
+
 from v2xsim.errors import ConfigError, DataError
 from v2xsim.metrics import (IpgStore, PrrSeries, bin_index, default_bin_edges,
-                            ipg_ccdf, mae, prr_curve)
+                            ipg_ccdf, mae)
 
 
 def fresh():
-    return PrrSeries(default_bin_edges(600.0, 25.0)), IpgStore(150.0)
+    return PrrSeries(default_bin_edges(600.0, 25.0)), IpgStore(150.0, n_nodes=2)
 
 
 def add_distances(prr, distances_m, received):
@@ -77,36 +79,31 @@ def test_prr_flat_when_everything_received():
 # --- CCDF ---------------------------------------------------------------------
 
 def test_ccdf_point_mass():
-    store = IpgStore()
-    store.gaps = [0.1] * 20
-    values = dict(ipg_ccdf(store, [0.05, 0.099, 0.1, 0.2]))
+    values = dict(ipg_ccdf(np.array([0.1] * 20), [0.05, 0.099, 0.1, 0.2]))
     assert values[0.05] == 1.0 and values[0.099] == 1.0
     assert values[0.1] == 0.0 and values[0.2] == 0.0
 
 
 def test_ccdf_two_values():
-    store = IpgStore()
-    store.gaps = [0.1, 0.2]
-    assert dict(ipg_ccdf(store, [0.15]))[0.15] == pytest.approx(0.5)
+    assert dict(ipg_ccdf(np.array([0.1, 0.2]), [0.15]))[0.15] == pytest.approx(0.5)
 
 
 def test_ccdf_non_increasing_property():
     rng = np.random.default_rng(9)
     for _ in range(30):
-        store = IpgStore()
-        store.gaps = list(rng.exponential(0.2, size=int(rng.integers(1, 200))))
-        values = [c for _, c in ipg_ccdf(store, np.linspace(0, 1.0, 60))]
+        gaps = rng.exponential(0.2, size=int(rng.integers(1, 200)))
+        values = [c for _, c in ipg_ccdf(gaps, np.linspace(0, 1.0, 60))]
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert values[0] == 1.0  # all gaps are positive
 
 
 def test_ccdf_empty_errors():
     with pytest.raises(DataError):
-        ipg_ccdf(IpgStore(), [0.1])
+        ipg_ccdf(np.zeros(0), [0.1])
 
 
 def test_ipg_store_rejects_time_going_backwards():
-    store = IpgStore()
+    store = IpgStore(n_nodes=2)
     store.add((0, 1), 10.0, 1.0)
     with pytest.raises(DataError):
         store.add((0, 1), 10.0, 0.5)
@@ -129,7 +126,7 @@ def test_ipg_add_many_gap_values_and_order():
     batches = [([0, 1, 2], [1, 0, 3], [10.0, 10.0, 200.0], 0.1),
                ([1], [0], [20.0], 0.3),
                ([0, 1, 2], [1, 0, 3], [30.0, 30.0, 100.0], 0.6)]
-    store = IpgStore(150.0)
+    store = IpgStore(150.0, n_nodes=4)
     for tx, rx, dist, t in batches:
         add_receptions(store, np.array(tx), np.array(rx), np.array(dist), t)
     # (2, 3) was out of range at 0.1, so its reception at 0.6 opens no gap
@@ -155,7 +152,7 @@ def test_ipg_add_many_matches_reference_loop():
 
 
 def test_ipg_add_many_rejects_non_positive_gap():
-    store = IpgStore(150.0)
+    store = IpgStore(150.0, n_nodes=5)
     store.add_many(np.array([0, 3]), np.array([1, 4]), 0.5)
     with pytest.raises(DataError, match=r"\(3, 4\)"):
         store.add_many(np.array([3]), np.array([4]), 0.5)
@@ -182,10 +179,20 @@ def test_ipg_add_many_repeated_pairs_per_reception_times():
 
 
 def test_ipg_add_many_rejects_non_positive_gap_inside_one_batch():
-    store = IpgStore(150.0)
+    store = IpgStore(150.0, n_nodes=3)
     with pytest.raises(DataError, match=r"\(2, 1\)"):
         store.add_many(np.array([0, 2, 0, 2]), np.array([1, 1, 1, 1]),
                        np.array([0.1, 0.2, 0.3, 0.2]))
+
+
+def add_one(prr, distance_m: float, received: bool):
+    """One opportunity at one distance: the scalar reference of `PrrSeries.add_many`."""
+    idx = np.searchsorted(prr.bin_edges, distance_m, side="right") - 1
+    if idx < 0 or idx >= prr.opportunities.size:
+        return
+    prr.opportunities[idx] += 1
+    if received:
+        prr.received[idx] += 1
 
 
 def test_prr_add_many_matches_scalar_loop():
@@ -196,7 +203,7 @@ def test_prr_add_many_matches_scalar_loop():
     many, one = PrrSeries(default_bin_edges()), PrrSeries(default_bin_edges())
     add_distances(many, d, ok)
     for di, oi in zip(d, ok):
-        one.add(float(di), bool(oi))
+        add_one(one, float(di), bool(oi))
     assert np.array_equal(many.opportunities, one.opportunities)
     assert np.array_equal(many.received, one.received)
     assert many.opportunities.dtype == np.int64 and many.received.dtype == np.int64
@@ -284,7 +291,7 @@ def test_mae_metric_properties():
 def test_merge_adds_counts():
     a = series([1.0, 0.5], opportunities=10)
     b = series([0.0, 0.5], opportunities=10)
-    merged = a.merge(b)
+    merged = merge(a, b)
     assert merged.opportunities[0] == 20
     assert merged.received[0] == 10
 
