@@ -51,25 +51,9 @@ def parse_curve_filename(name: str):
 
 def load_curve_csv(path: str) -> PerCurve:
     scenario, tech, mcs, payload = parse_curve_filename(path)
-    if not os.path.isfile(path):
-        raise DataError(f"curve file not found: {path}")
-    points = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().lower()
-        if header.replace(" ", "") != "sinr_db,per":
-            raise DataError(f"{path}: expected header 'sinr_db,per', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                s, p = line.split(",")
-                points.append((float(s), float(p)))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: malformed row {line!r}") from exc
     meta = CurveMeta(scenario_id=scenario, technology=tech, mcs_index=mcs,
                      payload_bytes=payload)
-    return normalize_curve(points, meta)
+    return normalize_curve(_read_csv(path, "sinr_db,per"), meta)
 
 
 def write_model_file(path: str, model: AbstractionModel, fit_rows):
@@ -146,20 +130,30 @@ def write_mae_csv(path: str, rows, best: float):
             fh.write(f"{beta:.3f},{value:.8f},{int(beta == best)}\n")
 
 
-def _read_csv(path: str, expected_header: str):
-    rows = []
+def _read_csv(path: str, header: str):
+    """The rows of a CSV file as tuples of numbers.
+
+    The header must read `header` up to case and spaces; a row of another
+    length or with a cell that is not a number is an error naming its line.
+    """
+    if not os.path.isfile(path):
+        raise DataError(f"file not found: {path}")
+    rows, width = [], header.count(",") + 1
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != expected_header:
-            raise DataError(f"{path}: expected header {expected_header!r}, got {header!r}")
+        got = fh.readline().strip()
+        if got.lower().replace(" ", "") != header:
+            raise DataError(f"{path}: expected header {header!r}, got {got!r}")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            cells = line.split(",")
-            if len(cells) != len(expected_header.split(",")):
-                raise DataError(f"{path}:{lineno}: wrong column count")
-            rows.append(tuple(float(c) for c in cells))
+            try:
+                row = tuple(map(float, line.split(",")))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: not a number in {line!r}") from exc
+            if len(row) != width:
+                raise DataError(f"{path}:{lineno}: wrong column count in {line!r}")
+            rows.append(row)
     return rows
 
 
@@ -187,36 +181,40 @@ def write_manifest(path: str, cp, command: str):
 # reception model assembly
 
 
+def read_reception(cp) -> dict:
+    """The one reader of [reception]: every key is checked, whichever command runs."""
+    rx = {key: cfgmod._get(cp, "reception", key, conv, allow_blank=blank)
+          for key, conv, blank in (("mode", str, False), ("threshold_source", str, False),
+                                   ("beta", float, False), ("threshold_db", float, True),
+                                   ("curve_file", str, True), ("model_file", str, True))}
+    if rx["mode"] not in ("step", "curve"):
+        raise ConfigError(f"reception.mode must be step or curve, got {rx['mode']!r}")
+    if rx["threshold_source"] not in ("curve", "model", "explicit"):
+        raise ConfigError("reception.threshold_source must be curve, model or explicit, "
+                          f"got {rx['threshold_source']!r}")
+    return rx
+
+
 def build_reception(cp, mode: str | None = None) -> PerCurve | StepFunction:
     """The configured reception model: the PER curve, or a step threshold."""
-    section = cp["reception"]
-    mode = mode or section.get("mode", "step").strip()
-    beta = cfgmod._get(cp, "reception", "beta", float)
-    curve_file = section.get("curve_file", "").strip()
-    if mode == "curve":
-        if not curve_file:
-            raise ConfigError("reception.curve_file is required in curve mode")
-        return load_curve_csv(curve_file)
-    if mode != "step":
-        raise ConfigError(f"reception.mode must be step or curve, got {mode!r}")
-    source = section.get("threshold_source", "curve").strip()
-    if source == "curve":
-        if not curve_file:
+    rx = read_reception(cp)
+    if (mode or rx["mode"]) == "curve":
+        if not rx["curve_file"]:
+            raise ConfigError("reception.curve_file is required for the curve model")
+        return load_curve_csv(rx["curve_file"])
+    if rx["threshold_source"] == "curve":
+        if not rx["curve_file"]:
             raise ConfigError("reception.curve_file is required for threshold_source=curve")
-        return threshold_from_curve(load_curve_csv(curve_file), beta)
-    if source == "model":
-        model_file = section.get("model_file", "").strip()
-        if not model_file:
+        return threshold_from_curve(load_curve_csv(rx["curve_file"]), rx["beta"])
+    if rx["threshold_source"] == "model":
+        if not rx["model_file"]:
             raise ConfigError("reception.model_file is required for threshold_source=model")
-        model = load_model_file(model_file)
-        theta = cfgmod.theta_for(cp, cp["run"]["technology"].strip())
+        model = load_model_file(rx["model_file"])
+        theta = cfgmod.theta_for(cp, cfgmod._get(cp, "run", "technology", str))
         return threshold_for_settings(theta, model)
-    if source == "explicit":
-        threshold_db = cfgmod._get(cp, "reception", "threshold_db", float, allow_blank=True)
-        if threshold_db is None:
-            raise ConfigError("reception.threshold_db is required for threshold_source=explicit")
-        return StepFunction(gamma_th=10.0 ** (threshold_db / 10.0), beta=beta)
-    raise ConfigError(f"unknown threshold_source {source!r}")
+    if rx["threshold_db"] is None:
+        raise ConfigError("reception.threshold_db is required for threshold_source=explicit")
+    return StepFunction(gamma_th=10.0 ** (rx["threshold_db"] / 10.0), beta=rx["beta"])
 
 
 def ipg_grid(cp):
@@ -233,15 +231,22 @@ def ipg_grid(cp):
 # commands
 
 
+def load(args):
+    """The config, setup and IPG grid of a command: every command starts here, so
+    that a bad value of any key exits 2 whichever keys the command goes on to read."""
+    cp = cfgmod.load_config(args.config, args.set or [])
+    read_reception(cp)
+    return cp, cfgmod.build_setup(cp), ipg_grid(cp)
+
+
 def cmd_print_config(args) -> int:
     sys.stdout.write(cfgmod.DEFAULT_CONFIG)
     return 0
 
 
 def cmd_fit_alpha(args) -> int:
-    cp = cfgmod.load_config(args.config, args.set or [])
-    # the whole setup, so that a bad value of any key fails here as in simulate
-    bandwidth = cfgmod.build_setup(cp).propagation.bandwidth_hz
+    cp, setup, _ = load(args)
+    bandwidth = setup.propagation.bandwidth_hz
     if not os.path.isdir(args.curves):
         raise DataError(f"curve directory not found: {args.curves}")
     picked = []
@@ -279,10 +284,9 @@ def cmd_fit_alpha(args) -> int:
 
 
 def cmd_derive_threshold(args) -> int:
-    cp = cfgmod.load_config(args.config, args.set or [])
-    cfgmod.build_setup(cp)  # a bad value of any key fails here as in simulate
+    cp, _, _ = load(args)
     model = load_model_file(args.model)
-    tech = args.tech or cp["run"]["technology"].strip()
+    tech = args.tech or cfgmod._get(cp, "run", "technology", str)
     theta = cfgmod.theta_for(cp, tech, args.mcs, args.payload)
     print(f"technology: {tech}  payload: {theta.payload_bytes} B  "
           f"mcs: {theta.mcs_index}")
@@ -309,10 +313,8 @@ def _simulate_to_dir(cp, setup, reception, grid, out_dir: str, command: str,
 
 
 def cmd_simulate(args) -> int:
-    cp = cfgmod.load_config(args.config, args.set or [])
-    reception = build_reception(cp)
-    store = _simulate_to_dir(cp, cfgmod.build_setup(cp), reception, ipg_grid(cp), args.out,
-                             "simulate")
+    cp, setup, grid = load(args)
+    store = _simulate_to_dir(cp, setup, build_reception(cp), grid, args.out, "simulate")
     print(f"simulated {store.transmitted} transmissions, "
           f"{store.opportunities} reception opportunities, "
           f"{store.received_total} received")
@@ -329,16 +331,12 @@ def parse_betas(text: str) -> list[float]:
 
 
 def cmd_select_beta(args) -> int:
-    cp = cfgmod.load_config(args.config, args.set or [])
-    curve_file = cp["reception"]["curve_file"].strip()
-    if not curve_file:
-        raise ConfigError("select-beta needs reception.curve_file as the benchmark")
-    curve = load_curve_csv(curve_file)
+    cp, setup, _ = load(args)
+    curve = build_reception(cp, mode="curve")
     betas = parse_betas(args.betas) if args.betas else list(DEFAULT_BETAS)
     # every threshold first, so that a bad beta fails before any simulation
     steps = {beta: threshold_from_curve(curve, beta) for beta in betas}
     # the channel is simulated once; each beta replays its link outcomes
-    setup = cfgmod.build_setup(cp)
     links = LinkRecord()
     benchmark = run(setup, curve, links=links).prr
 
@@ -358,24 +356,18 @@ def cmd_select_beta(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cp = cfgmod.load_config(args.config, args.set or [])
-    curve_file = cp["reception"]["curve_file"].strip()
-    if not curve_file:
-        raise ConfigError("validate needs reception.curve_file as the benchmark")
-    os.makedirs(args.out, exist_ok=True)
-    # both models and the IPG grid first, so that a bad one writes no output;
-    # the channel is simulated once and the step run replays its link outcomes
+    cp, setup, grid = load(args)
+    # both models first, so that a bad one writes no output; the channel is
+    # simulated once and the step run replays its link outcomes
     curve_model = build_reception(cp, mode="curve")
     step_model = build_reception(cp, mode="step")
-    grid = ipg_grid(cp)
-    setup = cfgmod.build_setup(cp)
     links = LinkRecord()
     bench = _simulate_to_dir(cp, setup, curve_model, grid, os.path.join(args.out, "curve"),
                              "validate", links)
     step = _simulate_to_dir(cp, setup, step_model, grid, os.path.join(args.out, "step"),
                             "validate", links)
     value = mae(bench.prr, step.prr)
-    beta = cfgmod._get(cp, "reception", "beta", float)
+    beta = read_reception(cp)["beta"]
     write_mae_csv(os.path.join(args.out, "mae.csv"), [(beta, value)], beta)
     print(f"MAE(step beta={beta} vs curve) = {value:.4f}")
     print(f"outputs in {args.out}/curve and {args.out}/step")

@@ -34,7 +34,7 @@ mobility_step_ms = 100.0
 mode = step
 ; step | curve
 threshold_source = curve
-; step mode only: curve | model | explicit
+; curve | model | explicit: checked in every mode, used in step mode
 beta = 0.5
 ; BASELINE: best target PER for the step approximation
 curve_file =

@@ -59,8 +59,7 @@ BUNDLES = {
 
 
 def curve_filename(curve: PerCurve) -> str:
-    m = curve.meta
-    return f"{m.scenario_id}_{m.technology}_mcs{m.mcs_index}_{m.payload_bytes}B.csv"
+    return f"{curve.meta.scenario_id}_{curve.meta.tag()}.csv"
 
 
 def write_curve_csv(curve: PerCurve, path):

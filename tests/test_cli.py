@@ -114,6 +114,20 @@ def test_load_curve_csv_rejects_bad_rows(tmp_path):
     path.write_text("wrong,header\n0.0,0.5\n")
     with pytest.raises(DataError):
         load_curve_csv(str(path))
+    path.write_text("sinr_db,per\n0.0,0.5,0.1\n")
+    with pytest.raises(DataError, match=":2"):
+        load_curve_csv(str(path))
+
+
+def test_result_csvs_share_the_curve_row_and_header_rules(tmp_path):
+    path = tmp_path / "prr.csv"
+    path.write_text("Bin_Center_m, PRR, Opportunities\n12.5,0.9,10\n")
+    assert read_prr_csv(str(path)) == [(12.5, 0.9, 10.0)]
+    path.write_text("bin_center_m,prr,opportunities\n12.5,0.9,10\n37.5,abc,10\n")
+    with pytest.raises(DataError, match=r"prr\.csv:3"):
+        read_prr_csv(str(path))
+    with pytest.raises(DataError, match="not found"):
+        read_ipg_csv(str(tmp_path / "missing.csv"))
 
 
 # --- fit-alpha -----------------------------------------------------------------------
@@ -234,6 +248,37 @@ def test_fit_alpha_and_derive_threshold_check_every_setup_key(tmp_path, capsys, 
     assert captured.out == ""
 
 
+# bad values that every command rejects, whether or not it reads the key
+BAD_VALUES = [("reception.beta", "abc"), ("reception.mode", "bogus"),
+              ("reception.threshold_source", "bogus"), ("reception.threshold_db", "abc"),
+              ("metrics.ipg_grid_step_s", "abc"), ("metrics.ipg_grid_max_s", "-1")]
+
+
+@pytest.mark.parametrize("command", ["simulate", "select-beta", "validate", "fit-alpha",
+                                     "derive-threshold"])
+@pytest.mark.parametrize("key, value", BAD_VALUES)
+def test_bad_value_exits_2_under_every_command(tmp_path, capsys, command, key, value):
+    """Every command loads its config through one entry that checks every key."""
+    inputs = []
+    if command == "fit-alpha":
+        args = ("--curves", CURVE_DIR, "--scenario", "highway_los",
+                "--out", str(tmp_path / "fit.model.ini"))
+    elif command == "derive-threshold":
+        write_model(str(tmp_path / "input.model.ini"))
+        inputs = ["input.model.ini"]
+        args = ("--model", str(tmp_path / "input.model.ini"), "--tech", "11p")
+    else:
+        # a short horizon keeps the runs fast where a bad value went unchecked
+        curve = os.path.join(CURVE_DIR, "highway_los_11p_mcs2_350B.csv")
+        args = ("--out", str(tmp_path / "out"), "--set", f"reception.curve_file={curve}",
+                "--set", "run.sim_duration_s=0.3", "--set", "run.warmup_s=0.1")
+    assert run_cli(command, *args, "--set", f"{key}={value}") == 2
+    captured = capsys.readouterr()
+    assert key in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == inputs
+
+
 # --- simulate ---------------------------------------------------------------------------
 
 def test_simulate_writes_outputs_and_manifest(tmp_path):
@@ -311,8 +356,8 @@ def test_simulate_bad_value_exits_2(tmp_path, capsys, key, value):
 # --- one home per config key ---------------------------------------------------------
 
 # a valid change of every key that `build_setup` reads; the reception keys and
-# the IPG grid are read by `build_reception` and `ipg_grid`, and the
-# technology picks the settings vector's type
+# the IPG grid are read by `read_reception` and `ipg_grid`, which every command
+# calls through `cli.load`, and the technology picks the settings vector's type
 VALID_CHANGES = {
     "run.seed": "2", "run.sim_duration_s": "12.0", "run.warmup_s": "2.0",
     "run.max_range_m": "800.0", "run.mobility_step_ms": "50.0",
@@ -471,6 +516,8 @@ BAD_VALUE_CONTEXT = {
                                 + os.path.join(CURVE_DIR, "highway_los_cv2x_mcs7_350B.csv")),
     "propagation.shadowing_std_db": ("propagation.shadowing_is_variance=true",),
     "reception.threshold_db": ("reception.threshold_source=explicit",),
+    # a curve-mode run does not use the source, but still checks it
+    "reception.threshold_source": ("reception.mode=curve",),
 }
 
 
@@ -492,6 +539,7 @@ BAD_VALUE_CONTEXT = {
     "metrics.ipg_grid_max_s=0",
     "reception.beta=abc",
     "reception.threshold_db=x",
+    "reception.threshold_source=bogus",
 ])
 def test_simulate_config_that_hung_or_crashed_exits_2(tmp_path, setting):
     key = setting.split("=")[0]
