@@ -192,6 +192,9 @@ def read_reception(cp) -> dict:
     if rx["threshold_source"] not in ("curve", "model", "explicit"):
         raise ConfigError("reception.threshold_source must be curve, model or explicit, "
                           f"got {rx['threshold_source']!r}")
+    # a target PER, whichever source the step threshold comes from
+    if not 0 < rx["beta"] < 1:
+        raise ConfigError(f"reception.beta must be in (0, 1), got {rx['beta']}")
     return rx
 
 
@@ -367,7 +370,8 @@ def cmd_validate(args) -> int:
     step = _simulate_to_dir(cp, setup, step_model, grid, os.path.join(args.out, "step"),
                             "validate", links)
     value = mae(bench.prr, step.prr)
-    beta = read_reception(cp)["beta"]
+    # the beta the step model was cut at: the model file's under threshold_source=model
+    beta = step_model.beta
     write_mae_csv(os.path.join(args.out, "mae.csv"), [(beta, value)], beta)
     print(f"MAE(step beta={beta} vs curve) = {value:.4f}")
     print(f"outputs in {args.out}/curve and {args.out}/step")

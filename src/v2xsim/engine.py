@@ -11,6 +11,10 @@ terms symmetric in the vehicle pair (distance, LOS, path loss) are
 computed once per pair and mirrored; shadowing and the link budget are
 computed per directed link, the shadowing drawn in row order.
 
+802.11p carrier sense is one rule, busy at the decodable or at the energy
+threshold; a frame start or end updates only the stations it reaches
+decodably, and the energy sum is kept only while it can matter (`_Run11p`).
+
 The event loops only record frames; one scorer turns them into link
 outcomes in F x N passes against all in-range receivers. An ended 802.11p
 frame is kept with its power and distance rows, its interferers and its
@@ -435,26 +439,36 @@ class _RunBase:
 
 
 class _Frame:
-    __slots__ = ("event", "mw_row", "dist_row", "sense_mask", "overlappers")
+    __slots__ = ("event", "mw_row", "dist_row", "rx", "overlappers")
 
-    def __init__(self, event, mw_row, dist_row, sense_mask):
+    def __init__(self, event, mw_row, dist_row, rx):
         self.event = event
         self.mw_row = mw_row
         self.dist_row = dist_row
-        self.sense_mask = sense_mask
+        self.rx = rx  # the stations that sense it as decodable, ascending
         self.overlappers = []
 
 
 class _Run11p(_RunBase):
+    """802.11p. Carrier sense is one rule: busy while `busy_decod > 0` or
+    `energy_mw >= e65`. `busy_decod` counts the frames on air that reached the
+    station at e85 (the decodable threshold) as they started, so a frame moves
+    it only at its `rx`. A station no such frame reaches gets under e85 from
+    each, so, float error and all, its energy stays under e65 / 2 while fewer
+    than `energy_frames` = floor(e65 / (2 e85)) are on air: then no sum is kept."""
+
     def __init__(self, setup: SimulationSetup, emit, trace: TraceLog | None):
         super().__init__(setup, emit, trace)
         csma = self.csma = setup.csma
         self.mac = CsmaNode(csma, self.cfg.theta.t_aifs_s,
                             [stream(self.cfg.seed, "backoff", vid) for vid in self.ids])
         self.busy_decod = np.zeros(self.n, dtype=np.int64)
-        self.energy_mw = np.zeros(self.n)
+        self.energy_mw = None
         self.busy = np.zeros(self.n, dtype=bool)
         self.e65_mw = 10.0 ** (csma.sense_energy_dbm / 10.0)
+        # capping the dB gap only lowers the guard, which keeps it exact
+        gap_db = min(csma.sense_energy_dbm - csma.sense_decodable_dbm, 100.0)
+        self.energy_frames = max(math.floor(10.0 ** (gap_db / 10.0) / 2.0), 1)
         self.active: list[_Frame] = []
         self.ended: list[_Frame] = []  # recorded, not yet scored
         self.heap: list = []  # (time, sequence number, kind, data)
@@ -464,51 +478,51 @@ class _Run11p(_RunBase):
 
     def _refresh_masks(self):
         self.m85 = self.phy.power_dbm >= self.csma.sense_decodable_dbm
+        np.fill_diagonal(self.m85, False)  # a station does not sense its own frame
 
     def _push(self, at: float, kind: str, data):
         heapq.heappush(self.heap, (at, self.mac.take_seq(), kind, data))
 
-    def _recompute_busy(self, now: float):
-        new_busy = (self.busy_decod > 0) | (self.energy_mw >= self.e65_mw)
-        flipped = np.flatnonzero(new_busy != self.busy)
-        self.busy = new_busy
-        if not flipped.size:
-            return
-        vids = self.mac.contending(flipped)
-        if not vids.size:
-            return
-        turned_busy = new_busy[vids]
-        if turned_busy.any():
-            self.mac.on_busy(now, vids[turned_busy])
-        if not turned_busy.all():
-            self.mac.on_idle(now, vids[~turned_busy])
+    def _sense(self, frame: _Frame, step: int, now: float):
+        """Carrier sense as `frame` starts (step 1) or ends (step -1)."""
+        count = self.busy_decod[frame.rx] + step
+        self.busy_decod[frame.rx] = count
+        if self.energy_mw is None and len(self.active) < self.energy_frames:
+            flips = ((frame.rx[count == max(step, 0)], step > 0),)
+        else:
+            self.energy_mw = (np.sum([f.mw_row for f in self.active], axis=0)
+                              if self.energy_mw is None else self.energy_mw + step * frame.mw_row)
+            new_busy = (self.busy_decod > 0) | (self.energy_mw >= self.e65_mw)
+            flips = ((np.flatnonzero(new_busy > self.busy), True),
+                     (np.flatnonzero(new_busy < self.busy), False))
+            if len(self.active) < self.energy_frames:
+                self.energy_mw = None
+        for vids, turned_busy in flips:
+            self.busy[vids] = turned_busy
+            vids = self.mac.contending(vids) if vids.size else vids
+            if vids.size:
+                (self.mac.on_busy if turned_busy else self.mac.on_idle)(now, vids)
 
     def _begin_frame(self, vid: int, now: float):
         self.mac.take_packet(vid)
         if self.trace is not None:
             self.trace.tx_starts.append((now, vid, bool(self.busy[vid])))
         event = TransmissionEvent(tx_id=vid, start=now, duration=self.duration_s)
-        sense_mask = self.m85[vid].copy()
-        sense_mask[vid] = False
         mw_row = self.phy.power_mw[vid].copy()
         mw_row[vid] = 0.0
-        frame = _Frame(event, mw_row, self.phy.dist[vid].copy(), sense_mask)
+        frame = _Frame(event, mw_row, self.phy.dist[vid].copy(), self.m85[vid].nonzero()[0])
         frame.overlappers = list(self.active)
         for other in self.active:
             other.overlappers.append(frame)
         self.active.append(frame)
         if now >= self.cfg.warmup_s:
             self.metrics.transmitted += 1
-        self.busy_decod += sense_mask
-        self.energy_mw += mw_row
-        self._recompute_busy(now)
+        self._sense(frame, 1, now)
         self._push(event.end, "tx_end", frame)
 
     def _end_frame(self, frame: _Frame, now: float):
         self.active.remove(frame)
-        self.busy_decod -= frame.sense_mask
-        self.energy_mw -= frame.mw_row
-        self._recompute_busy(now)
+        self._sense(frame, -1, now)
         self.ended.append(frame)
         if len(self.ended) * self.n >= SCORE_BATCH_ELEMENTS:
             self._score_ended()

@@ -1,6 +1,7 @@
 """CSMA state machine, carrier sensing, half duplex and sidelink resource selection."""
 
 import heapq
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -34,12 +35,14 @@ class FixedRng:
 
 # --- the engine's medium -------------------------------------------------------
 
-def engine_run(tech, vehicles):
+def engine_run(tech, vehicles, **csma):
     """An engine whose frames the test starts, ends and scores by hand.
 
-    Returns the engine and the list its scored batches go to.
+    `csma` overrides carrier-sense settings. Returns the engine and the
+    list its scored batches go to.
     """
     setup = make_setup(tech, duration=1.0, warmup=0.0, vehicles=vehicles)
+    setup = replace(setup, csma=replace(setup.csma, **csma))
     emitted = []
     sim = (engine._Run11p if tech == "11p" else engine._RunCv2x)(setup, emitted.append, None)
     return sim, emitted
@@ -59,22 +62,145 @@ def play_11p(sim, frames):
     sim._score_ended()
 
 
+def flat_medium(stations, power_dbm, **csma):
+    """An 802.11p engine of `stations` stations, every link at `power_dbm`."""
+    sim, _ = engine_run("11p", [VehicleState(i, 0, 500.0 + 10.0 * i, 0.0, +1)
+                                for i in range(stations)], **csma)
+    sim.phy.power_dbm[:] = power_dbm
+    sim.phy.power_mw[:] = 10.0 ** (power_dbm / 10.0)
+    sim._refresh_masks()
+    return sim
+
+
 @pytest.mark.parametrize("power_dbm, frames, busy", [
     (-84.0, 1, True),    # a frame above the decodable threshold
     (-86.0, 1, False),   # a frame below it
     (-70.0, 1, True),    # between the thresholds: still decodable
+    (-86.0, 49, False),  # one frame short of the 50 from which the energy sum is kept
+    (-86.0, 50, False),  # 50 such frames: -69.0 dBm of energy
     (-86.0, 99, False),  # 99 such frames: -66.0 dBm of energy
     (-86.0, 130, True),  # 130 such frames: -64.9 dBm of energy
 ])
 def test_carrier_sense_thresholds(power_dbm, frames, busy):
-    sim, _ = engine_run("11p", [VehicleState(i, 0, 500.0 + 10.0 * i, 0.0, +1)
-                                for i in range(frames + 1)])
-    sim.phy.power_dbm[:] = power_dbm
-    sim.phy.power_mw[:] = 10.0 ** (power_dbm / 10.0)
-    sim._refresh_masks()
+    sim = flat_medium(frames + 1, power_dbm)
     for vid in range(1, frames + 1):
         sim._begin_frame(vid, 0.0)
     assert bool(sim.busy[0]) is busy
+
+
+def test_energy_threshold_below_decodable_senses_one_undecodable_frame():
+    sim = flat_medium(2, -86.0, sense_energy_dbm=-90.0)
+    sim._begin_frame(1, 0.0)
+    assert bool(sim.busy[0])
+    ((_, _, _, frame),) = sim.heap
+    sim._end_frame(frame, sim.duration_s)
+    assert not sim.busy.any()
+
+
+def test_station_does_not_sense_its_own_frame():
+    sim = flat_medium(2, -86.0, sense_decodable_dbm=-90.0)
+    sim._begin_frame(1, 0.0)
+    assert sim.busy.tolist() == [True, False]
+
+
+def sensed_busy(frames, n, e85_dbm, e65_mw):
+    """The carrier-sense rule from scratch, over the frames on air.
+
+    Each frame is (dBm row, mW row) of its transmitter's links at its start;
+    a station is busy when one of them reached it at the decodable threshold,
+    or when their summed power reaches the energy threshold.
+    """
+    decodable = [any(dbm[i] >= e85_dbm for dbm, _ in frames) for i in range(n)]
+    energy = [math.fsum(mw[i] for _, mw in frames) for i in range(n)]
+    return np.array([d or e >= e65_mw for d, e in zip(decodable, energy)], dtype=bool)
+
+
+@pytest.mark.parametrize("energy_above_decodable", [True, False])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_carrier_sense_matches_reference(energy_above_decodable, data):
+    """Random frame starts and ends: busy, and the flips the MAC hears, follow the rule.
+
+    The thresholds are drawn so that the energy sum is kept from 1 to 5
+    frames on air; at least one more station transmits than that, and all
+    transmitters start before the last frames end, so every sequence crosses
+    that count both ways. A refresh between frames gives the frames on air
+    rows of an older channel.
+    """
+    e85_dbm = data.draw(st.integers(-95, -75), label="sense_decodable_dbm")
+    gap_db = data.draw(st.integers(1, 10) if energy_above_decodable else st.integers(-6, 0),
+                       label="energy over decodable, dB")
+    guard = max(math.floor(10.0 ** (gap_db / 10.0) / 2.0), 1)
+    n_tx = data.draw(st.integers(guard + 1, guard + 8), label="transmitters")
+    n = n_tx + data.draw(st.integers(0, 4), label="listeners")
+    positions = data.draw(st.lists(st.floats(0.0, 1990.0), min_size=n, max_size=n))
+    sim, _ = engine_run("11p", [VehicleState(i, i % 2, x, 0.0, +1)
+                                for i, x in enumerate(positions)],
+                        sense_decodable_dbm=float(e85_dbm),
+                        sense_energy_dbm=float(e85_dbm + gap_db))
+    e65_mw = 10.0 ** ((e85_dbm + gap_db) / 10.0)
+    # links within a few dB of the decodable threshold, so that the energy
+    # often decides; whole dB from it, then 0.37 dB off: no sum of rows ties
+    # with the energy threshold, where float order could decide
+    channels = []
+    for _ in range(2):
+        dbm = np.array(data.draw(st.lists(st.integers(-4, 1), min_size=n * n, max_size=n * n)),
+                       dtype=float).reshape(n, n) + e85_dbm + 0.37
+        np.fill_diagonal(dbm, engine.POWER_FLOOR_DBM)
+        mw = 10.0 ** (dbm / 10.0)
+        np.fill_diagonal(mw, 0.0)
+        channels.append((dbm, mw))
+
+    def use_channel(c):
+        sim.phy.power_dbm[:], sim.phy.power_mw[:] = channels[c]
+        sim._refresh_masks()
+        return c
+
+    channel = use_channel(0)
+    for vid in range(n_tx, n):  # listeners with a packet contend
+        if data.draw(st.booleans()):
+            sim.mac.on_packet(0.0, vid, bool(sim.busy[vid]))
+    heard = []
+    for name in ("on_busy", "on_idle"):
+        def record(now, vids, name=name, method=getattr(sim.mac, name)):
+            heard.append((name, vids.tolist()))
+            method(now, vids)
+        setattr(sim.mac, name, record)
+
+    on_air, frames, now = {}, {}, 0.0
+    reference = sensed_busy([], n, e85_dbm, e65_mw)
+    ops = ([("start", v) for v in data.draw(st.permutations(range(n_tx)))]
+           + data.draw(st.lists(st.sampled_from([("toggle", v) for v in range(n_tx)]
+                                                + [("refresh", None)]), max_size=30))
+           + [("end_all", None)])
+    for op, vid in ops:
+        if op == "refresh":
+            channel = use_channel(1 - channel)
+            continue
+        if op == "end_all":
+            steps = [("end", v) for v in data.draw(st.permutations(sorted(on_air)))]
+        else:
+            steps = [("end" if vid in on_air else "start", vid)]
+        for step, v in steps:
+            now += 1e-5
+            contending = set(sim.mac.contending(np.arange(n)).tolist())
+            if step == "start":
+                sim._begin_frame(v, now)
+                on_air[v] = sim.active[-1]
+                frames[v] = (channels[channel][0][v], channels[channel][1][v])
+            else:
+                sim._end_frame(on_air.pop(v), now)
+                del frames[v]
+            before, reference = reference, sensed_busy(list(frames.values()), n,
+                                                       e85_dbm, e65_mw)
+            assert sim.busy.tolist() == reference.tolist()
+            expected = [(name, ids) for name, ids in (
+                ("on_busy", [i for i in np.flatnonzero(reference & ~before) if i in contending]),
+                ("on_idle", [i for i in np.flatnonzero(before & ~reference) if i in contending]))
+                if ids]
+            assert heard == expected
+            heard.clear()
+    assert not on_air and not sim.busy.any()
 
 
 def half_duplex_at_0(sim, emitted):

@@ -249,7 +249,8 @@ def test_fit_alpha_and_derive_threshold_check_every_setup_key(tmp_path, capsys, 
 
 
 # bad values that every command rejects, whether or not it reads the key
-BAD_VALUES = [("reception.beta", "abc"), ("reception.mode", "bogus"),
+BAD_VALUES = [("reception.beta", "abc"), ("reception.beta", "0"), ("reception.beta", "5"),
+              ("reception.mode", "bogus"),
               ("reception.threshold_source", "bogus"), ("reception.threshold_db", "abc"),
               ("metrics.ipg_grid_step_s", "abc"), ("metrics.ipg_grid_max_s", "-1")]
 
@@ -604,6 +605,39 @@ def test_validate_compares_modes(tmp_path, capsys):
     rows = read_mae_csv(str(out / "mae.csv"))
     assert rows[0][1] < 0.2
     assert "MAE" in capsys.readouterr().out
+
+
+def validate_args(out, source, *extra):
+    """A short validate run whose step threshold comes from `source`."""
+    curve = os.path.join(CURVE_DIR, "highway_los_11p_mcs2_350B.csv")
+    return ("validate", "--out", str(out), "--set", f"reception.curve_file={curve}",
+            "--set", f"reception.threshold_source={source}",
+            "--set", "run.sim_duration_s=0.3", "--set", "run.warmup_s=0.1", *extra)
+
+
+@pytest.mark.parametrize("beta", ["0", "1", "5"])
+@pytest.mark.parametrize("source", ["curve", "model", "explicit"])
+def test_validate_beta_outside_unit_interval_exits_2_under_every_source(
+        tmp_path, capsys, source, beta):
+    """A target PER outside (0, 1) is refused before any run, whatever the source."""
+    write_model(str(tmp_path / "m.model.ini"))
+    out = tmp_path / "v"
+    assert run_cli(*validate_args(out, source, "--set", f"reception.beta={beta}",
+                                  "--set", f"reception.model_file={tmp_path / 'm.model.ini'}",
+                                  "--set", "reception.threshold_db=2")) == 2
+    assert "reception.beta" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_labels_mae_with_the_model_files_beta(tmp_path, capsys):
+    """Under threshold_source=model the step is cut at the model's beta, not reception.beta."""
+    write_model(str(tmp_path / "m.model.ini"))  # fitted at beta 0.5
+    out = tmp_path / "v"
+    assert run_cli(*validate_args(out, "model", "--set", "reception.beta=0.9",
+                                  "--set", f"reception.model_file={tmp_path / 'm.model.ini'}")) == 0
+    ((beta, _, best),) = read_mae_csv(str(out / "mae.csv"))
+    assert (beta, best) == (0.5, 1)
+    assert "step beta=0.5 vs curve" in capsys.readouterr().out
 
 
 def test_validate_without_curve_exits_2(tmp_path):
