@@ -111,6 +111,8 @@ class AbstractionModel:
             raise ConfigError(f"alpha_hat must be > 0, got {self.alpha_hat}")
         if not self.bandwidth_hz > 0:
             raise ConfigError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
+        if not 0 < self.beta < 1:
+            raise ConfigError(f"beta must be in (0, 1), got {self.beta}")
 
 
 def pav_non_increasing(values: np.ndarray) -> np.ndarray:

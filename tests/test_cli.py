@@ -172,9 +172,9 @@ def test_fit_alpha_empty_dir_exits_3(tmp_path, capsys):
 
 # --- derive-threshold -------------------------------------------------------------------
 
-def write_model(path, alpha=0.37, bandwidth=10e6):
+def write_model(path, alpha=0.37, bandwidth=10e6, beta=0.5):
     cp = configparser.ConfigParser()
-    cp["model"] = {"scenario_id": "hw", "alpha_hat": str(alpha), "beta": "0.5",
+    cp["model"] = {"scenario_id": "hw", "alpha_hat": str(alpha), "beta": str(beta),
                    "bandwidth_hz": str(bandwidth), "rmse_bps": "0", "n_points": "1"}
     with open(path, "w") as fh:
         cp.write(fh)
@@ -638,6 +638,19 @@ def test_validate_labels_mae_with_the_model_files_beta(tmp_path, capsys):
     ((beta, _, best),) = read_mae_csv(str(out / "mae.csv"))
     assert (beta, best) == (0.5, 1)
     assert "step beta=0.5 vs curve" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["validate", "derive-threshold"])
+def test_model_file_beta_outside_unit_interval_exits_2(tmp_path, capsys, command):
+    model = str(tmp_path / "m.model.ini")
+    write_model(model, beta=5.0)
+    if command == "validate":
+        args = validate_args(tmp_path / "v", "model", "--set", f"reception.model_file={model}")
+    else:
+        args = ("derive-threshold", "--model", model, "--tech", "11p")
+    assert run_cli(*args) == 2
+    assert "beta must be in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
 
 
 def test_validate_without_curve_exits_2(tmp_path):
