@@ -28,16 +28,21 @@ from .util import linear_to_db
 
 @dataclass(frozen=True)
 class CsmaParams:
-    slot_s: float = 13e-6
-    cw_max: int = 15
-    sense_decodable_dbm: float = -85.0
-    sense_energy_dbm: float = -65.0
+    slot_s: float
+    cw_max: int
+    sense_decodable_dbm: float
+    sense_energy_dbm: float
 
     def __post_init__(self):
         if self.cw_max < 0:
             raise ConfigError("cw_max must be >= 0")
         if not self.slot_s > 0:
             raise ConfigError("slot_s must be > 0")
+        try:  # the engine compares the sensed energy with this threshold in mW
+            10.0 ** (self.sense_energy_dbm / 10.0)
+        except OverflowError:
+            raise ConfigError(f"sense_energy_dbm = {self.sense_energy_dbm} dBm is too large "
+                              "to convert to mW") from None
 
 
 IDLE, AIFS_WAIT, BACKOFF_FROZEN, BACKOFF_COUNTING, TRANSMITTING = range(5)
@@ -193,15 +198,15 @@ class CsmaNode:
 
 @dataclass(frozen=True)
 class SpsParams:
-    t1_s: float = 1e-3
-    t2_s: float = 100e-3
-    keep_probability: float = 0.5
-    sensing_window_s: float = 1.0
-    rsrp_exclude_dbm: float = -110.0
-    rsrp_relax_step_db: float = 3.0
-    best_fraction: float = 0.2
-    counter_min: int = 5
-    counter_max: int = 15
+    t1_s: float
+    t2_s: float
+    keep_probability: float
+    sensing_window_s: float
+    rsrp_exclude_dbm: float
+    rsrp_relax_step_db: float
+    best_fraction: float
+    counter_min: int
+    counter_max: int
 
     def __post_init__(self):
         if not 0.0 <= self.keep_probability <= 1.0:

@@ -1,16 +1,17 @@
 """Link-level power math: path loss, correlated shadowing, noise, link budget.
 
 Path loss follows the WINNER+ B1 street layout with a dual-slope LOS branch
-and a distance-only NLOS branch. Coefficients are configuration data; the
-defaults below the breakpoint reproduce the standard B1 LOS curve at 5.9 GHz.
-SINR is not computed here: the engine's scorer sums the received powers of
-each link in the linear domain.
+and a distance-only NLOS branch. Coefficients are configuration data: their
+defaults, like every other default of `PropagationConfig`, live in
+`config.DEFAULT_CONFIG`, and below the breakpoint they reproduce the standard
+B1 LOS curve at 5.9 GHz. SINR is not computed here: the engine's scorer sums
+the received powers of each link in the linear domain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,34 +19,35 @@ from .errors import ConfigError
 
 SPEED_OF_LIGHT = 299792458.0
 THERMAL_NOISE_DBM_HZ = -174.0
+# slope of the LOS branch past the breakpoint, dB per decade of distance
+BREAKPOINT_EXPONENT_DB = 40.0
 
 
 @dataclass(frozen=True)
 class WinnerCoefficients:
-    """a*log10(d) + b + c*log10(fc/5 GHz), plus 40 dB/decade past the breakpoint."""
+    """a*log10(d) + b + c*log10(fc/5 GHz); past the breakpoint, see BREAKPOINT_EXPONENT_DB."""
 
-    los_a: float = 22.7
-    los_b: float = 41.0
-    los_c: float = 20.0
-    nlos_a: float = 36.7
-    nlos_b: float = 48.0
-    nlos_c: float = 26.0
-    breakpoint_exponent_db: float = 40.0
+    los_a: float
+    los_b: float
+    los_c: float
+    nlos_a: float
+    nlos_b: float
+    nlos_c: float
 
 
 @dataclass(frozen=True)
 class PropagationConfig:
-    carrier_hz: float = 5.9e9
-    model: str = "winner_b1_los"  # winner_b1_los | winner_b1_nlos
-    shadowing_std_db: float = 3.0
-    shadowing_is_variance: bool = False
-    decorrelation_m: float = 25.0
-    antenna_gain_dbi: float = 3.0
-    noise_figure_db: float = 6.0
-    tx_power_density_dbm_mhz: float = 13.0
-    bandwidth_hz: float = 10e6
-    antenna_height_m: float = 1.5
-    coefficients: WinnerCoefficients = field(default_factory=WinnerCoefficients)
+    carrier_hz: float
+    model: str  # winner_b1_los | winner_b1_nlos
+    shadowing_std_db: float
+    shadowing_is_variance: bool
+    decorrelation_m: float
+    antenna_gain_dbi: float
+    noise_figure_db: float
+    tx_power_density_dbm_mhz: float
+    bandwidth_hz: float
+    antenna_height_m: float
+    coefficients: WinnerCoefficients
 
     def __post_init__(self):
         if not self.carrier_hz > 0:
@@ -115,7 +117,7 @@ def path_loss_db(d, cfg: PropagationConfig, los: bool | np.ndarray | None = None
     if np.any(past):
         at_bp = winner_formula_db(d_bp, co.los_a, co.los_b, co.los_c, cfg.carrier_hz)
         loss = np.where(
-            past, at_bp + co.breakpoint_exponent_db * np.log10(d / d_bp), loss
+            past, at_bp + BREAKPOINT_EXPONENT_DB * np.log10(d / d_bp), loss
         )
     if not np.all(los):
         nlos_loss = _winner_db(log_d, co.nlos_a, co.nlos_b, co.nlos_c, cfg.carrier_hz)

@@ -3,12 +3,16 @@
 Every default carries an annotation: BASELINE marks values that mirror the
 reference evaluation setup this simulator targets, CHOICE marks documented
 implementation decisions. Overrides are flat `section.key=value` strings.
+DEFAULT_CONFIG is the one home of every default (the bits-per-PRB ladder is
+`settings.DEFAULT_BITS_PER_PRB`); the setup dataclasses have none.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+from dataclasses import fields
+from typing import get_type_hints
 
 from .access import CsmaParams, SpsParams
 from .channel import PropagationConfig, WinnerCoefficients
@@ -282,49 +286,17 @@ def theta_for(cp, technology: str, mcs: int | None = None, payload: int | None =
     raise ConfigError(f"unknown technology {technology!r}")
 
 
+def _from_section(cp, section, cls, **given):
+    """A `cls` with each field not `given` read from the `section` key of its name."""
+    hints = get_type_hints(cls)  # a field's type is its key's converter
+    values = {f.name: _get(cp, section, f.name, _bool if hints[f.name] is bool else hints[f.name])
+              for f in fields(cls) if f.name not in given}
+    return cls(**values, **given)
+
+
 def build_propagation(cp) -> PropagationConfig:
-    coeff = WinnerCoefficients(
-        los_a=_get(cp, "propagation", "los_a", float),
-        los_b=_get(cp, "propagation", "los_b", float),
-        los_c=_get(cp, "propagation", "los_c", float),
-        nlos_a=_get(cp, "propagation", "nlos_a", float),
-        nlos_b=_get(cp, "propagation", "nlos_b", float),
-        nlos_c=_get(cp, "propagation", "nlos_c", float),
-    )
-    return PropagationConfig(
-        carrier_hz=_get(cp, "propagation", "carrier_hz", float),
-        model=_get(cp, "propagation", "model", str),
-        shadowing_std_db=_get(cp, "propagation", "shadowing_std_db", float),
-        shadowing_is_variance=_get(cp, "propagation", "shadowing_is_variance", _bool),
-        decorrelation_m=_get(cp, "propagation", "decorrelation_m", float),
-        antenna_gain_dbi=_get(cp, "propagation", "antenna_gain_dbi", float),
-        noise_figure_db=_get(cp, "propagation", "noise_figure_db", float),
-        tx_power_density_dbm_mhz=_get(cp, "propagation", "tx_power_density_dbm_mhz", float),
-        bandwidth_hz=_get(cp, "propagation", "bandwidth_hz", float),
-        antenna_height_m=_get(cp, "propagation", "antenna_height_m", float),
-        coefficients=coeff,
-    )
-
-
-def build_road(cp) -> RoadConfig:
-    return RoadConfig(
-        layout=_get(cp, "road", "layout", str),
-        lanes_per_direction=_get(cp, "road", "lanes_per_direction", int),
-        lane_width_m=_get(cp, "road", "lane_width_m", float),
-        road_length_m=_get(cp, "road", "road_length_m", float),
-        density_vpk=_get(cp, "road", "density_vpk", float),
-        mean_speed_kmh=_get(cp, "road", "mean_speed_kmh", float),
-        speed_std_kmh=_get(cp, "road", "speed_std_kmh", float),
-        wrap_around=_get(cp, "road", "wrap_around", _bool),
-        placement=_get(cp, "road", "placement", str),
-        corner_los_m=_get(cp, "road", "corner_los_m", float),
-    )
-
-
-def build_traffic(cp) -> TrafficConfig:
-    return TrafficConfig(
-        generation_period_ms=_get(cp, "traffic", "generation_period_ms", float),
-    )
+    return _from_section(cp, "propagation", PropagationConfig,
+                         coefficients=_from_section(cp, "propagation", WinnerCoefficients))
 
 
 def build_csma(cp) -> CsmaParams:
@@ -368,8 +340,8 @@ def build_setup(cp) -> SimulationSetup:
     )
     return SimulationSetup(
         run=run_cfg,
-        road=build_road(cp),
-        traffic=build_traffic(cp),
+        road=_from_section(cp, "road", RoadConfig),
+        traffic=_from_section(cp, "traffic", TrafficConfig),
         propagation=build_propagation(cp),
         csma=build_csma(cp),
         sps=build_sps(cp),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .abstraction import AbstractionModel, CurveMeta, PerCurve, threshold_for_settings
-from .config import load_config, theta_for
+from .config import build_propagation, load_config, theta_for
 from .settings import Ieee80211pSettings, TechnologySettings
 
 
@@ -23,7 +23,7 @@ def logistic_per(sinr_db: np.ndarray, midpoint_db: float, slope_db: float) -> np
 
 
 def synth_curve(theta: TechnologySettings, scenario_id: str, alpha_ref: float,
-                bandwidth_hz: float = 10e6, slope_db: float = 0.6,
+                bandwidth_hz: float, slope_db: float = 0.6,
                 span_db: float = 10.0, step_db: float = 0.25) -> PerCurve:
     """Logistic curve whose beta=0.5 threshold matches the reference loss."""
     model = AbstractionModel(alpha_hat=alpha_ref, bandwidth_hz=bandwidth_hz, beta=0.5,
@@ -72,15 +72,18 @@ def write_curve_csv(curve: PerCurve, path):
 def generate_bundles(out_dir):
     """Write every bundled scenario's curves into out_dir; returns the paths.
 
-    Each settings vector comes from the default config, as in `fit-alpha`.
+    Each settings vector and the bandwidth come from the default config, as
+    in `fit-alpha`.
     """
     import os
 
     cp = load_config()
+    bandwidth_hz = build_propagation(cp).bandwidth_hz
     paths = []
     for scenario_id, (alpha_ref, triples) in BUNDLES.items():
         for tech, mcs, payload in triples:
-            curve = synth_curve(theta_for(cp, tech, mcs, payload), scenario_id, alpha_ref)
+            curve = synth_curve(theta_for(cp, tech, mcs, payload), scenario_id, alpha_ref,
+                                bandwidth_hz)
             path = os.path.join(out_dir, curve_filename(curve))
             write_curve_csv(curve, path)
             paths.append(path)

@@ -65,10 +65,10 @@ from .access import (CsmaNode, CsmaParams, SensingWindow, SpsParams, SpsState,
                      sps_after_transmission, sps_select)
 from .channel import LinkShadowing, PropagationConfig, noise_power_dbm, path_loss_db
 from .errors import ConfigError
-from .metrics import IpgStore, MetricStore, PrrSeries, default_bin_edges
+from .metrics import IpgStore, MetricStore, PrrSeries, uniform_bin_edges
 from .scenario import Geometry, RoadConfig, TrafficConfig, generation_phase
-from .settings import (CV2xSettings, Ieee80211pSettings, TechnologySettings,
-                       DEFAULT_PRB_TABLE, PrbTable, tx_time)
+from .settings import (CV2xSettings, Ieee80211pSettings, PrbTable, TechnologySettings,
+                       tx_time)
 from .util import stream
 
 POWER_FLOOR_DBM = -999.0
@@ -105,12 +105,12 @@ class RunConfig:
     seed: int
     sim_duration_s: float
     theta: TechnologySettings  # its type picks the engine
-    warmup_s: float = 0.0
-    max_range_m: float = 1000.0
-    mobility_step_s: float = 0.1
-    prr_bin_width_m: float = 25.0
-    prr_max_distance_m: float = 600.0
-    ipg_range_m: float = 150.0
+    warmup_s: float
+    max_range_m: float
+    mobility_step_s: float
+    prr_bin_width_m: float
+    prr_max_distance_m: float
+    ipg_range_m: float
 
     def __post_init__(self):
         if not self.warmup_s < self.sim_duration_s:
@@ -237,7 +237,7 @@ class LinkRecord:
 
 
 def _new_store(cfg: RunConfig, n: int) -> MetricStore:
-    edges = default_bin_edges(cfg.prr_max_distance_m, cfg.prr_bin_width_m)
+    edges = uniform_bin_edges(cfg.prr_max_distance_m, cfg.prr_bin_width_m)
     return MetricStore(prr=PrrSeries(edges), ipg=IpgStore(cfg.ipg_range_m, n))
 
 
@@ -445,7 +445,7 @@ class _Frame:
         self.event = event
         self.mw_row = mw_row
         self.dist_row = dist_row
-        self.rx = rx  # the stations that sense it as decodable, ascending
+        self.rx = rx  # the stations that sense it as decodable, ascending; None once ended
         self.overlappers = []
 
 
@@ -523,6 +523,7 @@ class _Run11p(_RunBase):
     def _end_frame(self, frame: _Frame, now: float):
         self.active.remove(frame)
         self._sense(frame, -1, now)
+        frame.rx = None  # read only by carrier sense, so free it before scoring
         self.ended.append(frame)
         if len(self.ended) * self.n >= SCORE_BATCH_ELEMENTS:
             self._score_ended()
@@ -728,15 +729,19 @@ class _RunCv2x(_RunBase):
 
 @dataclass(frozen=True)
 class SimulationSetup:
-    """Everything one run needs, grouped by subsystem."""
+    """Everything one run needs, grouped by subsystem.
+
+    No field has a default: `config.build_setup(config.load_config(...))`
+    builds a setup from the defaults in `config.DEFAULT_CONFIG`.
+    """
 
     run: RunConfig
-    road: RoadConfig = field(default_factory=RoadConfig)
-    traffic: TrafficConfig = field(default_factory=TrafficConfig)
-    propagation: PropagationConfig = field(default_factory=PropagationConfig)
-    csma: CsmaParams = field(default_factory=CsmaParams)
-    sps: SpsParams = field(default_factory=SpsParams)
-    prb_table: PrbTable = field(default_factory=lambda: DEFAULT_PRB_TABLE)
+    road: RoadConfig
+    traffic: TrafficConfig
+    propagation: PropagationConfig
+    csma: CsmaParams
+    sps: SpsParams
+    prb_table: PrbTable
     # explicit placement for controlled experiments; None means spawn from seed
     vehicles: list | None = None
 

@@ -2,24 +2,21 @@
 
 PRR bins are half-open [edge_i, edge_i+1); receptions beyond the last edge
 are dropped from PRR on purpose. IPG tracks, per directed pair inside the
-range limit, the time between consecutive correct receptions.
+range limit, the time between consecutive correct receptions. The bin width,
+the PRR distance limit and the IPG range have their defaults in
+`config.DEFAULT_CONFIG` (`[metrics]`); the engine builds a run's store from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 
-DEFAULT_BIN_WIDTH_M = 25.0
-DEFAULT_MAX_DISTANCE_M = 600.0
-DEFAULT_IPG_RANGE_M = 150.0
-
-
-def default_bin_edges(max_distance_m: float = DEFAULT_MAX_DISTANCE_M,
-                      width_m: float = DEFAULT_BIN_WIDTH_M) -> np.ndarray:
+def uniform_bin_edges(max_distance_m: float, width_m: float) -> np.ndarray:
+    """Edges of width_m bins from 0 to max_distance_m, rounded to whole bins."""
     n = int(round(max_distance_m / width_m))
     return np.linspace(0.0, width_m * n, n + 1)
 
@@ -56,7 +53,7 @@ def bin_index(edges: np.ndarray, d: np.ndarray) -> np.ndarray:
 class PrrSeries:
     """Per-distance-bin tallies of reception opportunities and successes."""
 
-    bin_edges: np.ndarray = field(default_factory=default_bin_edges)
+    bin_edges: np.ndarray
     received: np.ndarray = None
     opportunities: np.ndarray = None
 
@@ -105,8 +102,8 @@ class IpgStore:
     added.
     """
 
-    range_limit_m: float = DEFAULT_IPG_RANGE_M
-    n_nodes: int = 0
+    range_limit_m: float
+    n_nodes: int
 
     def __post_init__(self):
         self.last_time = np.full((self.n_nodes, self.n_nodes), np.nan)
@@ -193,8 +190,8 @@ def mae(a: PrrSeries, b: PrrSeries) -> float:
 class MetricStore:
     """Everything one run produces: PRR tallies, IPG gaps, bookkeeping counters."""
 
-    prr: PrrSeries = field(default_factory=PrrSeries)
-    ipg: IpgStore = field(default_factory=IpgStore)
+    prr: PrrSeries
+    ipg: IpgStore
     generated: int = 0
     transmitted: int = 0
     opportunities: int = 0

@@ -21,18 +21,18 @@ ALL = slice(None)  # every vehicle
 
 @dataclass(frozen=True)
 class RoadConfig:
-    layout: str = "highway"  # highway | urban_grid
-    lanes_per_direction: int = 3
-    lane_width_m: float = 4.0
-    road_length_m: float = 2000.0
-    density_vpk: float = 100.0
-    mean_speed_kmh: float = 96.0
-    speed_std_kmh: float = 3.0
-    wrap_around: bool = True
-    placement: str = "poisson"  # poisson | fixed_count
+    layout: str  # highway | urban_grid
+    lanes_per_direction: int
+    lane_width_m: float
+    road_length_m: float
+    density_vpk: float
+    mean_speed_kmh: float
+    speed_std_kmh: float
+    wrap_around: bool
+    placement: str  # poisson | fixed_count
     # urban_grid only: half-width of the intersection box that still counts
     # as LOS for links on perpendicular streets
-    corner_los_m: float = 8.0
+    corner_los_m: float
 
     def __post_init__(self):
         if self.road_length_m <= 0:
@@ -53,7 +53,7 @@ class RoadConfig:
 
 @dataclass(frozen=True)
 class TrafficConfig:
-    generation_period_ms: float = 100.0
+    generation_period_ms: float
 
     def __post_init__(self):
         if self.generation_period_ms <= 0:

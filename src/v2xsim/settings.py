@@ -3,12 +3,15 @@
 Two families are modeled: IEEE 802.11p (CSMA-based, full-channel frames) and
 C-V2X sidelink (TTI/subchannel grid). All durations are SI seconds and all
 rates bit/s; converters in the CLI accept the familiar µs/ms config units.
+The dataclasses hold no defaults: every default lives in
+`config.DEFAULT_CONFIG`, except the PRB table rows (`DEFAULT_BITS_PER_PRB`
+below), and `config.theta_for` builds the vectors from them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -37,11 +40,8 @@ class PrbTable:
     part of the transport-block capacity scan.
     """
 
-    bits_per_prb: dict = field(default_factory=lambda: dict(DEFAULT_BITS_PER_PRB))
-    control_overhead_prbs: int = 2
-
-
-DEFAULT_PRB_TABLE = PrbTable()
+    bits_per_prb: dict
+    control_overhead_prbs: int
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,10 @@ class Ieee80211pSettings:
     """802.11p parameter vector: payload, MCS and frame timing constants."""
 
     payload_bytes: int
-    t_aifs_s: float = 110e-6
-    t_preamble_s: float = 40e-6
-    t_symbol_s: float = 8e-6
-    mcs_index: int = 2
+    t_aifs_s: float
+    t_preamble_s: float
+    t_symbol_s: float
+    mcs_index: int
 
     def __post_init__(self):
         if self.payload_bytes < 1:
@@ -74,11 +74,11 @@ class CV2xSettings:
     """C-V2X sidelink parameter vector: payload plus grid geometry."""
 
     payload_bytes: int
-    n_subch: int = 5
-    n_prb_subch: int = 10
-    t_tti_s: float = 1e-3
-    n_prb_pkt: int = 37
-    mcs_index: int = 7
+    n_subch: int
+    n_prb_subch: int
+    t_tti_s: float
+    n_prb_pkt: int
+    mcs_index: int
 
     def __post_init__(self):
         if self.payload_bytes < 1:
@@ -102,7 +102,7 @@ class CV2xSettings:
 TechnologySettings = Ieee80211pSettings | CV2xSettings
 
 
-def resolve_nprb(mcs_index: int, payload_bytes: int, table: PrbTable = DEFAULT_PRB_TABLE) -> int:
+def resolve_nprb(mcs_index: int, payload_bytes: int, table: PrbTable) -> int:
     """Smallest PRB count whose capacity carries the payload.
 
     Returns data PRBs only; the PSCCH footprint constant of the table is

@@ -1,14 +1,16 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from v2xsim import engine
 from v2xsim.abstraction import StepFunction, threshold_from_curve
 from v2xsim.cli import load_curve_csv
-from v2xsim.engine import RunConfig, SimulationSetup, run
-from v2xsim.metrics import PrrSeries
-from v2xsim.scenario import RoadConfig, TrafficConfig, VehicleState
-from v2xsim.settings import CV2xSettings, Ieee80211pSettings
+from v2xsim.config import build_setup, load_config
+from v2xsim.engine import SimulationSetup, run
+from v2xsim.metrics import MetricStore, PrrSeries
+from v2xsim.scenario import VehicleState
 
 CURVE_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "v2xsim",
                          "data", "curves")
@@ -28,25 +30,41 @@ def curve_cv2x():
     return load_curve_csv(curve_path("highway_los_cv2x_mcs7_350B.csv"))
 
 
+def built_setup(*overrides: str) -> SimulationSetup:
+    """The setup the CLI builds from the default config and `section.key=value` overrides.
+
+    Every test setup starts here, so it runs the CLI's values bit for bit; a
+    test that needs another SI value sets it with `dataclasses.replace`
+    rather than through a ms or µs key.
+    """
+    return build_setup(load_config(None, overrides))
+
+
 def default_theta(tech: str):
-    if tech == "11p":
-        return Ieee80211pSettings(payload_bytes=350)
-    return CV2xSettings(payload_bytes=350)
+    return built_setup(f"run.technology={tech}").run.theta
 
 
-def make_setup(tech: str, *, seed=1, duration=10.0,
-               warmup=1.0, density=100.0, speed=96.0, road_length=2000.0,
-               vehicles=None, max_prr_distance=600.0, **run_kwargs) -> SimulationSetup:
-    return SimulationSetup(
-        run=RunConfig(seed=seed, sim_duration_s=duration, warmup_s=warmup,
-                      theta=default_theta(tech),
-                      prr_max_distance_m=max_prr_distance,
-                      **run_kwargs),
-        road=RoadConfig(road_length_m=road_length, density_vpk=density,
-                        mean_speed_kmh=speed),
-        traffic=TrafficConfig(),
+def make_setup(tech: str, *, seed=None, duration=None, warmup=None, density=None,
+               speed=None, road_length=None, vehicles=None, max_prr_distance=None,
+               **run_kwargs) -> SimulationSetup:
+    """The default setup of `tech` with the given values; None keeps the config's."""
+    def given(**values):
+        return {name: value for name, value in values.items() if value is not None}
+
+    setup = built_setup(f"run.technology={tech}")
+    return replace(
+        setup,
+        run=replace(setup.run, **given(seed=seed, sim_duration_s=duration, warmup_s=warmup,
+                                       prr_max_distance_m=max_prr_distance, **run_kwargs)),
+        road=replace(setup.road, **given(road_length_m=road_length, density_vpk=density,
+                                         mean_speed_kmh=speed)),
         vehicles=vehicles,
     )
+
+
+def built_store(n_nodes: int) -> MetricStore:
+    """The empty metric store a run of the default setup starts with, for n_nodes vehicles."""
+    return engine._new_store(built_setup().run, n_nodes)
 
 
 def step_model(curve, beta=0.5) -> StepFunction:
@@ -104,5 +122,5 @@ def run_bank():
     return RunBank()
 
 
-__all__ = ["make_setup", "step_model", "vehicle_pair", "run",
+__all__ = ["built_setup", "built_store", "default_theta", "make_setup", "step_model", "vehicle_pair", "run",
            "curve_path", "assert_same_store", "prr_curve", "merge"]

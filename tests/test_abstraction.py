@@ -1,9 +1,12 @@
 """Step thresholding, Shannon mapping, loss fitting, threshold synthesis."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+from conftest import default_theta
 
 from v2xsim.abstraction import (AbstractionModel, CurveMeta, FitPoint, PerCurve,
                                 fit_alpha, normalize_curve, pav_non_increasing,
@@ -11,7 +14,7 @@ from v2xsim.abstraction import (AbstractionModel, CurveMeta, FitPoint, PerCurve,
                                 threshold_for_settings, threshold_from_curve)
 from v2xsim.errors import ConfigError, CurveRangeError, DataError
 from v2xsim.metrics import PrrSeries
-from v2xsim.settings import CV2xSettings, Ieee80211pSettings, effective_throughput
+from v2xsim.settings import effective_throughput
 
 
 def curve(points):
@@ -142,29 +145,30 @@ def model_037():
 
 def test_threshold_for_settings_unity_exponent():
     # payload 370 B over 40 of 50 PRBs: effective throughput exactly 3.7 Mb/s
-    theta = CV2xSettings(payload_bytes=370, n_prb_pkt=40)
+    theta = replace(default_theta("cv2x"), payload_bytes=370, n_prb_pkt=40)
     assert effective_throughput(theta) == pytest.approx(3.7e6, rel=1e-12)
     step = threshold_for_settings(theta, model_037())
     assert step.gamma_th == pytest.approx(1.0, rel=1e-12)
 
 
 def test_threshold_for_settings_double_exponent():
-    theta = CV2xSettings(payload_bytes=740, n_prb_pkt=40)
+    theta = replace(default_theta("cv2x"), payload_bytes=740, n_prb_pkt=40)
     step = threshold_for_settings(theta, model_037())
     assert step.gamma_th == pytest.approx(3.0, rel=1e-12)
 
 
 def test_threshold_for_settings_vanishing_throughput():
-    theta = CV2xSettings(payload_bytes=1, n_subch=1, n_prb_subch=1,
-                         n_prb_pkt=5000)
+    theta = replace(default_theta("cv2x"), payload_bytes=1, n_subch=1, n_prb_subch=1,
+                    n_prb_pkt=5000)
     step = threshold_for_settings(theta, model_037())
     assert 0.0 < step.gamma_th < 1e-3
 
 
 def test_round_trip_identity_small():
     rng = np.random.default_rng(5)
+    base = default_theta("11p")
     for _ in range(50):
-        theta = Ieee80211pSettings(payload_bytes=int(rng.integers(1, 2000)))
+        theta = replace(base, payload_bytes=int(rng.integers(1, 2000)))
         alpha = float(rng.uniform(0.05, 1.0))
         model = AbstractionModel(alpha_hat=alpha, bandwidth_hz=10e6, beta=0.5)
         step = threshold_for_settings(theta, model)

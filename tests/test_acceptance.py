@@ -7,23 +7,23 @@ wrap-around strips, with tolerances sized for that scale.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import (curve_path, make_setup, merge, step_model,
-                      vehicle_pair)
+from conftest import (built_setup, curve_path, default_theta, make_setup, merge,
+                      step_model, vehicle_pair)
 
 from v2xsim.abstraction import (AbstractionModel, FitPoint, fit_alpha,
                                 threshold_for_settings)
-from v2xsim.access import SpsParams, SpsState, sps_after_transmission
-from v2xsim.channel import PropagationConfig, noise_power_dbm
+from v2xsim.access import SpsState, sps_after_transmission
+from v2xsim.channel import noise_power_dbm
 from v2xsim.cli import load_curve_csv, main as cli_main
-from v2xsim.engine import LinkRecord, RunConfig, SimulationSetup, TraceLog, run
-from v2xsim.metrics import PrrSeries, default_bin_edges, ipg_ccdf, mae
-from v2xsim.scenario import RoadConfig, TrafficConfig, VehicleState
-from v2xsim.settings import (CV2xSettings, Ieee80211pSettings, NBPS_TABLE,
-                             effective_throughput, tx_time, tx_time_11p,
+from v2xsim.engine import LinkRecord, TraceLog, run
+from v2xsim.metrics import PrrSeries, ipg_ccdf, mae, uniform_bin_edges
+from v2xsim.scenario import VehicleState
+from v2xsim.settings import (NBPS_TABLE, effective_throughput, tx_time, tx_time_11p,
                              tx_time_cv2x)
 from v2xsim.util import stream
 
@@ -77,15 +77,18 @@ def merge_series(series):
     return out
 
 
+DEFAULT_THETA = {tech: default_theta(tech) for tech in TECHS}
+
+
 def random_theta(rng, tech):
     if tech == "11p":
-        return Ieee80211pSettings(payload_bytes=int(rng.integers(1, 3000)),
-                                  mcs_index=int(rng.integers(0, 8)))
-    return CV2xSettings(payload_bytes=int(rng.integers(1, 3000)),
-                        n_subch=int(rng.integers(1, 11)),
-                        n_prb_subch=int(rng.integers(1, 21)),
-                        t_tti_s=float(rng.choice([0.25e-3, 0.5e-3, 1e-3])),
-                        n_prb_pkt=int(rng.integers(1, 400)))
+        return replace(DEFAULT_THETA["11p"], payload_bytes=int(rng.integers(1, 3000)),
+                       mcs_index=int(rng.integers(0, 8)))
+    return replace(DEFAULT_THETA["cv2x"], payload_bytes=int(rng.integers(1, 3000)),
+                   n_subch=int(rng.integers(1, 11)),
+                   n_prb_subch=int(rng.integers(1, 21)),
+                   t_tti_s=float(rng.choice([0.25e-3, 0.5e-3, 1e-3])),
+                   n_prb_pkt=int(rng.integers(1, 400)))
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +137,11 @@ def test_criterion_02_closed_form_matches_golden_section():
 
 
 def test_criterion_03_timing_and_throughput_oracle():
-    a = Ieee80211pSettings(payload_bytes=350, mcs_index=2)
+    a = replace(DEFAULT_THETA["11p"], payload_bytes=350, mcs_index=2)
     assert tx_time_11p(a) == pytest.approx(622e-6, rel=1e-12)
     assert effective_throughput(a) == pytest.approx(2800 / 622e-6, rel=1e-12)
     assert round(effective_throughput(a) / 1e6, 4) == 4.5016
-    b = Ieee80211pSettings(payload_bytes=550, mcs_index=4)
+    b = replace(DEFAULT_THETA["11p"], payload_bytes=550, mcs_index=4)
     assert tx_time_11p(b) == pytest.approx(518e-6, rel=1e-12)
     assert effective_throughput(b) == pytest.approx(4400 / 518e-6, rel=1e-12)
     assert round(effective_throughput(b) / 1e6, 3) == 8.494
@@ -146,8 +149,7 @@ def test_criterion_03_timing_and_throughput_oracle():
     rng = np.random.default_rng(103)
     for _ in range(1000):
         if rng.random() < 0.5:
-            s = Ieee80211pSettings(payload_bytes=int(rng.integers(1, 3000)),
-                                   mcs_index=int(rng.integers(0, 8)))
+            s = random_theta(rng, "11p")
             n_sym = math.ceil(8 * s.payload_bytes / NBPS_TABLE[s.mcs_index])
             t_ref = s.t_aifs_s + s.t_preamble_s + s.t_symbol_s * n_sym
             psi_ref = 8 * s.payload_bytes / t_ref
@@ -169,7 +171,7 @@ def sweep_series(tech, seeds):
     Each channel is simulated once: the curve run fills a link record and
     the step model replays it.
     """
-    out = {mode: PrrSeries(default_bin_edges(1600.0, 100.0)) for mode in ("curve", "step")}
+    out = {mode: PrrSeries(uniform_bin_edges(1600.0, 100.0)) for mode in ("curve", "step")}
     distances = (250.0, 650.0, 950.0, 1050.0, 1150.0, 1250.0, 1350.0)
     for d in distances:
         for seed in seeds:
@@ -259,32 +261,26 @@ def ccdf_checks(store, airtime_s, label):
 def test_criterion_07_ipg_floor():
     # 11p: an isolated pair; phases from the seed stay far enough apart that
     # access delay is the bare AIFS every period, so gaps sit at the period
-    theta = Ieee80211pSettings(payload_bytes=350)
-    store = run(make_setup("11p", seed=2, duration=20.0, warmup=0.5, road_length=4000.0,
-                           vehicles=vehicle_pair(100.0, speed_ms=26.67)),
-                reception_for("11p", "curve"))
-    gaps_11p = ccdf_checks(store, tx_time(theta), "11p")
+    setup = make_setup("11p", seed=2, duration=20.0, warmup=0.5, road_length=4000.0,
+                       vehicles=vehicle_pair(100.0, speed_ms=26.67))
+    store = run(setup, reception_for("11p", "curve"))
+    gaps_11p = ccdf_checks(store, tx_time(setup.run.theta), "11p")
 
     # C-V2X: keep probability 1 pins each reservation, isolating the periodic
     # floor from reselection (a reselection may legally move the slot earlier)
     vehicles = [VehicleState(i, 0, 300.0 + 80.0 * i, 26.67, +1) for i in range(4)]
-    theta_cv = CV2xSettings(payload_bytes=350)
-    setup = SimulationSetup(
-        run=RunConfig(seed=1, sim_duration_s=20.0, warmup_s=0.5, theta=theta_cv),
-        road=RoadConfig(road_length_m=4000.0),
-        traffic=TrafficConfig(),
-        sps=SpsParams(keep_probability=1.0),
-        vehicles=vehicles,
-    )
+    setup = make_setup("cv2x", seed=1, duration=20.0, warmup=0.5, road_length=4000.0,
+                       vehicles=vehicles)
+    setup = replace(setup, sps=replace(setup.sps, keep_probability=1.0))
     store_cv = run(setup, reception_for("cv2x", "curve"))
-    gaps_cv = ccdf_checks(store_cv, tx_time(theta_cv), "cv2x")
+    gaps_cv = ccdf_checks(store_cv, tx_time(setup.run.theta), "cv2x")
     print(f"[acceptance] criterion 7 PASS - 11p min gap {gaps_11p.min()*1e3:.2f} ms "
           f"({gaps_11p.size} gaps), cv2x min gap {gaps_cv.min()*1e3:.2f} ms "
           f"({gaps_cv.size} gaps)")
 
 
 def test_criterion_08_link_budget_constants():
-    cfg = PropagationConfig()
+    cfg = built_setup().propagation
     assert noise_power_dbm(cfg) == -174.0 + 10.0 * math.log10(10e6) + 6.0
     assert noise_power_dbm(cfg) == pytest.approx(-98.0, abs=1e-12)
     assert cfg.tx_power_dbm == pytest.approx(23.0, abs=1e-12)
@@ -330,7 +326,7 @@ def test_criterion_10_mac_invariant_sweeps():
             assert after == 0 or 5 <= after <= 15
 
     # keep decisions stay near one half over ten thousand seeded draws
-    params = SpsParams()
+    params = built_setup().sps
     state = SpsState()
     rng = stream(77, "keep-sweep")
     keeps = []

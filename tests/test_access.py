@@ -9,18 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_setup, vehicle_pair
+from conftest import built_setup, default_theta, make_setup, vehicle_pair
 
 from v2xsim import engine
 from v2xsim.access import (AIFS_WAIT, BACKOFF_FROZEN, IDLE, TRANSMITTING, CsmaNode,
-                           CsmaParams, SensingWindow, SpsParams, SpsState,
-                           sps_after_transmission, sps_select)
+                           SensingWindow, SpsState, sps_after_transmission, sps_select)
 from v2xsim.errors import ConfigError
-from v2xsim.scenario import TrafficConfig, VehicleState
+from v2xsim.scenario import VehicleState
 from v2xsim.util import stream
 
-PARAMS = CsmaParams()
-AIFS = 110e-6  # the default settings vector's t_aifs_s
+PARAMS = built_setup().csma
+AIFS = default_theta("11p").t_aifs_s
 
 
 class FixedRng:
@@ -334,7 +333,7 @@ def test_tx_end_with_pending_packet_restarts_access():
 
 def test_same_instant_goes_to_earlier_scheduled_access():
     # dyadic times add up exactly, so both accesses fall on one instant
-    params, aifs = CsmaParams(slot_s=2.0 ** -16), 2.0 ** -13
+    params, aifs = replace(PARAMS, slot_s=2.0 ** -16), 2.0 ** -13
     mac = csma([2], [4], params=params, aifs=aifs)
     for vid in (0, 1):
         mac.on_packet(0.0, vid, medium_busy=True)
@@ -394,7 +393,7 @@ def test_batched_flip_matches_one_station_at_a_time(busy_at, idle_at):
 
 # --- SPS -----------------------------------------------------------------------
 
-SPS = SpsParams()
+SPS = built_setup().sps
 PERIOD_TTIS = 100  # the default 100 ms generation period in 1 ms TTIs
 
 
@@ -533,16 +532,23 @@ def test_footprint_wider_than_grid_rejected():
 
 # --- parameter checks --------------------------------------------------------------
 
+def test_sense_energy_threshold_must_convert_to_mw():
+    # 10 ** (3090 / 10) overflows a double; 3080 dBm still converts
+    with pytest.raises(ConfigError, match="sense_energy_dbm"):
+        replace(PARAMS, sense_energy_dbm=3090.0)
+    replace(PARAMS, sense_energy_dbm=3080.0)
+
+
 def test_counter_range_must_be_ordered():
     with pytest.raises(ConfigError, match="counter_min"):
-        SpsParams(counter_min=15, counter_max=5)
-    SpsParams(counter_min=7, counter_max=7)
+        replace(SPS, counter_min=15, counter_max=5)
+    replace(SPS, counter_min=7, counter_max=7)
 
 
 def test_selection_window_must_be_ordered():
     with pytest.raises(ConfigError, match="t1"):
-        SpsParams(t1_s=150e-3, t2_s=100e-3)
-    SpsParams(t1_s=100e-3, t2_s=100e-3)
+        replace(SPS, t1_s=150e-3, t2_s=100e-3)
+    replace(SPS, t1_s=100e-3, t2_s=100e-3)
 
 
 def test_sensing_window_must_cover_a_period():
@@ -550,8 +556,8 @@ def test_sensing_window_must_cover_a_period():
     setup = make_setup("cv2x")
     assert setup.traffic.period_s == pytest.approx(100e-3)
     with pytest.raises(ConfigError, match="sensing_window"):
-        replace(setup, sps=SpsParams(sensing_window_s=50e-3))
-    replace(setup, sps=SpsParams(sensing_window_s=100e-3))
+        replace(setup, sps=replace(setup.sps, sensing_window_s=50e-3))
+    replace(setup, sps=replace(setup.sps, sensing_window_s=100e-3))
     with pytest.raises(ConfigError, match="sensing_window"):
-        replace(setup, sps=SpsParams(sensing_window_s=100e-3),
-                traffic=TrafficConfig(generation_period_ms=200.0))
+        replace(setup, sps=replace(setup.sps, sensing_window_s=100e-3),
+                traffic=replace(setup.traffic, generation_period_ms=200.0))

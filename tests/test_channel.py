@@ -6,13 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_setup, vehicle_pair
+from conftest import built_setup, make_setup, vehicle_pair
 
 from v2xsim import engine
-from v2xsim.channel import (LinkShadowing, PropagationConfig, WinnerCoefficients,
-                            noise_power_dbm, path_loss_db, rx_power_dbm,
+from v2xsim.channel import (LinkShadowing, noise_power_dbm, path_loss_db, rx_power_dbm,
                             winner_formula_db)
 from v2xsim.util import stream
+
+PROP = built_setup().propagation
 
 
 def test_los_formula_literal_at_100m():
@@ -22,14 +23,14 @@ def test_los_formula_literal_at_100m():
 
 
 def test_los_formula_intercept_at_1m():
-    cfg = PropagationConfig()
+    cfg = PROP
     co = cfg.coefficients
     got = winner_formula_db(1.0, co.los_a, co.los_b, co.los_c, cfg.carrier_hz)
     assert got == pytest.approx(co.los_b + co.los_c * math.log10(5.9 / 5), rel=1e-12)
 
 
 def test_path_loss_nlos_dominates_los():
-    cfg = PropagationConfig()
+    cfg = PROP
     d = np.linspace(10.0, 1000.0, 400)
     los = path_loss_db(d, cfg, los=True)
     nlos = path_loss_db(d, cfg, los=False)
@@ -37,7 +38,7 @@ def test_path_loss_nlos_dominates_los():
 
 
 def test_nlos_model_puts_every_link_on_the_nlos_branch():
-    los_model, nlos_model = PropagationConfig(), PropagationConfig(model="winner_b1_nlos")
+    los_model, nlos_model = PROP, replace(PROP, model="winner_b1_nlos")
     d = np.linspace(10.0, 1000.0, 50)
     los = np.arange(50) % 3 > 0
     nlos_branch = path_loss_db(d, los_model, los=False)
@@ -47,7 +48,7 @@ def test_nlos_model_puts_every_link_on_the_nlos_branch():
 
 
 def test_path_loss_monotone_in_distance():
-    cfg = PropagationConfig()
+    cfg = PROP
     d = np.linspace(1.0, 2000.0, 1500)
     for los in (True, False):
         loss = path_loss_db(d, cfg, los=los)
@@ -55,20 +56,20 @@ def test_path_loss_monotone_in_distance():
 
 
 def test_path_loss_clamped_by_free_space():
-    cfg = PropagationConfig(coefficients=WinnerCoefficients(los_b=10.0))
+    cfg = replace(PROP, coefficients=replace(PROP.coefficients, los_b=10.0))
     d = np.array([10.0, 100.0, 500.0])
     free_space = 20.0 * np.log10(4.0 * math.pi * d * cfg.carrier_hz / 299792458.0)
     assert np.all(path_loss_db(d, cfg, los=True) >= free_space)
 
 
 def test_path_loss_floors_distance_at_1m():
-    cfg = PropagationConfig()
+    cfg = PROP
     assert path_loss_db(-5.0, cfg) == path_loss_db(1.0, cfg)
     assert path_loss_db(0.0, cfg) == path_loss_db(1.0, cfg)
 
 
 def test_dual_slope_continuous_at_breakpoint():
-    cfg = PropagationConfig()
+    cfg = PROP
     bp = cfg.breakpoint_m
     below = float(path_loss_db(bp * 0.999, cfg, los=True))
     above = float(path_loss_db(bp * 1.001, cfg, los=True))
@@ -120,30 +121,30 @@ def test_shadowing_matrix_update_matches_scalar_model():
 
 
 def test_variance_semantics_switch():
-    cfg = PropagationConfig(shadowing_std_db=9.0, shadowing_is_variance=True)
+    cfg = replace(PROP, shadowing_std_db=9.0, shadowing_is_variance=True)
     assert cfg.shadowing_sigma_db == pytest.approx(3.0)
 
 
 # --- noise and SINR -----------------------------------------------------------
 
 def test_noise_power_10mhz():
-    assert noise_power_dbm(PropagationConfig()) == pytest.approx(-98.0, abs=1e-9)
+    assert noise_power_dbm(PROP) == pytest.approx(-98.0, abs=1e-9)
 
 
 def test_noise_power_definition():
-    cfg = PropagationConfig(bandwidth_hz=1.0, noise_figure_db=0.0)
+    cfg = replace(PROP, bandwidth_hz=1.0, noise_figure_db=0.0)
     assert noise_power_dbm(cfg) == pytest.approx(-174.0, abs=1e-12)
 
 
 def test_noise_power_prb_grid():
-    cfg = PropagationConfig(bandwidth_hz=50 * 180e3, noise_figure_db=6.0)
+    cfg = replace(PROP, bandwidth_hz=50 * 180e3, noise_figure_db=6.0)
     expected = -174.0 + 10 * math.log10(9e6) + 6.0  # -98.4576
     assert noise_power_dbm(cfg) == pytest.approx(expected, rel=1e-12)
     assert noise_power_dbm(cfg) == pytest.approx(-98.46, abs=5e-3)
 
 
 def test_total_tx_power_23_dbm():
-    assert PropagationConfig().tx_power_dbm == pytest.approx(23.0, abs=1e-12)
+    assert PROP.tx_power_dbm == pytest.approx(23.0, abs=1e-12)
 
 
 def engine_sinr(signal_dbm, interferers=(), noise_dbm=-98.0):
@@ -196,7 +197,7 @@ def test_sinr_monotone_in_interference():
 
 
 def test_rx_power_link_budget():
-    cfg = PropagationConfig()
+    cfg = PROP
     d = 100.0
     expected = 23.0 + 6.0 - float(path_loss_db(d, cfg)) - 1.5
     assert rx_power_dbm(d, cfg, shadowing_db=1.5) == pytest.approx(expected, rel=1e-12)

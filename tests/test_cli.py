@@ -11,7 +11,7 @@ import sys
 import pytest
 from unittest import mock
 
-from conftest import CURVE_DIR
+from conftest import CURVE_DIR, built_setup
 
 from v2xsim import cli, config as cfgmod
 from v2xsim.cli import (load_curve_csv, load_model_file, main,
@@ -19,6 +19,7 @@ from v2xsim.cli import (load_curve_csv, load_model_file, main,
                         read_prr_csv)
 from v2xsim.config import DEFAULT_CONFIG, load_config
 from v2xsim.errors import ConfigError, DataError
+from v2xsim.metrics import IpgStore, MetricStore, PrrSeries
 from v2xsim.settings import resolve_nprb
 
 
@@ -347,7 +348,8 @@ def test_simulate_nonexistent_curve_exits_3(tmp_path):
                                         ("metrics.ipg_range_m", "-150"),
                                         ("ieee80211p.cw_max", "-1"),
                                         ("ieee80211p.slot_time_us", "nan"),
-                                        ("ieee80211p.slot_time_us", "0")])
+                                        ("ieee80211p.slot_time_us", "0"),
+                                        ("ieee80211p.sense_energy_dbm", "4000")])
 def test_simulate_bad_value_exits_2(tmp_path, capsys, key, value):
     args = small_sim_args(tmp_path, tmp_path / "x", "--set", f"{key}={value}")
     assert run_cli(*args) == 2
@@ -414,7 +416,7 @@ def setup_leaves(obj, path=""):
     return leaves
 
 
-def built_setup(tech, change=None):
+def setup_with_change(tech, change=None):
     cp = load_config(None, [f"run.technology={tech}"])
     if change is not None:
         section, key = change[0].split(".", 1)
@@ -435,8 +437,8 @@ def test_each_config_key_sets_one_setup_field(key):
     at most one under the other: no value has a second home."""
     change = (key, VALID_CHANGES.get(key, "80"))
     for tech in ("11p", "cv2x"):
-        setup = built_setup(tech, change)
-        base, changed = setup_leaves(built_setup(tech)), setup_leaves(setup)
+        setup = setup_with_change(tech, change)
+        base, changed = setup_leaves(setup_with_change(tech)), setup_leaves(setup)
         moved = {path for path in base if base[path] != changed[path]}
         if tech == "cv2x" and key in RESOLVES_N_PRB:
             theta = setup.run.theta
@@ -446,6 +448,34 @@ def test_each_config_key_sets_one_setup_field(key):
             moved.discard("run.theta.n_prb_pkt")
         uses = SECTION_TECHNOLOGY.get(key.split(".")[0], tech) == tech
         assert len(moved) in ((1,) if uses else (0, 1)), (tech, sorted(moved))
+
+
+# the fields that keep a default: the placement seam tests use, and the
+# tallies a store starts from
+KEEP_DEFAULTS = {"SimulationSetup.vehicles", "PrrSeries.received", "PrrSeries.opportunities",
+                 *(f"MetricStore.{name}" for name in ("generated", "transmitted",
+                                                      "opportunities", "lost_half_duplex",
+                                                      "lost_sinr", "received_total"))}
+
+
+def test_setup_dataclasses_hold_no_defaults():
+    """Every parameter has its one default in DEFAULT_CONFIG, none in a dataclass."""
+    classes = {PrrSeries, IpgStore, MetricStore}
+
+    def walk(obj):
+        if dataclasses.is_dataclass(obj):
+            classes.add(type(obj))
+            for f in dataclasses.fields(obj):
+                walk(getattr(obj, f.name))
+
+    for tech in ("11p", "cv2x"):
+        walk(built_setup(f"run.technology={tech}"))
+    assert len(classes) == 14  # the setup's 11 dataclasses and the three stores
+    with_default = {f"{cls.__name__}.{f.name}" for cls in classes
+                    for f in dataclasses.fields(cls)
+                    if f.default is not dataclasses.MISSING
+                    or f.default_factory is not dataclasses.MISSING}
+    assert with_default <= KEEP_DEFAULTS, sorted(with_default - KEEP_DEFAULTS)
 
 
 def is_number(text):

@@ -7,18 +7,16 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from conftest import assert_same_store, make_setup, prr_curve, step_model, vehicle_pair
+from conftest import (assert_same_store, built_setup, built_store, default_theta, make_setup, prr_curve,
+                      step_model, vehicle_pair)
 
 from v2xsim import engine
 from v2xsim.abstraction import PerCurve, StepFunction
-from v2xsim.channel import PropagationConfig, noise_power_dbm, rx_power_dbm
-from v2xsim.engine import (LinkBatch, LinkRecord, RunConfig, SimulationSetup, TraceLog,
-                           TransmissionEvent, decide_reception_vector, overlap_fraction,
-                           prb_overlap, run, tally)
+from v2xsim.channel import noise_power_dbm, rx_power_dbm
+from v2xsim.engine import (LinkBatch, LinkRecord, TraceLog, TransmissionEvent,
+                           decide_reception_vector, overlap_fraction, prb_overlap, run, tally)
 from v2xsim.errors import ConfigError
-from v2xsim.metrics import IpgStore, MetricStore
 from v2xsim.scenario import VehicleState
-from v2xsim.settings import CV2xSettings, Ieee80211pSettings
 from v2xsim.util import stream
 
 
@@ -195,24 +193,21 @@ def test_packet_outcome_conservation(tech, curve_11p, curve_cv2x):
 
 def test_warmup_must_precede_end():
     with pytest.raises(ConfigError):
-        RunConfig(seed=1, sim_duration_s=1.0, warmup_s=1.0,
-                  theta=Ieee80211pSettings(payload_bytes=350))
+        replace(built_setup().run, sim_duration_s=1.0, warmup_s=1.0)
 
 
 def test_multi_tti_packets_rejected_by_slotted_engine():
-    theta = CV2xSettings(payload_bytes=350, n_prb_pkt=80)
+    theta = replace(default_theta("cv2x"), n_prb_pkt=80)
     assert theta.n_tti == 2
-    setup = SimulationSetup(
-        run=RunConfig(seed=1, sim_duration_s=1.0, theta=theta),
-        vehicles=vehicle_pair(10.0),
-    )
+    setup = make_setup("cv2x", duration=1.0, warmup=0.0, theta=theta,
+                       vehicles=vehicle_pair(10.0))
     with pytest.raises(ConfigError):
         run(setup, zero_db_step())
 
 
 def test_noise_limited_curve_prr_matches_integration(curve_11p):
     """Moving pair: time-averaged curve-mode PRR ~ E_shadow[1 - PER(SINR)]."""
-    prop = PropagationConfig()
+    prop = built_setup().propagation
     noise = noise_power_dbm(prop)
     # place the pair where the mean SINR sits inside the curve's soft zone
     target_db = float(curve_11p.sinr_db[len(curve_11p.sinr_db) // 2])
@@ -247,17 +242,11 @@ def test_noise_limited_curve_prr_matches_integration(curve_11p):
 def test_urban_crossing_runs_and_degrades_early():
     from v2xsim.cli import load_curve_csv
     from conftest import curve_path
-    from v2xsim.scenario import RoadConfig, TrafficConfig
-    from v2xsim.settings import Ieee80211pSettings
 
     curve = load_curve_csv(curve_path("crossing_nlos_11p_mcs2_350B.csv"))
-    setup = SimulationSetup(
-        run=RunConfig(seed=1, sim_duration_s=5.0, warmup_s=0.5,
-                      theta=Ieee80211pSettings(payload_bytes=350)),
-        road=RoadConfig(layout="urban_grid", road_length_m=1000.0,
-                        density_vpk=60.0, mean_speed_kmh=40.0),
-        traffic=TrafficConfig(),
-    )
+    setup = make_setup("11p", seed=1, duration=5.0, warmup=0.5, road_length=1000.0,
+                       density=60.0, speed=40.0)
+    setup = replace(setup, road=replace(setup.road, layout="urban_grid"))
     store = run(setup, curve)
     assert store.received_total + store.lost_sinr + store.lost_half_duplex \
         == store.opportunities
@@ -306,7 +295,7 @@ def test_tally_skips_the_curve_draws_of_the_skipped_links(curve_11p):
     sinr = 10.0 ** np.random.default_rng(3).uniform(-1.0, 1.5, size=500)
     model = curve_11p
     drawn = decide_reception_vector(sinr, model, stream(9, "reception"))[200:]
-    store = MetricStore(ipg=IpgStore(n_nodes=2))
+    store = built_store(2)
     rng = stream(9, "reception")
     tally(one_link_frames(sinr[200:], skipped=200), 2, model, rng, store)
     assert store.received_total == drawn.sum() and store.prr.received[0] == drawn.sum()
@@ -320,7 +309,7 @@ def test_tally_skips_the_curve_draws_of_the_skipped_links(curve_11p):
 def test_tally_draws_nothing_for_a_step_model(curve_11p):
     rng = stream(9, "reception")
     tally(one_link_frames(np.ones(50), skipped=200), 2, step_model(curve_11p),
-          rng, MetricStore(ipg=IpgStore(n_nodes=2)))
+          rng, built_store(2))
     assert rng.random() == stream(9, "reception").random()
 
 

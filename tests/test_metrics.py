@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import merge, prr_curve
+from conftest import built_store, merge, prr_curve
 
 from v2xsim.errors import ConfigError, DataError
-from v2xsim.metrics import (IpgStore, PrrSeries, bin_index, default_bin_edges,
-                            ipg_ccdf, mae)
+from v2xsim.metrics import PrrSeries, bin_index, ipg_ccdf, mae, uniform_bin_edges
 
 
 def fresh():
-    return PrrSeries(default_bin_edges(600.0, 25.0)), IpgStore(150.0, n_nodes=2)
+    store = built_store(2)
+    return store.prr, store.ipg
 
 
 def add_distances(prr, distances_m, received):
@@ -103,7 +103,7 @@ def test_ccdf_empty_errors():
 
 
 def test_ipg_store_rejects_time_going_backwards():
-    store = IpgStore(n_nodes=2)
+    store = built_store(2).ipg
     store.add((0, 1), 10.0, 1.0)
     with pytest.raises(DataError):
         store.add((0, 1), 10.0, 0.5)
@@ -126,7 +126,7 @@ def test_ipg_add_many_gap_values_and_order():
     batches = [([0, 1, 2], [1, 0, 3], [10.0, 10.0, 200.0], 0.1),
                ([1], [0], [20.0], 0.3),
                ([0, 1, 2], [1, 0, 3], [30.0, 30.0, 100.0], 0.6)]
-    store = IpgStore(150.0, n_nodes=4)
+    store = built_store(4).ipg
     for tx, rx, dist, t in batches:
         add_receptions(store, np.array(tx), np.array(rx), np.array(dist), t)
     # (2, 3) was out of range at 0.1, so its reception at 0.6 opens no gap
@@ -144,15 +144,15 @@ def test_ipg_add_many_matches_reference_loop():
         keep = np.unique(tx * 12 + rx, return_index=True)[1]  # distinct pairs
         tx, rx = tx[np.sort(keep)], rx[np.sort(keep)]
         batches.append((tx, rx, rng.uniform(0.0, 300.0, size=tx.size), 0.1 * (step + 1)))
-    store = IpgStore(150.0, n_nodes=12)
+    store = built_store(12).ipg
     for tx, rx, dist, t in batches:
         add_receptions(store, tx, rx, dist, t)
-    expected = reference_gaps(batches, 150.0)
+    expected = reference_gaps(batches, store.range_limit_m)
     assert store.gaps.tolist() == expected and len(expected) > 50
 
 
 def test_ipg_add_many_rejects_non_positive_gap():
-    store = IpgStore(150.0, n_nodes=5)
+    store = built_store(5).ipg
     store.add_many(np.array([0, 3]), np.array([1, 4]), 0.5)
     with pytest.raises(DataError, match=r"\(3, 4\)"):
         store.add_many(np.array([3]), np.array([4]), 0.5)
@@ -166,20 +166,20 @@ def test_ipg_add_many_repeated_pairs_per_reception_times():
     rx = rng.integers(0, 5, size=n)
     dist = rng.uniform(0.0, 300.0, size=n)
     times = np.cumsum(rng.uniform(0.001, 0.05, size=n))
-    batched = IpgStore(150.0, n_nodes=5)
+    batched = built_store(5).ipg
     add_receptions(batched, tx, rx, dist, times)
-    one_by_one = IpgStore(150.0, n_nodes=5)
+    one_by_one = built_store(5).ipg
     for args in zip(tx, rx, dist, times):
         add_receptions(one_by_one, *(np.array([a]) for a in args[:3]), float(args[3]))
     expected = reference_gaps([([a], [b], [c], t) for a, b, c, t in
-                               zip(tx, rx, dist, times)], 150.0)
+                               zip(tx, rx, dist, times)], batched.range_limit_m)
     assert batched.gaps.tolist() == one_by_one.gaps.tolist() == expected
     assert len(batched.gaps) == len(expected) > 100
     assert np.array_equal(batched.last_time, one_by_one.last_time, equal_nan=True)
 
 
 def test_ipg_add_many_rejects_non_positive_gap_inside_one_batch():
-    store = IpgStore(150.0, n_nodes=3)
+    store = built_store(3).ipg
     with pytest.raises(DataError, match=r"\(2, 1\)"):
         store.add_many(np.array([0, 2, 0, 2]), np.array([1, 1, 1, 1]),
                        np.array([0.1, 0.2, 0.3, 0.2]))
@@ -200,7 +200,7 @@ def test_prr_add_many_matches_scalar_loop():
     d = rng.uniform(-50.0, 800.0, size=500)  # below the first and past the last edge
     d[:3] = [0.0, 600.0, 599.999]
     ok = rng.random(500) < 0.6
-    many, one = PrrSeries(default_bin_edges()), PrrSeries(default_bin_edges())
+    many, one = built_store(0).prr, built_store(0).prr
     add_distances(many, d, ok)
     for di, oi in zip(d, ok):
         add_one(one, float(di), bool(oi))
@@ -220,9 +220,9 @@ def test_bin_of_gives_n_outside_every_bin():
 
 
 bin_edges = st.one_of(
-    st.just(default_bin_edges()),
+    st.just(built_store(0).prr.bin_edges),
     st.just(np.array([0.0, 30.0, 60.0])),
-    st.builds(lambda width, bins: default_bin_edges(width * bins, width),
+    st.builds(lambda width, bins: uniform_bin_edges(width * bins, width),
               st.floats(0.5, 100.0), st.integers(1, 60)),
     st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=40, unique=True)
     .map(lambda e: np.array(sorted(e))),

@@ -11,15 +11,18 @@ after the first refresh and after every later one, and leave the
 shadowing stream in the same state.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import built_setup
+
 from v2xsim import engine
 from v2xsim.channel import LinkShadowing, PropagationConfig, rx_power_dbm
-from v2xsim.scenario import Geometry, RoadConfig, spawn
+from v2xsim.scenario import Geometry, spawn
 from v2xsim.util import stream
 
 ROAD_LENGTH_M = 1000.0
@@ -54,9 +57,10 @@ class FullMatrixPhy:
 
 def geometry(layout, wrap_around, vehicles, seed):
     """Two same-seed geometries of about `vehicles` vehicles on a 1 km road."""
-    road = RoadConfig(layout=layout, wrap_around=wrap_around, road_length_m=ROAD_LENGTH_M,
-                      density_vpk=max(vehicles, 0.1) / (ROAD_LENGTH_M / 1000.0),
-                      mean_speed_kmh=90.0, speed_std_kmh=20.0, placement="fixed_count")
+    road = replace(built_setup().road, layout=layout, wrap_around=wrap_around,
+                   road_length_m=ROAD_LENGTH_M,
+                   density_vpk=max(vehicles, 0.1) / (ROAD_LENGTH_M / 1000.0),
+                   mean_speed_kmh=90.0, speed_std_kmh=20.0, placement="fixed_count")
     placed = spawn(road, seed)
     return Geometry(road, placed), Geometry(road, placed)
 
@@ -81,7 +85,7 @@ def assert_same_links(blocked, full):
 def test_block_refresh_matches_full_matrix_refresh(layout, wrap_around, model, vehicles,
                                                    seed, block_elements, steps, step_s):
     geom, ref_geom = geometry(layout, wrap_around, vehicles, seed)
-    prop = PropagationConfig(model=model)
+    prop = replace(built_setup().propagation, model=model)
     with mock.patch.object(engine, "REFRESH_BLOCK_ELEMENTS", block_elements):
         blocked = engine._PhyCache(geom, prop, seed)
         full = FullMatrixPhy(ref_geom, prop, seed)
@@ -97,7 +101,7 @@ def test_block_refresh_matches_full_matrix_refresh(layout, wrap_around, model, v
 
 def test_refresh_overwrites_the_buffers_in_place():
     geom, _ = geometry("highway", True, 50, seed=9)
-    phy = engine._PhyCache(geom, PropagationConfig(), 9)
+    phy = engine._PhyCache(geom, built_setup().propagation, 9)
     buffers = [phy.dist, phy.shadow_db, phy.power_dbm, phy.power_mw]
     kept = phy.power_mw[3].copy()
     geom.step(1.0)

@@ -1,22 +1,21 @@
 """Vehicle placement, kinematics, generation timing, crossing geometry."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import make_setup
+from conftest import built_setup, make_setup
 
 from v2xsim.abstraction import StepFunction
 from v2xsim.engine import TraceLog, run
 from v2xsim.errors import ConfigError
-from v2xsim.scenario import Geometry, RoadConfig, VehicleState, generation_phase, spawn
+from v2xsim.scenario import Geometry, VehicleState, generation_phase, spawn
 
 
 def road(**kw):
-    defaults = dict(road_length_m=2000.0, density_vpk=100.0)
-    defaults.update(kw)
-    return RoadConfig(**defaults)
+    return replace(built_setup().road, **kw)
 
 
 # --- spawn ---------------------------------------------------------------------
@@ -54,7 +53,7 @@ def test_speeds_truncated_at_three_sigma():
 
 def test_spawn_rejects_bad_road():
     with pytest.raises(ConfigError):
-        RoadConfig(road_length_m=0.0)
+        road(road_length_m=0.0)
 
 
 # --- mobility --------------------------------------------------------------------

@@ -1,18 +1,27 @@
 """Timing and throughput math, checked against straight-line re-derivations."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import built_setup, default_theta
+
 from v2xsim.errors import ConfigError
-from v2xsim.settings import (NBPS_TABLE, CV2xSettings, Ieee80211pSettings, PrbTable,
-                             effective_throughput, resolve_nprb, tx_time_11p,
-                             tx_time_cv2x)
+from v2xsim.settings import (NBPS_TABLE, PrbTable, effective_throughput, resolve_nprb,
+                             tx_time_11p, tx_time_cv2x)
+
+TABLE = built_setup().prb_table
+THETA_11P, THETA_CV2X = default_theta("11p"), default_theta("cv2x")
 
 
-def theta_11p(payload, mcs_index=2):
-    return Ieee80211pSettings(payload_bytes=payload, mcs_index=mcs_index)
+def theta_11p(payload, **changes):
+    return replace(THETA_11P, payload_bytes=payload, **changes)
+
+
+def theta_cv2x(**changes):
+    return replace(THETA_CV2X, **changes)
 
 
 # --- transmission times -----------------------------------------------------
@@ -33,23 +42,23 @@ def test_tx_time_11p_550_bytes_16qam():
 
 def test_mcs_index_sets_the_symbol_rate():
     # 2800 / 96 -> 30 symbols; 110 + 40 + 240 us
-    s = Ieee80211pSettings(payload_bytes=350, mcs_index=4)
+    s = theta_11p(350, mcs_index=4)
     assert s.n_bps == 96
     assert tx_time_11p(s) == pytest.approx(390e-6, rel=1e-12)
 
 
 def test_tx_time_cv2x_subcapacity_single_tti():
-    s = CV2xSettings(payload_bytes=350, n_prb_pkt=38)
+    s = theta_cv2x(payload_bytes=350, n_prb_pkt=38)
     assert tx_time_cv2x(s) == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_tx_time_cv2x_exact_fit():
-    s = CV2xSettings(payload_bytes=350, n_prb_pkt=50)
+    s = theta_cv2x(payload_bytes=350, n_prb_pkt=50)
     assert tx_time_cv2x(s) == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_tx_time_cv2x_two_short_ttis():
-    s = CV2xSettings(payload_bytes=350, n_prb_pkt=75, t_tti_s=0.5e-3)
+    s = theta_cv2x(payload_bytes=350, n_prb_pkt=75, t_tti_s=0.5e-3)
     assert s.n_tti == 2
     assert tx_time_cv2x(s) == pytest.approx(1.0e-3, rel=1e-12)
 
@@ -63,14 +72,14 @@ def test_throughput_11p_350_bytes():
 
 
 def test_throughput_cv2x_partial_grid():
-    s = CV2xSettings(payload_bytes=350, n_prb_pkt=38)
+    s = theta_cv2x(payload_bytes=350, n_prb_pkt=38)
     got = effective_throughput(s)
     assert got == pytest.approx(2.8e6 * 50 / 38, rel=1e-12)
     assert got == pytest.approx(3.684e6, rel=1e-3)
 
 
 def test_throughput_cv2x_full_tti_collapses():
-    s = CV2xSettings(payload_bytes=123, n_prb_pkt=50)
+    s = theta_cv2x(payload_bytes=123, n_prb_pkt=50)
     assert effective_throughput(s) == pytest.approx(8 * 123 / 1e-3, rel=1e-12)
 
 
@@ -98,23 +107,23 @@ def test_resolve_nprb_scan():
 
 def test_resolve_nprb_rejects_zero_payload():
     with pytest.raises(ConfigError):
-        resolve_nprb(7, 0)
+        resolve_nprb(7, 0, TABLE)
 
 
 def test_resolve_nprb_exact_boundary():
-    table = PrbTable(bits_per_prb={3: 70})
+    table = replace(TABLE, bits_per_prb={3: 70})
     # 8 * 70 = 560 bits = exactly 8 PRBs of 70 bits
     assert resolve_nprb(3, 70, table) == 8
 
 
 def test_resolve_nprb_unknown_mcs():
     with pytest.raises(ConfigError):
-        resolve_nprb(99, 350)
+        resolve_nprb(99, 350, TABLE)
 
 
 def test_default_table_mcs7_350B():
     # default ladder: 37 data PRBs for the 350-byte QPSK reference packet
-    assert resolve_nprb(7, 350) == 37
+    assert resolve_nprb(7, 350, TABLE) == 37
 
 
 # --- invariants --------------------------------------------------------------
@@ -138,7 +147,7 @@ def test_throughput_cv2x_tti_split_invariant():
     # Eq-route value must equal the reduced closed form, which has no n_tti
     rng = np.random.default_rng(7)
     for _ in range(200):
-        s = CV2xSettings(
+        s = theta_cv2x(
             payload_bytes=int(rng.integers(1, 2000)),
             n_subch=int(rng.integers(1, 11)),
             n_prb_subch=int(rng.integers(1, 21)),
@@ -173,11 +182,11 @@ def test_agrees_with_independent_reimplementation():
         assert tx_time_11p(s) == pytest.approx(t_ref, rel=1e-12)
         assert effective_throughput(s) == pytest.approx(psi_ref, rel=1e-12)
     for _ in range(300):
-        s = CV2xSettings(payload_bytes=int(rng.integers(1, 3000)),
-                         n_subch=int(rng.integers(1, 11)),
-                         n_prb_subch=int(rng.integers(1, 21)),
-                         t_tti_s=float(rng.choice([0.25e-3, 0.5e-3, 1e-3])),
-                         n_prb_pkt=int(rng.integers(1, 400)))
+        s = theta_cv2x(payload_bytes=int(rng.integers(1, 3000)),
+                       n_subch=int(rng.integers(1, 11)),
+                       n_prb_subch=int(rng.integers(1, 21)),
+                       t_tti_s=float(rng.choice([0.25e-3, 0.5e-3, 1e-3])),
+                       n_prb_pkt=int(rng.integers(1, 400)))
         t_ref, psi_ref = straight_line_cv2x(s.payload_bytes, s.n_subch,
                                             s.n_prb_subch, s.t_tti_s, s.n_prb_pkt)
         assert tx_time_cv2x(s) == pytest.approx(t_ref, rel=1e-12)
@@ -186,10 +195,10 @@ def test_agrees_with_independent_reimplementation():
 
 def test_settings_validation():
     with pytest.raises(ConfigError):
-        Ieee80211pSettings(payload_bytes=0)
+        theta_11p(0)
     with pytest.raises(ConfigError):
-        Ieee80211pSettings(payload_bytes=10, mcs_index=8)
+        theta_11p(10, mcs_index=8)
     with pytest.raises(ConfigError):
-        CV2xSettings(payload_bytes=10, t_tti_s=2e-3)
+        theta_cv2x(payload_bytes=10, t_tti_s=2e-3)
     with pytest.raises(ConfigError):
-        CV2xSettings(payload_bytes=10, n_prb_pkt=0)
+        theta_cv2x(payload_bytes=10, n_prb_pkt=0)
