@@ -5,7 +5,7 @@ from .abstraction import (AbstractionModel, FitPoint, PerCurve, StepFunction,
                           shannon_throughput, threshold_for_settings,
                           threshold_from_curve)
 from .channel import PropagationConfig, noise_power_dbm, path_loss_db
-from .engine import RunConfig, SimulationSetup, TraceLog, TransmissionEvent, run
+from .engine import RunConfig, SimulationSetup, TraceLog, run
 from .errors import ConfigError, CurveRangeError, DataError, V2xSimError
 from .metrics import IpgStore, MetricStore, PrrSeries, ipg_ccdf, mae
 from .scenario import RoadConfig, TrafficConfig, VehicleState, spawn

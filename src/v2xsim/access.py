@@ -7,8 +7,9 @@ station ids) and frame ends, and takes from it the earliest scheduled
 access instant; there are no per-station timers. Same-instant events are
 ordered by one sequence counter (see CsmaNode).
 
-Sidelink autonomous scheduling keeps a per-vehicle sensing window and picks
-resources from the best fifth of the selection window, with the standard
+Sidelink autonomous scheduling judges resources by a vehicle's sensing
+ring, the received power per (TTI, subchannel) that the engine records,
+and picks from the best fifth of the selection window, with the standard
 threshold-relaxation loop and a probabilistic keep at counter expiry.
 """
 
@@ -238,72 +239,67 @@ class Selection:
     threshold_dbm: float
 
 
-class SensingWindow:
-    """Rolling per-(TTI, subchannel) received-power history for one vehicle.
+def projected_average_mw(power_mw: np.ndarray, filled_until: int,
+                         candidate_ttis: np.ndarray, period_ttis: int) -> np.ndarray:
+    """Average sensed power per (candidate TTI, subchannel).
 
-    power_mw is a (window TTIs, subchannels) ring: absolute TTI t is row
-    t % window TTIs. Rows hold linear mW (0 = silence); NaN marks TTIs the
-    vehicle could not sense because it was transmitting (half duplex).
-    filled_until is the absolute TTI one past the last recorded row.
+    power_mw is one vehicle's (window TTIs, subchannels) sensing ring:
+    absolute TTI t is row t % window TTIs. Rows hold linear mW (0 =
+    silence); NaN marks TTIs the vehicle could not sense because it was
+    transmitting (half duplex). filled_until is the absolute TTI one past
+    the last recorded row.
+
+    Each candidate is judged by the past occurrences of its slot on the
+    resource period grid that fall inside the sensing window; unsensed
+    occurrences are skipped, and a fully unsensed candidate counts as free.
+
+    Occurrence m of candidate c is the row c - m·period, m = 1..depth
+    (depth = window TTIs // period). Only the levels m that can land in
+    the recorded span [max(filled_until - window TTIs, 0), filled_until)
+    for some candidate are read; for ascending candidates they form one
+    range [m_lo, m_hi], and none are read when it is empty. The read
+    levels keep their own depth positions in a (candidate, depth,
+    subchannel) stack that is zero elsewhere, and the stack is summed over
+    the depth axis. So numpy's reduction order (in order, or pairwise when
+    there is a single subchannel) and every bit of the result stay those
+    of summing all depth levels.
     """
-
-    def __init__(self, power_mw: np.ndarray, filled_until: int = 0):
-        self.power_mw = power_mw
-        self.window_ttis, self.n_subch = power_mw.shape
-        self.filled_until = filled_until
-
-    def projected_average_mw(self, candidate_ttis: np.ndarray, period_ttis: int) -> np.ndarray:
-        """Average sensed power per (candidate TTI, subchannel).
-
-        Each candidate is judged by the past occurrences of its slot on the
-        resource period grid that fall inside the sensing window; unsensed
-        occurrences are skipped, and a fully unsensed candidate counts as free.
-
-        Occurrence m of candidate c is the row c - m·period, m = 1..depth
-        (depth = window TTIs // period). Only the levels m that can land in
-        the recorded span [max(filled_until - window TTIs, 0), filled_until)
-        for some candidate are read; for ascending candidates they form one
-        range [m_lo, m_hi], and none are read when it is empty. The read
-        levels keep their own depth positions in a (candidate, depth,
-        subchannel) stack that is zero elsewhere, and the stack is summed over
-        the depth axis. So numpy's reduction order (in order, or pairwise when
-        there is a single subchannel) and every bit of the result stay those
-        of summing all depth levels.
-        """
-        n_cand = candidate_ttis.size
-        depth = max(self.window_ttis // period_ttis, 1)
-        lo = max(self.filled_until - self.window_ttis, 0)
-        m_lo = max((int(candidate_ttis[0]) - self.filled_until) // period_ttis + 1, 1)
-        m_hi = min((int(candidate_ttis[-1]) - lo) // period_ttis, depth)
-        if m_lo > m_hi:
-            return np.zeros((n_cand, self.n_subch))
-        past = candidate_ttis[:, None] - np.arange(m_lo, m_hi + 1) * period_ttis
-        rows = self.power_mw[past % self.window_ttis]  # (cand, m_hi - m_lo + 1, subch)
-        usable = ((past >= lo) & (past < self.filled_until))[:, :, None] & ~np.isnan(rows)
-        stack = np.zeros((n_cand, depth, self.n_subch))
-        stack[:, m_lo - 1:m_hi] = np.where(usable, rows, 0.0)
-        return stack.sum(axis=1) / np.maximum(usable.sum(axis=1), 1)
+    window_ttis, n_subch = power_mw.shape
+    n_cand = candidate_ttis.size
+    depth = max(window_ttis // period_ttis, 1)
+    lo = max(filled_until - window_ttis, 0)
+    m_lo = max((int(candidate_ttis[0]) - filled_until) // period_ttis + 1, 1)
+    m_hi = min((int(candidate_ttis[-1]) - lo) // period_ttis, depth)
+    if m_lo > m_hi:
+        return np.zeros((n_cand, n_subch))
+    past = candidate_ttis[:, None] - np.arange(m_lo, m_hi + 1) * period_ttis
+    rows = power_mw[past % window_ttis]  # (cand, m_hi - m_lo + 1, subch)
+    usable = ((past >= lo) & (past < filled_until))[:, :, None] & ~np.isnan(rows)
+    stack = np.zeros((n_cand, depth, n_subch))
+    stack[:, m_lo - 1:m_hi] = np.where(usable, rows, 0.0)
+    return stack.sum(axis=1) / np.maximum(usable.sum(axis=1), 1)
 
 
-def sps_select(sensing: SensingWindow, now_tti: int, params: SpsParams, t_tti_s: float,
-               period_ttis: int, rng: np.random.Generator,
-               n_subch_needed: int = 1) -> Selection:
+def sps_select(sensed_mw: np.ndarray, now_tti: int, params: SpsParams, t_tti_s: float,
+               period_ttis: int, rng: np.random.Generator, n_subch_needed: int) -> Selection:
     """Pick a resource in [now+T1, now+T2] following the sensing procedure.
 
-    A candidate is judged by its past occurrences `period_ttis` apart, the
-    generation period in TTIs. Candidates above the RSRP threshold are
-    excluded, the threshold relaxing in fixed steps until at least
-    best_fraction of the window survives; the final pick is uniform over
-    the lowest-power best_fraction share.
+    sensed_mw is the vehicle's sensing ring (`projected_average_mw`),
+    recorded up to now_tti. A candidate is judged by its past occurrences
+    `period_ttis` apart, the generation period in TTIs. Candidates above
+    the RSRP threshold are excluded, the threshold relaxing in fixed steps
+    until at least best_fraction of the window survives; the final pick is
+    uniform over the lowest-power best_fraction share of the candidate
+    starts, each `n_subch_needed` subchannels wide.
     """
     t1 = max(int(round(params.t1_s / t_tti_s)), 1)
     t2 = max(int(round(params.t2_s / t_tti_s)), t1)
     cand_ttis = np.arange(now_tti + t1, now_tti + t2 + 1)
-    n_starts = sensing.n_subch - n_subch_needed + 1
+    n_starts = sensed_mw.shape[1] - n_subch_needed + 1
     if n_starts < 1:
         raise ConfigError("packet footprint wider than the subchannel grid")
 
-    per_subch = sensing.projected_average_mw(cand_ttis, period_ttis)
+    per_subch = projected_average_mw(sensed_mw, now_tti, cand_ttis, period_ttis)
     # metric per candidate start: mean over the subchannels it would occupy
     cols = [per_subch[:, s:s + n_subch_needed].mean(axis=1) for s in range(n_starts)]
     avg_mw = np.stack(cols, axis=1)  # (ttis, starts)

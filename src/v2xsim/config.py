@@ -191,7 +191,11 @@ def load_config(path: str | None = None, overrides=()) -> configparser.ConfigPar
         key, value = item.split("=", 1)
         section, option = key.split(".", 1)
         section, option = section.strip(), option.strip()
-        _check_known(cp, section, [option])
+        if section == "prb_table":  # any row; `build_prb_table` checks it
+            if not cp.has_section(section):
+                cp.add_section(section)
+        else:
+            _check_known(cp, section, [option])
         cp[section][option] = value.strip()
     return cp
 

@@ -16,10 +16,14 @@ threshold; a frame start or end updates only the stations it reaches
 decodably, and the energy sum is kept only while it can matter (`_Run11p`).
 
 The event loops only record frames; one scorer turns them into link
-outcomes in F x N passes against all in-range receivers. An ended 802.11p
-frame is kept with its power and distance rows, its interferers and its
-half-duplex set; a sent C-V2X TTI is kept as its transmitters and their
-first PRBs, its frames interfering and deafening only each other. Either
+outcomes in F x N passes against all in-range receivers. Every frame of a
+run is on air for the same `duration_s`, so a frame is its transmitter
+and start. An ended 802.11p frame is kept with its power and distance
+rows and the frames on air with it in event order (`overlappers`): each
+such pair is half duplex, and it interferes with the share of airtime the
+two share, computed for the whole batch at once. A sent C-V2X TTI is kept
+as its transmitters and their first PRBs, its frames interfering and
+deafening only each other. Either
 engine scores its held frames once they reach SCORE_BATCH_ELEMENTS frame x
 receiver elements and at the end of the run; C-V2X also scores them before
 each mobility epoch, while the power and distance rows are still theirs.
@@ -61,8 +65,8 @@ import numpy as np
 
 from . import scenario as scen
 from .abstraction import PerCurve, StepFunction
-from .access import (CsmaNode, CsmaParams, SensingWindow, SpsParams, SpsState,
-                     sps_after_transmission, sps_select)
+from .access import (CsmaNode, CsmaParams, SpsParams, SpsState, sps_after_transmission,
+                     sps_select)
 from .channel import LinkShadowing, PropagationConfig, noise_power_dbm, path_loss_db
 from .errors import ConfigError
 from .metrics import IpgStore, MetricStore, PrrSeries, uniform_bin_edges
@@ -87,17 +91,6 @@ REFRESH_BLOCK_ELEMENTS = 24_576
 RECORD_CHUNK_LINKS = 1 << 18
 # a chunk's flat frame x receiver link indices are int32
 _LINK_INDEX_MAX = np.iinfo(np.int32).max
-
-
-@dataclass(frozen=True)
-class TransmissionEvent:
-    tx_id: int
-    start: float
-    duration: float
-
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
 
 
 @dataclass(frozen=True)
@@ -126,6 +119,10 @@ class RunConfig:
             raise ConfigError("prr_bin_width_m must be > 0")
         if not self.prr_max_distance_m > 0:
             raise ConfigError("prr_max_distance_m must be > 0")
+        # `uniform_bin_edges` rounds the bin count half to even: none below 0.5
+        if not self.prr_max_distance_m / self.prr_bin_width_m > 0.5:
+            raise ConfigError("prr_bin_width_m must leave at least one whole bin under "
+                              "prr_max_distance_m")
         # a range <= 0 holds no pair, so ipg_ccdf.csv would be a bare header
         if not self.ipg_range_m > 0:
             raise ConfigError("ipg_range_m must be > 0")
@@ -267,14 +264,6 @@ def tally(batch: LinkBatch, n: int, reception: PerCurve | StepFunction,
     metrics.ipg.add_many(batch.tx[frame], rx, batch.end[frame])
 
 
-def overlap_fraction(a: TransmissionEvent, b: TransmissionEvent) -> float:
-    """Share of event `a`'s airtime that event `b` is on air too."""
-    shared = min(a.end, b.end) - max(a.start, b.start)
-    if shared <= 0:
-        return 0.0
-    return shared / a.duration
-
-
 def prb_overlap(tti: np.ndarray, prb_start: np.ndarray, prb_count: int):
     """PRB overlap hits among F frames of equal PRB footprint.
 
@@ -332,7 +321,7 @@ class _PhyCache:
         n, sigma = geom.n, prop.shadowing_sigma_db
         delta = geom.traveled - self._last_traveled
         self._last_traveled = geom.traveled.copy()
-        step = max(REFRESH_BLOCK_ELEMENTS // max(n, 1), 1)
+        step = max(REFRESH_BLOCK_ELEMENTS // n, 1)
         for r0 in range(0, n, step):
             r1 = min(r0 + step, n)
             rows, cols = slice(r0, r1), slice(r0, None)
@@ -373,6 +362,10 @@ class _RunBase:
         self.trace = trace
         vehicles = (scen.spawn(setup.road, cfg.seed) if setup.vehicles is None
                     else setup.vehicles)
+        # an empty road has no link to score: its outputs would be bare headers
+        if not vehicles:
+            raise ConfigError("no vehicle on the road: raise road.density_vpk or "
+                              "road.road_length_m")
         self.geom = Geometry(setup.road, vehicles)
         self.n = self.geom.n
         # the vehicle ids name each vehicle's phase, backoff and SPS streams
@@ -382,23 +375,23 @@ class _RunBase:
         self.metrics = _new_store(cfg, self.n)
         self.counting = False  # a frame that starts after warmup was scored
         self.phases = np.array([
-            generation_phase(vid, cfg.seed, self.traffic.period_s) for vid in self.ids
-        ]) if self.n else np.zeros(0)
+            generation_phase(vid, cfg.seed, self.traffic.period_s) for vid in self.ids])
+        # every frame of a run is on air this long (one TTI for C-V2X)
+        self.duration_s = tx_time(cfg.theta)
 
-    def _score(self, tx: np.ndarray, start: np.ndarray, end: np.ndarray,
-               signal: np.ndarray, dist: np.ndarray, deaf: np.ndarray, hits,
-               sources: np.ndarray):
+    def _score(self, tx: np.ndarray, start: np.ndarray, signal: np.ndarray,
+               dist: np.ndarray, deaf: np.ndarray, hits, sources: np.ndarray):
         """Link outcomes of F recorded frames at every in-range receiver, emitted.
 
-        tx, start, end: (F,) transmitter, start and end time of each frame,
-        frames sorted by start time; signal, dist: (F, N) received power
-        (mW) and distance from each frame's transmitter; deaf: (F, N)
-        receivers transmitting during the frame (half duplex). hits =
-        (frame, source, frac), sorted by frame and each frame's in its
-        interferer order: hit h covers a share frac[h] of frame frame[h]
-        with the (N,) power row sources[source[h]]. The frames that start
-        before warmup come first, in the batch and in the run; only their
-        in-range links are counted.
+        tx, start: (F,) transmitter and start time of each frame, frames
+        sorted by start time, each on air for `duration_s`; signal, dist:
+        (F, N) received power (mW) and distance from each frame's
+        transmitter; deaf: (F, N) receivers transmitting during the frame
+        (half duplex). hits = (frame, source, frac), sorted by frame and
+        each frame's in its interferer order: hit h covers a share frac[h]
+        of frame frame[h] with the (N,) power row sources[source[h]]. The
+        frames that start before warmup come first, in the batch and in the
+        run; only their in-range links are counted.
         """
         cfg = self.cfg
         in_range = dist <= cfg.max_range_m
@@ -413,7 +406,7 @@ class _RunBase:
         link = np.flatnonzero(in_range[n_early:])
         if link.size == 0 and skipped == 0:
             return
-        tx, end, signal, dist, deaf = (a[n_early:] for a in (tx, end, signal, dist, deaf))
+        tx, start, signal, dist, deaf = (a[n_early:] for a in (tx, start, signal, dist, deaf))
         first = np.searchsorted(hits[0], n_early)
         hit_frame = hits[0][first:] - n_early
         hit_source, hit_frac = hits[1][first:], hits[2][first:]
@@ -429,9 +422,9 @@ class _RunBase:
             denom[hit_frame[at]] += part
         d = dist.take(link)
         near = np.flatnonzero(self.metrics.ipg.near(d))
-        self.emit(LinkBatch(skipped, tx, end, signal.take(link) / denom.take(link),
-                            deaf.take(link), self.metrics.prr.bin_of(d), near,
-                            link.take(near)))
+        self.emit(LinkBatch(skipped, tx, start + self.duration_s,
+                            signal.take(link) / denom.take(link), deaf.take(link),
+                            self.metrics.prr.bin_of(d), near, link.take(near)))
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +432,11 @@ class _RunBase:
 
 
 class _Frame:
-    __slots__ = ("event", "mw_row", "dist_row", "rx", "overlappers")
+    __slots__ = ("tx", "start", "mw_row", "dist_row", "rx", "overlappers")
 
-    def __init__(self, event, mw_row, dist_row, rx):
-        self.event = event
+    def __init__(self, tx, start, mw_row, dist_row, rx):
+        self.tx = tx
+        self.start = start
         self.mw_row = mw_row
         self.dist_row = dist_row
         self.rx = rx  # the stations that sense it as decodable, ascending; None once ended
@@ -472,7 +466,6 @@ class _Run11p(_RunBase):
         self.active: list[_Frame] = []
         self.ended: list[_Frame] = []  # recorded, not yet scored
         self.heap: list = []  # (time, sequence number, kind, data)
-        self.duration_s = tx_time(self.cfg.theta)
         self.m85 = None
         self._refresh_masks()
 
@@ -507,10 +500,9 @@ class _Run11p(_RunBase):
         self.mac.take_packet(vid)
         if self.trace is not None:
             self.trace.tx_starts.append((now, vid, bool(self.busy[vid])))
-        event = TransmissionEvent(tx_id=vid, start=now, duration=self.duration_s)
         mw_row = self.phy.power_mw[vid].copy()
         mw_row[vid] = 0.0
-        frame = _Frame(event, mw_row, self.phy.dist[vid].copy(), self.m85[vid].nonzero()[0])
+        frame = _Frame(vid, now, mw_row, self.phy.dist[vid].copy(), self.m85[vid].nonzero()[0])
         frame.overlappers = list(self.active)
         for other in self.active:
             other.overlappers.append(frame)
@@ -518,7 +510,7 @@ class _Run11p(_RunBase):
         if now >= self.cfg.warmup_s:
             self.metrics.transmitted += 1
         self._sense(frame, 1, now)
-        self._push(event.end, "tx_end", frame)
+        self._push(now + self.duration_s, "tx_end", frame)
 
     def _end_frame(self, frame: _Frame, now: float):
         self.active.remove(frame)
@@ -527,38 +519,34 @@ class _Run11p(_RunBase):
         self.ended.append(frame)
         if len(self.ended) * self.n >= SCORE_BATCH_ELEMENTS:
             self._score_ended()
-        vid = frame.event.tx_id
-        self.mac.on_tx_end(now, vid, self.busy[vid])
+        self.mac.on_tx_end(now, frame.tx, self.busy[frame.tx])
 
     def _score_ended(self):
         """Score the recorded frames in one pass, in the order they ended."""
         frames, self.ended = self.ended, []
         if not frames:
             return
-        hit_frame, hit_frac, hit_rows, deaf_frame, deaf_tx = [], [], [], [], []
-        for f, frame in enumerate(frames):
-            for other in frame.overlappers:
-                deaf_frame.append(f)
-                deaf_tx.append(other.event.tx_id)
-                frac = overlap_fraction(frame.event, other.event)
-                if frac > 0.0:
-                    hit_frame.append(f)
-                    hit_frac.append(frac)
-                    hit_rows.append(other.mw_row)
+        # every (frame, overlapper) pair, frame-major, each frame's in its overlapper order
+        pair = np.repeat(np.arange(len(frames)), [len(f.overlappers) for f in frames])
+        others = [other for frame in frames for other in frame.overlappers]
+        for frame in frames:
             # scored: drop its references to other frames, so that frames no
             # longer needed are freed without waiting for the cycle collector
             frame.overlappers = None
+        start = np.array([frame.start for frame in frames])
+        a, b, d = start[pair], np.array([other.start for other in others]), self.duration_s
+        # the share of the frame's airtime that the overlapper is on air too;
+        # a pair that shares none is only half duplex
+        frac = (np.minimum(a + d, b + d) - np.maximum(a, b)) / d
+        hit = np.flatnonzero(frac > 0.0)
         deaf = np.zeros((len(frames), self.n), dtype=bool)
-        deaf[deaf_frame, deaf_tx] = True
-        events = [frame.event for frame in frames]
-        hits = (np.array(hit_frame, dtype=np.intp), np.arange(len(hit_rows)),
-                np.array(hit_frac))
-        self._score(np.array([e.tx_id for e in events]),
-                    np.array([e.start for e in events]),
-                    np.array([e.end for e in events]),
+        deaf[pair, np.array([other.tx for other in others], dtype=np.intp)] = True
+        self._score(np.array([frame.tx for frame in frames]), start,
                     np.stack([frame.mw_row for frame in frames]),
-                    np.stack([frame.dist_row for frame in frames]), deaf, hits,
-                    np.stack(hit_rows) if hit_rows else np.zeros((0, self.n)))
+                    np.stack([frame.dist_row for frame in frames]), deaf,
+                    (pair[hit], np.arange(hit.size), frac[hit]),
+                    np.stack([others[h].mw_row for h in hit.tolist()]) if hit.size
+                    else np.zeros((0, self.n)))
 
     def run(self) -> MetricStore:
         cfg = self.cfg
@@ -637,9 +625,8 @@ class _RunCv2x(_RunBase):
 
     def _select(self, vid: int, now_tti: int):
         st = self.sps_states[vid]
-        sel = sps_select(SensingWindow(self.ring[:, vid], now_tti), now_tti,
-                         self.sps_params, self.t_tti, self.period_ttis,
-                         self.sps_rngs[vid], n_subch_needed=self.n_subch_needed)
+        sel = sps_select(self.ring[:, vid], now_tti, self.sps_params, self.t_tti,
+                         self.period_ttis, self.sps_rngs[vid], self.n_subch_needed)
         self.reserved_subch[vid] = sel.subchannel
         self.reserved_tti[vid] = sel.tti
         st.reselection_counter = sel.reselection_counter
@@ -710,7 +697,7 @@ class _RunCv2x(_RunBase):
         on_air = np.zeros((len(sizes), self.n), dtype=bool)
         on_air[tti, tx] = True
         signal = self.phy.power_mw[tx]
-        self._score(tx, start, start + self.t_tti, signal, self.phy.dist[tx], on_air[tti],
+        self._score(tx, start, signal, self.phy.dist[tx], on_air[tti],
                     prb_overlap(tti, np.concatenate(prbs), self.footprint_prbs), signal)
 
     def _sense(self, tx: np.ndarray, k: int):

@@ -13,7 +13,8 @@ from conftest import built_setup, default_theta, make_setup, vehicle_pair
 
 from v2xsim import engine
 from v2xsim.access import (AIFS_WAIT, BACKOFF_FROZEN, IDLE, TRANSMITTING, CsmaNode,
-                           SensingWindow, SpsState, sps_after_transmission, sps_select)
+                           SpsState, projected_average_mw, sps_after_transmission,
+                           sps_select)
 from v2xsim.errors import ConfigError
 from v2xsim.scenario import VehicleState
 from v2xsim.util import stream
@@ -397,14 +398,15 @@ SPS = built_setup().sps
 PERIOD_TTIS = 100  # the default 100 ms generation period in 1 ms TTIs
 
 
-def empty_window(ttis=1000, subch=5, filled=1000):
-    return SensingWindow(np.zeros((ttis, subch)), filled)
+def empty_ring(ttis=1000, subch=5):
+    """A silent (window TTIs, subchannels) sensing ring."""
+    return np.zeros((ttis, subch))
 
 
 def test_cold_start_uniform_over_window():
-    win = empty_window()
+    ring = empty_ring()
     rng = stream(1, "sps-test")
-    picks = [sps_select(win, 1000, SPS, 1e-3, PERIOD_TTIS, rng) for _ in range(4000)]
+    picks = [sps_select(ring, 1000, SPS, 1e-3, PERIOD_TTIS, rng, 1) for _ in range(4000)]
     ttis = np.array([p.tti for p in picks])
     subs = np.array([p.subchannel for p in picks])
     assert ttis.min() >= 1001 and ttis.max() <= 1100
@@ -415,39 +417,37 @@ def test_cold_start_uniform_over_window():
 
 
 def test_selection_respects_window_bounds():
-    win = empty_window()
+    ring = empty_ring()
     rng = stream(2, "sps-test")
     for now in (1000, 1500, 2000):
-        win.filled_until = now
-        sel = sps_select(win, now, SPS, 1e-3, PERIOD_TTIS, rng)
+        sel = sps_select(ring, now, SPS, 1e-3, PERIOD_TTIS, rng, 1)
         assert now + 1 <= sel.tti <= now + 100
         assert 5 <= sel.reselection_counter <= 15
 
 
 def test_loud_window_relaxes_threshold():
-    win = empty_window()
-    win.power_mw[:, :] = 10 ** (-60 / 10.0)  # everything far above -110 dBm
-    sel = sps_select(win, 1000, SPS, 1e-3, PERIOD_TTIS, stream(3, "sps-test"))
+    ring = empty_ring()
+    ring[:, :] = 10 ** (-60 / 10.0)  # everything far above -110 dBm
+    sel = sps_select(ring, 1000, SPS, 1e-3, PERIOD_TTIS, stream(3, "sps-test"), 1)
     assert sel.threshold_dbm > SPS.rsrp_exclude_dbm
     assert sel.candidates_kept >= int(np.ceil(0.2 * sel.candidates_total))
 
 
 def test_selection_prefers_quiet_resources():
-    win = empty_window()
-    win.power_mw[:, :] = 10 ** (-70 / 10.0)
-    win.power_mw[:, 2] = 0.0  # subchannel 2 is silent in every TTI
+    ring = empty_ring()
+    ring[:, :] = 10 ** (-70 / 10.0)
+    ring[:, 2] = 0.0  # subchannel 2 is silent in every TTI
     rng = stream(4, "sps-test")
-    picks = [sps_select(win, 1000, SPS, 1e-3, PERIOD_TTIS, rng) for _ in range(200)]
+    picks = [sps_select(ring, 1000, SPS, 1e-3, PERIOD_TTIS, rng, 1) for _ in range(200)]
     assert all(p.subchannel == 2 for p in picks)
 
 
 def test_candidate_set_at_least_best_fraction():
     rng = stream(5, "sps-test")
-    win = empty_window()
-    win.power_mw[:, :] = rng.uniform(0, 1e-7, size=win.power_mw.shape)
+    ring = empty_ring()
+    ring[:, :] = rng.uniform(0, 1e-7, size=ring.shape)
     for now in (1000, 1250, 1999):
-        win.filled_until = now
-        sel = sps_select(win, now, SPS, 1e-3, PERIOD_TTIS, rng)
+        sel = sps_select(ring, now, SPS, 1e-3, PERIOD_TTIS, rng, 1)
         assert sel.candidates_kept >= int(np.ceil(0.2 * sel.candidates_total))
 
 
@@ -481,14 +481,15 @@ def test_counter_decrements_without_draw():
     assert state.reselection_counter == 4
 
 
-def projected_average_full_depth(window, candidate_ttis, period_ttis):
+def projected_average_full_depth(power_mw, filled_until, candidate_ttis, period_ttis):
     """Reference projection: gathers and sums every depth level of every candidate."""
-    depth = max(window.window_ttis // period_ttis, 1)
+    window_ttis = power_mw.shape[0]
+    depth = max(window_ttis // period_ttis, 1)
     m = np.arange(1, depth + 1)
     past = candidate_ttis[:, None] - m[None, :] * period_ttis
-    lo = max(window.filled_until - window.window_ttis, 0)
-    valid = (past >= lo) & (past < window.filled_until)
-    rows = window.power_mw[past % window.window_ttis]  # (cand, depth, subch)
+    lo = max(filled_until - window_ttis, 0)
+    valid = (past >= lo) & (past < filled_until)
+    rows = power_mw[past % window_ttis]  # (cand, depth, subch)
     usable = valid[:, :, None] & ~np.isnan(rows)
     rows = np.where(usable, rows, 0.0)
     counts = usable.sum(axis=1)
@@ -497,7 +498,7 @@ def projected_average_full_depth(window, candidate_ttis, period_ttis):
 
 @st.composite
 def sensing_cases(draw):
-    """A sensing window and a candidate range around where its recording stops."""
+    """A sensing ring, its fill line and a candidate range around that line."""
     n_subch = draw(st.integers(1, 8))
     period = draw(st.integers(1, 30))
     depth = draw(st.integers(1, 16))
@@ -513,21 +514,19 @@ def sensing_cases(draw):
     # candidates from before the recorded span to past its end
     first = filled_until + draw(st.integers(-(depth + 1) * period, 2 * period))
     candidates = np.arange(first, first + draw(st.integers(1, 2 * period + 2)))
-    return SensingWindow(power, filled_until), candidates, period
+    return power, filled_until, candidates, period
 
 
 @settings(max_examples=600, deadline=None)
 @given(case=sensing_cases())
 def test_projection_matches_full_depth_reference_bit_for_bit(case):
-    window, candidates, period = case
-    got = window.projected_average_mw(candidates, period)
-    assert np.array_equal(got, projected_average_full_depth(window, candidates, period))
+    got = projected_average_mw(*case)
+    assert np.array_equal(got, projected_average_full_depth(*case))
 
 
 def test_footprint_wider_than_grid_rejected():
     with pytest.raises(ConfigError):
-        sps_select(empty_window(subch=2), 1000, SPS, 1e-3, PERIOD_TTIS,
-                   stream(9, "sps-test"), n_subch_needed=3)
+        sps_select(empty_ring(subch=2), 1000, SPS, 1e-3, PERIOD_TTIS, stream(9, "sps-test"), 3)
 
 
 # --- parameter checks --------------------------------------------------------------

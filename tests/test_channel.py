@@ -163,8 +163,8 @@ def engine_sinr(signal_dbm, interferers=(), noise_dbm=-98.0):
     hits = (np.zeros(k, dtype=np.intp), np.arange(k),
             np.array([share for share, _ in interferers], dtype=float))
     sources = np.array([[0.0, 10.0 ** (p / 10.0)] for _, p in interferers]).reshape(k, 2)
-    sim._score(np.array([0]), np.zeros(1), np.full(1, 1e-3),
-               np.array([[0.0, 10.0 ** (signal_dbm / 10.0)]]), np.array([[0.0, 10.0]]),
+    sim._score(np.array([0]), np.zeros(1), np.array([[0.0, 10.0 ** (signal_dbm / 10.0)]]),
+               np.array([[0.0, 10.0]]),
                np.zeros((1, 2), dtype=bool), hits, sources)
     (batch,) = emitted
     return float(batch.sinr[0])

@@ -79,7 +79,11 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
 def test_config_file_takes_prb_table_rows(tmp_path):
     config = tmp_path / "prb.ini"
     config.write_text("[prb_table]\n7 = 100\n")
-    assert load_config(str(config))["prb_table"]["7"] == "100"
+    from_file = load_config(str(config))
+    assert from_file["prb_table"]["7"] == "100"
+    # an override sets the same row
+    from_override = load_config(None, ["prb_table.7=100"])
+    assert cfgmod.build_setup(from_override) == cfgmod.build_setup(from_file)
 
 
 @pytest.mark.parametrize("row", ["abc = 5", "7 = x", "7 = 0", "7 = -40"])
@@ -87,6 +91,12 @@ def test_simulate_bad_prb_table_row_exits_2(tmp_path, capsys, row):
     config = tmp_path / "prb.ini"
     config.write_text(f"[prb_table]\n{row}\n")
     assert run_cli(*small_sim_args(tmp_path, tmp_path / "x", "--config", str(config))) == 2
+    assert "[prb_table]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["abc=5", "7=x", "7=0", "7=-40"])
+def test_override_bad_prb_table_row_exits_2(tmp_path, capsys, row):
+    assert run_cli(*small_sim_args(tmp_path, tmp_path / "x", "--set", f"prb_table.{row}")) == 2
     assert "[prb_table]" in capsys.readouterr().err
 
 
@@ -335,6 +345,13 @@ def test_simulate_nonexistent_curve_exits_3(tmp_path):
                    "--set", "reception.curve_file=/missing_11p_mcs2_350B.csv") == 3
 
 
+# the keys that the message of a bad value must name, where the test checks them
+MESSAGE_NAMES = {
+    # a bin wider than the PRR range leaves no whole bin under it
+    ("metrics.prr_bin_width_m", "2000"): ("prr_bin_width_m", "prr_max_distance_m"),
+}
+
+
 @pytest.mark.parametrize("key, value", [("run.max_range_m", "0"),
                                         ("run.max_range_m", "-100"),
                                         ("run.warmup_s", "-0.5"),
@@ -349,11 +366,28 @@ def test_simulate_nonexistent_curve_exits_3(tmp_path):
                                         ("ieee80211p.cw_max", "-1"),
                                         ("ieee80211p.slot_time_us", "nan"),
                                         ("ieee80211p.slot_time_us", "0"),
-                                        ("ieee80211p.sense_energy_dbm", "4000")])
+                                        ("ieee80211p.sense_energy_dbm", "4000"),
+                                        ("metrics.prr_bin_width_m", "2000")])
 def test_simulate_bad_value_exits_2(tmp_path, capsys, key, value):
     args = small_sim_args(tmp_path, tmp_path / "x", "--set", f"{key}={value}")
     assert run_cli(*args) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert all(name in err for name in MESSAGE_NAMES.get((key, value), ()))
+
+
+@pytest.mark.parametrize("command", ["simulate", "select-beta", "validate"])
+def test_road_with_no_vehicle_exits_2(tmp_path, capsys, command):
+    """0.1 veh/km over 2 km spawns no vehicle at seed 1: the run has no link to report."""
+    curve = os.path.join(CURVE_DIR, "highway_los_11p_mcs2_350B.csv")
+    assert run_cli(command, "--out", str(tmp_path / "out"),
+                   "--set", f"reception.curve_file={curve}",
+                   "--set", "run.sim_duration_s=0.3", "--set", "run.warmup_s=0.1",
+                   "--set", "road.density_vpk=0.1") == 2
+    captured = capsys.readouterr()
+    assert "road.density_vpk" in captured.err and "road.road_length_m" in captured.err
+    assert captured.out == ""
+    assert not any(p.is_file() for p in tmp_path.rglob("*"))
 
 
 # --- one home per config key ---------------------------------------------------------
@@ -417,13 +451,10 @@ def setup_leaves(obj, path=""):
 
 
 def setup_with_change(tech, change=None):
-    cp = load_config(None, [f"run.technology={tech}"])
+    overrides = [f"run.technology={tech}"]
     if change is not None:
-        section, key = change[0].split(".", 1)
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp[section][key] = change[1]
-    return cfgmod.build_setup(cp)
+        overrides.append("=".join(change))
+    return cfgmod.build_setup(load_config(None, overrides))
 
 
 def test_every_config_key_has_a_valid_change():

@@ -1,6 +1,7 @@
 """Event-loop behavior: reception decisions, interference, conservation,
 determinism, and the noise-limited sanity checks."""
 
+import heapq
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -13,8 +14,8 @@ from conftest import (assert_same_store, built_setup, built_store, default_theta
 from v2xsim import engine
 from v2xsim.abstraction import PerCurve, StepFunction
 from v2xsim.channel import noise_power_dbm, rx_power_dbm
-from v2xsim.engine import (LinkBatch, LinkRecord, TraceLog, TransmissionEvent,
-                           decide_reception_vector, overlap_fraction, prb_overlap, run, tally)
+from v2xsim.engine import (LinkBatch, LinkRecord, TraceLog, decide_reception_vector,
+                           prb_overlap, run, tally)
 from v2xsim.errors import ConfigError
 from v2xsim.scenario import VehicleState
 from v2xsim.util import stream
@@ -67,22 +68,66 @@ def test_negative_sinr_rejected():
         decide_one(-0.1, zero_db_step(), stream(5, "r"))
 
 
-# --- overlap_fraction and prb_overlap ----------------------------------------------
+# --- 802.11p airtime overlap and prb_overlap ---------------------------------------
 
-def ev(tx, start, dur):
-    return TransmissionEvent(tx_id=tx, start=start, duration=dur)
+def scored_11p(frames, end_first=True):
+    """The link batch of two 802.11p frames at stations 0, 1 and 2, placed 10 m apart.
+
+    frames: (station, start) pairs in start order, each frame on air for the
+    engine's `duration_s`. A frame that ends at the instant another starts
+    ends first with `end_first`, else after that start, as events that share
+    an instant may pop in either order. Returns the engine and the batch,
+    whose links are frame-major with receivers ascending.
+    """
+    vehicles = [VehicleState(i, 0, 500.0 + 10.0 * i, 0.0, +1) for i in range(3)]
+    emitted = []
+    sim = engine._Run11p(make_setup("11p", duration=1.0, warmup=0.0, vehicles=vehicles),
+                         emitted.append, None)
+    for vid, start in frames:
+        while sim.heap and (sim.heap[0][0] < start or end_first and sim.heap[0][0] == start):
+            at, _, _, frame = heapq.heappop(sim.heap)
+            sim._end_frame(frame, at)
+        sim._begin_frame(vid, start)
+    while sim.heap:
+        at, _, _, frame = heapq.heappop(sim.heap)
+        sim._end_frame(frame, at)
+    sim._score_ended()
+    (batch,) = emitted
+    return sim, batch
 
 
 def test_disjoint_airtimes_no_interference():
-    a = ev(0, 0.0, 1e-3)
-    b = ev(1, 2e-3, 1e-3)
-    assert overlap_fraction(a, b) == 0.0
+    sim, batch = scored_11p([(0, 0.0), (2, 0.01)])
+    power = sim.phy.power_mw
+    # frame 0 at receivers 1 and 2, frame 2 at receivers 0 and 1
+    signal = [power[0, 1], power[0, 2], power[2, 0], power[2, 1]]
+    assert batch.sinr.tolist() == [p / sim.noise_mw for p in signal]
+    assert not batch.blocked.any()
 
 
 def test_half_overlap_fraction():
-    a = ev(0, 0.0, 1.0)
-    b = ev(1, 0.5, 1.0)
-    assert overlap_fraction(a, b) == pytest.approx(0.5)
+    sim, _ = scored_11p([(0, 0.0)])
+    d = sim.duration_s
+    sim, batch = scored_11p([(0, 0.0), (2, d / 2)])
+    power, noise = sim.phy.power_mw, sim.noise_mw
+    # each frame shares half its airtime with the other, whose transmitter is
+    # deaf to it and adds no power at itself
+    assert batch.sinr.tolist() == [power[0, 1] / (noise + 0.5 * power[2, 1]),
+                                   power[0, 2] / noise, power[2, 0] / noise,
+                                   power[2, 1] / (noise + 0.5 * power[0, 1])]
+    assert batch.blocked.tolist() == [False, True, True, False]
+
+
+@pytest.mark.parametrize("end_first", [True, False])
+def test_back_to_back_frames_do_not_interfere(end_first):
+    sim, _ = scored_11p([(0, 0.0)])
+    sim, batch = scored_11p([(0, 0.0), (2, sim.duration_s)], end_first)
+    power = sim.phy.power_mw
+    signal = [power[0, 1], power[0, 2], power[2, 0], power[2, 1]]
+    assert batch.sinr.tolist() == [p / sim.noise_mw for p in signal]
+    # a frame that starts before the previous one's end event pops overlaps it
+    # in event order: they share no time, but each transmitter misses the other
+    assert batch.blocked.tolist() == [False, not end_first, not end_first, False]
 
 
 class PrbFrame(NamedTuple):
@@ -322,7 +367,7 @@ def test_frames_that_start_before_warmup_must_be_scored_first():
         f = len(tx)
         signal = np.where(np.eye(2, dtype=bool), 0.0, 1e-6)[tx]
         dist = np.where(np.eye(2, dtype=bool), 0.0, 10.0)[tx]
-        sim._score(np.array(tx), np.array(start), np.array(start) + 0.001, signal, dist,
+        sim._score(np.array(tx), np.array(start), signal, dist,
                    np.zeros((f, 2), dtype=bool), no_hits, np.zeros((0, 2)))
 
     with pytest.raises(AssertionError, match="before warmup"):

@@ -59,7 +59,7 @@ def geometry(layout, wrap_around, vehicles, seed):
     """Two same-seed geometries of about `vehicles` vehicles on a 1 km road."""
     road = replace(built_setup().road, layout=layout, wrap_around=wrap_around,
                    road_length_m=ROAD_LENGTH_M,
-                   density_vpk=max(vehicles, 0.1) / (ROAD_LENGTH_M / 1000.0),
+                   density_vpk=vehicles / (ROAD_LENGTH_M / 1000.0),
                    mean_speed_kmh=90.0, speed_std_kmh=20.0, placement="fixed_count")
     placed = spawn(road, seed)
     return Geometry(road, placed), Geometry(road, placed)
@@ -73,13 +73,13 @@ def assert_same_links(blocked, full):
 @settings(max_examples=100, deadline=None)
 @given(layout=st.sampled_from(["highway", "urban_grid"]), wrap_around=st.booleans(),
        model=st.sampled_from(["winner_b1_los", "winner_b1_nlos"]),
-       vehicles=st.integers(0, 300), seed=st.integers(0, 2**31 - 1),
+       vehicles=st.integers(2, 300), seed=st.integers(0, 2**31 - 1),
        block_elements=st.integers(1, 2000), steps=st.integers(1, 4),
        step_s=st.sampled_from([0.01, 0.1, 1.0]))
-@example(layout="highway", wrap_around=True, model="winner_b1_los", vehicles=0, seed=1,
-         block_elements=7, steps=2, step_s=0.1)
-@example(layout="urban_grid", wrap_around=False, model="winner_b1_los", vehicles=1, seed=2,
-         block_elements=1, steps=2, step_s=0.1)
+@example(layout="highway", wrap_around=True, model="winner_b1_los", vehicles=1, seed=1,
+         block_elements=7, steps=2, step_s=0.1)  # one vehicle; an empty road never refreshes
+@example(layout="urban_grid", wrap_around=False, model="winner_b1_los", vehicles=2, seed=2,
+         block_elements=1, steps=2, step_s=0.1)  # one vehicle per street
 @example(layout="highway", wrap_around=True, model="winner_b1_los", vehicles=300, seed=3,
          block_elements=1000, steps=3, step_s=0.1)  # 3-row blocks, the last one 1 row
 def test_block_refresh_matches_full_matrix_refresh(layout, wrap_around, model, vehicles,
