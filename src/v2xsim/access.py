@@ -29,7 +29,7 @@ from .util import linear_to_db
 
 @dataclass(frozen=True)
 class CsmaParams:
-    slot_s: float
+    slot_time_us: float
     cw_max: int
     sense_decodable_dbm: float
     sense_energy_dbm: float
@@ -38,12 +38,16 @@ class CsmaParams:
         if self.cw_max < 0:
             raise ConfigError("cw_max must be >= 0")
         if not self.slot_s > 0:
-            raise ConfigError("slot_s must be > 0")
+            raise ConfigError("slot_time_us must be > 0")
         try:  # the engine compares the sensed energy with this threshold in mW
             10.0 ** (self.sense_energy_dbm / 10.0)
         except OverflowError:
             raise ConfigError(f"sense_energy_dbm = {self.sense_energy_dbm} dBm is too large "
                               "to convert to mW") from None
+
+    @property
+    def slot_s(self) -> float:
+        return self.slot_time_us * 1e-6
 
 
 IDLE, AIFS_WAIT, BACKOFF_FROZEN, BACKOFF_COUNTING, TRANSMITTING = range(5)
@@ -80,6 +84,7 @@ class CsmaNode:
         n = len(rngs)
         self.params = params
         self.aifs_s = aifs_s
+        self.slot_s = params.slot_s
         self.rngs = rngs
         self.phase = np.full(n, IDLE, dtype=np.int8)
         self.remaining = np.zeros(n, dtype=np.int64)
@@ -147,7 +152,7 @@ class CsmaNode:
         if counting.size:
             elapsed = np.maximum(now - self.counting_start[counting], 0.0)
             # epsilon absorbs float error at exact slot boundaries
-            consumed = (elapsed / self.params.slot_s + 1e-9).astype(np.int64)
+            consumed = (elapsed / self.slot_s + 1e-9).astype(np.int64)
             self.remaining[counting] -= np.minimum(consumed, self.remaining[counting])
         self.phase[vids] = BACKOFF_FROZEN
         self.access_at[vids] = np.inf
@@ -163,7 +168,7 @@ class CsmaNode:
         if not vids.size:
             return
         start = now + self.aifs_s
-        at = start + self.remaining[vids] * self.params.slot_s
+        at = start + self.remaining[vids] * self.slot_s
         self.phase[vids] = BACKOFF_COUNTING
         self.counting_start[vids] = start
         self.access_at[vids] = at
@@ -199,10 +204,10 @@ class CsmaNode:
 
 @dataclass(frozen=True)
 class SpsParams:
-    t1_s: float
-    t2_s: float
+    t1_ms: float
+    t2_ms: float
     keep_probability: float
-    sensing_window_s: float
+    sensing_window_ms: float
     rsrp_exclude_dbm: float
     rsrp_relax_step_db: float
     best_fraction: float
@@ -220,7 +225,19 @@ class SpsParams:
         if self.counter_min > self.counter_max:
             raise ConfigError("counter_min must be <= counter_max")
         if self.t1_s > self.t2_s:
-            raise ConfigError("t1 must be <= t2")
+            raise ConfigError("t1_ms must be <= t2_ms")
+
+    @property
+    def t1_s(self) -> float:
+        return self.t1_ms * 1e-3
+
+    @property
+    def t2_s(self) -> float:
+        return self.t2_ms * 1e-3
+
+    @property
+    def sensing_window_s(self) -> float:
+        return self.sensing_window_ms * 1e-3
 
 
 @dataclass

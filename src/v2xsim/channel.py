@@ -1,11 +1,12 @@
 """Link-level power math: path loss, correlated shadowing, noise, link budget.
 
 Path loss follows the WINNER+ B1 street layout with a dual-slope LOS branch
-and a distance-only NLOS branch. Coefficients are configuration data: their
-defaults, like every other default of `PropagationConfig`, live in
-`config.DEFAULT_CONFIG`, and below the breakpoint they reproduce the standard
-B1 LOS curve at 5.9 GHz. SINR is not computed here: the engine's scorer sums
-the received powers of each link in the linear domain.
+and a distance-only NLOS branch. Its coefficients are `PropagationConfig`
+fields like any other, each named after its `[propagation]` key with its
+default in `config.DEFAULT_CONFIG`; below the breakpoint the defaults
+reproduce the standard B1 LOS curve at 5.9 GHz. SINR is not computed here:
+the engine's scorer sums the received powers of each link in the linear
+domain.
 """
 
 from __future__ import annotations
@@ -24,18 +25,6 @@ BREAKPOINT_EXPONENT_DB = 40.0
 
 
 @dataclass(frozen=True)
-class WinnerCoefficients:
-    """a*log10(d) + b + c*log10(fc/5 GHz); past the breakpoint, see BREAKPOINT_EXPONENT_DB."""
-
-    los_a: float
-    los_b: float
-    los_c: float
-    nlos_a: float
-    nlos_b: float
-    nlos_c: float
-
-
-@dataclass(frozen=True)
 class PropagationConfig:
     carrier_hz: float
     model: str  # winner_b1_los | winner_b1_nlos
@@ -47,7 +36,13 @@ class PropagationConfig:
     tx_power_density_dbm_mhz: float
     bandwidth_hz: float
     antenna_height_m: float
-    coefficients: WinnerCoefficients
+    # per branch a*log10(d) + b + c*log10(fc/5 GHz), see also BREAKPOINT_EXPONENT_DB
+    los_a: float
+    los_b: float
+    los_c: float
+    nlos_a: float
+    nlos_b: float
+    nlos_c: float
 
     def __post_init__(self):
         if not self.carrier_hz > 0:
@@ -108,19 +103,18 @@ def path_loss_db(d, cfg: PropagationConfig, los: bool | np.ndarray | None = None
     """
     d = np.maximum(np.asarray(d, dtype=float), 1.0)
     log_d = np.log10(d)
-    co = cfg.coefficients
     if los is None or cfg.model == "winner_b1_nlos":
         los = cfg.model == "winner_b1_los"
-    loss = _winner_db(log_d, co.los_a, co.los_b, co.los_c, cfg.carrier_hz)
+    loss = _winner_db(log_d, cfg.los_a, cfg.los_b, cfg.los_c, cfg.carrier_hz)
     d_bp = cfg.breakpoint_m
     past = d > d_bp
     if np.any(past):
-        at_bp = winner_formula_db(d_bp, co.los_a, co.los_b, co.los_c, cfg.carrier_hz)
+        at_bp = winner_formula_db(d_bp, cfg.los_a, cfg.los_b, cfg.los_c, cfg.carrier_hz)
         loss = np.where(
             past, at_bp + BREAKPOINT_EXPONENT_DB * np.log10(d / d_bp), loss
         )
     if not np.all(los):
-        nlos_loss = _winner_db(log_d, co.nlos_a, co.nlos_b, co.nlos_c, cfg.carrier_hz)
+        nlos_loss = _winner_db(log_d, cfg.nlos_a, cfg.nlos_b, cfg.nlos_c, cfg.carrier_hz)
         loss = np.where(los, loss, nlos_loss)
     return np.maximum(loss, _free_space_db(log_d, cfg.carrier_hz))
 

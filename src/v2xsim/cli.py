@@ -307,8 +307,9 @@ def cmd_derive_threshold(args) -> int:
 
 def _simulate_to_dir(cp, setup, reception, grid, out_dir: str, command: str,
                      links: LinkRecord | None = None) -> MetricStore:
-    os.makedirs(out_dir, exist_ok=True)
     store = run(setup, reception, links=links)
+    # made once the run has succeeded, so that a failed run leaves no directory
+    os.makedirs(out_dir, exist_ok=True)
     write_prr_csv(os.path.join(out_dir, "prr.csv"), store)
     write_ipg_csv(os.path.join(out_dir, "ipg_ccdf.csv"), store, grid)
     write_manifest(os.path.join(out_dir, "manifest.ini"), cp, command)

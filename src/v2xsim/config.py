@@ -5,6 +5,8 @@ reference evaluation setup this simulator targets, CHOICE marks documented
 implementation decisions. Overrides are flat `section.key=value` strings.
 DEFAULT_CONFIG is the one home of every default (the bits-per-PRB ladder is
 `settings.DEFAULT_BITS_PER_PRB`); the setup dataclasses have none.
+`_from_section` builds each of them: a field holds the key of its name in
+that key's unit (`slot_time_us`), and its SI value is a property (`slot_s`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import fields
 from typing import get_type_hints
 
 from .access import CsmaParams, SpsParams
-from .channel import PropagationConfig, WinnerCoefficients
+from .channel import PropagationConfig
 from .engine import RunConfig, SimulationSetup
 from .errors import ConfigError
 from .scenario import RoadConfig, TrafficConfig
@@ -264,13 +266,8 @@ def theta_for(cp, technology: str, mcs: int | None = None, payload: int | None =
     if payload is None:
         payload = _get(cp, "traffic", "payload_bytes", int)
     if technology == "11p":
-        return Ieee80211pSettings(
-            payload_bytes=payload,
-            t_aifs_s=_get(cp, "ieee80211p", "t_aifs_us", float) * 1e-6,
-            t_preamble_s=_get(cp, "ieee80211p", "t_preamble_us", float) * 1e-6,
-            t_symbol_s=_get(cp, "ieee80211p", "t_symbol_us", float) * 1e-6,
-            mcs_index=_get(cp, "ieee80211p", "mcs_index", int) if mcs is None else mcs,
-        )
+        given = {} if mcs is None else {"mcs_index": mcs}
+        return _from_section(cp, "ieee80211p", Ieee80211pSettings, payload_bytes=payload, **given)
     if technology == "cv2x":
         if mcs is None:
             mcs = _get(cp, "cv2x", "mcs_index", int)
@@ -279,51 +276,23 @@ def theta_for(cp, technology: str, mcs: int | None = None, payload: int | None =
             n_prb_pkt = _get(cp, "cv2x", "n_prb_pkt", int, allow_blank=True)
         if n_prb_pkt is None:
             n_prb_pkt = resolve_nprb(mcs, payload, build_prb_table(cp))
-        return CV2xSettings(
-            payload_bytes=payload,
-            n_subch=_get(cp, "cv2x", "n_subch", int),
-            n_prb_subch=_get(cp, "cv2x", "n_prb_subch", int),
-            t_tti_s=_get(cp, "cv2x", "t_tti_ms", float) * 1e-3,
-            n_prb_pkt=n_prb_pkt,
-            mcs_index=mcs,
-        )
+        return _from_section(cp, "cv2x", CV2xSettings, payload_bytes=payload,
+                             n_prb_pkt=n_prb_pkt, mcs_index=mcs)
     raise ConfigError(f"unknown technology {technology!r}")
 
 
 def _from_section(cp, section, cls, **given):
-    """A `cls` with each field not `given` read from the `section` key of its name."""
+    """A `cls` with each field not `given` read from the key of its name in
+    `section`, or in the one of a tuple of sections that has it."""
+    sections = (section,) if isinstance(section, str) else section
     hints = get_type_hints(cls)  # a field's type is its key's converter
-    values = {f.name: _get(cp, section, f.name, _bool if hints[f.name] is bool else hints[f.name])
-              for f in fields(cls) if f.name not in given}
+    values = {}
+    for f in fields(cls):
+        if f.name not in given:
+            home = next((s for s in sections if cp.has_option(s, f.name)), sections[0])
+            conv = _bool if hints[f.name] is bool else hints[f.name]
+            values[f.name] = _get(cp, home, f.name, conv)
     return cls(**values, **given)
-
-
-def build_propagation(cp) -> PropagationConfig:
-    return _from_section(cp, "propagation", PropagationConfig,
-                         coefficients=_from_section(cp, "propagation", WinnerCoefficients))
-
-
-def build_csma(cp) -> CsmaParams:
-    return CsmaParams(
-        slot_s=_get(cp, "ieee80211p", "slot_time_us", float) * 1e-6,
-        cw_max=_get(cp, "ieee80211p", "cw_max", int),
-        sense_decodable_dbm=_get(cp, "ieee80211p", "sense_decodable_dbm", float),
-        sense_energy_dbm=_get(cp, "ieee80211p", "sense_energy_dbm", float),
-    )
-
-
-def build_sps(cp) -> SpsParams:
-    return SpsParams(
-        t1_s=_get(cp, "cv2x", "t1_ms", float) * 1e-3,
-        t2_s=_get(cp, "cv2x", "t2_ms", float) * 1e-3,
-        keep_probability=_get(cp, "cv2x", "keep_probability", float),
-        sensing_window_s=_get(cp, "cv2x", "sensing_window_ms", float) * 1e-3,
-        rsrp_exclude_dbm=_get(cp, "cv2x", "rsrp_exclude_dbm", float),
-        rsrp_relax_step_db=_get(cp, "cv2x", "rsrp_relax_step_db", float),
-        best_fraction=_get(cp, "cv2x", "best_fraction", float),
-        counter_min=_get(cp, "cv2x", "counter_min", int),
-        counter_max=_get(cp, "cv2x", "counter_max", int),
-    )
 
 
 def build_setup(cp) -> SimulationSetup:
@@ -331,23 +300,12 @@ def build_setup(cp) -> SimulationSetup:
     theta = theta_for(cp, technology)
     # the section of the technology that does not run is checked too
     theta_for(cp, "cv2x" if technology == "11p" else "11p")
-    run_cfg = RunConfig(
-        seed=_get(cp, "run", "seed", int),
-        sim_duration_s=_get(cp, "run", "sim_duration_s", float),
-        warmup_s=_get(cp, "run", "warmup_s", float),
-        theta=theta,
-        max_range_m=_get(cp, "run", "max_range_m", float),
-        mobility_step_s=_get(cp, "run", "mobility_step_ms", float) * 1e-3,
-        prr_bin_width_m=_get(cp, "metrics", "prr_bin_width_m", float),
-        prr_max_distance_m=_get(cp, "metrics", "prr_max_distance_m", float),
-        ipg_range_m=_get(cp, "metrics", "ipg_range_m", float),
-    )
     return SimulationSetup(
-        run=run_cfg,
+        run=_from_section(cp, ("run", "metrics"), RunConfig, theta=theta),
         road=_from_section(cp, "road", RoadConfig),
         traffic=_from_section(cp, "traffic", TrafficConfig),
-        propagation=build_propagation(cp),
-        csma=build_csma(cp),
-        sps=build_sps(cp),
+        propagation=_from_section(cp, "propagation", PropagationConfig),
+        csma=_from_section(cp, "ieee80211p", CsmaParams),
+        sps=_from_section(cp, "cv2x", SpsParams),
         prb_table=build_prb_table(cp),
     )

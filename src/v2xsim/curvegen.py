@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .abstraction import AbstractionModel, CurveMeta, PerCurve, threshold_for_settings
-from .config import build_propagation, load_config, theta_for
+from .config import build_setup, load_config, theta_for
 from .settings import Ieee80211pSettings, TechnologySettings
 
 
@@ -78,7 +78,7 @@ def generate_bundles(out_dir):
     import os
 
     cp = load_config()
-    bandwidth_hz = build_propagation(cp).bandwidth_hz
+    bandwidth_hz = build_setup(cp).propagation.bandwidth_hz
     paths = []
     for scenario_id, (alpha_ref, triples) in BUNDLES.items():
         for tech, mcs, payload in triples:

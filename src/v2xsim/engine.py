@@ -100,7 +100,7 @@ class RunConfig:
     theta: TechnologySettings  # its type picks the engine
     warmup_s: float
     max_range_m: float
-    mobility_step_s: float
+    mobility_step_ms: float
     prr_bin_width_m: float
     prr_max_distance_m: float
     ipg_range_m: float
@@ -114,7 +114,7 @@ class RunConfig:
             raise ConfigError("max_range_m must be > 0")
         # a zero step would re-schedule the mobility epoch at the same instant forever
         if not self.mobility_step_s > 0:
-            raise ConfigError("mobility_step_s must be > 0")
+            raise ConfigError("mobility_step_ms must be > 0")
         if not self.prr_bin_width_m > 0:
             raise ConfigError("prr_bin_width_m must be > 0")
         if not self.prr_max_distance_m > 0:
@@ -126,6 +126,10 @@ class RunConfig:
         # a range <= 0 holds no pair, so ipg_ccdf.csv would be a bare header
         if not self.ipg_range_m > 0:
             raise ConfigError("ipg_range_m must be > 0")
+
+    @property
+    def mobility_step_s(self) -> float:
+        return self.mobility_step_ms * 1e-3
 
 
 @dataclass
@@ -598,15 +602,21 @@ class _RunCv2x(_RunBase):
         sps = self.sps_params = setup.sps
         self.t_tti = theta.t_tti_s
         if theta.n_tti != 1:
-            raise ConfigError("the slotted engine supports single-TTI packets only")
+            raise ConfigError("the slotted engine supports single-TTI packets only: "
+                              f"{theta.n_prb_pkt} PRBs (cv2x.n_prb_pkt, or from cv2x.mcs_index "
+                              "and traffic.payload_bytes) exceed cv2x.n_subch x "
+                              "cv2x.n_prb_subch")
         period = self.traffic.period_s
         self.period_ttis = int(round(period / self.t_tti))
         if not math.isclose(self.period_ttis * self.t_tti, period):
-            raise ConfigError("generation period must be a whole number of TTIs")
+            raise ConfigError("traffic.generation_period_ms must be a whole number of "
+                              "cv2x.t_tti_ms")
         footprint = theta.n_prb_pkt + setup.prb_table.control_overhead_prbs
         self.n_subch_needed = math.ceil(footprint / theta.n_prb_subch)
         if self.n_subch_needed > theta.n_subch:
-            raise ConfigError("packet footprint exceeds the subchannel grid")
+            raise ConfigError(f"a packet's footprint of {footprint} PRBs (with "
+                              "cv2x.control_overhead_prbs) exceeds cv2x.n_subch subchannels of "
+                              "cv2x.n_prb_subch")
         self.footprint_prbs = footprint
         self.window_ttis = max(int(round(sps.sensing_window_s / self.t_tti)), 1)
         # TTI-major: row t % window TTIs holds every vehicle's sensed subchannels
@@ -735,7 +745,8 @@ class SimulationSetup:
     def __post_init__(self):
         # a shorter window holds no past occurrence of any candidate resource
         if self.sps.sensing_window_s < self.traffic.period_s:
-            raise ConfigError("sensing_window must be at least one generation period")
+            raise ConfigError("cv2x.sensing_window_ms must be at least "
+                              "traffic.generation_period_ms")
 
 
 def run(setup: SimulationSetup, reception: PerCurve | StepFunction,

@@ -1,11 +1,11 @@
 """Technology parameter vectors and the timing/throughput math built on them.
 
 Two families are modeled: IEEE 802.11p (CSMA-based, full-channel frames) and
-C-V2X sidelink (TTI/subchannel grid). All durations are SI seconds and all
-rates bit/s; converters in the CLI accept the familiar µs/ms config units.
-The dataclasses hold no defaults: every default lives in
-`config.DEFAULT_CONFIG`, except the PRB table rows (`DEFAULT_BITS_PER_PRB`
-below), and `config.theta_for` builds the vectors from them.
+C-V2X sidelink (TTI/subchannel grid). A field holds its config key's unit
+(`t_tti_ms`), the SI seconds are a property (`t_tti_s`), and the math below
+works in seconds and bit/s. The dataclasses hold no defaults: every default
+lives in `config.DEFAULT_CONFIG`, except the PRB table rows
+(`DEFAULT_BITS_PER_PRB` below), and `config.theta_for` builds the vectors.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ class Ieee80211pSettings:
     """802.11p parameter vector: payload, MCS and frame timing constants."""
 
     payload_bytes: int
-    t_aifs_s: float
-    t_preamble_s: float
-    t_symbol_s: float
+    t_aifs_us: float
+    t_preamble_us: float
+    t_symbol_us: float
     mcs_index: int
 
     def __post_init__(self):
@@ -59,9 +59,22 @@ class Ieee80211pSettings:
             raise ConfigError(f"payload_bytes must be >= 1, got {self.payload_bytes}")
         if not 0 <= self.mcs_index <= 7:
             raise ConfigError(f"802.11p mcs_index must be in 0..7, got {self.mcs_index}")
-        for name in ("t_aifs_s", "t_preamble_s", "t_symbol_s"):
-            if getattr(self, name) <= 0:
+        for name, value in (("t_aifs_us", self.t_aifs_s), ("t_preamble_us", self.t_preamble_s),
+                            ("t_symbol_us", self.t_symbol_s)):
+            if value <= 0:
                 raise ConfigError(f"{name} must be > 0")
+
+    @property
+    def t_aifs_s(self) -> float:
+        return self.t_aifs_us * 1e-6
+
+    @property
+    def t_preamble_s(self) -> float:
+        return self.t_preamble_us * 1e-6
+
+    @property
+    def t_symbol_s(self) -> float:
+        return self.t_symbol_us * 1e-6
 
     @property
     def n_bps(self) -> int:
@@ -76,7 +89,7 @@ class CV2xSettings:
     payload_bytes: int
     n_subch: int
     n_prb_subch: int
-    t_tti_s: float
+    t_tti_ms: float
     n_prb_pkt: int
     mcs_index: int
 
@@ -86,9 +99,13 @@ class CV2xSettings:
         if self.n_prb_pkt < 1:
             raise ConfigError("n_prb_pkt must be >= 1")
         if self.n_subch * self.n_prb_subch < 1:
-            raise ConfigError("subchannel grid must hold at least one PRB")
+            raise ConfigError("n_subch x n_prb_subch must be at least one PRB")
         if not any(math.isclose(self.t_tti_s, t) for t in (0.25e-3, 0.5e-3, 1e-3)):
-            raise ConfigError(f"t_tti_s must be 0.25, 0.5 or 1 ms, got {self.t_tti_s}")
+            raise ConfigError(f"t_tti_ms must be 0.25, 0.5 or 1, got {self.t_tti_ms}")
+
+    @property
+    def t_tti_s(self) -> float:
+        return self.t_tti_ms * 1e-3
 
     @property
     def n_prb_tti(self) -> int:

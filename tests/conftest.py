@@ -34,8 +34,8 @@ def built_setup(*overrides: str) -> SimulationSetup:
     """The setup the CLI builds from the default config and `section.key=value` overrides.
 
     Every test setup starts here, so it runs the CLI's values bit for bit; a
-    test that needs another SI value sets it with `dataclasses.replace`
-    rather than through a ms or µs key.
+    test changes single fields with `dataclasses.replace`, each field in its
+    key's unit (`mobility_step_ms`, `slot_time_us`).
     """
     return build_setup(load_config(None, overrides))
 

@@ -87,7 +87,7 @@ def random_theta(rng, tech):
     return replace(DEFAULT_THETA["cv2x"], payload_bytes=int(rng.integers(1, 3000)),
                    n_subch=int(rng.integers(1, 11)),
                    n_prb_subch=int(rng.integers(1, 21)),
-                   t_tti_s=float(rng.choice([0.25e-3, 0.5e-3, 1e-3])),
+                   t_tti_ms=float(rng.choice([0.25, 0.5, 1.0])),
                    n_prb_pkt=int(rng.integers(1, 400)))
 
 

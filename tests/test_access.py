@@ -334,7 +334,8 @@ def test_tx_end_with_pending_packet_restarts_access():
 
 def test_same_instant_goes_to_earlier_scheduled_access():
     # dyadic times add up exactly, so both accesses fall on one instant
-    params, aifs = replace(PARAMS, slot_s=2.0 ** -16), 2.0 ** -13
+    params, aifs = replace(PARAMS, slot_time_us=15.2587890625), 2.0 ** -13
+    assert params.slot_s == 2.0 ** -16
     mac = csma([2], [4], params=params, aifs=aifs)
     for vid in (0, 1):
         mac.on_packet(0.0, vid, medium_busy=True)
@@ -545,18 +546,18 @@ def test_counter_range_must_be_ordered():
 
 
 def test_selection_window_must_be_ordered():
-    with pytest.raises(ConfigError, match="t1"):
-        replace(SPS, t1_s=150e-3, t2_s=100e-3)
-    replace(SPS, t1_s=100e-3, t2_s=100e-3)
+    with pytest.raises(ConfigError, match="t1_ms must be <= t2_ms"):
+        replace(SPS, t1_ms=150.0, t2_ms=100.0)
+    replace(SPS, t1_ms=100.0, t2_ms=100.0)
 
 
 def test_sensing_window_must_cover_a_period():
     # the setup checks it: the period is the traffic's, the window the SPS's
     setup = make_setup("cv2x")
     assert setup.traffic.period_s == pytest.approx(100e-3)
-    with pytest.raises(ConfigError, match="sensing_window"):
-        replace(setup, sps=replace(setup.sps, sensing_window_s=50e-3))
-    replace(setup, sps=replace(setup.sps, sensing_window_s=100e-3))
-    with pytest.raises(ConfigError, match="sensing_window"):
-        replace(setup, sps=replace(setup.sps, sensing_window_s=100e-3),
+    with pytest.raises(ConfigError, match="sensing_window_ms"):
+        replace(setup, sps=replace(setup.sps, sensing_window_ms=50.0))
+    replace(setup, sps=replace(setup.sps, sensing_window_ms=100.0))
+    with pytest.raises(ConfigError, match="sensing_window_ms"):
+        replace(setup, sps=replace(setup.sps, sensing_window_ms=100.0),
                 traffic=replace(setup.traffic, generation_period_ms=200.0))

@@ -24,9 +24,8 @@ def test_los_formula_literal_at_100m():
 
 def test_los_formula_intercept_at_1m():
     cfg = PROP
-    co = cfg.coefficients
-    got = winner_formula_db(1.0, co.los_a, co.los_b, co.los_c, cfg.carrier_hz)
-    assert got == pytest.approx(co.los_b + co.los_c * math.log10(5.9 / 5), rel=1e-12)
+    got = winner_formula_db(1.0, cfg.los_a, cfg.los_b, cfg.los_c, cfg.carrier_hz)
+    assert got == pytest.approx(cfg.los_b + cfg.los_c * math.log10(5.9 / 5), rel=1e-12)
 
 
 def test_path_loss_nlos_dominates_los():
@@ -56,7 +55,7 @@ def test_path_loss_monotone_in_distance():
 
 
 def test_path_loss_clamped_by_free_space():
-    cfg = replace(PROP, coefficients=replace(PROP.coefficients, los_b=10.0))
+    cfg = replace(PROP, los_b=10.0)
     d = np.array([10.0, 100.0, 500.0])
     free_space = 20.0 * np.log10(4.0 * math.pi * d * cfg.carrier_hz / 299792458.0)
     assert np.all(path_loss_db(d, cfg, los=True) >= free_space)

@@ -345,11 +345,18 @@ def test_simulate_nonexistent_curve_exits_3(tmp_path):
                    "--set", "reception.curve_file=/missing_11p_mcs2_350B.csv") == 3
 
 
-# the keys that the message of a bad value must name, where the test checks them
+# the keys besides its own that the message of a bad value must name
 MESSAGE_NAMES = {
     # a bin wider than the PRR range leaves no whole bin under it
-    ("metrics.prr_bin_width_m", "2000"): ("prr_bin_width_m", "prr_max_distance_m"),
+    ("metrics.prr_bin_width_m", "2000"): ("prr_max_distance_m",),
+    ("cv2x.t1_ms", "150"): ("t2_ms",),
+    ("cv2x.sensing_window_ms", "50"): ("traffic.generation_period_ms",),
+    # 37 PRBs do not fit in one TTI of 1 x 10 PRBs
+    ("cv2x.n_subch", "1"): ("cv2x.n_prb_subch", "cv2x.n_prb_pkt"),
+    ("traffic.generation_period_ms", "7.5"): ("cv2x.t_tti_ms",),
 }
+# the bad values that only the C-V2X engine rejects
+CV2X_ONLY = {("cv2x.n_subch", "1"), ("traffic.generation_period_ms", "7.5")}
 
 
 @pytest.mark.parametrize("key, value", [("run.max_range_m", "0"),
@@ -367,13 +374,23 @@ MESSAGE_NAMES = {
                                         ("ieee80211p.slot_time_us", "nan"),
                                         ("ieee80211p.slot_time_us", "0"),
                                         ("ieee80211p.sense_energy_dbm", "4000"),
-                                        ("metrics.prr_bin_width_m", "2000")])
+                                        ("metrics.prr_bin_width_m", "2000"),
+                                        ("cv2x.t_tti_ms", "0.7"),
+                                        ("ieee80211p.t_aifs_us", "0"),
+                                        ("run.mobility_step_ms", "0"),
+                                        ("cv2x.n_subch", "1"),
+                                        ("traffic.generation_period_ms", "7.5")])
 def test_simulate_bad_value_exits_2(tmp_path, capsys, key, value):
-    args = small_sim_args(tmp_path, tmp_path / "x", "--set", f"{key}={value}")
+    technology = "cv2x" if (key, value) in CV2X_ONLY else "11p"
+    args = small_sim_args(tmp_path, tmp_path / "x", "--set", f"run.technology={technology}",
+                          "--set", f"{key}={value}")
     assert run_cli(*args) == 2
     err = capsys.readouterr().err
     assert "config error:" in err
-    assert all(name in err for name in MESSAGE_NAMES.get((key, value), ()))
+    option = key.split(".")[1]
+    for name in (option, *MESSAGE_NAMES.get((key, value), ())):
+        assert name in err, (name, err)
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "select-beta", "validate"])
@@ -388,6 +405,7 @@ def test_road_with_no_vehicle_exits_2(tmp_path, capsys, command):
     assert "road.density_vpk" in captured.err and "road.road_length_m" in captured.err
     assert captured.out == ""
     assert not any(p.is_file() for p in tmp_path.rglob("*"))
+    assert not (tmp_path / "out").exists()
 
 
 # --- one home per config key ---------------------------------------------------------
@@ -450,6 +468,11 @@ def setup_leaves(obj, path=""):
     return leaves
 
 
+def as_written(text, like):
+    """A config value read as the type of `like`, in its key's unit."""
+    return text == "true" if isinstance(like, bool) else type(like)(text)
+
+
 def setup_with_change(tech, change=None):
     overrides = [f"run.technology={tech}"]
     if change is not None:
@@ -465,7 +488,10 @@ def test_every_config_key_has_a_valid_change():
 @pytest.mark.parametrize("key", [*VALID_CHANGES, "prb_table.7"])
 def test_each_config_key_sets_one_setup_field(key):
     """A key moves one leaf of the setup under a technology that reads it, and
-    at most one under the other: no value has a second home."""
+    at most one under the other: no value has a second home. The leaf is
+    named after the key's option (`ieee80211p.slot_time_us` moves
+    `csma.slot_time_us`, a `prb_table.<mcs>` row `prb_table.bits_per_prb.<mcs>`),
+    and holds its value in the key's unit."""
     change = (key, VALID_CHANGES.get(key, "80"))
     for tech in ("11p", "cv2x"):
         setup = setup_with_change(tech, change)
@@ -479,6 +505,10 @@ def test_each_config_key_sets_one_setup_field(key):
             moved.discard("run.theta.n_prb_pkt")
         uses = SECTION_TECHNOLOGY.get(key.split(".")[0], tech) == tech
         assert len(moved) in ((1,) if uses else (0, 1)), (tech, sorted(moved))
+        option = key.split(".")[1]
+        for path in moved:
+            assert path.endswith(f".{option}"), (tech, path)
+            assert changed[path] == as_written(change[1], base[path]), (tech, path)
 
 
 # the fields that keep a default: the placement seam tests use, and the
@@ -501,7 +531,7 @@ def test_setup_dataclasses_hold_no_defaults():
 
     for tech in ("11p", "cv2x"):
         walk(built_setup(f"run.technology={tech}"))
-    assert len(classes) == 14  # the setup's 11 dataclasses and the three stores
+    assert len(classes) == 13  # the setup's 10 dataclasses and the three stores
     with_default = {f"{cls.__name__}.{f.name}" for cls in classes
                     for f in dataclasses.fields(cls)
                     if f.default is not dataclasses.MISSING

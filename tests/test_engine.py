@@ -246,8 +246,19 @@ def test_multi_tti_packets_rejected_by_slotted_engine():
     assert theta.n_tti == 2
     setup = make_setup("cv2x", duration=1.0, warmup=0.0, theta=theta,
                        vehicles=vehicle_pair(10.0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="single-TTI") as caught:
         run(setup, zero_db_step())
+    for key in ("cv2x.n_prb_pkt", "cv2x.n_subch", "cv2x.n_prb_subch"):
+        assert key in str(caught.value)
+
+
+def test_footprint_wider_than_the_grid_names_its_keys():
+    # 37 data PRBs fit in one 38-PRB subchannel; with 2 control PRBs they need two
+    setup = built_setup("run.technology=cv2x", "cv2x.n_subch=1", "cv2x.n_prb_subch=38")
+    with pytest.raises(ConfigError, match="footprint") as caught:
+        run(replace(setup, vehicles=vehicle_pair(10.0)), zero_db_step())
+    for key in ("cv2x.control_overhead_prbs", "cv2x.n_subch", "cv2x.n_prb_subch"):
+        assert key in str(caught.value)
 
 
 def test_noise_limited_curve_prr_matches_integration(curve_11p):

@@ -61,7 +61,7 @@ def small_setups(draw, tech=None, curve_mode=None):
                        duration=horizon, warmup=warmup,
                        density=vehicles / (ROAD_LENGTH_M / 1000.0),
                        road_length=ROAD_LENGTH_M,
-                       mobility_step_s=draw(st.sampled_from([0.01, 0.037, 0.1])))
+                       mobility_step_ms=draw(st.sampled_from([10.0, 37.0, 100.0])))
     road = replace(setup.road, placement="fixed_count", layout=layout)
     return replace(setup, road=road), reception
 
@@ -124,7 +124,7 @@ def test_replayed_links_match_a_live_run(tech, recorded_mode, data):
 def straddling_setup(tech):
     """A setup whose warmup falls inside a scoring batch of either engine."""
     setup = make_setup(tech, seed=37, duration=1.2, warmup=0.37, density=40.0,
-                       road_length=ROAD_LENGTH_M, mobility_step_s=0.05)
+                       road_length=ROAD_LENGTH_M, mobility_step_ms=50.0)
     return replace(setup, road=replace(setup.road, placement="fixed_count"))
 
 

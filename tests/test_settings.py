@@ -58,7 +58,7 @@ def test_tx_time_cv2x_exact_fit():
 
 
 def test_tx_time_cv2x_two_short_ttis():
-    s = theta_cv2x(payload_bytes=350, n_prb_pkt=75, t_tti_s=0.5e-3)
+    s = theta_cv2x(payload_bytes=350, n_prb_pkt=75, t_tti_ms=0.5)
     assert s.n_tti == 2
     assert tx_time_cv2x(s) == pytest.approx(1.0e-3, rel=1e-12)
 
@@ -151,7 +151,7 @@ def test_throughput_cv2x_tti_split_invariant():
             payload_bytes=int(rng.integers(1, 2000)),
             n_subch=int(rng.integers(1, 11)),
             n_prb_subch=int(rng.integers(1, 21)),
-            t_tti_s=float(rng.choice([0.25e-3, 0.5e-3, 1e-3])),
+            t_tti_ms=float(rng.choice([0.25, 0.5, 1.0])),
             n_prb_pkt=int(rng.integers(1, 300)),
         )
         closed = 8 * s.payload_bytes * s.n_prb_tti / (s.t_tti_s * s.n_prb_pkt)
@@ -185,7 +185,7 @@ def test_agrees_with_independent_reimplementation():
         s = theta_cv2x(payload_bytes=int(rng.integers(1, 3000)),
                        n_subch=int(rng.integers(1, 11)),
                        n_prb_subch=int(rng.integers(1, 21)),
-                       t_tti_s=float(rng.choice([0.25e-3, 0.5e-3, 1e-3])),
+                       t_tti_ms=float(rng.choice([0.25, 0.5, 1.0])),
                        n_prb_pkt=int(rng.integers(1, 400)))
         t_ref, psi_ref = straight_line_cv2x(s.payload_bytes, s.n_subch,
                                             s.n_prb_subch, s.t_tti_s, s.n_prb_pkt)
@@ -198,7 +198,9 @@ def test_settings_validation():
         theta_11p(0)
     with pytest.raises(ConfigError):
         theta_11p(10, mcs_index=8)
-    with pytest.raises(ConfigError):
-        theta_cv2x(payload_bytes=10, t_tti_s=2e-3)
+    with pytest.raises(ConfigError, match="t_tti_ms"):
+        theta_cv2x(payload_bytes=10, t_tti_ms=2.0)
+    with pytest.raises(ConfigError, match=r"n_subch x n_prb_subch"):
+        theta_cv2x(payload_bytes=10, n_subch=0)
     with pytest.raises(ConfigError):
         theta_cv2x(payload_bytes=10, n_prb_pkt=0)
