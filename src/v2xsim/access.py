@@ -222,6 +222,10 @@ class SpsParams:
         # a step <= 0 never lets the relaxation loop reach the candidate share
         if not self.rsrp_relax_step_db > 0:
             raise ConfigError("rsrp_relax_step_db must be > 0")
+        # a counter below 1 ends its reservation at the next transmission, as 1
+        # does, so such a value would have no effect of its own
+        if not self.counter_min >= 1:
+            raise ConfigError("counter_min must be >= 1")
         if self.counter_min > self.counter_max:
             raise ConfigError("counter_min must be <= counter_max")
         if self.t1_s > self.t2_s:

@@ -53,6 +53,9 @@ class PropagationConfig:
             raise ConfigError("decorrelation_m must be > 0")
         if self.bandwidth_hz <= 0:
             raise ConfigError("bandwidth_hz must be > 0")
+        # a height <= 0 puts the breakpoint at 0 m, so every link is lost
+        if not self.antenna_height_m > 0:
+            raise ConfigError("antenna_height_m must be > 0")
         if self.model not in ("winner_b1_los", "winner_b1_nlos"):
             raise ConfigError(f"unknown propagation model {self.model!r}")
 

@@ -15,7 +15,7 @@ from . import __version__, config as cfgmod
 from .abstraction import (AbstractionModel, FitPoint, fit_alpha, normalize_curve,
                           select_beta, shannon_throughput, threshold_for_settings,
                           threshold_from_curve, CurveMeta, PerCurve, StepFunction)
-from .engine import LinkRecord, run
+from .engine import SharedRun, run
 from .errors import ConfigError, DataError
 from .metrics import MetricStore, ipg_ccdf, mae
 from .settings import effective_throughput, tx_time
@@ -118,9 +118,8 @@ def write_prr_csv(path: str, store: MetricStore):
 def write_ipg_csv(path: str, store: MetricStore, grid):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t_s,ccdf\n")
-        if store.ipg.gaps.size:
-            for t, c in ipg_ccdf(store.ipg.gaps, grid):
-                fh.write(f"{t:.3f},{c:.8f}\n")
+        for t, c in ipg_ccdf(store.ipg.gaps, grid):
+            fh.write(f"{t:.3f},{c:.8f}\n")
 
 
 def write_mae_csv(path: str, rows, best: float):
@@ -305,20 +304,32 @@ def cmd_derive_threshold(args) -> int:
     return 0
 
 
-def _simulate_to_dir(cp, setup, reception, grid, out_dir: str, command: str,
-                     links: LinkRecord | None = None) -> MetricStore:
-    store = run(setup, reception, links=links)
-    # made once the run has succeeded, so that a failed run leaves no directory
+def _reported(store: MetricStore) -> MetricStore:
+    """The store of a run that counted a reception opportunity and an inter-packet
+    gap, so that neither prr.csv nor ipg_ccdf.csv is a bare header; else a data error."""
+    if store.opportunities == 0:
+        raise DataError("the run counted no reception opportunity after run.warmup_s: "
+                        "raise run.max_range_m, road.density_vpk or run.sim_duration_s")
+    if store.ipg.gaps.size == 0:
+        raise DataError("no pair within metrics.ipg_range_m received twice after "
+                        "run.warmup_s, so ipg_ccdf.csv would be empty: raise "
+                        "run.sim_duration_s or metrics.ipg_range_m, or lower "
+                        "traffic.generation_period_ms")
+    return store
+
+
+def _write_outputs(cp, store: MetricStore, grid, out_dir: str, command: str):
+    # made once every run has succeeded, so that a failed run leaves no directory
     os.makedirs(out_dir, exist_ok=True)
     write_prr_csv(os.path.join(out_dir, "prr.csv"), store)
     write_ipg_csv(os.path.join(out_dir, "ipg_ccdf.csv"), store, grid)
     write_manifest(os.path.join(out_dir, "manifest.ini"), cp, command)
-    return store
 
 
 def cmd_simulate(args) -> int:
     cp, setup, grid = load(args)
-    store = _simulate_to_dir(cp, setup, build_reception(cp), grid, args.out, "simulate")
+    store = _reported(run(setup, build_reception(cp)))
+    _write_outputs(cp, store, grid, args.out, "simulate")
     print(f"simulated {store.transmitted} transmissions, "
           f"{store.opportunities} reception opportunities, "
           f"{store.received_total} received")
@@ -340,12 +351,13 @@ def cmd_select_beta(args) -> int:
     betas = parse_betas(args.betas) if args.betas else list(DEFAULT_BETAS)
     # every threshold first, so that a bad beta fails before any simulation
     steps = {beta: threshold_from_curve(curve, beta) for beta in betas}
-    # the channel is simulated once; each beta replays its link outcomes
-    links = LinkRecord()
-    benchmark = run(setup, curve, links=links).prr
+    # the channel is simulated once for the curve and every beta; mae.csv
+    # reads no inter-packet gap
+    shared = SharedRun([curve, *steps.values()], ipg=False)
+    benchmark = run(setup, curve, shared=shared).prr
 
     def simulate_beta(beta):
-        return run(setup, steps[beta], links=links).prr
+        return run(setup, steps[beta], shared=shared).prr
 
     beta_hat, table = select_beta(betas, benchmark, simulate_beta)
     os.makedirs(args.out, exist_ok=True)
@@ -362,14 +374,14 @@ def cmd_select_beta(args) -> int:
 def cmd_validate(args) -> int:
     cp, setup, grid = load(args)
     # both models first, so that a bad one writes no output; the channel is
-    # simulated once and the step run replays its link outcomes
+    # simulated once for both
     curve_model = build_reception(cp, mode="curve")
     step_model = build_reception(cp, mode="step")
-    links = LinkRecord()
-    bench = _simulate_to_dir(cp, setup, curve_model, grid, os.path.join(args.out, "curve"),
-                             "validate", links)
-    step = _simulate_to_dir(cp, setup, step_model, grid, os.path.join(args.out, "step"),
-                            "validate", links)
+    shared = SharedRun([curve_model, step_model])
+    bench, step = (_reported(run(setup, model, shared=shared))
+                   for model in (curve_model, step_model))
+    for name, store in (("curve", bench), ("step", step)):
+        _write_outputs(cp, store, grid, os.path.join(args.out, name), "validate")
     value = mae(bench.prr, step.prr)
     # the beta the step model was cut at: the model file's under threshold_source=model
     beta = step_model.beta

@@ -34,24 +34,25 @@ warmup: the SINR, the half-duplex flag, the PRR bin and the IPG in-range
 flag, each computed once; the links of frames that start before warmup are
 kept only as a count. A batch does not depend on the reception model,
 because the MAC never sees reception outcomes, so the engines know no
-model: each takes the setup whole and hands every scored batch to `emit`.
+model and build no metric store: each takes the setup whole, counts the
+packets generated and transmitted after warmup, and hands every scored
+batch to `emit`.
 
-`run(setup, reception)` owns the reception stream and the one tally loop.
+`run(setup, reception)` owns the reception streams and the one tally loop.
 A reception model is a `PerCurve` (a Bernoulli draw against the
 interpolated PER curve) or a `StepFunction` (a hard SINR threshold);
 `tally` draws the decisions of a batch under it and fills a `MetricStore`.
 Each generated packet resolves, per in-range receiver, to exactly one of
 received / lost-by-SINR / lost-by-half-duplex.
 
-Link records and replay: `run(setup, reception, links=LinkRecord())` also
-keeps the emitted batches in the record, merged in scoring order into
-chunks of bounded size, with the vehicle count, the generated and
-transmitted counters and the setup it was filled under. A later `run` with
-another reception model and the filled record tallies the chunks through
-the same loop with a fresh reception stream, without building geometry,
-channel or MAC, and returns the store a live run under that model would.
-`select-beta` and `validate` simulate the channel once this way; a record
-only replays for the setup that filled it.
+One pass for many models: `select-beta` and `validate` know every model
+they will ask for before they simulate, so they list them in a
+`SharedRun`. The first `run(setup, model, shared=...)` simulates the
+channel once and hands each batch to every model's `tally`, each model with
+its own reception stream; every later call returns its model's store. Each
+store equals that of a live run under its model alone: the batches, their
+order and the stream are the same. `ipg=False` leaves the stores' IPG
+empty, for a command that writes none.
 """
 
 from __future__ import annotations
@@ -86,11 +87,6 @@ SCORE_BATCH_ELEMENTS = 51_200
 # the symmetric half, fewer amortize their numpy calls (picked by timing
 # evolving refreshes at 200, 400 and 800 vehicles)
 REFRESH_BLOCK_ELEMENTS = 24_576
-# a link record merges scored batches into chunks of about this many counted
-# links: few tally calls per replay, and a bounded copy per merge
-RECORD_CHUNK_LINKS = 1 << 18
-# a chunk's flat frame x receiver link indices are int32
-_LINK_INDEX_MAX = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
@@ -175,81 +171,20 @@ class LinkBatch(NamedTuple):
     near_link: np.ndarray
 
 
-def _merge(batches: list, n: int) -> LinkBatch:
-    """One batch holding the links of `batches` in order, positions and link indices as int32."""
-    frames = np.cumsum([0] + [b.tx.size for b in batches])
-    links = np.cumsum([0] + [b.sinr.size for b in batches])
-    if frames[-1] * n > _LINK_INDEX_MAX:
-        raise AssertionError("a merged batch's link indices must fit in int32")
-
-    def joined(name):
-        return np.concatenate([getattr(b, name) for b in batches])
-
-    def rebased(name, offsets):
-        return np.concatenate([getattr(b, name) + o for b, o in zip(batches, offsets)]
-                              ).astype(np.int32)
-
-    return LinkBatch(sum(b.skipped for b in batches), joined("tx"), joined("end"),
-                     joined("sinr"), joined("blocked"), joined("bin"),
-                     rebased("near", links), rebased("near_link", frames * n))
-
-
-@dataclass(eq=False)
-class LinkRecord:
-    """The link outcomes of one live run, for replay under other reception models.
-
-    Pass an empty record to `run` and the live run fills it; pass the
-    filled record again and `run` replays it instead of simulating. `key`
-    is the setup it was filled under (None while empty); n, generated and
-    transmitted are the run's vehicle count and MAC counters, which do not
-    depend on the reception model. `chunks` holds the run's batches merged
-    in scoring order, each up to about RECORD_CHUNK_LINKS counted links.
-    """
-
-    key: SimulationSetup | None = None
-    n: int = 0
-    generated: int = 0
-    transmitted: int = 0
-    chunks: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self._open = []  # added batches not yet merged into a chunk
-        self._frames = self._links = 0
-
-    @property
-    def filled(self) -> bool:
-        return self.key is not None
-
-    def add(self, batch: LinkBatch):
-        """Append a batch; the open batches become a chunk once they are large enough."""
-        if (self._frames + batch.tx.size) * self.n > _LINK_INDEX_MAX:
-            self.close()
-        self._open.append(batch)
-        self._frames += batch.tx.size
-        self._links += batch.sinr.size
-        if self._links >= RECORD_CHUNK_LINKS:
-            self.close()
-
-    def close(self):
-        """Merge the open batches into one chunk."""
-        if self._open:
-            self.chunks.append(_merge(self._open, self.n))
-        self._open, self._frames, self._links = [], 0, 0
-
-
-def _new_store(cfg: RunConfig, n: int) -> MetricStore:
+def _new_store(cfg: RunConfig, n: int, ipg: bool = True) -> MetricStore:
+    """An empty store of a run of n vehicles; without `ipg`, its IPG tracks no pair."""
     edges = uniform_bin_edges(cfg.prr_max_distance_m, cfg.prr_bin_width_m)
-    return MetricStore(prr=PrrSeries(edges), ipg=IpgStore(cfg.ipg_range_m, n))
+    return MetricStore(prr=PrrSeries(edges), ipg=IpgStore(cfg.ipg_range_m, n if ipg else 0))
 
 
 def tally(batch: LinkBatch, n: int, reception: PerCurve | StepFunction,
-          rng: np.random.Generator, metrics: MetricStore):
+          rng: np.random.Generator, metrics: MetricStore, ipg: bool = True):
     """Decide every counted link of a batch under `reception` and count the outcomes.
 
     Decisions are drawn frame by frame, receivers ascending. A curve
     decision draws one double, which is one PCG64 output, so the stream
     skips the draws of the skipped links by advancing; a step decision
-    draws nothing.
+    draws nothing. Without `ipg` the receptions open no inter-packet gap.
     """
     if batch.skipped and isinstance(reception, PerCurve):
         rng.bit_generator.advance(batch.skipped)
@@ -264,6 +199,8 @@ def tally(batch: LinkBatch, n: int, reception: PerCurve | StepFunction,
     metrics.lost_half_duplex += n_blocked
     metrics.lost_sinr += batch.sinr.size - n_received - n_blocked
     metrics.prr.add_many(batch.bin, received)
+    if not ipg:
+        return
     frame, rx = np.divmod(batch.near_link.compress(received.take(batch.near)), n)
     metrics.ipg.add_many(batch.tx[frame], rx, batch.end[frame])
 
@@ -355,8 +292,10 @@ class _PhyCache:
 class _RunBase:
     """The engine state both technologies share; scored batches go to `emit`.
 
-    `metrics` holds the MAC counters; its PRR bins and IPG range also give
-    each link its bin and in-range flag. The engine tallies nothing.
+    `generated` and `transmitted` count the packets generated and the frames
+    sent after warmup; `bins` (the run's PRR bins) and the IPG range of
+    `RunConfig` give each link its bin and in-range flag. The engine
+    tallies nothing and builds no metric store.
     """
 
     def __init__(self, setup: SimulationSetup, emit, trace: TraceLog | None):
@@ -376,7 +315,8 @@ class _RunBase:
         self.ids = [v.id for v in vehicles]
         self.phy = _PhyCache(self.geom, setup.propagation, cfg.seed)
         self.noise_mw = 10.0 ** (noise_power_dbm(setup.propagation) / 10.0)
-        self.metrics = _new_store(cfg, self.n)
+        self.bins = PrrSeries(uniform_bin_edges(cfg.prr_max_distance_m, cfg.prr_bin_width_m))
+        self.generated = self.transmitted = 0
         self.counting = False  # a frame that starts after warmup was scored
         self.phases = np.array([
             generation_phase(vid, cfg.seed, self.traffic.period_s) for vid in self.ids])
@@ -425,10 +365,10 @@ class _RunBase:
             part *= hit_frac[at, None]
             denom[hit_frame[at]] += part
         d = dist.take(link)
-        near = np.flatnonzero(self.metrics.ipg.near(d))
+        near = np.flatnonzero(d <= cfg.ipg_range_m)
         self.emit(LinkBatch(skipped, tx, start + self.duration_s,
                             signal.take(link) / denom.take(link), deaf.take(link),
-                            self.metrics.prr.bin_of(d), near, link.take(near)))
+                            self.bins.bin_of(d), near, link.take(near)))
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +452,7 @@ class _Run11p(_RunBase):
             other.overlappers.append(frame)
         self.active.append(frame)
         if now >= self.cfg.warmup_s:
-            self.metrics.transmitted += 1
+            self.transmitted += 1
         self._sense(frame, 1, now)
         self._push(now + self.duration_s, "tx_end", frame)
 
@@ -552,7 +492,7 @@ class _Run11p(_RunBase):
                     np.stack([others[h].mw_row for h in hit.tolist()]) if hit.size
                     else np.zeros((0, self.n)))
 
-    def run(self) -> MetricStore:
+    def run(self):
         cfg = self.cfg
         for i in range(self.n):
             self._push(float(self.phases[i]), "gen", i)
@@ -580,7 +520,7 @@ class _Run11p(_RunBase):
             elif kind == "gen":
                 vid = data
                 if now >= cfg.warmup_s:
-                    self.metrics.generated += 1
+                    self.generated += 1
                 mac.on_packet(now, vid, self.busy[vid])
                 nxt = now + self.traffic.period_s
                 if nxt < cfg.sim_duration_s:
@@ -588,7 +528,6 @@ class _Run11p(_RunBase):
             elif kind == "tx_end":
                 self._end_frame(data, now)
         self._score_ended()
-        return self.metrics
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +583,7 @@ class _RunCv2x(_RunBase):
         if self.trace is not None:
             self.trace.sps_selections.append((now_tti, sel))
 
-    def run(self) -> MetricStore:
+    def run(self):
         cfg = self.cfg
         n_ttis = int(math.ceil(cfg.sim_duration_s / self.t_tti))
         next_gen = self.phases.copy()
@@ -659,7 +598,7 @@ class _RunCv2x(_RunBase):
             due = np.flatnonzero((next_gen < t_k + self.t_tti)
                                  & (next_gen < cfg.sim_duration_s))
             if due.size:
-                self.metrics.generated += int((next_gen[due] >= cfg.warmup_s).sum())
+                self.generated += int((next_gen[due] >= cfg.warmup_s).sum())
                 self.pending[due] = next_gen[due]
                 next_gen[due] += self.traffic.period_s
                 for vid in due.tolist():
@@ -674,7 +613,7 @@ class _RunCv2x(_RunBase):
             tx = slot[~late]
             self.pending[tx] = np.nan
             if t_k >= cfg.warmup_s:
-                self.metrics.transmitted += tx.size
+                self.transmitted += tx.size
             if tx.size:
                 self.held.append((tx, self.reserved_subch[tx] * self.cfg.theta.n_prb_subch,
                                   t_k))
@@ -691,7 +630,6 @@ class _RunCv2x(_RunBase):
                 if not st.needs_reselection:
                     self.reserved_tti[vid] += self.period_ttis
         self._score_held()
-        return self.metrics
 
     def _score_held(self):
         """Score the held TTIs in one pass, in the order they were sent."""
@@ -749,44 +687,61 @@ class SimulationSetup:
                               "traffic.generation_period_ms")
 
 
+class SharedRun:
+    """One live pass that tallies every reception model a command asks for.
+
+    `models` lists them, each found by identity (a `PerCurve` holds
+    arrays); `ipg` says whether their stores tally inter-packet gaps. The
+    first `run` with the pass simulates the channel and fills `stores`, one
+    per model, under the setup `key`.
+    """
+
+    def __init__(self, models, ipg: bool = True):
+        self.models = list(models)
+        self.ipg = ipg
+        self.key: SimulationSetup | None = None
+        self.stores: list[MetricStore] | None = None
+
+    def index(self, model: PerCurve | StepFunction) -> int:
+        for i, listed in enumerate(self.models):
+            if listed is model:
+                return i
+        raise ConfigError("the reception model is not one of the shared pass's models")
+
+
 def run(setup: SimulationSetup, reception: PerCurve | StepFunction,
-        trace: TraceLog | None = None, links: LinkRecord | None = None) -> MetricStore:
+        trace: TraceLog | None = None, shared: SharedRun | None = None) -> MetricStore:
     """Execute one seeded run under `reception` and return its metric store.
 
-    With an empty `links` record the run also fills it; with a filled one
-    the run replays its link outcomes under `reception` instead of
-    simulating, which needs the setup the record was filled under.
+    With `shared`, the first call simulates the channel once for every model
+    of the pass; a later call returns its model's store, which needs the
+    setup the pass ran under and cannot trace.
     """
-    cfg = setup.run
-    rng = stream(cfg.seed, "reception")
-    record = None  # the record a live run fills
-
-    # n, metrics and record are bound below, before the first batch
-    def emit(batch: LinkBatch):
-        if record is not None:
-            record.add(batch)
-        tally(batch, n, reception, rng, metrics)
-
-    if links is not None and links.filled:
+    shared = SharedRun([reception]) if shared is None else shared
+    index = shared.index(reception)
+    if shared.stores is not None:
         if trace is not None:
-            raise ConfigError("a replayed run has no MAC to trace")
-        if links.key != setup:
-            raise ConfigError("the link record was filled under a different setup; "
+            raise ConfigError("only the first run of a shared pass can trace the MAC")
+        if shared.key != setup:
+            raise ConfigError("the shared pass ran under a different setup; "
                               "only the reception model may change")
-        n, metrics = links.n, _new_store(cfg, links.n)
-        metrics.generated, metrics.transmitted = links.generated, links.transmitted
-        for chunk in links.chunks:
-            emit(chunk)
-        return metrics
+        return shared.stores[index]
+    cfg = setup.run
+    models, ipg = shared.models, shared.ipg
+    rngs = [stream(cfg.seed, "reception") for _ in models]
+
+    # n and stores are bound below, before the first batch
+    def emit(batch: LinkBatch):
+        for model, rng, store in zip(models, rngs, stores):
+            tally(batch, n, model, rng, store, ipg)
+
     engine = _Run11p if isinstance(cfg.theta, Ieee80211pSettings) else _RunCv2x
     sim = engine(setup, emit, trace)
-    n, metrics = sim.n, sim.metrics
-    if links is None:
-        return sim.run()
-    record = LinkRecord(n=n)
+    n = sim.n
+    stores = [_new_store(cfg, n, ipg) for _ in models]
     sim.run()
-    record.close()
-    # filled only once the run completed, so a failed run leaves it empty
-    links.key, links.n, links.chunks = setup, n, record.chunks
-    links.generated, links.transmitted = metrics.generated, metrics.transmitted
-    return metrics
+    for store in stores:
+        store.generated, store.transmitted = sim.generated, sim.transmitted
+    # filled only once the run completed, so a failed run leaves the pass empty
+    shared.key, shared.stores = setup, stores
+    return stores[index]

@@ -4,7 +4,7 @@ PRR bins are half-open [edge_i, edge_i+1); receptions beyond the last edge
 are dropped from PRR on purpose. IPG tracks, per directed pair inside the
 range limit, the time between consecutive correct receptions. The bin width,
 the PRR distance limit and the IPG range have their defaults in
-`config.DEFAULT_CONFIG` (`[metrics]`); the engine builds a run's store from them.
+`config.DEFAULT_CONFIG` (`[metrics]`); `engine.run` builds a run's stores from them.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from v2xsim.abstraction import (AbstractionModel, FitPoint, fit_alpha,
 from v2xsim.access import SpsState, sps_after_transmission
 from v2xsim.channel import noise_power_dbm
 from v2xsim.cli import load_curve_csv, main as cli_main
-from v2xsim.engine import LinkRecord, TraceLog, run
+from v2xsim.engine import SharedRun, TraceLog, run
 from v2xsim.metrics import PrrSeries, ipg_ccdf, mae, uniform_bin_edges
 from v2xsim.scenario import VehicleState
 from v2xsim.settings import (NBPS_TABLE, effective_throughput, tx_time, tx_time_11p,
@@ -52,9 +52,9 @@ def highway_prr(bank, tech, mode, beta, seed, density=100.0, speed=96.0,
     """PRR series of one highway run under the curve model or the step model at `beta`.
 
     The channel of a (technology, seed, density, road, horizon) is simulated
-    once: the curve run is live and fills a link record, each step model of
-    `betas` replays the record, and the record is dropped. The replay
-    property test shows that a replay gives the store of a live run.
+    once, in one pass that tallies the curve model and each step model of
+    `betas`. The shared-pass property test shows that each model's store is
+    that of a live run under it alone.
     """
     key = ("hwy", tech, seed, density, road_length, duration)
 
@@ -62,11 +62,10 @@ def highway_prr(bank, tech, mode, beta, seed, density=100.0, speed=96.0,
         setup = make_setup(tech, seed=seed, duration=duration, warmup=2.0,
                            density=density, speed=speed, road_length=road_length,
                            max_prr_distance=max_prr)
-        links = LinkRecord()
-        series = {"curve": run(setup, reception_for(tech, "curve"), links=links).prr}
-        for b in betas:
-            series[b] = run(setup, reception_for(tech, "step", b), links=links).prr
-        return series
+        models = {"curve": reception_for(tech, "curve")}
+        models.update((b, step_model(models["curve"], b)) for b in betas)
+        shared = SharedRun(models.values(), ipg=False)
+        return {name: run(setup, model, shared=shared).prr for name, model in models.items()}
     return bank.get(key, factory)["curve" if mode == "curve" else beta]
 
 
@@ -168,8 +167,7 @@ def test_criterion_03_timing_and_throughput_oracle():
 def sweep_series(tech, seeds):
     """Two-vehicle sweep across the reception transition zone: (curve, step) PRR.
 
-    Each channel is simulated once: the curve run fills a link record and
-    the step model replays it.
+    Each channel is simulated once, in one pass that tallies both models.
     """
     out = {mode: PrrSeries(uniform_bin_edges(1600.0, 100.0)) for mode in ("curve", "step")}
     distances = (250.0, 650.0, 950.0, 1050.0, 1150.0, 1250.0, 1350.0)
@@ -179,10 +177,10 @@ def sweep_series(tech, seeds):
                                road_length=4000.0, max_range_m=2500.0,
                                max_prr_distance=1600.0, prr_bin_width_m=100.0,
                                vehicles=vehicle_pair(d, speed_ms=26.67))
-            links = LinkRecord()
-            for mode in ("curve", "step"):
-                store = run(setup, reception_for(tech, mode), links=links)
-                out[mode] = merge(out[mode], store.prr)
+            models = {mode: reception_for(tech, mode) for mode in ("curve", "step")}
+            shared = SharedRun(models.values(), ipg=False)
+            for mode, model in models.items():
+                out[mode] = merge(out[mode], run(setup, model, shared=shared).prr)
     return out["curve"], out["step"]
 
 

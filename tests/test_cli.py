@@ -356,13 +356,16 @@ MESSAGE_NAMES = {
     ("traffic.generation_period_ms", "7.5"): ("cv2x.t_tti_ms",),
 }
 # the bad values that only the C-V2X engine rejects
-CV2X_ONLY = {("cv2x.n_subch", "1"), ("traffic.generation_period_ms", "7.5")}
+CV2X_ONLY = {("cv2x.n_subch", "1"), ("traffic.generation_period_ms", "7.5"),
+             ("cv2x.counter_min", "0")}
 
 
 @pytest.mark.parametrize("key, value", [("run.max_range_m", "0"),
                                         ("run.max_range_m", "-100"),
                                         ("run.warmup_s", "-0.5"),
                                         ("cv2x.counter_min", "16"),
+                                        ("cv2x.counter_min", "0"),
+                                        ("propagation.antenna_height_m", "0"),
                                         ("cv2x.t1_ms", "150"),
                                         ("cv2x.sensing_window_ms", "50"),
                                         ("road.lanes_per_direction", "0"),
@@ -406,6 +409,41 @@ def test_road_with_no_vehicle_exits_2(tmp_path, capsys, command):
     assert captured.out == ""
     assert not any(p.is_file() for p in tmp_path.rglob("*"))
     assert not (tmp_path / "out").exists()
+
+
+# a run that would write a bare-header prr.csv or ipg_ccdf.csv, and the keys its
+# message names: no link in range, and no pair that receives twice after warmup
+NOTHING_TO_REPORT = {
+    "no-opportunity": (("run.max_range_m=1e-9",), ("run.max_range_m", "run.warmup_s")),
+    "no-gap": (("traffic.generation_period_ms=1e9", "cv2x.sensing_window_ms=2e9"),
+               ("traffic.generation_period_ms", "metrics.ipg_range_m")),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("case", sorted(NOTHING_TO_REPORT))
+def test_a_run_with_nothing_to_report_exits_3(tmp_path, capsys, command, case):
+    sets, names = NOTHING_TO_REPORT[case]
+    curve = os.path.join(CURVE_DIR, "highway_los_11p_mcs2_350B.csv")
+    args = [command, "--out", str(tmp_path / "out"), "--set", f"reception.curve_file={curve}",
+            "--set", "run.sim_duration_s=0.5", "--set", "run.warmup_s=0.1",
+            "--set", "road.density_vpk=30"]
+    for value in sets:
+        args += ["--set", value]
+    assert run_cli(*args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    for name in names:
+        assert name in err, (name, err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_writes_nothing_when_only_the_step_model_has_no_gap(tmp_path, capsys):
+    # the curve run receives, a step threshold of 200 dB receives nothing
+    out = tmp_path / "v"
+    assert run_cli(*validate_args(out, "explicit", "--set", "reception.threshold_db=200")) == 3
+    assert "ipg_ccdf.csv" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- one home per config key ---------------------------------------------------------

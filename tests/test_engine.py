@@ -4,6 +4,7 @@ determinism, and the noise-limited sanity checks."""
 import heapq
 from dataclasses import replace
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from conftest import (assert_same_store, built_setup, built_store, default_theta
 from v2xsim import engine
 from v2xsim.abstraction import PerCurve, StepFunction
 from v2xsim.channel import noise_power_dbm, rx_power_dbm
-from v2xsim.engine import (LinkBatch, LinkRecord, TraceLog, decide_reception_vector,
+from v2xsim.engine import (LinkBatch, SharedRun, TraceLog, decide_reception_vector,
                            prb_overlap, run, tally)
 from v2xsim.errors import ConfigError
 from v2xsim.scenario import VehicleState
@@ -322,21 +323,22 @@ def test_trace_records_mac_events(curve_cv2x):
         assert 5 <= sel.reselection_counter <= 15
 
 
-# --- link records --------------------------------------------------------------
+# --- shared passes ------------------------------------------------------------
 
-def small_record_setup(tech="11p"):
+def small_pass_setup(tech="11p"):
     return make_setup(tech, seed=5, duration=0.3, warmup=0.1, density=40.0,
                       road_length=1000.0)
 
 
 @pytest.mark.parametrize("tech", ["11p", "cv2x"])
-def test_filling_a_record_leaves_the_run_unchanged(tech, curve_11p, curve_cv2x):
-    setup = small_record_setup(tech)
+def test_a_shared_pass_fills_one_store_per_model(tech, curve_11p, curve_cv2x):
+    setup = small_pass_setup(tech)
     model = curve_11p if tech == "11p" else curve_cv2x
-    links = LinkRecord()
-    filled = run(setup, model, links=links)
-    assert links.filled and links.chunks
-    assert_same_store(filled, run(setup, model))
+    shared = SharedRun([step_model(model), model])
+    store = run(setup, model, shared=shared)
+    assert shared.key == setup and len(shared.stores) == 2
+    assert shared.stores[1] is store and run(setup, model, shared=shared) is store
+    assert_same_store(store, run(setup, model))
 
 
 def one_link_frames(sinr, skipped):
@@ -389,40 +391,49 @@ def test_frames_that_start_before_warmup_must_be_scored_first():
 
 
 @pytest.mark.parametrize("tech", ["11p", "cv2x"])
-def test_a_record_keeps_16_bytes_per_counted_link_and_a_count_of_the_rest(
+def test_a_run_counts_the_links_of_frames_before_warmup_only_as_skipped(
         tech, curve_11p, curve_cv2x):
     # the highway of the benchmarks: 200 vehicles on a 2 km ring
     setup = make_setup(tech, seed=5, duration=0.8, warmup=0.3, density=100.0)
     setup = replace(setup, road=replace(setup.road, placement="fixed_count"))
     model = curve_11p if tech == "11p" else curve_cv2x
-    links = LinkRecord()
-    counted = run(setup, model, links=links).opportunities
-    held = sum(a.nbytes for chunk in links.chunks for a in chunk
-               if isinstance(a, np.ndarray))
-    assert sum(chunk.sinr.size for chunk in links.chunks) == counted > 0
-    assert held <= 16 * counted
+    with mock.patch.object(engine, "tally", wraps=engine.tally) as scored:
+        counted = run(setup, model).opportunities
+    batches = [call.args[0] for call in scored.call_args_list]
+    assert sum(batch.sinr.size for batch in batches) == counted > 0
     # the links of frames that start before warmup: those of a run without
     # warmup on the same channel, less the counted ones
     no_warmup = replace(setup, run=replace(setup.run, warmup_s=0.0))
     every = run(no_warmup, model).opportunities
-    assert sum(chunk.skipped for chunk in links.chunks) == every - counted > 0
+    assert sum(batch.skipped for batch in batches) == every - counted > 0
 
 
 @pytest.mark.parametrize("section, change", [
     ("run", {"seed": 6}), ("run", {"sim_duration_s": 0.4}),
     ("road", {"density_vpk": 50.0})])
-def test_replay_under_a_different_setup_raises(section, change, curve_11p):
-    setup = small_record_setup()
-    links = LinkRecord()
-    run(setup, curve_11p, links=links)
+def test_a_shared_pass_under_a_different_setup_raises(section, change, curve_11p):
+    setup = small_pass_setup()
+    step = step_model(curve_11p)
+    shared = SharedRun([curve_11p, step])
+    run(setup, curve_11p, shared=shared)
     other = replace(setup, **{section: replace(getattr(setup, section), **change)})
     with pytest.raises(ConfigError, match="different setup"):
-        run(other, step_model(curve_11p), links=links)
+        run(other, step, shared=shared)
 
 
-def test_replay_cannot_be_traced(curve_11p):
-    setup = small_record_setup()
-    links = LinkRecord()
-    run(setup, curve_11p, trace=TraceLog(), links=links)
+def test_only_the_first_run_of_a_shared_pass_traces(curve_11p):
+    setup = small_pass_setup()
+    shared = SharedRun([curve_11p])
+    trace = TraceLog()
+    run(setup, curve_11p, trace=trace, shared=shared)
+    assert trace.tx_starts
     with pytest.raises(ConfigError, match="trace"):
-        run(setup, curve_11p, trace=TraceLog(), links=links)
+        run(setup, curve_11p, trace=TraceLog(), shared=shared)
+
+
+def test_a_model_outside_the_shared_pass_raises_before_simulating(curve_11p):
+    shared = SharedRun([curve_11p, step_model(curve_11p)])
+    # an equal threshold is still another model: the pass finds models by identity
+    with pytest.raises(ConfigError, match="not one of"):
+        run(small_pass_setup(), step_model(curve_11p), shared=shared)
+    assert shared.stores is None

@@ -11,14 +11,16 @@ more receptions than opportunities in a PRR bin, and record only positive
 inter-packet gaps. Nothing changes either when the channel refresh works in
 row blocks of a few links each.
 
-A run that replays the link outcomes recorded under one reception model must
-give what a live run under another model gives, in both directions and on
-both technologies; also when warmup falls inside a scoring batch, when many
-small batches merge into each chunk of the record, and when a curve model
-replays a record filled under a step model, skipping the draws of the links
-before warmup.
+Each store of a pass that tallies several reception models at once must
+equal the store of a live run under its model alone, on both technologies
+and whichever model of the list runs first: also a curve listed after step
+models, whose stream skips the draws of the links before warmup while the
+steps draw nothing, and a curve listed twice; also when warmup falls inside
+a scoring batch and when every batch holds one frame. A pass without IPG gives the same PRR and
+counters and no gap.
 """
 
+import copy
 from dataclasses import replace
 from unittest import mock
 
@@ -109,16 +111,31 @@ def test_held_ttis_keep_their_resource_through_a_reselection(case):
     assert_same_store(batched, per_tti)
 
 
-@pytest.mark.parametrize("recorded_mode", ["curve", "step"])
+def assert_same_store_without_ipg(shared, live):
+    """A store of a pass without IPG: the live run's PRR and counters, and no gap."""
+    for name in ("generated", "transmitted", "opportunities", "received_total",
+                 "lost_sinr", "lost_half_duplex"):
+        assert getattr(shared, name) == getattr(live, name), name
+    np.testing.assert_array_equal(shared.prr.opportunities, live.prr.opportunities)
+    np.testing.assert_array_equal(shared.prr.received, live.prr.received)
+    assert shared.ipg.gaps.size == 0
+
+
 @pytest.mark.parametrize("tech", sorted(CURVES))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=75, deadline=None)
 @given(data=st.data())
-def test_replayed_links_match_a_live_run(tech, recorded_mode, data):
-    setup, recorded = data.draw(small_setups(tech, recorded_mode == "curve"))
-    other = data.draw(reception_models(tech, recorded_mode != "curve"))
-    links = engine.LinkRecord()
-    engine.run(setup, recorded, links=links)
-    assert_same_store(engine.run(setup, other, links=links), engine.run(setup, other))
+def test_each_store_of_a_shared_pass_equals_a_live_run(tech, data):
+    setup, _ = data.draw(small_setups(tech))
+    models = data.draw(st.lists(st.booleans().flatmap(lambda curve_mode: reception_models(
+        tech, curve_mode)), min_size=1, max_size=4))
+    positions = st.integers(0, len(models) - 1)
+    first, asked = data.draw(positions), data.draw(positions)
+    ipg = data.draw(st.booleans())
+    shared = engine.SharedRun(models, ipg=ipg)
+    engine.run(setup, models[first], shared=shared)
+    same = assert_same_store if ipg else assert_same_store_without_ipg
+    for model in (models[first], models[asked]):
+        same(engine.run(setup, model, shared=shared), engine.run(setup, model))
 
 
 def straddling_setup(tech):
@@ -128,24 +145,26 @@ def straddling_setup(tech):
     return replace(setup, road=replace(setup.road, placement="fixed_count"))
 
 
-@pytest.mark.parametrize("case", ["warmup-inside-a-batch", "many-batches-per-chunk",
-                                  "curve-replay-of-a-step-record"])
+@pytest.mark.parametrize("case", ["warmup-inside-a-batch", "one-frame-batches"])
 @pytest.mark.parametrize("tech", sorted(CURVES))
-def test_replayed_links_match_a_live_run_in_edge_cases(tech, case):
+def test_a_shared_pass_in_edge_cases(tech, case):
     setup = straddling_setup(tech)
     curve, step = CURVES[tech], step_model(CURVES[tech], 0.3)
-    recorded = step if case == "curve-replay-of-a-step-record" else curve
-    links = engine.LinkRecord()
-    small = 1 if case == "many-batches-per-chunk" else engine.SCORE_BATCH_ELEMENTS
+    twin = copy.copy(curve)  # the same curve listed twice draws from a stream of its own
+    # the step runs first, and each curve after it skips the draws before warmup
+    shared = engine.SharedRun([step, curve, twin])
+    small = 1 if case == "one-frame-batches" else engine.SCORE_BATCH_ELEMENTS
     with mock.patch.object(engine, "SCORE_BATCH_ELEMENTS", small), \
-            mock.patch.object(engine, "RECORD_CHUNK_LINKS", 5000), \
             mock.patch.object(engine, "tally", wraps=engine.tally) as scored:
-        engine.run(setup, recorded, links=links)
-    batches = [call.args[0] for call in scored.call_args_list]
-    assert sum(chunk.skipped for chunk in links.chunks) > 0
+        engine.run(setup, step, shared=shared)
+    batches = [call.args[0] for call in scored.call_args_list if call.args[2] is step]
+    assert sum(batch.skipped for batch in batches) > 0
     if case == "warmup-inside-a-batch":
-        assert any(b.skipped and b.sinr.size for b in batches)
-    if case == "many-batches-per-chunk":
-        assert 1 < len(links.chunks) < len(batches) / 10
-    for other in (curve, step):
-        assert_same_store(engine.run(setup, other, links=links), engine.run(setup, other))
+        assert any(batch.skipped and batch.sinr.size for batch in batches)
+    elif tech == "11p":
+        assert all(batch.tx.size <= 1 for batch in batches)
+    else:  # C-V2X scores one TTI per batch: its frames share the start
+        assert all(np.unique(batch.end).size <= 1 for batch in batches)
+    for model in (curve, step):
+        assert_same_store(engine.run(setup, model, shared=shared), engine.run(setup, model))
+    assert_same_store(engine.run(setup, twin, shared=shared), engine.run(setup, curve))
