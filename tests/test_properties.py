@@ -11,13 +11,15 @@ more receptions than opportunities in a PRR bin, and record only positive
 inter-packet gaps. Nothing changes either when the channel refresh works in
 row blocks of a few links each.
 
-Each store of a pass that tallies several reception models at once must
-equal the store of a live run under its model alone, on both technologies
-and whichever model of the list runs first: also a curve listed after step
-models, whose stream skips the draws of the links before warmup while the
-steps draw nothing, and a curve listed twice; also when warmup falls inside
-a scoring batch and when every batch holds one frame. A pass without IPG gives the same PRR and
-counters and no gap.
+A pass that tallies several reception models at once replays the links
+that its first run simulates under one model to every other model of its
+list. Each of its stores must equal the store of a live run under its model
+alone, in both directions (curve first, step first) and on both
+technologies, whatever the order of the list: also a curve scoring the links
+of a step recording, whose stream skips the draws of the links before warmup
+while the step draws nothing, and a curve listed twice; also when warmup
+falls inside a scoring batch and when every batch holds one frame. A pass
+without IPG gives the same PRR and counters and no gap.
 """
 
 import copy
@@ -121,20 +123,24 @@ def assert_same_store_without_ipg(shared, live):
     assert shared.ipg.gaps.size == 0
 
 
+@pytest.mark.parametrize("recorded_mode", ["curve", "step"])
 @pytest.mark.parametrize("tech", sorted(CURVES))
-@settings(max_examples=75, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_each_store_of_a_shared_pass_equals_a_live_run(tech, data):
-    setup, _ = data.draw(small_setups(tech))
-    models = data.draw(st.lists(st.booleans().flatmap(lambda curve_mode: reception_models(
-        tech, curve_mode)), min_size=1, max_size=4))
-    positions = st.integers(0, len(models) - 1)
-    first, asked = data.draw(positions), data.draw(positions)
+def test_replayed_links_match_a_live_run(tech, recorded_mode, data):
+    # the first run simulates the links under `recorded`; every other model
+    # of the pass, listed anywhere, scores those same links
+    setup, recorded = data.draw(small_setups(tech, recorded_mode == "curve"))
+    other = data.draw(reception_models(tech, recorded_mode != "curve"))
+    extra = data.draw(st.lists(st.booleans().flatmap(lambda curve_mode: reception_models(
+        tech, curve_mode)), max_size=2))
+    models = data.draw(st.permutations([recorded, other, *extra]))
+    asked = data.draw(st.sampled_from(models))
     ipg = data.draw(st.booleans())
     shared = engine.SharedRun(models, ipg=ipg)
-    engine.run(setup, models[first], shared=shared)
+    engine.run(setup, recorded, shared=shared)
     same = assert_same_store if ipg else assert_same_store_without_ipg
-    for model in (models[first], models[asked]):
+    for model in (recorded, other, asked):
         same(engine.run(setup, model, shared=shared), engine.run(setup, model))
 
 
@@ -145,25 +151,28 @@ def straddling_setup(tech):
     return replace(setup, road=replace(setup.road, placement="fixed_count"))
 
 
-@pytest.mark.parametrize("case", ["warmup-inside-a-batch", "one-frame-batches"])
+@pytest.mark.parametrize("case", ["warmup-inside-a-batch", "one-frame-batches",
+                                  "curve-replay-of-a-step-record"])
 @pytest.mark.parametrize("tech", sorted(CURVES))
-def test_a_shared_pass_in_edge_cases(tech, case):
+def test_replayed_links_match_a_live_run_in_edge_cases(tech, case):
     setup = straddling_setup(tech)
     curve, step = CURVES[tech], step_model(CURVES[tech], 0.3)
     twin = copy.copy(curve)  # the same curve listed twice draws from a stream of its own
-    # the step runs first, and each curve after it skips the draws before warmup
+    # a step recording draws nothing, so each curve scoring its links after it
+    # skips the draws of the links before warmup
+    recorded = step if case == "curve-replay-of-a-step-record" else curve
     shared = engine.SharedRun([step, curve, twin])
     small = 1 if case == "one-frame-batches" else engine.SCORE_BATCH_ELEMENTS
     with mock.patch.object(engine, "SCORE_BATCH_ELEMENTS", small), \
             mock.patch.object(engine, "tally", wraps=engine.tally) as scored:
-        engine.run(setup, step, shared=shared)
+        engine.run(setup, recorded, shared=shared)
     batches = [call.args[0] for call in scored.call_args_list if call.args[2] is step]
     assert sum(batch.skipped for batch in batches) > 0
     if case == "warmup-inside-a-batch":
         assert any(batch.skipped and batch.sinr.size for batch in batches)
-    elif tech == "11p":
+    elif case == "one-frame-batches" and tech == "11p":
         assert all(batch.tx.size <= 1 for batch in batches)
-    else:  # C-V2X scores one TTI per batch: its frames share the start
+    elif case == "one-frame-batches":  # C-V2X scores one TTI per batch: its frames share the start
         assert all(np.unique(batch.end).size <= 1 for batch in batches)
     for model in (curve, step):
         assert_same_store(engine.run(setup, model, shared=shared), engine.run(setup, model))
