@@ -13,11 +13,12 @@ The MAC-trace digests pin, for short 802.11p highway runs at three
 densities, the full list of transmission starts (time, station, sensed
 busy) besides the two output files: any change to the CSMA state machine,
 its random draws or the order of same-instant events moves them. The SPS
-digests pin, for two short C-V2X highway runs, the full list of resource
-selections besides the two output files: one on the default subchannel grid
-and one on a single 50-PRB subchannel, where numpy sums the sensing-window
-projection pairwise instead of in order. Any change to the projection's last
-bits, to the relaxed threshold or to the selection draws moves them.
+digests pin, for four short C-V2X highway runs, the full list of resource
+selections besides the two output files: at 100 and at 400 veh/km (many
+vehicles selecting in one TTI), each on the default subchannel grid and on a
+single 50-PRB subchannel, where numpy sums the sensing-window projection
+pairwise instead of in order. Any change to the projection's last bits, to
+the relaxed threshold or to the selection draws moves them.
 
 The abstraction pins cover the `fit-alpha` model files of both bundled
 scenarios and the `derive-threshold` report of an 802.11p MCS and a C-V2X
@@ -142,11 +143,18 @@ def test_mac_trace_matches_recorded_digests(name, tmp_path):
     assert (digest_repr(trace.tx_starts), outputs) == MAC_DIGESTS[name]
 
 
+ONE_SUBCHANNEL = {"cv2x.n_subch": 1, "cv2x.n_prb_subch": 50}
+# 400 veh/km over 1.2 s: about 8 vehicles select in one TTI during the first
+# period, and many reselect at once later
+DENSE = {"road.density_vpk": 400.0, "run.sim_duration_s": 1.2, "run.warmup_s": 0.3}
+
 SPS_CASES = {
-    # name: subchannel grid overrides
+    # name: overrides of the 100 veh/km, 2.5 s run
     "cv2x-sps-default-grid": {},
     # one subchannel of depth-10 windows: numpy's pairwise summation case
-    "cv2x-sps-one-subchannel": {"cv2x.n_subch": 1, "cv2x.n_prb_subch": 50},
+    "cv2x-sps-one-subchannel": ONE_SUBCHANNEL,
+    "cv2x-sps-dense-default-grid": DENSE,
+    "cv2x-sps-dense-one-subchannel": {**DENSE, **ONE_SUBCHANNEL},
 }
 
 SPS_DIGESTS = {
@@ -156,6 +164,12 @@ SPS_DIGESTS = {
     "cv2x-sps-one-subchannel": (
         "b46800416ebf2312e5094f50cfa00352360dbe56f9903e39d951c90426d35cfb",
         "689dcd9291a120cd70c4cca1495c681041fdc62ac6cfabe03b923b3b0d793273"),
+    "cv2x-sps-dense-default-grid": (
+        "6b1981ed4edcc09a83ff1cd1706591d05c96a33eab9847010e9687e6ee65ca13",
+        "5a0b78501ef53a64ad94c7021bc802ae8e893d723a654e605ee42a696b877645"),
+    "cv2x-sps-dense-one-subchannel": (
+        "c9d35618356f90b6f013ff7967e451da9b1f063c3c138204417759d279c9d865",
+        "4c4556bab11a85abb0955ae362f71e94c1f361efba48bca891dcb2c831f75049"),
 }
 
 
