@@ -7,10 +7,14 @@ station ids) and frame ends, and takes from it the earliest scheduled
 access instant; there are no per-station timers. Same-instant events are
 ordered by one sequence counter (see CsmaNode).
 
-Sidelink autonomous scheduling judges resources by a vehicle's sensing
-ring, the received power per (TTI, subchannel) that the engine records,
-and picks from the best fifth of the selection window, with the standard
-threshold-relaxation loop and a probabilistic keep at counter expiry.
+Sidelink autonomous scheduling judges resources by a vehicle's rows of
+the engine's sensing ring, the received power per (TTI, vehicle,
+subchannel) that the engine records, and picks from the best fifth of the
+selection window, with the standard threshold relaxation and a
+probabilistic keep at counter expiry. One `sps_select` call selects for
+every vehicle that reselects in a TTI: the projection, the metric and the
+relaxed threshold are computed for all of them at once, and each then
+draws its pick from its own stream.
 """
 
 from __future__ import annotations
@@ -260,15 +264,15 @@ class Selection:
     threshold_dbm: float
 
 
-def projected_average_mw(power_mw: np.ndarray, filled_until: int,
+def projected_average_mw(ring: np.ndarray, vids: np.ndarray, filled_until: int,
                          candidate_ttis: np.ndarray, period_ttis: int) -> np.ndarray:
-    """Average sensed power per (candidate TTI, subchannel).
+    """Average sensed power per (candidate TTI, vehicle, subchannel).
 
-    power_mw is one vehicle's (window TTIs, subchannels) sensing ring:
-    absolute TTI t is row t % window TTIs. Rows hold linear mW (0 =
-    silence); NaN marks TTIs the vehicle could not sense because it was
-    transmitting (half duplex). filled_until is the absolute TTI one past
-    the last recorded row.
+    ring is the engine's (window TTIs, vehicles, subchannels) sensing ring:
+    absolute TTI t is row t % window TTIs. It holds linear mW (0 =
+    silence); NaN marks TTIs a vehicle could not sense because it was
+    transmitting (half duplex). vids lists the vehicles to judge for, and
+    filled_until is the absolute TTI one past the last recorded row.
 
     Each candidate is judged by the past occurrences of its slot on the
     resource period grid that fall inside the sensing window; unsensed
@@ -278,72 +282,83 @@ def projected_average_mw(power_mw: np.ndarray, filled_until: int,
     (depth = window TTIs // period). Only the levels m that can land in
     the recorded span [max(filled_until - window TTIs, 0), filled_until)
     for some candidate are read; for ascending candidates they form one
-    range [m_lo, m_hi], and none are read when it is empty. The read
-    levels keep their own depth positions in a (candidate, depth,
-    subchannel) stack that is zero elsewhere, and the stack is summed over
-    the depth axis. So numpy's reduction order (in order, or pairwise when
-    there is a single subchannel) and every bit of the result stay those
-    of summing all depth levels.
+    range [m_lo, m_hi], and none are read when it is empty. One index
+    gathers those levels of the listed vehicles alone. They keep their own
+    depth positions in a (candidate, vehicle, depth, subchannel) stack that
+    is zero elsewhere, and the stack is summed over the depth axis. So
+    numpy's reduction order (in order, or pairwise when there is a single
+    subchannel) and every bit of each vehicle's result stay those of
+    summing all depth levels of that vehicle alone.
     """
-    window_ttis, n_subch = power_mw.shape
+    window_ttis, _, n_subch = ring.shape
     n_cand = candidate_ttis.size
     depth = max(window_ttis // period_ttis, 1)
     lo = max(filled_until - window_ttis, 0)
     m_lo = max((int(candidate_ttis[0]) - filled_until) // period_ttis + 1, 1)
     m_hi = min((int(candidate_ttis[-1]) - lo) // period_ttis, depth)
     if m_lo > m_hi:
-        return np.zeros((n_cand, n_subch))
+        return np.zeros((n_cand, vids.size, n_subch))
     past = candidate_ttis[:, None] - np.arange(m_lo, m_hi + 1) * period_ttis
-    rows = power_mw[past % window_ttis]  # (cand, m_hi - m_lo + 1, subch)
-    usable = ((past >= lo) & (past < filled_until))[:, :, None] & ~np.isnan(rows)
-    stack = np.zeros((n_cand, depth, n_subch))
-    stack[:, m_lo - 1:m_hi] = np.where(usable, rows, 0.0)
-    return stack.sum(axis=1) / np.maximum(usable.sum(axis=1), 1)
+    rows = ring[(past % window_ttis)[:, :, None], vids]  # (cand, M, V, subch)
+    usable = ((past >= lo) & (past < filled_until))[:, :, None, None] & ~np.isnan(rows)
+    stack = np.zeros((n_cand, vids.size, depth, n_subch))
+    stack[:, :, m_lo - 1:m_hi] = np.where(usable, rows, 0.0).transpose(0, 2, 1, 3)
+    return stack.sum(axis=2) / np.maximum(usable.sum(axis=1), 1)
 
 
-def sps_select(sensed_mw: np.ndarray, now_tti: int, params: SpsParams, t_tti_s: float,
-               period_ttis: int, rng: np.random.Generator, n_subch_needed: int) -> Selection:
-    """Pick a resource in [now+T1, now+T2] following the sensing procedure.
+def sps_select(ring: np.ndarray, vids: np.ndarray, now_tti: int, params: SpsParams,
+               t_tti_s: float, period_ttis: int, rngs: list[np.random.Generator],
+               n_subch_needed: int) -> list[Selection]:
+    """Pick a resource in [now+T1, now+T2] for each of `vids`, by the sensing procedure.
 
-    sensed_mw is the vehicle's sensing ring (`projected_average_mw`),
-    recorded up to now_tti. A candidate is judged by its past occurrences
+    ring is the engine's sensing ring (`projected_average_mw`), recorded up
+    to now_tti; vids (ascending) are the vehicles that reselect in this TTI
+    and rngs their SPS streams, in the same order. Returns one Selection
+    per vehicle. A candidate is judged by its past occurrences
     `period_ttis` apart, the generation period in TTIs. Candidates above
     the RSRP threshold are excluded, the threshold relaxing in fixed steps
     until at least best_fraction of the window survives; the final pick is
     uniform over the lowest-power best_fraction share of the candidate
     starts, each `n_subch_needed` subchannels wide.
+
+    The projection, the metric and the relaxation run for all vehicles at
+    once; each vehicle then draws from its own stream, so a Selection does
+    not depend on which other vehicles share its call.
     """
     t1 = max(int(round(params.t1_s / t_tti_s)), 1)
     t2 = max(int(round(params.t2_s / t_tti_s)), t1)
     cand_ttis = np.arange(now_tti + t1, now_tti + t2 + 1)
-    n_starts = sensed_mw.shape[1] - n_subch_needed + 1
+    n_starts = ring.shape[2] - n_subch_needed + 1
     if n_starts < 1:
         raise ConfigError("packet footprint wider than the subchannel grid")
 
-    per_subch = projected_average_mw(sensed_mw, now_tti, cand_ttis, period_ttis)
+    per_subch = projected_average_mw(ring, vids, now_tti, cand_ttis, period_ttis)
     # metric per candidate start: mean over the subchannels it would occupy
-    cols = [per_subch[:, s:s + n_subch_needed].mean(axis=1) for s in range(n_starts)]
-    avg_mw = np.stack(cols, axis=1)  # (ttis, starts)
-    flat_mw = avg_mw.ravel()
-    total = flat_mw.size
+    cols = [per_subch[:, :, s:s + n_subch_needed].mean(axis=2) for s in range(n_starts)]
+    avg_mw = np.stack(cols, axis=2).transpose(1, 0, 2)  # (V, ttis, starts)
+    flat_mw = avg_mw.reshape(vids.size, -1)
+    total = flat_mw.shape[1]
     avg_dbm = linear_to_db(flat_mw)
 
     min_keep = math.ceil(params.best_fraction * total)
-    threshold = params.rsrp_exclude_dbm
-    kept = avg_dbm <= threshold
-    while int(kept.sum()) < min_keep:
-        threshold += params.rsrp_relax_step_db
-        kept = avg_dbm <= threshold
-
-    kept_idx = np.flatnonzero(kept)
-    shuffled = rng.permutation(kept_idx)  # random tie-break among equals
-    ranked = shuffled[np.argsort(flat_mw[shuffled], kind="stable")]
-    best = ranked[:min_keep]
-    choice = int(best[rng.integers(0, best.size)])
-    tti = int(cand_ttis[choice // n_starts])
-    subch = int(choice % n_starts)
-    counter = int(rng.integers(params.counter_min, params.counter_max + 1))
-    return Selection(subch, tti, counter, int(kept.sum()), total, threshold)
+    # at least min_keep candidates lie at or below a threshold exactly when
+    # the min_keep-th smallest does
+    kth = np.partition(avg_dbm, min_keep - 1, axis=1)[:, min_keep - 1].tolist()
+    selections = []
+    for v, rng in enumerate(rngs):
+        threshold = params.rsrp_exclude_dbm
+        while not kth[v] <= threshold:
+            threshold += params.rsrp_relax_step_db
+        kept_idx = np.flatnonzero(avg_dbm[v] <= threshold)
+        shuffled = rng.permutation(kept_idx)  # random tie-break among equals
+        ranked = shuffled[flat_mw[v][shuffled].argsort(kind="stable")]
+        best = ranked[:min_keep]
+        choice = int(best[rng.integers(0, best.size)])
+        tti = int(cand_ttis[choice // n_starts])
+        subch = int(choice % n_starts)
+        counter = int(rng.integers(params.counter_min, params.counter_max + 1))
+        selections.append(Selection(subch, tti, counter, kept_idx.size, total, threshold))
+    return selections
 
 
 def sps_after_transmission(state: SpsState, params: SpsParams,

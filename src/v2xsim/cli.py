@@ -304,12 +304,19 @@ def cmd_derive_threshold(args) -> int:
     return 0
 
 
-def _reported(store: MetricStore) -> MetricStore:
-    """The store of a run that counted a reception opportunity and an inter-packet
-    gap, so that neither prr.csv nor ipg_ccdf.csv is a bare header; else a data error."""
+def _counted(store: MetricStore) -> MetricStore:
+    """The store of a run that counted a reception opportunity after warmup, so
+    that its PRR has a populated bin; else a data error."""
     if store.opportunities == 0:
         raise DataError("the run counted no reception opportunity after run.warmup_s: "
                         "raise run.max_range_m, road.density_vpk or run.sim_duration_s")
+    return store
+
+
+def _reported(store: MetricStore) -> MetricStore:
+    """The store of a run that counted a reception opportunity and an inter-packet
+    gap, so that neither prr.csv nor ipg_ccdf.csv is a bare header; else a data error."""
+    _counted(store)
     if store.ipg.gaps.size == 0:
         raise DataError("no pair within metrics.ipg_range_m received twice after "
                         "run.warmup_s, so ipg_ccdf.csv would be empty: raise "
@@ -354,7 +361,7 @@ def cmd_select_beta(args) -> int:
     # the channel is simulated once for the curve and every beta; mae.csv
     # reads no inter-packet gap
     shared = SharedRun([curve, *steps.values()], ipg=False)
-    benchmark = run(setup, curve, shared=shared).prr
+    benchmark = _counted(run(setup, curve, shared=shared)).prr
 
     def simulate_beta(beta):
         return run(setup, steps[beta], shared=shared).prr

@@ -4,12 +4,14 @@
 mobility epochs, while channel-access instants live in the CSMA arrays; the
 next event is the earlier of the heap top and the earliest access, ties
 going by one shared sequence counter. C-V2X runs on a TTI-slotted
-timeline. Both share the same link-budget cache (`_PhyCache`): per
-mobility epoch the engine overwrites its NxN distance, shadowing and
-received-power buffers in place, walking the vehicles in row blocks. The
-terms symmetric in the vehicle pair (distance, LOS, path loss) are
-computed once per pair and mirrored; shadowing and the link budget are
-computed per directed link, the shadowing drawn in row order.
+timeline; the vehicles that reselect an SPS resource in a TTI select in
+one `sps_select` call, against one sensing ring of all vehicles. Both
+share the same link-budget cache (`_PhyCache`): per mobility epoch the
+engine overwrites its NxN distance, shadowing and received-power buffers
+in place, walking the vehicles in row blocks. The terms symmetric in the
+vehicle pair (distance, LOS, path loss) are computed once per pair and
+mirrored; shadowing and the link budget are computed per directed link,
+the shadowing drawn in row order.
 
 802.11p carrier sense is one rule, busy at the decodable or at the energy
 threshold; a frame start or end updates only the stations it reaches
@@ -572,17 +574,6 @@ class _RunCv2x(_RunBase):
         self.held = []
         self.held_frames = 0
 
-    def _select(self, vid: int, now_tti: int):
-        st = self.sps_states[vid]
-        sel = sps_select(self.ring[:, vid], now_tti, self.sps_params, self.t_tti,
-                         self.period_ttis, self.sps_rngs[vid], self.n_subch_needed)
-        self.reserved_subch[vid] = sel.subchannel
-        self.reserved_tti[vid] = sel.tti
-        st.reselection_counter = sel.reselection_counter
-        st.needs_reselection = False
-        if self.trace is not None:
-            self.trace.sps_selections.append((now_tti, sel))
-
     def run(self):
         cfg = self.cfg
         n_ttis = int(math.ceil(cfg.sim_duration_s / self.t_tti))
@@ -601,9 +592,21 @@ class _RunCv2x(_RunBase):
                 self.generated += int((next_gen[due] >= cfg.warmup_s).sum())
                 self.pending[due] = next_gen[due]
                 next_gen[due] += self.traffic.period_s
-                for vid in due.tolist():
-                    if self.sps_states[vid].needs_reselection:
-                        self._select(vid, k)
+                reselect = [vid for vid in due.tolist()
+                            if self.sps_states[vid].needs_reselection]
+                if reselect:
+                    sels = sps_select(self.ring, np.array(reselect), k, self.sps_params,
+                                      self.t_tti, self.period_ttis,
+                                      [self.sps_rngs[vid] for vid in reselect],
+                                      self.n_subch_needed)
+                    for vid, sel in zip(reselect, sels):
+                        self.reserved_subch[vid] = sel.subchannel
+                        self.reserved_tti[vid] = sel.tti
+                        st = self.sps_states[vid]
+                        st.reselection_counter = sel.reselection_counter
+                        st.needs_reselection = False
+                        if self.trace is not None:
+                            self.trace.sps_selections.append((k, sel))
             # transmissions whose reserved slot is this TTI
             slot = np.flatnonzero(self.reserved_tti == k)
             slot = slot[~np.isnan(self.pending[slot])]

@@ -13,11 +13,11 @@ from conftest import built_setup, default_theta, make_setup, vehicle_pair
 
 from v2xsim import engine
 from v2xsim.access import (AIFS_WAIT, BACKOFF_FROZEN, IDLE, TRANSMITTING, CsmaNode,
-                           SpsState, projected_average_mw, sps_after_transmission,
+                           Selection, SpsState, projected_average_mw, sps_after_transmission,
                            sps_select)
 from v2xsim.errors import ConfigError
 from v2xsim.scenario import VehicleState
-from v2xsim.util import stream
+from v2xsim.util import linear_to_db, stream
 
 PARAMS = built_setup().csma
 AIFS = default_theta("11p").t_aifs_s
@@ -400,14 +400,20 @@ PERIOD_TTIS = 100  # the default 100 ms generation period in 1 ms TTIs
 
 
 def empty_ring(ttis=1000, subch=5):
-    """A silent (window TTIs, subchannels) sensing ring."""
-    return np.zeros((ttis, subch))
+    """A silent (window TTIs, one vehicle, subchannels) sensing ring."""
+    return np.zeros((ttis, 1, subch))
+
+
+def select_one(ring, now, rng, n_subch_needed=1):
+    """The selection of vehicle 0 of `ring`, alone in its call."""
+    (sel,) = sps_select(ring, ids(0), now, SPS, 1e-3, PERIOD_TTIS, [rng], n_subch_needed)
+    return sel
 
 
 def test_cold_start_uniform_over_window():
     ring = empty_ring()
     rng = stream(1, "sps-test")
-    picks = [sps_select(ring, 1000, SPS, 1e-3, PERIOD_TTIS, rng, 1) for _ in range(4000)]
+    picks = [select_one(ring, 1000, rng) for _ in range(4000)]
     ttis = np.array([p.tti for p in picks])
     subs = np.array([p.subchannel for p in picks])
     assert ttis.min() >= 1001 and ttis.max() <= 1100
@@ -421,34 +427,34 @@ def test_selection_respects_window_bounds():
     ring = empty_ring()
     rng = stream(2, "sps-test")
     for now in (1000, 1500, 2000):
-        sel = sps_select(ring, now, SPS, 1e-3, PERIOD_TTIS, rng, 1)
+        sel = select_one(ring, now, rng)
         assert now + 1 <= sel.tti <= now + 100
         assert 5 <= sel.reselection_counter <= 15
 
 
 def test_loud_window_relaxes_threshold():
     ring = empty_ring()
-    ring[:, :] = 10 ** (-60 / 10.0)  # everything far above -110 dBm
-    sel = sps_select(ring, 1000, SPS, 1e-3, PERIOD_TTIS, stream(3, "sps-test"), 1)
+    ring[:] = 10 ** (-60 / 10.0)  # everything far above -110 dBm
+    sel = select_one(ring, 1000, stream(3, "sps-test"))
     assert sel.threshold_dbm > SPS.rsrp_exclude_dbm
     assert sel.candidates_kept >= int(np.ceil(0.2 * sel.candidates_total))
 
 
 def test_selection_prefers_quiet_resources():
     ring = empty_ring()
-    ring[:, :] = 10 ** (-70 / 10.0)
-    ring[:, 2] = 0.0  # subchannel 2 is silent in every TTI
+    ring[:] = 10 ** (-70 / 10.0)
+    ring[:, :, 2] = 0.0  # subchannel 2 is silent in every TTI
     rng = stream(4, "sps-test")
-    picks = [sps_select(ring, 1000, SPS, 1e-3, PERIOD_TTIS, rng, 1) for _ in range(200)]
+    picks = [select_one(ring, 1000, rng) for _ in range(200)]
     assert all(p.subchannel == 2 for p in picks)
 
 
 def test_candidate_set_at_least_best_fraction():
     rng = stream(5, "sps-test")
     ring = empty_ring()
-    ring[:, :] = rng.uniform(0, 1e-7, size=ring.shape)
+    ring[:] = rng.uniform(0, 1e-7, size=ring.shape)
     for now in (1000, 1250, 1999):
-        sel = sps_select(ring, now, SPS, 1e-3, PERIOD_TTIS, rng, 1)
+        sel = select_one(ring, now, rng)
         assert sel.candidates_kept >= int(np.ceil(0.2 * sel.candidates_total))
 
 
@@ -497,37 +503,149 @@ def projected_average_full_depth(power_mw, filled_until, candidate_ttis, period_
     return rows.sum(axis=1) / np.maximum(counts, 1)
 
 
+def projected_average_one(power_mw, filled_until, candidate_ttis, period_ttis):
+    """Reference projection of one vehicle's (window TTIs, subchannels) ring.
+
+    It reads only the depth levels that can land in the recorded span and
+    keeps them at their depth positions in a zero stack, one vehicle at a
+    time.
+    """
+    window_ttis, n_subch = power_mw.shape
+    n_cand = candidate_ttis.size
+    depth = max(window_ttis // period_ttis, 1)
+    lo = max(filled_until - window_ttis, 0)
+    m_lo = max((int(candidate_ttis[0]) - filled_until) // period_ttis + 1, 1)
+    m_hi = min((int(candidate_ttis[-1]) - lo) // period_ttis, depth)
+    if m_lo > m_hi:
+        return np.zeros((n_cand, n_subch))
+    past = candidate_ttis[:, None] - np.arange(m_lo, m_hi + 1) * period_ttis
+    rows = power_mw[past % window_ttis]  # (cand, m_hi - m_lo + 1, subch)
+    usable = ((past >= lo) & (past < filled_until))[:, :, None] & ~np.isnan(rows)
+    stack = np.zeros((n_cand, depth, n_subch))
+    stack[:, m_lo - 1:m_hi] = np.where(usable, rows, 0.0)
+    return stack.sum(axis=1) / np.maximum(usable.sum(axis=1), 1)
+
+
+def sps_select_one(sensed_mw, now_tti, params, t_tti_s, period_ttis, rng, n_subch_needed):
+    """Reference selection of one vehicle, relaxing the threshold one count at a time."""
+    t1 = max(int(round(params.t1_s / t_tti_s)), 1)
+    t2 = max(int(round(params.t2_s / t_tti_s)), t1)
+    cand_ttis = np.arange(now_tti + t1, now_tti + t2 + 1)
+    n_starts = sensed_mw.shape[1] - n_subch_needed + 1
+    per_subch = projected_average_one(sensed_mw, now_tti, cand_ttis, period_ttis)
+    cols = [per_subch[:, s:s + n_subch_needed].mean(axis=1) for s in range(n_starts)]
+    avg_mw = np.stack(cols, axis=1)  # (ttis, starts)
+    flat_mw = avg_mw.ravel()
+    total = flat_mw.size
+    avg_dbm = linear_to_db(flat_mw)
+
+    min_keep = math.ceil(params.best_fraction * total)
+    threshold = params.rsrp_exclude_dbm
+    kept = avg_dbm <= threshold
+    while int(kept.sum()) < min_keep:
+        threshold += params.rsrp_relax_step_db
+        kept = avg_dbm <= threshold
+
+    kept_idx = np.flatnonzero(kept)
+    shuffled = rng.permutation(kept_idx)
+    ranked = shuffled[np.argsort(flat_mw[shuffled], kind="stable")]
+    best = ranked[:min_keep]
+    choice = int(best[rng.integers(0, best.size)])
+    tti = int(cand_ttis[choice // n_starts])
+    subch = int(choice % n_starts)
+    counter = int(rng.integers(params.counter_min, params.counter_max + 1))
+    return Selection(subch, tti, counter, int(kept.sum()), total, threshold)
+
+
 @st.composite
-def sensing_cases(draw):
-    """A sensing ring, its fill line and a candidate range around that line."""
-    n_subch = draw(st.integers(1, 8))
-    period = draw(st.integers(1, 30))
-    depth = draw(st.integers(1, 16))
+def sensing_rings(draw, period=None, log10_mw=(-14.0, -7.0)):
+    """A (window TTIs, vehicles, subchannels) ring, its fill line and its period.
+
+    `log10_mw` bounds the log10 of the recorded mW; some subchannels are
+    idle, some TTIs silent and some unsensed (NaN), per vehicle.
+    """
+    n_subch = draw(st.integers(1, 8), label="subchannels")
+    n = draw(st.integers(1, 10), label="vehicles")
+    if period is None:
+        period = draw(st.integers(1, 30), label="period")
+    depth = draw(st.integers(1, 16), label="depth")
     window_ttis = depth * period + draw(st.integers(0, period - 1))
     filled_until = draw(st.one_of(st.integers(0, window_ttis - 1),  # still filling
                                   st.integers(window_ttis, 2 * window_ttis),  # full
-                                  st.integers(2 * window_ttis + 1, 6 * window_ttis)))  # wrapped
+                                  st.integers(2 * window_ttis + 1, 6 * window_ttis)),  # wrapped
+                        label="filled until")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    power = 10.0 ** rng.uniform(-14.0, -7.0, size=(window_ttis, n_subch))
-    power[rng.random(power.shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0  # idle subchannels
-    power[rng.random(window_ttis) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0  # silent TTIs
-    power[rng.random(window_ttis) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = np.nan  # own TTIs
+    ring = 10.0 ** rng.uniform(*log10_mw, size=(window_ttis, n, n_subch))
+    ring[rng.random(ring.shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0  # idle subchannels
+    ring[rng.random((window_ttis, n)) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0  # silent
+    ring[rng.random((window_ttis, n)) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = np.nan  # own
+    vids = np.flatnonzero(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if not vids.size:
+        vids = ids(draw(st.integers(0, n - 1)))
+    return ring, vids, filled_until, period
+
+
+@st.composite
+def sensing_cases(draw):
+    """A sensing ring, the vehicles judged, and candidates around the fill line."""
+    ring, vids, filled_until, period = draw(sensing_rings())
+    depth = ring.shape[0] // period
     # candidates from before the recorded span to past its end
     first = filled_until + draw(st.integers(-(depth + 1) * period, 2 * period))
     candidates = np.arange(first, first + draw(st.integers(1, 2 * period + 2)))
-    return power, filled_until, candidates, period
+    return ring, vids, filled_until, candidates, period
 
 
 @settings(max_examples=600, deadline=None)
 @given(case=sensing_cases())
 def test_projection_matches_full_depth_reference_bit_for_bit(case):
+    ring, vids, filled_until, candidates, period = case
     got = projected_average_mw(*case)
-    assert np.array_equal(got, projected_average_full_depth(*case))
+    assert got.shape == (candidates.size, vids.size, ring.shape[2])
+    for v, vid in enumerate(vids.tolist()):
+        expected = projected_average_full_depth(ring[:, vid], filled_until, candidates, period)
+        assert np.array_equal(got[:, v], expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_call_for_many_vehicles_matches_one_reference_call_each(data):
+    """Every Selection of a batched call equals that of the one-vehicle reference.
+
+    A quiet ring keeps most candidates at the first threshold; a loud one
+    takes many relaxation steps. A ring whose levels lie on the thresholds
+    the relaxation passes makes a candidate's metric tie with a threshold
+    in its last bit. The reference calls draw from fresh streams under the
+    same keys as the batched call's.
+    """
+    kind = data.draw(st.sampled_from(["quiet", "loud", "on the thresholds"]), label="ring")
+    period = data.draw(st.integers(2, 30), label="period")
+    ring, vids, now, _ = data.draw(sensing_rings(
+        period=period, log10_mw=(-8.0, -5.0) if kind == "loud" else (-14.5, -10.0)))
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    steps = [3.0] if kind == "on the thresholds" else [3.0, 0.7]
+    if kind == "on the thresholds":
+        recorded = ring > 0.0
+        levels = 10.0 ** ((SPS.rsrp_exclude_dbm + 3.0 * np.arange(8)) / 10.0)
+        ring[recorded] = np.random.default_rng(seed).choice(levels, recorded.sum())
+    t1 = data.draw(st.integers(0, 3), label="t1")
+    t2 = t1 + data.draw(st.integers(0, 2 * period), label="T2 - T1")
+    params = replace(
+        SPS, t1_ms=float(t1), t2_ms=float(t2),
+        best_fraction=data.draw(st.sampled_from([0.2, 0.5, 1.0]), label="best fraction"),
+        rsrp_relax_step_db=data.draw(st.sampled_from(steps), label="relax step"))
+    k = data.draw(st.integers(1, ring.shape[2]), label="subchannels needed")
+    got = sps_select(ring, vids, now, params, 1e-3, period,
+                     [stream(seed, "sps", vid) for vid in vids.tolist()], k)
+    expected = [sps_select_one(ring[:, vid], now, params, 1e-3, period,
+                               stream(seed, "sps", vid), k) for vid in vids.tolist()]
+    assert got == expected
+    assert [repr(sel) for sel in got] == [repr(sel) for sel in expected]
 
 
 def test_footprint_wider_than_grid_rejected():
     with pytest.raises(ConfigError):
-        sps_select(empty_ring(subch=2), 1000, SPS, 1e-3, PERIOD_TTIS, stream(9, "sps-test"), 3)
+        select_one(empty_ring(subch=2), 1000, stream(9, "sps-test"), 3)
 
 
 # --- parameter checks --------------------------------------------------------------

@@ -438,6 +438,20 @@ def test_a_run_with_nothing_to_report_exits_3(tmp_path, capsys, command, case):
     assert not (tmp_path / "out").exists()
 
 
+def test_select_beta_with_no_opportunity_exits_3_naming_the_keys(tmp_path, capsys):
+    """No link in range after warmup: no PRR bin to compare the step runs on."""
+    curve = os.path.join(CURVE_DIR, "highway_los_11p_mcs2_350B.csv")
+    assert run_cli("select-beta", "--out", str(tmp_path / "out"),
+                   "--set", f"reception.curve_file={curve}",
+                   "--set", "run.sim_duration_s=0.5", "--set", "run.warmup_s=0.1",
+                   "--set", "road.density_vpk=30", "--set", "run.max_range_m=1e-9") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    for name in ("run.max_range_m", "road.density_vpk", "run.sim_duration_s", "run.warmup_s"):
+        assert name in err, (name, err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_writes_nothing_when_only_the_step_model_has_no_gap(tmp_path, capsys):
     # the curve run receives, a step threshold of 200 dB receives nothing
     out = tmp_path / "v"
