@@ -144,8 +144,3 @@ class LinkShadowing:
         z = rng.standard_normal(values.shape)
         return rho * values + sigma_db * np.sqrt(1.0 - rho * rho) * z
 
-
-def rx_power_dbm(distance_m, cfg: PropagationConfig, shadowing_db=0.0,
-                 los: bool | np.ndarray | None = None):
-    """Link budget: tx power + both antenna gains - path loss - shadowing."""
-    return cfg.lossless_rx_dbm - path_loss_db(distance_m, cfg, los=los) - shadowing_db

@@ -29,6 +29,16 @@ deafening only each other. Either
 engine scores its held frames once they reach SCORE_BATCH_ELEMENTS frame x
 receiver elements and at the end of the run; C-V2X also scores them before
 each mobility epoch, while the power and distance rows are still theirs.
+Each frame sums the noise and its interferers in its own interferer order
+(`interference_mw`); the frames are ranked by interferer count, so the k-th
+interferers of a batch add to its first rows in one contiguous add. C-V2X
+sensing sums each TTI subchannel-major, one add per transmitter over its
+subchannels, and writes the transpose into the (window, N, subchannel)
+ring that SPS selection reads.
+
+Every vehicle's phase, backoff and SPS streams are derived from the seed
+and the vehicle ids in one hash (`util.streams`), each the stream
+`util.stream` would give the vehicle.
 
 A batch of link outcomes (`LinkBatch`) holds what every reception model
 needs of the in-range (frame, receiver) links of frames that start after
@@ -76,7 +86,7 @@ from .metrics import IpgStore, MetricStore, PrrSeries, uniform_bin_edges
 from .scenario import Geometry, RoadConfig, TrafficConfig, generation_phase
 from .settings import (CV2xSettings, Ieee80211pSettings, PrbTable, TechnologySettings,
                        tx_time)
-from .util import stream
+from .util import stream, streams
 
 POWER_FLOOR_DBM = -999.0
 # held frames of either technology are scored once they hold this many
@@ -226,6 +236,41 @@ def prb_overlap(tti: np.ndarray, prb_start: np.ndarray, prb_count: int):
     return frame[hit], source[hit], shared[hit] / prb_count
 
 
+def interference_mw(n_frames: int, frame: np.ndarray, source: np.ndarray, frac: np.ndarray,
+                    sources: np.ndarray, noise_mw: float) -> np.ndarray:
+    """Noise plus interference (mW) of n_frames frames at every receiver, (F, N).
+
+    frame, source, frac: the hits, sorted by frame and each frame's in its
+    interferer order; hit h adds a share frac[h] of the (N,) power row
+    sources[source[h]] to frame frame[h]. Each frame sums the noise and then
+    its hits in that order, like a per-frame loop: a matmul would reorder
+    the sum and can flip a threshold decision.
+
+    The frames are ranked by hit count, most first (a stable sort), so the
+    frames that have a k-th hit are the first m_k rows: level k gathers
+    their k-th source rows into one reused buffer, scales them and adds
+    them to the first m_k rows in place. The rows go back to frame order
+    at the end.
+    """
+    count = np.bincount(frame, minlength=n_frames)
+    order = np.argsort(-count, kind="stable")
+    ranked = count[order]
+    # each ranked frame's first hit, and per level k the frames that have a k-th
+    hit = (np.cumsum(count) - count)[order]
+    rows = np.searchsorted(-ranked, -np.arange(count.max(initial=0)))
+    denom = np.full((n_frames, sources.shape[1]), noise_mw)
+    buf = np.empty((np.count_nonzero(count), sources.shape[1]))
+    for k, m in enumerate(rows.tolist()):
+        at = hit[:m] + k
+        # mode="clip" lets take write into `out` without a temporary copy
+        part = np.take(sources, source.take(at), axis=0, out=buf[:m], mode="clip")
+        part *= frac.take(at)[:, None]
+        denom[:m] += part
+    back = np.empty_like(order)
+    back[order] = np.arange(n_frames)
+    return denom.take(back, axis=0)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -282,7 +327,9 @@ class _PhyCache:
             else:
                 shadow[...] = LinkShadowing.evolve_matrix(
                     shadow, delta[rows], sigma, prop.decorrelation_m, self.rng)
-            # the link budget of `channel.rx_power_dbm`, over the path loss in place
+            # the link budget, tx power + both antenna gains - path loss -
+            # shadowing (the reference `rx_power_dbm` of tests/conftest.py),
+            # over the path loss in place
             power, mw = self.power_dbm[rows], self.power_mw[rows]
             np.subtract(prop.lossless_rx_dbm, power, out=power)
             power -= shadow
@@ -314,14 +361,13 @@ class _RunBase:
         self.geom = Geometry(setup.road, vehicles)
         self.n = self.geom.n
         # the vehicle ids name each vehicle's phase, backoff and SPS streams
-        self.ids = [v.id for v in vehicles]
+        self.ids = np.array([v.id for v in vehicles])
         self.phy = _PhyCache(self.geom, setup.propagation, cfg.seed)
         self.noise_mw = 10.0 ** (noise_power_dbm(setup.propagation) / 10.0)
         self.bins = PrrSeries(uniform_bin_edges(cfg.prr_max_distance_m, cfg.prr_bin_width_m))
         self.generated = self.transmitted = 0
         self.counting = False  # a frame that starts after warmup was scored
-        self.phases = np.array([
-            generation_phase(vid, cfg.seed, self.traffic.period_s) for vid in self.ids])
+        self.phases = generation_phase(self.ids, cfg.seed, self.traffic.period_s)
         # every frame of a run is on air this long (one TTI for C-V2X)
         self.duration_s = tx_time(cfg.theta)
 
@@ -335,9 +381,10 @@ class _RunBase:
         transmitter; deaf: (F, N) receivers transmitting during the frame
         (half duplex). hits = (frame, source, frac), sorted by frame and
         each frame's in its interferer order: hit h covers a share frac[h]
-        of frame frame[h] with the (N,) power row sources[source[h]]. The
-        frames that start before warmup come first, in the batch and in the
-        run; only their in-range links are counted.
+        of frame frame[h] with the (N,) power row sources[source[h]];
+        `interference_mw` sums them per frame in that order, the frames
+        ranked by hit count. The frames that start before warmup come first,
+        in the batch and in the run; only their in-range links are counted.
         """
         cfg = self.cfg
         in_range = dist <= cfg.max_range_m
@@ -354,23 +401,13 @@ class _RunBase:
             return
         tx, start, signal, dist, deaf = (a[n_early:] for a in (tx, start, signal, dist, deaf))
         first = np.searchsorted(hits[0], n_early)
-        hit_frame = hits[0][first:] - n_early
-        hit_source, hit_frac = hits[1][first:], hits[2][first:]
-        # the k-th interferer of every frame in one add, so each frame sums
-        # in its own interferer order like a per-frame loop: a matmul would
-        # reorder the sum and can flip a threshold decision
-        denom = np.full(signal.shape, self.noise_mw)
-        level = np.arange(hit_frame.size) - np.searchsorted(hit_frame, hit_frame)
-        for k in range(int(level.max()) + 1 if level.size else 0):
-            at = level == k
-            part = sources[hit_source[at]]
-            part *= hit_frac[at, None]
-            denom[hit_frame[at]] += part
+        sinr = interference_mw(tx.size, hits[0][first:] - n_early, hits[1][first:],
+                               hits[2][first:], sources, self.noise_mw)
+        np.divide(signal, sinr, out=sinr)  # over the denominators, then one gather
         d = dist.take(link)
         near = np.flatnonzero(d <= cfg.ipg_range_m)
-        self.emit(LinkBatch(skipped, tx, start + self.duration_s,
-                            signal.take(link) / denom.take(link), deaf.take(link),
-                            self.bins.bin_of(d), near, link.take(near)))
+        self.emit(LinkBatch(skipped, tx, start + self.duration_s, sinr.take(link),
+                            deaf.take(link), self.bins.bin_of(d), near, link.take(near)))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +438,7 @@ class _Run11p(_RunBase):
         super().__init__(setup, emit, trace)
         csma = self.csma = setup.csma
         self.mac = CsmaNode(csma, self.cfg.theta.t_aifs_s,
-                            [stream(self.cfg.seed, "backoff", vid) for vid in self.ids])
+                            streams(self.cfg.seed, "backoff", self.ids))
         self.busy_decod = np.zeros(self.n, dtype=np.int64)
         self.energy_mw = None
         self.busy = np.zeros(self.n, dtype=bool)
@@ -563,7 +600,7 @@ class _RunCv2x(_RunBase):
         # TTI-major: row t % window TTIs holds every vehicle's sensed subchannels
         self.ring = np.zeros((self.window_ttis, self.n, theta.n_subch))
         self.sps_states = [SpsState() for _ in range(self.n)]
-        self.sps_rngs = [stream(self.cfg.seed, "sps", vid) for vid in self.ids]
+        self.sps_rngs = streams(self.cfg.seed, "sps", self.ids)
         # per vehicle: generation time of the packet awaiting its slot (NaN =
         # none) and the reserved resource (absolute TTI, first subchannel)
         self.pending = np.full(self.n, np.nan)
@@ -653,12 +690,15 @@ class _RunCv2x(_RunBase):
 
     def _sense(self, tx: np.ndarray, k: int):
         """Write this TTI's received power per subchannel into every sensing window."""
-        row = self.ring[k % self.window_ttis]
-        row[...] = 0.0
+        # subchannel-major: each transmitter adds its power row to its
+        # n_subch_needed subchannels in one add over contiguous rows, and each
+        # element sums the transmitters in tx order; the ring is vehicle-major
+        # for the SPS gathers, so the sum goes in transposed
+        acc = np.zeros((self.ring.shape[2], self.n))
         for vid, s0 in zip(tx.tolist(), self.reserved_subch[tx].tolist()):
-            power = self.phy.power_mw[vid]
-            for s in range(s0, s0 + self.n_subch_needed):
-                row[:, s] += power
+            acc[s0:s0 + self.n_subch_needed] += self.phy.power_mw[vid]
+        row = self.ring[k % self.window_ttis]
+        row[...] = acc.T
         row[tx] = np.nan  # half duplex: own TTI unsensed
 
 
@@ -688,6 +728,15 @@ class SimulationSetup:
         if self.sps.sensing_window_s < self.traffic.period_s:
             raise ConfigError("cv2x.sensing_window_ms must be at least "
                               "traffic.generation_period_ms")
+        # a vehicle that moves half the road or more in one mobility epoch
+        # jumps around it: the wrap-around cannot tell forward from backward
+        run, road = self.run, self.road
+        fastest_ms = (road.mean_speed_kmh + 3.0 * road.speed_std_kmh) * scen.KMH_TO_MS
+        if (run.mobility_step_s < run.sim_duration_s
+                and not fastest_ms * run.mobility_step_s < 0.5 * road.road_length_m):
+            raise ConfigError("road.mean_speed_kmh (plus 3 road.speed_std_kmh) moves a vehicle "
+                              "at least half of road.road_length_m in one "
+                              "run.mobility_step_ms: lower the speed or the step")
 
 
 class SharedRun:

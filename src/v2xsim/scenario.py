@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .util import stream
+from .util import stream, streams
 
 KMH_TO_MS = 1000.0 / 3600.0
 ALL = slice(None)  # every vehicle
@@ -109,9 +109,9 @@ def spawn(road: RoadConfig, seed: int) -> list[VehicleState]:
     return vehicles
 
 
-def generation_phase(vehicle_id: int, seed: int, period_s: float) -> float:
-    """Fixed per-vehicle random phase in [0, period)."""
-    return float(stream(seed, "phase", vehicle_id).uniform(0.0, period_s))
+def generation_phase(vehicle_ids, seed: int, period_s: float) -> np.ndarray:
+    """Fixed random phase in [0, period) of each vehicle id, one draw of its own stream."""
+    return np.array([rng.uniform(0.0, period_s) for rng in streams(seed, "phase", vehicle_ids)])
 
 
 class Geometry:

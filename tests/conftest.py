@@ -6,6 +6,7 @@ import pytest
 
 from v2xsim import engine
 from v2xsim.abstraction import StepFunction, threshold_from_curve
+from v2xsim.channel import PropagationConfig, path_loss_db
 from v2xsim.cli import load_curve_csv
 from v2xsim.config import build_setup, load_config
 from v2xsim.engine import SimulationSetup, run
@@ -60,6 +61,16 @@ def make_setup(tech: str, *, seed=None, duration=None, warmup=None, density=None
                                          mean_speed_kmh=speed)),
         vehicles=vehicles,
     )
+
+
+def rx_power_dbm(distance_m, cfg: PropagationConfig, shadowing_db=0.0, los=None):
+    """Reference link budget: tx power + both antenna gains - path loss - shadowing.
+
+    The engine computes the same budget in place over the path loss
+    (`engine._PhyCache.refresh`); the channel and refresh tests check it
+    against this one.
+    """
+    return cfg.lossless_rx_dbm - path_loss_db(distance_m, cfg, los=los) - shadowing_db
 
 
 def built_store(n_nodes: int) -> MetricStore:

@@ -6,11 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import built_setup, make_setup, vehicle_pair
+from conftest import built_setup, make_setup, rx_power_dbm, vehicle_pair
 
 from v2xsim import engine
-from v2xsim.channel import (LinkShadowing, noise_power_dbm, path_loss_db, rx_power_dbm,
-                            winner_formula_db)
+from v2xsim.channel import LinkShadowing, noise_power_dbm, path_loss_db, winner_formula_db
 from v2xsim.util import stream
 
 PROP = built_setup().propagation

@@ -354,6 +354,9 @@ MESSAGE_NAMES = {
     # 37 PRBs do not fit in one TTI of 1 x 10 PRBs
     ("cv2x.n_subch", "1"): ("cv2x.n_prb_subch", "cv2x.n_prb_pkt"),
     ("traffic.generation_period_ms", "7.5"): ("cv2x.t_tti_ms",),
+    # one mobility step would move a vehicle half the road or more
+    ("road.mean_speed_kmh", "1e12"): ("run.mobility_step_ms", "road.road_length_m"),
+    ("road.speed_std_kmh", "1e12"): ("road.mean_speed_kmh", "run.mobility_step_ms"),
 }
 # the bad values that only the C-V2X engine rejects
 CV2X_ONLY = {("cv2x.n_subch", "1"), ("traffic.generation_period_ms", "7.5"),
@@ -371,6 +374,8 @@ CV2X_ONLY = {("cv2x.n_subch", "1"), ("traffic.generation_period_ms", "7.5"),
                                         ("road.lanes_per_direction", "0"),
                                         ("road.placement", "grid"),
                                         ("road.mean_speed_kmh", "-50"),
+                                        ("road.mean_speed_kmh", "1e12"),
+                                        ("road.speed_std_kmh", "1e12"),
                                         ("metrics.ipg_range_m", "0"),
                                         ("metrics.ipg_range_m", "-150"),
                                         ("ieee80211p.cw_max", "-1"),

@@ -8,15 +8,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (assert_same_store, built_setup, built_store, default_theta, make_setup, prr_curve,
-                      step_model, vehicle_pair)
+                      rx_power_dbm, step_model, vehicle_pair)
 
 from v2xsim import engine
 from v2xsim.abstraction import PerCurve, StepFunction
-from v2xsim.channel import noise_power_dbm, rx_power_dbm
+from v2xsim.channel import noise_power_dbm
 from v2xsim.engine import (LinkBatch, SharedRun, TraceLog, decide_reception_vector,
-                           prb_overlap, run, tally)
+                           interference_mw, prb_overlap, run, tally)
 from v2xsim.errors import ConfigError
 from v2xsim.scenario import VehicleState
 from v2xsim.util import stream
@@ -184,6 +186,41 @@ def test_prb_overlap_matches_pairwise_fraction():
         want = [(f, j, prb_fraction(a, b)) for f, a in enumerate(frames)
                 for j, b in enumerate(frames) if f != j and prb_fraction(a, b) > 0]
         assert prb_hits(frames) == want
+
+
+# --- interference sum ----------------------------------------------------------------
+
+def interference_one(n_frames, frame, source, frac, sources, noise_mw):
+    """Reference for `interference_mw`: one frame and one hit at a time, in hit order."""
+    denom = np.full((n_frames, sources.shape[1]), noise_mw)
+    for f in range(n_frames):
+        for h in np.flatnonzero(frame == f):
+            denom[f] = denom[f] + sources[source[h]] * frac[h]
+    return denom
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=st.lists(st.integers(0, 25), max_size=70), n=st.integers(1, 9),
+       n_sources=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       fracs=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=6))
+@example(counts=[], n=3, n_sources=1, seed=0, fracs=[1.0])
+@example(counts=[0, 0, 0], n=3, n_sources=1, seed=0, fracs=[1.0])
+@example(counts=[25, 0, 3, 25, 1, 0], n=4, n_sources=30, seed=7, fracs=[1.0, 0.25, 1e-300])
+def test_interference_matches_a_per_frame_loop(counts, n, n_sources, seed, fracs):
+    """Frames of 0-25 hits, in any order of hit count: the same denominators bit for bit."""
+    rng = np.random.default_rng(seed)
+    frame = np.repeat(np.arange(len(counts)), counts)
+    source = rng.integers(0, n_sources, frame.size)
+    frac = rng.choice(np.array(fracs), frame.size)
+    # powers over twelve decades, some zero (a transmitter's own entry), so
+    # that a reordered sum rounds differently
+    sources = 10.0 ** rng.uniform(-15.0, -3.0, (n_sources, n))
+    sources[rng.random(sources.shape) < 0.1] = 0.0
+    noise_mw = 10.0 ** rng.uniform(-14.0, -10.0)
+    got = interference_mw(len(counts), frame, source, frac, sources, noise_mw)
+    want = interference_one(len(counts), frame, source, frac, sources, noise_mw)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 # --- whole-run behavior -----------------------------------------------------------
@@ -406,6 +443,18 @@ def test_a_run_counts_the_links_of_frames_before_warmup_only_as_skipped(
     no_warmup = replace(setup, run=replace(setup.run, warmup_s=0.0))
     every = run(no_warmup, model).opportunities
     assert sum(batch.skipped for batch in batches) == every - counted > 0
+
+
+def test_a_mobility_step_of_half_the_road_or_more_is_refused():
+    # 2 km road, 100 ms steps: the fastest vehicle, 3 x 3 km/h over the mean,
+    # must move less than 1000 m per step
+    built_setup("road.mean_speed_kmh=35989")
+    with pytest.raises(ConfigError, match="run.mobility_step_ms"):
+        built_setup("road.mean_speed_kmh=35992")
+    with pytest.raises(ConfigError, match="road.speed_std_kmh"):
+        built_setup("road.speed_std_kmh=12000")
+    # a step no shorter than the run makes no mobility epoch: nothing moves
+    built_setup("road.mean_speed_kmh=35992", "run.mobility_step_ms=10000")
 
 
 @pytest.mark.parametrize("section, change", [

@@ -18,10 +18,10 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import built_setup
+from conftest import built_setup, rx_power_dbm
 
 from v2xsim import engine
-from v2xsim.channel import LinkShadowing, PropagationConfig, rx_power_dbm
+from v2xsim.channel import LinkShadowing, PropagationConfig
 from v2xsim.scenario import Geometry, spawn
 from v2xsim.util import stream
 

@@ -90,7 +90,7 @@ def test_wrap_conserves_count_and_range():
 
 def test_generation_grid_is_periodic():
     period = 0.1
-    phase = generation_phase(0, seed=1, period_s=period)
+    (phase,) = generation_phase([0], seed=1, period_s=period)
     assert 0.0 <= phase < period
     # a lone 802.11p station always finds the medium idle, so each of its
     # frames starts one AIFS after the generation that queued it
@@ -105,13 +105,13 @@ def test_generation_grid_is_periodic():
 
 
 def test_distinct_vehicles_distinct_phases():
-    phases = {round(generation_phase(v, 1, 0.1), 12) for v in range(100)}
+    phases = set(np.round(generation_phase(np.arange(100), 1, 0.1), 12).tolist())
     assert len(phases) == 100
 
 
 def test_phase_distribution_uniform():
     n = 10_000
-    phases = np.sort([generation_phase(v, 3, 0.1) for v in range(n)]) / 0.1
+    phases = np.sort(generation_phase(np.arange(n), 3, 0.1)) / 0.1
     ecdf = np.arange(1, n + 1) / n
     ks = np.max(np.abs(ecdf - phases))
     assert ks < 1.63 / math.sqrt(n)  # KS critical value at p = 0.01
