@@ -68,7 +68,10 @@ class CsmaNode:
     (inf while none is scheduled); `access_seq`, the sequence number of that
     access; `pending`, whether a packet is queued. A fresh packet replaces
     an unsent one in place. `next` is (time, sequence number, station) of
-    the earliest scheduled access, or None; every method keeps it current.
+    the earliest scheduled access, or None. A method that removes the
+    earliest access marks it stale, and reading `next` then rescans the
+    stations; while it is stale, a newly scheduled access is not compared
+    with it.
 
     Tie-break rule: the engine handles events in (time, sequence number)
     order. `seq` is the one counter that numbers both the engine's heap
@@ -97,7 +100,14 @@ class CsmaNode:
         self.access_seq = np.zeros(n, dtype=np.int64)
         self.pending = np.zeros(n, dtype=bool)
         self.seq = 0
-        self.next = None
+        self._next = None
+        self._stale = False
+
+    @property
+    def next(self):
+        if self._stale:
+            self._find_next()
+        return self._next
 
     def take_seq(self) -> int:
         """Next number of the counter shared by heap events and accesses."""
@@ -123,19 +133,20 @@ class CsmaNode:
         self.access_at[vid] = at
         self.access_seq[vid] = seq
         # the newest number loses every tie, so only an earlier time wins
-        if self.next is None or at < self.next[0]:
-            self.next = (at, seq, vid)
+        if not self._stale and (self._next is None or at < self._next[0]):
+            self._next = (at, seq, vid)
 
     def _find_next(self):
+        self._stale = False
         at = self.access_at
         vid = int(at.argmin())
         if at[vid] == np.inf:
-            self.next = None
+            self._next = None
             return
         ties = np.flatnonzero(at == at[vid])
         if ties.size > 1:
             vid = int(ties[self.access_seq[ties].argmin()])
-        self.next = (float(at[vid]), int(self.access_seq[vid]), vid)
+        self._next = (float(at[vid]), int(self.access_seq[vid]), vid)
 
     def on_packet(self, now: float, vid: int, medium_busy: bool):
         """Queue a packet at station `vid`; an idle station begins access."""
@@ -160,8 +171,8 @@ class CsmaNode:
             self.remaining[counting] -= np.minimum(consumed, self.remaining[counting])
         self.phase[vids] = BACKOFF_FROZEN
         self.access_at[vids] = np.inf
-        if self.next is not None and self.access_at[self.next[2]] == np.inf:
-            self._find_next()
+        if self._next is not None and self.access_at[self._next[2]] == np.inf:
+            self._stale = True
 
     def on_idle(self, now: float, vids: np.ndarray):
         """The medium turned idle at contending stations `vids` (ascending).
@@ -178,17 +189,19 @@ class CsmaNode:
         self.access_at[vids] = at
         self.access_seq[vids] = np.arange(self.seq, self.seq + vids.size)
         self.seq += vids.size
+        if self._stale:
+            return
         first = int(at.argmin())  # lowest number among the earliest
-        if self.next is None or at[first] < self.next[0]:
-            self.next = (float(at[first]), int(self.access_seq[vids[first]]),
-                         int(vids[first]))
+        if self._next is None or at[first] < self._next[0]:
+            self._next = (float(at[first]), int(self.access_seq[vids[first]]),
+                          int(vids[first]))
 
     def on_timer(self) -> int:
         """Fire the earliest scheduled access (`next`); returns its station."""
         vid = self.next[2]
         self.phase[vid] = TRANSMITTING
         self.access_at[vid] = np.inf
-        self._find_next()
+        self._stale = True
         return vid
 
     def on_tx_end(self, now: float, vid: int, medium_busy: bool):

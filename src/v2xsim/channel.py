@@ -138,9 +138,11 @@ class LinkShadowing:
 
     @staticmethod
     def evolve_matrix(values: np.ndarray, delta_m: np.ndarray, sigma_db: float,
-                      decorrelation_m: float, rng: np.random.Generator) -> np.ndarray:
-        """Vectorized update: rows share the transmitter's displacement."""
+                      decorrelation_m: float, rng: np.random.Generator):
+        """Vectorized update of `values` in place: rows share the transmitter's displacement."""
         rho = np.exp(-np.abs(delta_m) / decorrelation_m)[:, None]
         z = rng.standard_normal(values.shape)
-        return rho * values + sigma_db * np.sqrt(1.0 - rho * rho) * z
+        z *= sigma_db * np.sqrt(1.0 - rho * rho)
+        values *= rho
+        values += z
 

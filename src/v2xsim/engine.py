@@ -7,11 +7,15 @@ going by one shared sequence counter. C-V2X runs on a TTI-slotted
 timeline; the vehicles that reselect an SPS resource in a TTI select in
 one `sps_select` call, against one sensing ring of all vehicles. Both
 share the same link-budget cache (`_PhyCache`): per mobility epoch the
-engine overwrites its NxN distance, shadowing and received-power buffers
-in place, walking the vehicles in row blocks. The terms symmetric in the
-vehicle pair (distance, LOS, path loss) are computed once per pair and
-mirrored; shadowing and the link budget are computed per directed link,
-the shadowing drawn in row order.
+engine overwrites its NxN buffers in place, walking the vehicles in row
+blocks. Two are float64, the shadowing and the received power (mW) of
+each directed link; the link budget in dBm lives only in a block-sized
+buffer. The terms symmetric in the vehicle pair are computed once per
+pair and mirrored: distance, LOS, path loss, and the pair's link code,
+which holds all that scoring reads of the distance (in range, PRR bin,
+inside the IPG range) in one small integer. 802.11p also keeps the mask of
+the links that carrier sense decodes. Shadowing and the link budget are
+computed per directed link, the shadowing drawn in row order.
 
 802.11p carrier sense is one rule, busy at the decodable or at the energy
 threshold; a frame start or end updates only the stations it reaches
@@ -20,7 +24,7 @@ decodably, and the energy sum is kept only while it can matter (`_Run11p`).
 The event loops only record frames; one scorer turns them into link
 outcomes in F x N passes against all in-range receivers. Every frame of a
 run is on air for the same `duration_s`, so a frame is its transmitter
-and start. An ended 802.11p frame is kept with its power and distance
+and start. An ended 802.11p frame is kept with its power and link-code
 rows and the frames on air with it in event order (`overlappers`): each
 such pair is half duplex, and it interferes with the share of airtime the
 two share, computed for the whole batch at once. A sent C-V2X TTI is kept
@@ -28,7 +32,7 @@ as its transmitters and their first PRBs, its frames interfering and
 deafening only each other. Either
 engine scores its held frames once they reach SCORE_BATCH_ELEMENTS frame x
 receiver elements and at the end of the run; C-V2X also scores them before
-each mobility epoch, while the power and distance rows are still theirs.
+each mobility epoch, while the power and link-code rows are still theirs.
 Each frame sums the noise and its interferers in its own interferer order
 (`interference_mw`); the frames are ranked by interferer count, so the k-th
 interferers of a batch add to its first rows in one contiguous add. C-V2X
@@ -168,8 +172,9 @@ class LinkBatch(NamedTuple):
     that starts after warmup, in the order the frames were scored. Links
     are frame-major with receivers ascending (the order reception decisions
     are drawn in); per link, sinr: linear SINR; blocked: the receiver was
-    transmitting (half duplex); bin: PRR bin (`PrrSeries.bin_of`). near:
-    the positions of the links inside the IPG range, the only links whose
+    transmitting (half duplex); bin: PRR bin (`PrrSeries.bin_of`), decoded
+    from the pair's link code (`_PhyCache`) in its integer type. near: the
+    positions of the links inside the IPG range, the only links whose
     receptions IPG reads; near_link: their flat frame * N + receiver index.
     """
 
@@ -197,6 +202,9 @@ def tally(batch: LinkBatch, n: int, reception: PerCurve | StepFunction,
     decision draws one double, which is one PCG64 output, so the stream
     skips the draws of the skipped links by advancing; a step decision
     draws nothing. Without `ipg` the receptions open no inter-packet gap.
+    A (tx, rx) pair repeats in a batch only if its transmitter sent two of
+    the batch's frames, so without such a transmitter IPG skips its search
+    for repeats.
     """
     if batch.skipped and isinstance(reception, PerCurve):
         rng.bit_generator.advance(batch.skipped)
@@ -214,7 +222,9 @@ def tally(batch: LinkBatch, n: int, reception: PerCurve | StepFunction,
     if not ipg:
         return
     frame, rx = np.divmod(batch.near_link.compress(received.take(batch.near)), n)
-    metrics.ipg.add_many(batch.tx[frame], rx, batch.end[frame])
+    senders = np.sort(batch.tx)
+    metrics.ipg.add_many(batch.tx[frame], rx, batch.end[frame],
+                         distinct=not np.any(senders[1:] == senders[:-1]))
 
 
 def prb_overlap(tti: np.ndarray, prb_start: np.ndarray, prb_count: int):
@@ -275,7 +285,15 @@ def interference_mw(n_frames: int, frame: np.ndarray, source: np.ndarray, frac: 
 
 
 class _PhyCache:
-    """Per-epoch link state: distance, shadowing and received power, (N, N) each.
+    """Per-epoch link state of N vehicles: shadowing, received power and link codes.
+
+    shadow_db, power_mw: (N, N) float64, per directed link. code: (N, N),
+    per vehicle pair, 2 * PRR bin (`PrrSeries.bin_of`) + 1 if the pair is
+    inside the IPG range, for the pairs within `max_range_m`; -1 for the
+    others and on the diagonal, in the first of int16, int32 and int64
+    that holds 2 * bins + 1. With `decodable_dbm` (802.11p carrier sense),
+    decodable: (N, N) bool, the links received at that power or above,
+    never the diagonal.
 
     The buffers are allocated once per run and each refresh overwrites them
     in place: a row read after the next refresh holds the next epoch's
@@ -283,25 +301,41 @@ class _PhyCache:
     `_Run11p._begin_frame` does.
 
     A refresh walks the vehicles in row blocks [r0, r1) of about
-    REFRESH_BLOCK_ELEMENTS links. Distance, LOS, propagation distance and
-    path loss are symmetric in the vehicle pair, so a block computes them
-    for the columns [r0, N) only and mirrors the off-diagonal part into the
-    rows below; power_dbm holds the path loss of the rows not yet finished.
-    Rows [r0, r1) are then complete and get their directed part: shadowing,
-    the link budget, the power floor on the diagonal and the mW power. The
+    REFRESH_BLOCK_ELEMENTS links. Distance, LOS, propagation distance, path
+    loss and the link code are symmetric in the vehicle pair, so a block
+    computes them for the columns [r0, N) only and mirrors the off-diagonal
+    part into the rows below; power_mw holds the path loss of the rows not
+    yet finished. Rows [r0, r1) are then complete and get their directed
+    part: shadowing, the link budget in dBm (in a block-sized buffer), the
+    power floor on the diagonal, the decodable mask and the mW power. The
     shadowing draws come from the one `shadowing` stream in row order, the
     order of one (N, N) draw.
     """
 
-    def __init__(self, geom: Geometry, prop: PropagationConfig, seed: int):
+    def __init__(self, geom: Geometry, prop: PropagationConfig, cfg: RunConfig,
+                 decodable_dbm: float | None = None):
         self.geom = geom
         self.prop = prop
-        self.rng = stream(seed, "shadowing")
+        self.rng = stream(cfg.seed, "shadowing")
+        self.max_range_m, self.ipg_range_m = cfg.max_range_m, cfg.ipg_range_m
+        self.bins = PrrSeries(uniform_bin_edges(cfg.prr_max_distance_m, cfg.prr_bin_width_m))
+        self.decodable_dbm = decodable_dbm
         n = geom.n
-        self.dist, self.shadow_db, self.power_dbm, self.power_mw = (
-            np.empty((n, n)) for _ in range(4))
+        self.shadow_db, self.power_mw = np.empty((n, n)), np.empty((n, n))
+        top = 2 * self.bins.opportunities.size + 1
+        self.code = np.empty((n, n), dtype=next(
+            t for t in (np.int16, np.int32, np.int64) if top <= np.iinfo(t).max))
+        self.decodable = None if decodable_dbm is None else np.empty((n, n), dtype=bool)
         self._last_traveled = geom.traveled.copy()
         self.refresh(first=True)
+
+    def _link_code(self, dist: np.ndarray) -> np.ndarray:
+        """The link code of each distance; the caller clears the diagonal."""
+        code = self.bins.bin_of(dist).astype(self.code.dtype, copy=False)
+        code <<= 1
+        code += dist <= self.ipg_range_m
+        code[~(dist <= self.max_range_m)] = -1
+        return code
 
     def refresh(self, first: bool = False):
         """Overwrite the buffers with this epoch's links; the first refresh draws the shadowing."""
@@ -310,14 +344,18 @@ class _PhyCache:
         delta = geom.traveled - self._last_traveled
         self._last_traveled = geom.traveled.copy()
         step = max(REFRESH_BLOCK_ELEMENTS // n, 1)
+        dbm = np.empty((min(step, n), n))
         for r0 in range(0, n, step):
             r1 = min(r0 + step, n)
             rows, cols = slice(r0, r1), slice(r0, None)
+            diag = np.arange(r1 - r0)
             dist = geom.distance_matrix(rows, cols)
             los = geom.los_matrix(rows, cols)
             loss = path_loss_db(geom.propagation_distance_matrix(los, dist, rows, cols),
                                 prop, los=los)
-            for buf, block in ((self.dist, dist), (self.power_dbm, loss)):
+            code = self._link_code(dist)
+            code[diag, diag] = -1
+            for buf, block in ((self.code, code), (self.power_mw, loss)):
                 buf[rows, cols] = block
                 buf[r1:, rows] = block[:, r1 - r0:].T
             shadow = self.shadow_db[rows]
@@ -325,15 +363,18 @@ class _PhyCache:
                 self.rng.standard_normal(out=shadow)
                 shadow *= sigma
             else:
-                shadow[...] = LinkShadowing.evolve_matrix(
-                    shadow, delta[rows], sigma, prop.decorrelation_m, self.rng)
+                LinkShadowing.evolve_matrix(shadow, delta[rows], sigma, prop.decorrelation_m,
+                                            self.rng)
             # the link budget, tx power + both antenna gains - path loss -
-            # shadowing (the reference `rx_power_dbm` of tests/conftest.py),
-            # over the path loss in place
-            power, mw = self.power_dbm[rows], self.power_mw[rows]
-            np.subtract(prop.lossless_rx_dbm, power, out=power)
+            # shadowing (the reference `rx_power_dbm` of tests/conftest.py)
+            mw = self.power_mw[rows]
+            power = np.subtract(prop.lossless_rx_dbm, mw, out=dbm[:r1 - r0])
             power -= shadow
-            power[np.arange(r1 - r0), np.arange(r0, r1)] = POWER_FLOOR_DBM
+            power[diag, diag + r0] = POWER_FLOOR_DBM
+            if self.decodable is not None:
+                decodable = np.greater_equal(power, self.decodable_dbm,
+                                             out=self.decodable[rows])
+                decodable[diag, diag + r0] = False  # a station does not sense its own frame
             np.divide(power, 10.0, out=mw)
             np.power(10.0, mw, out=mw)
 
@@ -342,12 +383,14 @@ class _RunBase:
     """The engine state both technologies share; scored batches go to `emit`.
 
     `generated` and `transmitted` count the packets generated and the frames
-    sent after warmup; `bins` (the run's PRR bins) and the IPG range of
-    `RunConfig` give each link its bin and in-range flag. The engine
-    tallies nothing and builds no metric store.
+    sent after warmup; the link codes of `phy` give each link its range, PRR
+    bin and IPG in-range flag. `decodable_dbm` is the carrier-sense
+    threshold whose mask `phy` keeps, if any. The engine tallies nothing and
+    builds no metric store.
     """
 
-    def __init__(self, setup: SimulationSetup, emit, trace: TraceLog | None):
+    def __init__(self, setup: SimulationSetup, emit, trace: TraceLog | None,
+                 decodable_dbm: float | None = None):
         cfg = self.cfg = setup.run
         self.traffic = setup.traffic
         self.emit = emit
@@ -362,9 +405,8 @@ class _RunBase:
         self.n = self.geom.n
         # the vehicle ids name each vehicle's phase, backoff and SPS streams
         self.ids = np.array([v.id for v in vehicles])
-        self.phy = _PhyCache(self.geom, setup.propagation, cfg.seed)
+        self.phy = _PhyCache(self.geom, setup.propagation, cfg, decodable_dbm)
         self.noise_mw = 10.0 ** (noise_power_dbm(setup.propagation) / 10.0)
-        self.bins = PrrSeries(uniform_bin_edges(cfg.prr_max_distance_m, cfg.prr_bin_width_m))
         self.generated = self.transmitted = 0
         self.counting = False  # a frame that starts after warmup was scored
         self.phases = generation_phase(self.ids, cfg.seed, self.traffic.period_s)
@@ -372,24 +414,25 @@ class _RunBase:
         self.duration_s = tx_time(cfg.theta)
 
     def _score(self, tx: np.ndarray, start: np.ndarray, signal: np.ndarray,
-               dist: np.ndarray, deaf: np.ndarray, hits, sources: np.ndarray):
+               code: np.ndarray, deaf: np.ndarray, hits, sources: np.ndarray):
         """Link outcomes of F recorded frames at every in-range receiver, emitted.
 
         tx, start: (F,) transmitter and start time of each frame, frames
-        sorted by start time, each on air for `duration_s`; signal, dist:
-        (F, N) received power (mW) and distance from each frame's
-        transmitter; deaf: (F, N) receivers transmitting during the frame
-        (half duplex). hits = (frame, source, frac), sorted by frame and
+        sorted by start time, each on air for `duration_s`; signal, code:
+        (F, N) received power (mW) and link code (`_PhyCache`) from each
+        frame's transmitter; deaf: (F, N) receivers transmitting during the
+        frame (half duplex). hits = (frame, source, frac), sorted by frame and
         each frame's in its interferer order: hit h covers a share frac[h]
         of frame frame[h] with the (N,) power row sources[source[h]];
         `interference_mw` sums them per frame in that order, the frames
         ranked by hit count. The frames that start before warmup come first,
         in the batch and in the run; only their in-range links are counted.
+        A link is in range where its code is >= 0, never the frame's own
+        transmitter; its code's low bit flags the IPG range and the rest is
+        its PRR bin, so no distance is compared here.
         """
-        cfg = self.cfg
-        in_range = dist <= cfg.max_range_m
-        in_range[np.arange(tx.size), tx] = False
-        early = start < cfg.warmup_s
+        in_range = code >= 0
+        early = start < self.cfg.warmup_s
         n_early = int(np.count_nonzero(early))
         if not early[:n_early].all() or (n_early and self.counting):
             raise AssertionError("frames that start before warmup must be scored first")
@@ -399,15 +442,15 @@ class _RunBase:
         link = np.flatnonzero(in_range[n_early:])
         if link.size == 0 and skipped == 0:
             return
-        tx, start, signal, dist, deaf = (a[n_early:] for a in (tx, start, signal, dist, deaf))
+        tx, start, signal, code, deaf = (a[n_early:] for a in (tx, start, signal, code, deaf))
         first = np.searchsorted(hits[0], n_early)
         sinr = interference_mw(tx.size, hits[0][first:] - n_early, hits[1][first:],
                                hits[2][first:], sources, self.noise_mw)
         np.divide(signal, sinr, out=sinr)  # over the denominators, then one gather
-        d = dist.take(link)
-        near = np.flatnonzero(d <= cfg.ipg_range_m)
+        c = code.take(link)
+        near = np.flatnonzero(c & 1)
         self.emit(LinkBatch(skipped, tx, start + self.duration_s, sinr.take(link),
-                            deaf.take(link), self.bins.bin_of(d), near, link.take(near)))
+                            deaf.take(link), c >> 1, near, link.take(near)))
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +458,13 @@ class _RunBase:
 
 
 class _Frame:
-    __slots__ = ("tx", "start", "mw_row", "dist_row", "rx", "overlappers")
+    __slots__ = ("tx", "start", "mw_row", "code_row", "rx", "overlappers")
 
-    def __init__(self, tx, start, mw_row, dist_row, rx):
+    def __init__(self, tx, start, mw_row, code_row, rx):
         self.tx = tx
         self.start = start
         self.mw_row = mw_row
-        self.dist_row = dist_row
+        self.code_row = code_row
         self.rx = rx  # the stations that sense it as decodable, ascending; None once ended
         self.overlappers = []
 
@@ -435,7 +478,7 @@ class _Run11p(_RunBase):
     than `energy_frames` = floor(e65 / (2 e85)) are on air: then no sum is kept."""
 
     def __init__(self, setup: SimulationSetup, emit, trace: TraceLog | None):
-        super().__init__(setup, emit, trace)
+        super().__init__(setup, emit, trace, setup.csma.sense_decodable_dbm)
         csma = self.csma = setup.csma
         self.mac = CsmaNode(csma, self.cfg.theta.t_aifs_s,
                             streams(self.cfg.seed, "backoff", self.ids))
@@ -449,12 +492,6 @@ class _Run11p(_RunBase):
         self.active: list[_Frame] = []
         self.ended: list[_Frame] = []  # recorded, not yet scored
         self.heap: list = []  # (time, sequence number, kind, data)
-        self.m85 = None
-        self._refresh_masks()
-
-    def _refresh_masks(self):
-        self.m85 = self.phy.power_dbm >= self.csma.sense_decodable_dbm
-        np.fill_diagonal(self.m85, False)  # a station does not sense its own frame
 
     def _push(self, at: float, kind: str, data):
         heapq.heappush(self.heap, (at, self.mac.take_seq(), kind, data))
@@ -485,7 +522,8 @@ class _Run11p(_RunBase):
             self.trace.tx_starts.append((now, vid, bool(self.busy[vid])))
         mw_row = self.phy.power_mw[vid].copy()
         mw_row[vid] = 0.0
-        frame = _Frame(vid, now, mw_row, self.phy.dist[vid].copy(), self.m85[vid].nonzero()[0])
+        frame = _Frame(vid, now, mw_row, self.phy.code[vid].copy(),
+                       self.phy.decodable[vid].nonzero()[0])
         frame.overlappers = list(self.active)
         for other in self.active:
             other.overlappers.append(frame)
@@ -526,7 +564,7 @@ class _Run11p(_RunBase):
         deaf[pair, np.array([other.tx for other in others], dtype=np.intp)] = True
         self._score(np.array([frame.tx for frame in frames]), start,
                     np.stack([frame.mw_row for frame in frames]),
-                    np.stack([frame.dist_row for frame in frames]), deaf,
+                    np.stack([frame.code_row for frame in frames]), deaf,
                     (pair[hit], np.arange(hit.size), frac[hit]),
                     np.stack([others[h].mw_row for h in hit.tolist()]) if hit.size
                     else np.zeros((0, self.n)))
@@ -552,7 +590,6 @@ class _Run11p(_RunBase):
             if kind == "epoch":
                 self.geom.step(step)
                 self.phy.refresh()
-                self._refresh_masks()
                 nxt = now + step
                 if nxt < cfg.sim_duration_s:
                     self._push(nxt, "epoch", None)
@@ -598,7 +635,13 @@ class _RunCv2x(_RunBase):
         self.footprint_prbs = footprint
         self.window_ttis = max(int(round(sps.sensing_window_s / self.t_tti)), 1)
         # TTI-major: row t % window TTIs holds every vehicle's sensed subchannels
-        self.ring = np.zeros((self.window_ttis, self.n, theta.n_subch))
+        try:
+            self.ring = np.zeros((self.window_ttis, self.n, theta.n_subch))
+        except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
+            raise ConfigError(f"the SPS sensing ring of {self.window_ttis} TTIs x {self.n} "
+                              f"vehicles x {theta.n_subch} subchannels does not fit in memory: "
+                              "lower cv2x.sensing_window_ms, road.density_vpk or "
+                              "cv2x.n_subch") from None
         self.sps_states = [SpsState() for _ in range(self.n)]
         self.sps_rngs = streams(self.cfg.seed, "sps", self.ids)
         # per vehicle: generation time of the packet awaiting its slot (NaN =
@@ -685,7 +728,7 @@ class _RunCv2x(_RunBase):
         on_air = np.zeros((len(sizes), self.n), dtype=bool)
         on_air[tti, tx] = True
         signal = self.phy.power_mw[tx]
-        self._score(tx, start, signal, self.phy.dist[tx], on_air[tti],
+        self._score(tx, start, signal, self.phy.code[tx], on_air[tti],
                     prb_overlap(tti, np.concatenate(prbs), self.footprint_prbs), signal)
 
     def _sense(self, tx: np.ndarray, k: int):

@@ -128,13 +128,15 @@ class IpgStore:
         if self.near(distance_m):
             self.add_many(np.array([pair[0]]), np.array([pair[1]]), time_s)
 
-    def add_many(self, tx: np.ndarray, rx: np.ndarray, time_s: float | np.ndarray):
+    def add_many(self, tx: np.ndarray, rx: np.ndarray, time_s: float | np.ndarray,
+                 distinct: bool = False):
         """Receptions inside the range limit on the (tx[i], rx[i]) pairs at times time_s[i].
 
         `time_s` holds one time per reception, or one time for all of them;
-        the receptions are in chronological order and a pair may repeat.
-        Each reception opens a gap to its pair's previous one, and gaps are
-        appended in the order of the receptions.
+        the receptions are in chronological order and a pair may repeat,
+        unless the caller knows the pairs are `distinct`, which skips the
+        search for repeats. Each reception opens a gap to its pair's
+        previous one, and gaps are appended in the order of the receptions.
         """
         tx, rx = np.asarray(tx), np.asarray(rx)
         if tx.size == 0:
@@ -146,7 +148,7 @@ class IpgStore:
         # strictly increasing keys are distinct pairs; otherwise a pair may
         # repeat, and each later reception gaps against its earlier one (a
         # stable sort keeps each pair's receptions in order)
-        if not np.all(key[1:] > key[:-1]):
+        if not distinct and not np.all(key[1:] > key[:-1]):
             order = np.argsort(key, kind="stable")
             grouped = key[order]
             again = np.flatnonzero(grouped[1:] == grouped[:-1])

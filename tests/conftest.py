@@ -66,7 +66,7 @@ def make_setup(tech: str, *, seed=None, duration=None, warmup=None, density=None
 def rx_power_dbm(distance_m, cfg: PropagationConfig, shadowing_db=0.0, los=None):
     """Reference link budget: tx power + both antenna gains - path loss - shadowing.
 
-    The engine computes the same budget in place over the path loss
+    The engine computes the same budget block by block from the path loss
     (`engine._PhyCache.refresh`); the channel and refresh tests check it
     against this one.
     """

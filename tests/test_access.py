@@ -62,13 +62,22 @@ def play_11p(sim, frames):
     sim._score_ended()
 
 
+def set_channel(sim, power_dbm):
+    """Every link of an 802.11p engine at the received power `power_dbm` (a scalar or (N, N)).
+
+    The refresh's mW power and decodable mask of that power: a station does
+    not sense its own frame.
+    """
+    sim.phy.power_mw[:] = 10.0 ** (np.asarray(power_dbm) / 10.0)
+    sim.phy.decodable[:] = np.asarray(power_dbm) >= sim.csma.sense_decodable_dbm
+    np.fill_diagonal(sim.phy.decodable, False)
+
+
 def flat_medium(stations, power_dbm, **csma):
     """An 802.11p engine of `stations` stations, every link at `power_dbm`."""
     sim, _ = engine_run("11p", [VehicleState(i, 0, 500.0 + 10.0 * i, 0.0, +1)
                                 for i in range(stations)], **csma)
-    sim.phy.power_dbm[:] = power_dbm
-    sim.phy.power_mw[:] = 10.0 ** (power_dbm / 10.0)
-    sim._refresh_masks()
+    set_channel(sim, power_dbm)
     return sim
 
 
@@ -152,8 +161,9 @@ def test_carrier_sense_matches_reference(energy_above_decodable, data):
         channels.append((dbm, mw))
 
     def use_channel(c):
-        sim.phy.power_dbm[:], sim.phy.power_mw[:] = channels[c]
-        sim._refresh_masks()
+        dbm, mw = channels[c]
+        set_channel(sim, dbm)
+        sim.phy.power_mw[:] = mw
         return c
 
     channel = use_channel(0)

@@ -77,9 +77,10 @@ def test_dual_slope_continuous_at_breakpoint():
 # --- shadowing ---------------------------------------------------------------
 
 def evolve(values, delta_m, rng):
-    """The engine's shadowing update, every transmitter displaced by delta_m."""
-    return LinkShadowing.evolve_matrix(values, np.full(values.shape[0], delta_m),
-                                       3.0, 25.0, rng)
+    """The engine's shadowing update of a copy of values, every transmitter displaced by delta_m."""
+    evolved = values.copy()
+    LinkShadowing.evolve_matrix(evolved, np.full(values.shape[0], delta_m), 3.0, 25.0, rng)
+    return evolved
 
 
 def test_shadowing_unchanged_without_displacement():
@@ -114,8 +115,22 @@ def test_shadowing_matrix_update_matches_scalar_model():
     rng = stream(6, "t")
     values = 3.0 * rng.standard_normal((200, 200))
     for _ in range(30):
-        values = LinkShadowing.evolve_matrix(values, np.full(200, 2.667), 3.0, 25.0, rng)
+        LinkShadowing.evolve_matrix(values, np.full(200, 2.667), 3.0, 25.0, rng)
     assert np.std(values) == pytest.approx(3.0, rel=0.05)
+
+
+def test_shadowing_update_in_place_matches_the_formula_bit_for_bit():
+    """rho*s + sigma*sqrt(1-rho^2)*z as one expression, against the in-place update."""
+    values = 3.0 * stream(7, "t").standard_normal((40, 40))
+    delta = np.linspace(0.0, 60.0, 40)
+    rng, ref_rng = stream(8, "t"), stream(8, "t")
+    for _ in range(3):
+        rho = np.exp(-np.abs(delta) / 25.0)[:, None]
+        expected = rho * values + 3.0 * np.sqrt(1.0 - rho * rho) * ref_rng.standard_normal(
+            values.shape)
+        LinkShadowing.evolve_matrix(values, delta, 3.0, 25.0, rng)
+        assert np.array_equal(values, expected)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_variance_semantics_switch():
@@ -162,8 +177,7 @@ def engine_sinr(signal_dbm, interferers=(), noise_dbm=-98.0):
             np.array([share for share, _ in interferers], dtype=float))
     sources = np.array([[0.0, 10.0 ** (p / 10.0)] for _, p in interferers]).reshape(k, 2)
     sim._score(np.array([0]), np.zeros(1), np.array([[0.0, 10.0 ** (signal_dbm / 10.0)]]),
-               np.array([[0.0, 10.0]]),
-               np.zeros((1, 2), dtype=bool), hits, sources)
+               sim.phy.code[[0]], np.zeros((1, 2), dtype=bool), hits, sources)
     (batch,) = emitted
     return float(batch.sinr[0])
 

@@ -416,6 +416,23 @@ def test_road_with_no_vehicle_exits_2(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_sensing_ring_too_big_to_allocate_exits_2(tmp_path, capsys):
+    """A 1e18 ms sensing window is a ring of 1e18 TTIs, more than numpy can
+    address on any host: the allocation fails at once, whatever the host's
+    memory overcommit."""
+    curve = os.path.join(CURVE_DIR, "highway_los_cv2x_mcs7_350B.csv")
+    assert run_cli("simulate", "--out", str(tmp_path / "out"),
+                   "--set", "run.technology=cv2x", "--set", f"reception.curve_file={curve}",
+                   "--set", "run.sim_duration_s=0.3", "--set", "run.warmup_s=0.1",
+                   "--set", "road.density_vpk=5",
+                   "--set", "cv2x.sensing_window_ms=1e18") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    for key in ("cv2x.sensing_window_ms", "road.density_vpk", "cv2x.n_subch"):
+        assert key in err, (key, err)
+    assert not (tmp_path / "out").exists()
+
+
 # a run that would write a bare-header prr.csv or ipg_ccdf.csv, and the keys its
 # message names: no link in range, and no pair that receives twice after warmup
 NOTHING_TO_REPORT = {

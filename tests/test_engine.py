@@ -20,6 +20,7 @@ from v2xsim.channel import noise_power_dbm
 from v2xsim.engine import (LinkBatch, SharedRun, TraceLog, decide_reception_vector,
                            interference_mw, prb_overlap, run, tally)
 from v2xsim.errors import ConfigError
+from v2xsim.metrics import IpgStore, PrrSeries, uniform_bin_edges
 from v2xsim.scenario import VehicleState
 from v2xsim.util import stream
 
@@ -408,6 +409,100 @@ def test_tally_draws_nothing_for_a_step_model(curve_11p):
     assert rng.random() == stream(9, "reception").random()
 
 
+@pytest.mark.parametrize("repeat", [False, True])
+def test_tally_searches_for_ipg_repeats_only_when_a_transmitter_sends_twice(repeat):
+    """Frames of transmitters 2 and 0 (and 2 again), each received at 1 and 3."""
+    tx = np.array([2, 0, 2] if repeat else [2, 0])
+    f = tx.size
+    rx = np.tile([1, 3], f)
+    links = 2 * f
+    batch = LinkBatch(0, tx, 0.1 * (np.arange(f) + 1), np.full(links, 100.0),
+                      np.zeros(links, dtype=bool), np.zeros(links, dtype=np.int16),
+                      np.arange(links), np.repeat(np.arange(f), 2) * 4 + rx)
+    store = built_store(4)
+    with mock.patch.object(IpgStore, "add_many", autospec=True,
+                           side_effect=IpgStore.add_many) as add:
+        tally(batch, 4, zero_db_step(), stream(1, "r"), store)
+    assert add.call_args.kwargs["distinct"] is not repeat
+    # the second frame of transmitter 2 reaches 1 and 3 again 0.2 s later
+    assert store.ipg.gaps.tolist() == (pytest.approx([0.2, 0.2]) if repeat else [])
+    assert store.received_total == links
+
+
+class DistancePhy(engine._PhyCache):
+    """The link cache, also holding each epoch's full distance matrix."""
+
+    def refresh(self, first=False):
+        super().refresh(first)
+        self.dist = self.geom.distance_matrix()
+
+
+def distance_based_batch(sim, tx, start, signal, dist, deaf, hits, sources):
+    """The scorer as it was with distance rows: the range, PRR bin and IPG
+    flag of each link from its distance, the diagonal masked per batch."""
+    cfg = sim.cfg
+    bins = PrrSeries(uniform_bin_edges(cfg.prr_max_distance_m, cfg.prr_bin_width_m))
+    in_range = dist <= cfg.max_range_m
+    in_range[np.arange(tx.size), tx] = False
+    n_early = int(np.count_nonzero(start < cfg.warmup_s))
+    skipped = int(np.count_nonzero(in_range[:n_early]))
+    link = np.flatnonzero(in_range[n_early:])
+    if link.size == 0 and skipped == 0:
+        return None
+    tx, start, signal, dist, deaf = (a[n_early:] for a in (tx, start, signal, dist, deaf))
+    first = np.searchsorted(hits[0], n_early)
+    sinr = signal / interference_mw(tx.size, hits[0][first:] - n_early, hits[1][first:],
+                                    hits[2][first:], sources, sim.noise_mw)
+    d = dist.take(link)
+    near = np.flatnonzero(d <= cfg.ipg_range_m)
+    return LinkBatch(skipped, tx, start + sim.duration_s, sinr.take(link), deaf.take(link),
+                     bins.bin_of(d), near, link.take(near))
+
+
+@pytest.mark.parametrize("tech", ["11p", "cv2x"])
+@pytest.mark.parametrize("max_range_m, ipg_range_m, width_m", [
+    (500.0, 150.0, 25.0), (300.0, 450.0, 25.0), (700.0, 200.0, 0.03)])
+def test_link_batches_match_the_distance_based_scorer(tech, max_range_m, ipg_range_m,
+                                                      width_m):
+    """200 vehicles on the 2 km ring, five mobility epochs: every batch the
+    scorer emits from link codes equals the distance-based one. An 802.11p
+    frame keeps the distance row of its start."""
+    setup = make_setup(tech, seed=3, duration=0.6, warmup=0.2, density=100.0,
+                       max_range_m=max_range_m, ipg_range_m=ipg_range_m,
+                       prr_bin_width_m=width_m)
+    setup = replace(setup, road=replace(setup.road, placement="fixed_count"))
+    rows, expected = {}, []
+    real_score, real_begin = engine._RunBase._score, engine._Run11p._begin_frame
+
+    def score(self, tx, start, signal, code, deaf, hits, sources):
+        dist = (self.phy.dist[tx] if tech == "cv2x" else
+                np.stack([rows[key] for key in zip(tx.tolist(), start.tolist())]))
+        batch = distance_based_batch(self, tx, start, signal, dist, deaf, hits, sources)
+        if batch is not None:
+            expected.append(batch)
+        real_score(self, tx, start, signal, code, deaf, hits, sources)
+
+    def begin(self, vid, now):
+        rows[vid, now] = self.phy.dist[vid].copy()
+        real_begin(self, vid, now)
+
+    emitted = []
+    with mock.patch.object(engine, "_PhyCache", DistancePhy), \
+            mock.patch.object(engine._RunBase, "_score", score), \
+            mock.patch.object(engine._Run11p, "_begin_frame", begin):
+        sim = (engine._Run11p if tech == "11p" else engine._RunCv2x)(
+            setup, emitted.append, None)
+        sim.run()
+    assert len(emitted) == len(expected) > 2
+    for got, want in zip(emitted, expected):
+        assert got.skipped == want.skipped
+        for name in LinkBatch._fields[1:]:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert sum(batch.skipped for batch in emitted) > 0
+    near = sum(batch.near.size for batch in emitted)
+    assert 0 < near < sum(batch.sinr.size for batch in emitted) or ipg_range_m > max_range_m
+
+
 def test_frames_that_start_before_warmup_must_be_scored_first():
     setup = make_setup("11p", duration=1.0, warmup=0.5, vehicles=vehicle_pair(10.0))
     sim = engine._RunBase(setup, lambda batch: None, None)
@@ -416,8 +511,7 @@ def test_frames_that_start_before_warmup_must_be_scored_first():
     def score(tx, start):
         f = len(tx)
         signal = np.where(np.eye(2, dtype=bool), 0.0, 1e-6)[tx]
-        dist = np.where(np.eye(2, dtype=bool), 0.0, 10.0)[tx]
-        sim._score(np.array(tx), np.array(start), signal, dist,
+        sim._score(np.array(tx), np.array(start), signal, sim.phy.code[tx],
                    np.zeros((f, 2), dtype=bool), no_hits, np.zeros((0, 2)))
 
     with pytest.raises(AssertionError, match="before warmup"):

@@ -1,5 +1,7 @@
 """PRR binning, IPG gap collection, CCDF, and the MAE metric."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,19 @@ def test_ipg_add_many_matches_reference_loop():
         add_receptions(store, tx, rx, dist, t)
     expected = reference_gaps(batches, store.range_limit_m)
     assert store.gaps.tolist() == expected and len(expected) > 50
+
+
+def test_ipg_add_many_of_distinct_pairs_skips_the_repeat_search():
+    """Pairs known distinct, in no key order: the same gaps with no sort."""
+    rng = np.random.default_rng(15)
+    searched, trusted = built_store(12).ipg, built_store(12).ipg
+    for step in range(30):
+        tx, rx = np.divmod(rng.choice(144, size=20, replace=False), 12)
+        searched.add_many(tx, rx, 0.1 * (step + 1))
+        with mock.patch.object(np, "argsort", side_effect=AssertionError("sorted")):
+            trusted.add_many(tx, rx, 0.1 * (step + 1), distinct=True)
+    assert searched.gaps.tolist() == trusted.gaps.tolist() and searched.gaps.size > 50
+    assert np.array_equal(searched.last_time, trusted.last_time, equal_nan=True)
 
 
 def test_ipg_add_many_rejects_non_positive_gap():

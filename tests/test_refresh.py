@@ -2,19 +2,23 @@
 
 `FullMatrixPhy` is the refresh as one (N, N) pass per term: distances,
 LOS, propagation distance and path loss over every ordered pair, the
-shadowing drawn or evolved as one matrix, then the link budget, the power
-floor on the diagonal and the mW power. The engine's `_PhyCache` computes
-the symmetric terms once per pair in row blocks and mirrors them, and
-draws the shadowing block by block; with any block size, on either layout,
-with or without wrap-around, under either path-loss model, both must hold the same arrays bit for bit
-after the first refresh and after every later one, and leave the
-shadowing stream in the same state.
+shadowing drawn or evolved as one matrix, then the link budget in dBm,
+the power floor on the diagonal and the mW power. The engine's `_PhyCache`
+computes the symmetric terms once per pair in row blocks and mirrors
+them, draws the shadowing block by block, and keeps no distance or dBm
+matrix: per pair a link code, and for 802.11p the decodable mask. With any
+block size, on either layout, with or without wrap-around, under either
+path-loss model, the shadowing and the mW power must equal the
+reference's bit for bit, and the codes and the mask must follow from its
+distances and dBm powers, after the first refresh and after every later
+one; both must leave the shadowing stream in the same state.
 """
 
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +26,8 @@ from conftest import built_setup, rx_power_dbm
 
 from v2xsim import engine
 from v2xsim.channel import LinkShadowing, PropagationConfig
-from v2xsim.scenario import Geometry, spawn
+from v2xsim.metrics import PrrSeries, uniform_bin_edges
+from v2xsim.scenario import Geometry, VehicleState, spawn
 from v2xsim.util import stream
 
 ROAD_LENGTH_M = 1000.0
@@ -43,9 +48,8 @@ class FullMatrixPhy:
         geom, prop = self.geom, self.prop
         if not first:
             delta = geom.traveled - self._last_traveled
-            self.shadow_db = LinkShadowing.evolve_matrix(
-                self.shadow_db, delta, prop.shadowing_sigma_db, prop.decorrelation_m,
-                self.rng)
+            LinkShadowing.evolve_matrix(self.shadow_db, delta, prop.shadowing_sigma_db,
+                                        prop.decorrelation_m, self.rng)
             self._last_traveled = geom.traveled.copy()
         los = geom.los_matrix()
         self.dist = geom.distance_matrix()
@@ -65,9 +69,30 @@ def geometry(layout, wrap_around, vehicles, seed):
     return Geometry(road, placed), Geometry(road, placed)
 
 
-def assert_same_links(blocked, full):
-    for name in ("dist", "shadow_db", "power_dbm", "power_mw"):
+def assert_codes_follow_the_distances(phy, dist, cfg):
+    """The link codes decode to the scorer's rules over the distances: the
+    pair is in range (never a vehicle with itself), its PRR bin, and
+    whether it is inside the IPG range."""
+    bins = PrrSeries(uniform_bin_edges(cfg.prr_max_distance_m, cfg.prr_bin_width_m))
+    in_range = dist <= cfg.max_range_m
+    np.fill_diagonal(in_range, False)
+    code = phy.code
+    assert np.array_equal(code >= 0, in_range)
+    assert np.all(code[~in_range] == -1)
+    assert np.array_equal((code >> 1)[in_range], bins.bin_of(dist[in_range]))
+    assert np.array_equal((code & 1)[in_range] == 1, dist[in_range] <= cfg.ipg_range_m)
+
+
+def assert_same_links(blocked, full, cfg, decodable_dbm):
+    for name in ("shadow_db", "power_mw"):
         assert np.array_equal(getattr(blocked, name), getattr(full, name)), name
+    assert_codes_follow_the_distances(blocked, full.dist, cfg)
+    if decodable_dbm is None:
+        assert blocked.decodable is None
+    else:
+        decodable = full.power_dbm >= decodable_dbm
+        np.fill_diagonal(decodable, False)
+        assert np.array_equal(blocked.decodable, decodable)
 
 
 @settings(max_examples=100, deadline=None)
@@ -75,37 +100,95 @@ def assert_same_links(blocked, full):
        model=st.sampled_from(["winner_b1_los", "winner_b1_nlos"]),
        vehicles=st.integers(2, 300), seed=st.integers(0, 2**31 - 1),
        block_elements=st.integers(1, 2000), steps=st.integers(1, 4),
-       step_s=st.sampled_from([0.01, 0.1, 1.0]))
+       step_s=st.sampled_from([0.01, 0.1, 1.0]),
+       decodable_dbm=st.sampled_from([None, -85.0, -60.0]))
 @example(layout="highway", wrap_around=True, model="winner_b1_los", vehicles=1, seed=1,
-         block_elements=7, steps=2, step_s=0.1)  # one vehicle; an empty road never refreshes
+         block_elements=7, steps=2, step_s=0.1,
+         decodable_dbm=-85.0)  # one vehicle; an empty road never refreshes
 @example(layout="urban_grid", wrap_around=False, model="winner_b1_los", vehicles=2, seed=2,
-         block_elements=1, steps=2, step_s=0.1)  # one vehicle per street
+         block_elements=1, steps=2, step_s=0.1, decodable_dbm=-85.0)  # one vehicle per street
 @example(layout="highway", wrap_around=True, model="winner_b1_los", vehicles=300, seed=3,
-         block_elements=1000, steps=3, step_s=0.1)  # 3-row blocks, the last one 1 row
+         block_elements=1000, steps=3, step_s=0.1,
+         decodable_dbm=-85.0)  # 3-row blocks, the last one 1 row
 def test_block_refresh_matches_full_matrix_refresh(layout, wrap_around, model, vehicles,
-                                                   seed, block_elements, steps, step_s):
+                                                   seed, block_elements, steps, step_s,
+                                                   decodable_dbm):
     geom, ref_geom = geometry(layout, wrap_around, vehicles, seed)
     prop = replace(built_setup().propagation, model=model)
+    cfg = replace(built_setup().run, seed=seed)
     with mock.patch.object(engine, "REFRESH_BLOCK_ELEMENTS", block_elements):
-        blocked = engine._PhyCache(geom, prop, seed)
+        blocked = engine._PhyCache(geom, prop, cfg, decodable_dbm)
         full = FullMatrixPhy(ref_geom, prop, seed)
-        assert_same_links(blocked, full)
+        assert_same_links(blocked, full, cfg, decodable_dbm)
         for _ in range(steps):
             geom.step(step_s)
             ref_geom.step(step_s)
             blocked.refresh()
             full.refresh()
-            assert_same_links(blocked, full)
+            assert_same_links(blocked, full, cfg, decodable_dbm)
     assert blocked.rng.bit_generator.state == full.rng.bit_generator.state
 
 
 def test_refresh_overwrites_the_buffers_in_place():
     geom, _ = geometry("highway", True, 50, seed=9)
-    phy = engine._PhyCache(geom, built_setup().propagation, 9)
-    buffers = [phy.dist, phy.shadow_db, phy.power_dbm, phy.power_mw]
+    phy = engine._PhyCache(geom, built_setup().propagation, built_setup().run, -85.0)
+    buffers = [phy.code, phy.shadow_db, phy.power_mw, phy.decodable]
     kept = phy.power_mw[3].copy()
     geom.step(1.0)
     phy.refresh()
-    assert all(a is b for a, b in zip(buffers, [phy.dist, phy.shadow_db, phy.power_dbm,
-                                                phy.power_mw]))
+    assert all(a is b for a, b in zip(buffers, [phy.code, phy.shadow_db, phy.power_mw,
+                                                phy.decodable]))
     assert not np.array_equal(phy.power_mw[3], kept)
+
+
+@pytest.mark.parametrize("width_m, code_dtype", [(25.0, np.int16), (0.03, np.int32)])
+def test_the_cache_holds_two_float64_link_buffers(width_m, code_dtype):
+    """Shadowing and mW power; the rest of the per-pair state is integer or bool."""
+    geom, _ = geometry("highway", True, 40, seed=4)
+    cfg = replace(built_setup().run, prr_bin_width_m=width_m)
+    phy = engine._PhyCache(geom, built_setup().propagation, cfg, -85.0)
+    n = geom.n
+    square = {name: a for name, a in vars(phy).items()
+              if isinstance(a, np.ndarray) and a.ndim == 2}
+    assert sorted(square) == ["code", "decodable", "power_mw", "shadow_db"]
+    assert all(a.shape == (n, n) for a in square.values())
+    assert [name for name, a in sorted(square.items()) if a.dtype == np.float64] == [
+        "power_mw", "shadow_db"]
+    assert phy.code.dtype == code_dtype and phy.decodable.dtype == bool
+
+
+def vehicles_at(positions):
+    """Vehicles on lane 0 of one direction, at rest, at the given positions (m)."""
+    return [VehicleState(i, 0, float(x), 0.0, +1) for i, x in enumerate(positions)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_link_codes_decode_to_the_distance_rules(data):
+    """Vehicle 0 sits at 0 m on a 2 km ring; vehicles of its lane at 0 m + d
+    are exactly d away, for d up to half the road. Some sit exactly on a PRR
+    bin edge, on the IPG range and on the maximum range. A width of 0.03 m
+    over 600 m makes 20 000 bins, so the codes are int32."""
+    width = data.draw(st.sampled_from([0.03, 1.0, 25.0, 7.5]), label="prr_bin_width_m")
+    ipg = data.draw(st.integers(1, 900), label="ipg_range_m")
+    above = data.draw(st.booleans(), label="max range above the IPG range")
+    max_range = data.draw(st.integers(ipg, 1000) if above else st.integers(1, ipg),
+                          label="max_range_m")
+    cfg = replace(built_setup().run, prr_bin_width_m=width, prr_max_distance_m=600.0,
+                  ipg_range_m=float(ipg), max_range_m=float(max_range))
+    edges = uniform_bin_edges(cfg.prr_max_distance_m, width)
+    on_edge = data.draw(st.lists(st.sampled_from(edges.tolist()), min_size=1, max_size=4),
+                        label="positions on a bin edge")
+    elsewhere = data.draw(st.lists(st.integers(0, 1999), max_size=40), label="positions")
+    positions = [0.0, float(ipg), float(max_range), *on_edge, *map(float, elsewhere)]
+    road = replace(built_setup().road, layout="highway", wrap_around=True,
+                   road_length_m=2000.0)
+    geom = Geometry(road, vehicles_at(positions))
+    block_elements = data.draw(st.integers(1, 500), label="block elements")
+    with mock.patch.object(engine, "REFRESH_BLOCK_ELEMENTS", block_elements):
+        phy = engine._PhyCache(geom, built_setup().propagation, cfg)
+        assert_codes_follow_the_distances(phy, geom.distance_matrix(), cfg)
+        geom.speed[:] = data.draw(st.floats(0.0, 40.0), label="speed")
+        geom.step(0.1)
+        phy.refresh()
+        assert_codes_follow_the_distances(phy, geom.distance_matrix(), cfg)
