@@ -12,7 +12,11 @@ only for a change that is meant to move simulation outputs.
 The MAC-trace digests pin, for short 802.11p highway runs at three
 densities, the full list of transmission starts (time, station, sensed
 busy) besides the two output files: any change to the CSMA state machine,
-its random draws or the order of same-instant events moves them. The SPS
+its random draws or the order of same-instant events moves them. Two more
+lower the energy threshold at 400 veh/km, so that carrier sense keeps the
+energy sum: at -77 dBm about half the frame edges keep it (and it never
+decides, so the outputs are the default run's), at -84 dBm every edge keeps
+it and it often decides. The SPS
 digests pin, for four short C-V2X highway runs, the full list of resource
 selections besides the two output files: at 100 and at 400 veh/km (many
 vehicles selecting in one TTI), each on the default subchannel grid and on a
@@ -93,11 +97,15 @@ def test_simulate_outputs_match_recorded_digests(name, tmp_path):
 
 
 MAC_CASES = {
-    # name: (density veh/km, reception mode, simulated seconds)
-    "11p-step-100": (100.0, "step", 1.0),
-    "11p-step-400": (400.0, "step", 0.5),
-    "11p-step-800": (800.0, "step", 0.25),
-    "11p-curve-400": (400.0, "curve", 0.5),
+    # name: (density veh/km, reception mode, simulated seconds, energy threshold dBm)
+    "11p-step-100": (100.0, "step", 1.0, None),
+    "11p-step-400": (400.0, "step", 0.5, None),
+    "11p-step-800": (800.0, "step", 0.25, None),
+    "11p-curve-400": (400.0, "curve", 0.5, None),
+    # 8 dB over the decodable threshold: the energy sum is kept from 3 frames
+    # on air, so edges cross in and out of it; at 1 dB over, every edge keeps it
+    "11p-step-400-energy-77": (400.0, "step", 0.5, -77.0),
+    "11p-step-400-energy-84": (400.0, "step", 0.5, -84.0),
 }
 
 MAC_DIGESTS = {
@@ -109,6 +117,10 @@ MAC_DIGESTS = {
                      "3d7c671ff7405ede25a00028a15d524b62bfef27b48a13114b7f6f58ee475951"),
     "11p-curve-400": ("167c7cf719ff4023f7d643f39dd4e5c3c3f3057470bfbf9c317c837b74c7be51",
                       "e421b63afa2ea9e6fc31b415672b871ab236c2c31a4d8def37c255ee2debaed7"),
+    "11p-step-400-energy-77": ("167c7cf719ff4023f7d643f39dd4e5c3c3f3057470bfbf9c317c837b74c7be51",
+                               "2df36989b27d80d5cfe7479b3cea11d6720bca438613ea4e1d9dc95a1fdaaedd"),
+    "11p-step-400-energy-84": ("655fc79b381d783cbc4c9bc532183f40e144517963004992ec4e48ee0379fa17",
+                               "3b9c5f602aa44e88566b597d544f6f6211912efcfc3e6a98b85115ec2a35547a"),
 }
 
 
@@ -129,7 +141,8 @@ def digest_repr(items):
 
 @pytest.mark.parametrize("name", sorted(MAC_CASES))
 def test_mac_trace_matches_recorded_digests(name, tmp_path):
-    density, mode, duration = MAC_CASES[name]
+    density, mode, duration, energy_dbm = MAC_CASES[name]
+    sets = {} if energy_dbm is None else {"ieee80211p.sense_energy_dbm": energy_dbm}
     trace, outputs = simulate_traced({
         "run.technology": "11p",
         "run.seed": 23,
@@ -139,6 +152,7 @@ def test_mac_trace_matches_recorded_digests(name, tmp_path):
         "reception.curve_file": curve_path("highway_los_11p_mcs2_350B.csv"),
         "road.placement": "fixed_count",
         "road.density_vpk": density,
+        **sets,
     }, tmp_path)
     assert (digest_repr(trace.tx_starts), outputs) == MAC_DIGESTS[name]
 
