@@ -55,23 +55,22 @@ class CsmaParams:
 
 
 IDLE, AIFS_WAIT, BACKOFF_FROZEN, BACKOFF_COUNTING, TRANSMITTING = range(5)
-# phases in which a station follows the medium's busy/idle flips
-_CONTENDING = np.array([False, True, True, True, False])
 
 
 class CsmaNode:
     """Channel-access state of all N stations, one array slot per station.
 
-    Per station: `phase`; `remaining` backoff slots; `counting_start`, the
-    end of the AIFS after which the frozen backoff counts down; `access_at`,
-    the instant the station transmits unless the medium turns busy first
-    (inf while none is scheduled); `access_seq`, the sequence number of that
-    access; `pending`, whether a packet is queued. A fresh packet replaces
-    an unsent one in place. `next` is (time, sequence number, station) of
-    the earliest scheduled access, or None. A method that removes the
-    earliest access marks it stale, and reading `next` then rescans the
-    stations; while it is stale, a newly scheduled access is not compared
-    with it.
+    Per station: `phase`; `contends`, whether it follows the medium's flips
+    (set as it begins access, cleared as it transmits); `remaining` backoff
+    slots; `counting_start`, the end of the AIFS after which the frozen
+    backoff counts down; `access_at`, the instant the station transmits
+    unless the medium turns busy first (inf while none is scheduled);
+    `access_seq`, the sequence number of that access; `pending`, whether a
+    packet is queued. A fresh packet replaces an unsent one in place. `next`
+    is (time, sequence number, station) of the earliest scheduled access, or
+    None. A method that removes the earliest access marks it stale, and
+    reading `next` then rescans the stations; while it is stale, a newly
+    scheduled access is not compared with it.
 
     Tie-break rule: the engine handles events in (time, sequence number)
     order. `seq` is the one counter that numbers both the engine's heap
@@ -94,6 +93,7 @@ class CsmaNode:
         self.slot_s = params.slot_s
         self.rngs = rngs
         self.phase = np.full(n, IDLE, dtype=np.int8)
+        self.contends = np.zeros(n, dtype=bool)
         self.remaining = np.zeros(n, dtype=np.int64)
         self.counting_start = np.zeros(n)
         self.access_at = np.full(n, np.inf)
@@ -117,12 +117,13 @@ class CsmaNode:
 
     def contending(self, vids: np.ndarray) -> np.ndarray:
         """The stations among `vids` that follow the medium's busy/idle flips."""
-        return vids[_CONTENDING[self.phase[vids]]]
+        return vids[self.contends[vids]]
 
     def _draw_backoff(self, vid: int):
         self.remaining[vid] = int(self.rngs[vid].integers(0, self.params.cw_max + 1))
 
     def _start_access(self, now: float, vid: int, medium_busy: bool):
+        self.contends[vid] = True
         if medium_busy:
             self.phase[vid] = BACKOFF_FROZEN
             self._draw_backoff(vid)
@@ -175,13 +176,10 @@ class CsmaNode:
             self._stale = True
 
     def on_idle(self, now: float, vids: np.ndarray):
-        """The medium turned idle at contending stations `vids` (ascending).
+        """The medium turned idle at contending stations `vids` (ascending, not empty).
 
-        Frozen stations resume: AIFS, then their remaining slots.
+        All are frozen, as it was busy; they resume: AIFS, then their slots.
         """
-        vids = vids[self.phase[vids] == BACKOFF_FROZEN]
-        if not vids.size:
-            return
         start = now + self.aifs_s
         at = start + self.remaining[vids] * self.slot_s
         self.phase[vids] = BACKOFF_COUNTING
@@ -200,6 +198,7 @@ class CsmaNode:
         """Fire the earliest scheduled access (`next`); returns its station."""
         vid = self.next[2]
         self.phase[vid] = TRANSMITTING
+        self.contends[vid] = False
         self.access_at[vid] = np.inf
         self._stale = True
         return vid

@@ -11,6 +11,8 @@ import configparser
 import os
 import sys
 
+import numpy as np
+
 from . import __version__, config as cfgmod
 from .abstraction import (AbstractionModel, FitPoint, fit_alpha, normalize_curve,
                           select_beta, shannon_throughput, threshold_for_settings,
@@ -225,8 +227,13 @@ def ipg_grid(cp):
     if not 0 < step <= top:
         raise ConfigError("metrics.ipg_grid_step_s must be > 0 and at most "
                           "metrics.ipg_grid_max_s")
-    n = int(round(top / step))
-    return [step * i for i in range(1, n + 1)]
+    try:  # one array, so that a grid too fine to hold fails at once
+        grid = np.arange(1, int(round(top / step)) + 1, dtype=float)
+    except (MemoryError, OverflowError, ValueError):  # numpy's "array is too big" is a ValueError
+        raise ConfigError(f"an IPG grid of {top / step:.3g} steps does not fit in memory: raise "
+                          "metrics.ipg_grid_step_s or lower metrics.ipg_grid_max_s") from None
+    grid *= step  # each point is step * i, as a float product
+    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ the links that carrier sense decodes. Shadowing and the link budget are
 computed per directed link, the shadowing drawn in row order.
 
 802.11p carrier sense is one rule, busy at the decodable or at the energy
-threshold; a frame start or end updates only the stations it reaches
-decodably, and the energy sum is kept only while it can matter (`_Run11p`).
+threshold. A frame start or end updates the count of the stations it reaches
+decodably and, while no energy sum is kept, looks for a flip only at the
+contending ones; the sum, and with it a busy vector, is kept only while it
+can matter (`_Run11p`).
 
 The event loops only record frames; one scorer turns them into link
 outcomes in F x N passes against all in-range receivers. Every frame of a
@@ -188,10 +190,19 @@ class LinkBatch(NamedTuple):
     near_link: np.ndarray
 
 
+def _prr_series(cfg: RunConfig) -> PrrSeries:
+    """An empty PRR series on the run's bin grid, which must fit in memory."""
+    try:
+        return PrrSeries(uniform_bin_edges(cfg.prr_max_distance_m, cfg.prr_bin_width_m))
+    except (MemoryError, OverflowError, ValueError):  # numpy's "array is too big" is a ValueError
+        bins = cfg.prr_max_distance_m / cfg.prr_bin_width_m
+        raise ConfigError(f"a PRR grid of {bins:.3g} bins does not fit in memory: raise "
+                          "metrics.prr_bin_width_m or lower metrics.prr_max_distance_m") from None
+
+
 def _new_store(cfg: RunConfig, n: int, ipg: bool = True) -> MetricStore:
     """An empty store of a run of n vehicles; without `ipg`, its IPG tracks no pair."""
-    edges = uniform_bin_edges(cfg.prr_max_distance_m, cfg.prr_bin_width_m)
-    return MetricStore(prr=PrrSeries(edges), ipg=IpgStore(cfg.ipg_range_m, n if ipg else 0))
+    return MetricStore(prr=_prr_series(cfg), ipg=IpgStore(cfg.ipg_range_m, n if ipg else 0))
 
 
 def tally(batch: LinkBatch, n: int, reception: PerCurve | StepFunction,
@@ -318,7 +329,7 @@ class _PhyCache:
         self.prop = prop
         self.rng = stream(cfg.seed, "shadowing")
         self.max_range_m, self.ipg_range_m = cfg.max_range_m, cfg.ipg_range_m
-        self.bins = PrrSeries(uniform_bin_edges(cfg.prr_max_distance_m, cfg.prr_bin_width_m))
+        self.bins = _prr_series(cfg)
         self.decodable_dbm = decodable_dbm
         n = geom.n
         self.shadow_db, self.power_mw = np.empty((n, n)), np.empty((n, n))
@@ -475,7 +486,9 @@ class _Run11p(_RunBase):
     station at e85 (the decodable threshold) as they started, so a frame moves
     it only at its `rx`. A station no such frame reaches gets under e85 from
     each, so, float error and all, its energy stays under e65 / 2 while fewer
-    than `energy_frames` = floor(e65 / (2 e85)) are on air: then no sum is kept."""
+    than `energy_frames` = floor(e65 / (2 e85)) are on air: then no sum is
+    kept, the count is the state, and an edge looks for a flip only at the
+    contending stations of its `rx`. `energy_busy` is the state while it is."""
 
     def __init__(self, setup: SimulationSetup, emit, trace: TraceLog | None):
         super().__init__(setup, emit, trace, setup.csma.sense_decodable_dbm)
@@ -483,8 +496,7 @@ class _Run11p(_RunBase):
         self.mac = CsmaNode(csma, self.cfg.theta.t_aifs_s,
                             streams(self.cfg.seed, "backoff", self.ids))
         self.busy_decod = np.zeros(self.n, dtype=np.int64)
-        self.energy_mw = None
-        self.busy = np.zeros(self.n, dtype=bool)
+        self.energy_mw = self.energy_busy = None
         self.e65_mw = 10.0 ** (csma.sense_energy_dbm / 10.0)
         # capping the dB gap only lowers the guard, which keeps it exact
         gap_db = min(csma.sense_energy_dbm - csma.sense_decodable_dbm, 100.0)
@@ -493,33 +505,41 @@ class _Run11p(_RunBase):
         self.ended: list[_Frame] = []  # recorded, not yet scored
         self.heap: list = []  # (time, sequence number, kind, data)
 
+    @property
+    def busy(self) -> np.ndarray:
+        return self.busy_decod > 0 if self.energy_busy is None else self.energy_busy
+
+    def _busy_at(self, vid: int) -> bool:
+        return bool(self.busy_decod[vid] if self.energy_busy is None else self.energy_busy[vid])
+
     def _push(self, at: float, kind: str, data):
         heapq.heappush(self.heap, (at, self.mac.take_seq(), kind, data))
 
     def _sense(self, frame: _Frame, step: int, now: float):
         """Carrier sense as `frame` starts (step 1) or ends (step -1)."""
-        count = self.busy_decod[frame.rx] + step
-        self.busy_decod[frame.rx] = count
-        if self.energy_mw is None and len(self.active) < self.energy_frames:
-            flips = ((frame.rx[count == max(step, 0)], step > 0),)
+        rx, mac, busy = frame.rx, self.mac, self.energy_busy
+        if busy is None and len(self.active) < self.energy_frames:
+            self.busy_decod[rx] += step
+            vids = mac.contending(rx)
+            flips = ((vids[self.busy_decod[vids] == max(step, 0)], step > 0),)
         else:
-            self.energy_mw = (np.sum([f.mw_row for f in self.active], axis=0)
-                              if self.energy_mw is None else self.energy_mw + step * frame.mw_row)
-            new_busy = (self.busy_decod > 0) | (self.energy_mw >= self.e65_mw)
-            flips = ((np.flatnonzero(new_busy > self.busy), True),
-                     (np.flatnonzero(new_busy < self.busy), False))
+            self.energy_mw = (np.sum([f.mw_row for f in self.active], axis=0) if busy is None
+                              else self.energy_mw + step * frame.mw_row)
+            busy = self.busy_decod > 0 if busy is None else busy  # the count, as the sum starts
+            self.busy_decod[rx] += step
+            new_busy = self.energy_busy = (self.busy_decod > 0) | (self.energy_mw >= self.e65_mw)
+            flips = ((mac.contending(np.flatnonzero(new_busy > busy)), True),
+                     (mac.contending(np.flatnonzero(new_busy < busy)), False))
             if len(self.active) < self.energy_frames:
-                self.energy_mw = None
+                self.energy_mw = self.energy_busy = None
         for vids, turned_busy in flips:
-            self.busy[vids] = turned_busy
-            vids = self.mac.contending(vids) if vids.size else vids
             if vids.size:
-                (self.mac.on_busy if turned_busy else self.mac.on_idle)(now, vids)
+                (mac.on_busy if turned_busy else mac.on_idle)(now, vids)
 
     def _begin_frame(self, vid: int, now: float):
         self.mac.take_packet(vid)
         if self.trace is not None:
-            self.trace.tx_starts.append((now, vid, bool(self.busy[vid])))
+            self.trace.tx_starts.append((now, vid, self._busy_at(vid)))
         mw_row = self.phy.power_mw[vid].copy()
         mw_row[vid] = 0.0
         frame = _Frame(vid, now, mw_row, self.phy.code[vid].copy(),
@@ -540,7 +560,7 @@ class _Run11p(_RunBase):
         self.ended.append(frame)
         if len(self.ended) * self.n >= SCORE_BATCH_ELEMENTS:
             self._score_ended()
-        self.mac.on_tx_end(now, frame.tx, self.busy[frame.tx])
+        self.mac.on_tx_end(now, frame.tx, self._busy_at(frame.tx))
 
     def _score_ended(self):
         """Score the recorded frames in one pass, in the order they ended."""
@@ -597,7 +617,7 @@ class _Run11p(_RunBase):
                 vid = data
                 if now >= cfg.warmup_s:
                     self.generated += 1
-                mac.on_packet(now, vid, self.busy[vid])
+                mac.on_packet(now, vid, self._busy_at(vid))
                 nxt = now + self.traffic.period_s
                 if nxt < cfg.sim_duration_s:
                     self._push(nxt, "gen", vid)

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from conftest import built_setup, default_theta, make_setup, vehicle_pair
 
 from v2xsim import engine
-from v2xsim.access import (AIFS_WAIT, BACKOFF_FROZEN, IDLE, TRANSMITTING, CsmaNode,
-                           Selection, SpsState, projected_average_mw, sps_after_transmission,
-                           sps_select)
+from v2xsim.access import (AIFS_WAIT, BACKOFF_COUNTING, BACKOFF_FROZEN, IDLE, TRANSMITTING,
+                           CsmaNode, Selection, SpsState, projected_average_mw,
+                           sps_after_transmission, sps_select)
 from v2xsim.errors import ConfigError
 from v2xsim.scenario import VehicleState
 from v2xsim.util import linear_to_db, stream
@@ -134,7 +134,8 @@ def test_carrier_sense_matches_reference(energy_above_decodable, data):
     frames on air; at least one more station transmits than that, and all
     transmitters start before the last frames end, so every sequence crosses
     that count both ways. A refresh between frames gives the frames on air
-    rows of an older channel.
+    rows of an older channel. After every edge that leaves no sum kept, the
+    decodable count alone gives the rule's medium state.
     """
     e85_dbm = data.draw(st.integers(-95, -75), label="sense_decodable_dbm")
     gap_db = data.draw(st.integers(1, 10) if energy_above_decodable else st.integers(-6, 0),
@@ -174,10 +175,12 @@ def test_carrier_sense_matches_reference(energy_above_decodable, data):
     for name in ("on_busy", "on_idle"):
         def record(now, vids, name=name, method=getattr(sim.mac, name)):
             heard.append((name, vids.tolist()))
+            # a station that contends while its medium is busy is frozen
+            assert name == "on_busy" or (sim.mac.phase[vids] == BACKOFF_FROZEN).all()
             method(now, vids)
         setattr(sim.mac, name, record)
 
-    on_air, frames, now = {}, {}, 0.0
+    on_air, frames, now, kept = {}, {}, 0.0, []
     reference = sensed_busy([], n, e85_dbm, e65_mw)
     ops = ([("start", v) for v in data.draw(st.permutations(range(n_tx)))]
            + data.draw(st.lists(st.sampled_from([("toggle", v) for v in range(n_tx)]
@@ -204,6 +207,9 @@ def test_carrier_sense_matches_reference(energy_above_decodable, data):
             before, reference = reference, sensed_busy(list(frames.values()), n,
                                                        e85_dbm, e65_mw)
             assert sim.busy.tolist() == reference.tolist()
+            kept.append(sim.energy_mw is not None)
+            if not kept[-1]:
+                assert (sim.busy_decod > 0).tolist() == reference.tolist()
             expected = [(name, ids) for name, ids in (
                 ("on_busy", [i for i in np.flatnonzero(reference & ~before) if i in contending]),
                 ("on_idle", [i for i in np.flatnonzero(before & ~reference) if i in contending]))
@@ -211,6 +217,7 @@ def test_carrier_sense_matches_reference(energy_above_decodable, data):
             assert heard == expected
             heard.clear()
     assert not on_air and not sim.busy.any()
+    assert any(kept) and not kept[-1]  # into the energy sum and out of it
 
 
 def half_duplex_at_0(sim, emitted):
@@ -382,7 +389,7 @@ def mixed_stations():
 
 
 def station_state(mac):
-    arrays = (mac.phase, mac.remaining, mac.counting_start, mac.access_at,
+    arrays = (mac.phase, mac.contends, mac.remaining, mac.counting_start, mac.access_at,
               mac.access_seq, mac.pending)
     draws = [int(rng.integers(0, 1 << 30)) for rng in mac.rngs]
     return [a.tolist() for a in arrays] + [mac.next, mac.seq, draws]
@@ -401,6 +408,61 @@ def test_batched_flip_matches_one_station_at_a_time(busy_at, idle_at):
         single.on_idle(idle_at, ids(vid))
     assert station_state(batched) == station_state(single)
     assert batched.next is not None
+
+
+CONTENDING_PHASES = (AIFS_WAIT, BACKOFF_FROZEN, BACKOFF_COUNTING)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_contends_mask_follows_the_phase(data):
+    """Drawn call sequences: `contends` is set exactly in the contending phases.
+
+    The calls keep the contract the engine keeps. Each station's medium is
+    busy or idle, and a flip of it reaches the MAC only at contending
+    stations, those turning busy first, each batch ascending; a station
+    sees its medium's state when it gets a packet or ends its frame. An
+    access fires once it falls due, before any other call at or after its
+    instant; only a transmitting station ends its frame. Every station that
+    `on_idle` resumes is frozen.
+    """
+    n = 5
+    mac = CsmaNode(PARAMS, AIFS, [stream(23, "backoff", vid) for vid in range(n)])
+    busy = np.zeros(n, dtype=bool)  # each station's medium
+    now = 0.0
+
+    def check():
+        assert mac.contends.tolist() == np.isin(mac.phase, CONTENDING_PHASES).tolist()
+
+    for _ in range(data.draw(st.integers(1, 40), label="calls")):
+        now += data.draw(st.sampled_from([0.0, 1e-5, 1e-4]), label="time step")
+        transmitting = np.flatnonzero(mac.phase == TRANSMITTING).tolist()
+        if mac.next is not None and mac.next[0] <= now:
+            call = "on_timer"
+        else:
+            calls = ["on_packet", "flip"] + (["on_tx_end"] if transmitting else [])
+            call = data.draw(st.sampled_from(calls), label="call")
+        if call == "on_packet":
+            vid = data.draw(st.integers(0, n - 1), label="station")
+            mac.on_packet(now, vid, bool(busy[vid]))
+        elif call == "flip":
+            flipped = np.zeros(n, dtype=bool)
+            flipped[data.draw(st.lists(st.integers(0, n - 1), min_size=1), label="flips")] = True
+            turned = np.flatnonzero(flipped & ~busy), np.flatnonzero(flipped & busy)
+            busy ^= flipped
+            for vids, method in zip(turned, (mac.on_busy, mac.on_idle)):
+                vids = vids[np.isin(mac.phase[vids], CONTENDING_PHASES)]
+                if vids.size:
+                    if method == mac.on_idle:
+                        assert (mac.phase[vids] == BACKOFF_FROZEN).all()
+                    method(now, vids)
+                    check()
+        elif call == "on_timer":
+            mac.take_packet(mac.on_timer())
+        else:
+            vid = data.draw(st.sampled_from(transmitting), label="station")
+            mac.on_tx_end(now, vid, bool(busy[vid]))
+        check()
 
 
 # --- SPS -----------------------------------------------------------------------

@@ -433,6 +433,31 @@ def test_a_sensing_ring_too_big_to_allocate_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# 1e-18 asks for more elements than numpy can address (PRR: 6e20 bins) or an
+# array larger than any address space (IPG: 2 EiB), and 5e-324 for an infinite
+# count, so every allocation is refused at once, whatever the host's memory
+# overcommit
+@pytest.mark.parametrize("command", ["simulate", "select-beta", "validate"])
+@pytest.mark.parametrize("setting, keys", [
+    ("metrics.prr_bin_width_m=1e-18", ("metrics.prr_bin_width_m", "metrics.prr_max_distance_m")),
+    ("metrics.prr_bin_width_m=5e-324", ("metrics.prr_bin_width_m", "metrics.prr_max_distance_m")),
+    ("metrics.ipg_grid_step_s=1e-18", ("metrics.ipg_grid_step_s", "metrics.ipg_grid_max_s")),
+    ("metrics.ipg_grid_step_s=5e-324", ("metrics.ipg_grid_step_s", "metrics.ipg_grid_max_s")),
+])
+def test_a_metric_grid_too_fine_to_allocate_exits_2(tmp_path, capsys, command, setting, keys):
+    curve = os.path.join(CURVE_DIR, "highway_los_11p_mcs2_350B.csv")
+    assert run_cli(command, "--out", str(tmp_path / "out"),
+                   "--set", f"reception.curve_file={curve}",
+                   "--set", "run.sim_duration_s=0.3", "--set", "run.warmup_s=0.1",
+                   "--set", "road.density_vpk=5", "--set", setting) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "does not fit in memory" in err
+    for key in keys:
+        assert key in err, (key, err)
+    assert not (tmp_path / "out").exists()
+
+
 # a run that would write a bare-header prr.csv or ipg_ccdf.csv, and the keys its
 # message names: no link in range, and no pair that receives twice after warmup
 NOTHING_TO_REPORT = {
