@@ -295,14 +295,18 @@ def projected_average_mw(ring: np.ndarray, vids: np.ndarray, filled_until: int,
     the recorded span [max(filled_until - window TTIs, 0), filled_until)
     for some candidate are read; for ascending candidates they form one
     range [m_lo, m_hi], and none are read when it is empty. One index
-    gathers those levels of the listed vehicles alone. They keep their own
-    depth positions in a (candidate, vehicle, depth, subchannel) stack that
-    is zero elsewhere, and the stack is summed over the depth axis. So
-    numpy's reduction order (in order, or pairwise when there is a single
-    subchannel) and every bit of each vehicle's result stay those of
-    summing all depth levels of that vehicle alone.
+    gathers those levels of the listed vehicles alone, level-major, and
+    every bit of each vehicle's result is that of summing all depth levels
+    of that vehicle alone (a (candidate, depth, subchannel) array summed
+    over its depth axis). numpy sums that depth axis in order at two or
+    more subchannels, and pairwise at one. In order, the unread levels are
+    zeros that add nothing, so one reduce of the read levels over the
+    leading axis, which numpy accumulates in order, gives the same bits;
+    so does a single read level at any width. Two or more read levels at
+    one subchannel keep their depth positions in a zero stack of all depth
+    levels, which is summed pairwise as the full depth is.
     """
-    window_ttis, _, n_subch = ring.shape
+    window_ttis, n_vehicles, n_subch = ring.shape
     n_cand = candidate_ttis.size
     depth = max(window_ttis // period_ttis, 1)
     lo = max(filled_until - window_ttis, 0)
@@ -310,12 +314,29 @@ def projected_average_mw(ring: np.ndarray, vids: np.ndarray, filled_until: int,
     m_hi = min((int(candidate_ttis[-1]) - lo) // period_ttis, depth)
     if m_lo > m_hi:
         return np.zeros((n_cand, vids.size, n_subch))
-    past = candidate_ttis[:, None] - np.arange(m_lo, m_hi + 1) * period_ttis
-    rows = ring[(past % window_ttis)[:, :, None], vids]  # (cand, M, V, subch)
+    past = candidate_ttis - np.arange(m_lo, m_hi + 1)[:, None] * period_ttis  # (M, cand)
+    # one take of whole (TTI, vehicle) rows of the ring: (M, cand, V, subch)
+    rows = ring.reshape(-1, n_subch).take(((past % window_ttis) * n_vehicles)[:, :, None] + vids,
+                                          axis=0)
     usable = ((past >= lo) & (past < filled_until))[:, :, None, None] & ~np.isnan(rows)
-    stack = np.zeros((n_cand, vids.size, depth, n_subch))
-    stack[:, :, m_lo - 1:m_hi] = np.where(usable, rows, 0.0).transpose(0, 2, 1, 3)
-    return stack.sum(axis=2) / np.maximum(usable.sum(axis=1), 1)
+    levels = np.where(usable, rows, 0.0)
+    counts = np.maximum(np.count_nonzero(usable, axis=0), 1)
+    if n_subch == 1 and m_hi > m_lo:
+        # depth contiguous, as in a vehicle's own (candidate, depth) array
+        stack = np.zeros((n_cand, vids.size, depth, 1))
+        stack[:, :, m_lo - 1:m_hi] = levels.transpose(1, 2, 0, 3)
+        return stack.sum(axis=2) / counts
+    return np.add.reduce(levels, axis=0) / counts
+
+
+def selection_window(params: SpsParams, t_tti_s: float) -> tuple[int, int]:
+    """The selection window [T1, T2], in whole TTIs after the selecting TTI."""
+    t1 = max(int(round(params.t1_s / t_tti_s)), 1)
+    return t1, max(int(round(params.t2_s / t_tti_s)), t1)
+
+
+# steps the threshold relaxation may take: 300 000 dB at the standard 3 dB
+MAX_RELAX_STEPS = 100_000
 
 
 def sps_select(ring: np.ndarray, vids: np.ndarray, now_tti: int, params: SpsParams,
@@ -329,7 +350,8 @@ def sps_select(ring: np.ndarray, vids: np.ndarray, now_tti: int, params: SpsPara
     per vehicle. A candidate is judged by its past occurrences
     `period_ttis` apart, the generation period in TTIs. Candidates above
     the RSRP threshold are excluded, the threshold relaxing in fixed steps
-    until at least best_fraction of the window survives; the final pick is
+    until at least best_fraction of the window survives (a relaxation that
+    needs more than MAX_RELAX_STEPS is a ConfigError); the final pick is
     uniform over the lowest-power best_fraction share of the candidate
     starts, each `n_subch_needed` subchannels wide.
 
@@ -337,8 +359,7 @@ def sps_select(ring: np.ndarray, vids: np.ndarray, now_tti: int, params: SpsPara
     once; each vehicle then draws from its own stream, so a Selection does
     not depend on which other vehicles share its call.
     """
-    t1 = max(int(round(params.t1_s / t_tti_s)), 1)
-    t2 = max(int(round(params.t2_s / t_tti_s)), t1)
+    t1, t2 = selection_window(params, t_tti_s)
     cand_ttis = np.arange(now_tti + t1, now_tti + t2 + 1)
     n_starts = ring.shape[2] - n_subch_needed + 1
     if n_starts < 1:
@@ -359,8 +380,16 @@ def sps_select(ring: np.ndarray, vids: np.ndarray, now_tti: int, params: SpsPara
     selections = []
     for v, rng in enumerate(rngs):
         threshold = params.rsrp_exclude_dbm
+        steps = 0
         while not kth[v] <= threshold:
+            # a step too small for the threshold's float leaves it where it was
+            if steps == MAX_RELAX_STEPS:
+                raise ConfigError(
+                    f"the SPS threshold relaxation keeps too few candidates after "
+                    f"{MAX_RELAX_STEPS} steps: raise cv2x.rsrp_relax_step_db or "
+                    "cv2x.rsrp_exclude_dbm")
             threshold += params.rsrp_relax_step_db
+            steps += 1
         kept_idx = np.flatnonzero(avg_dbm[v] <= threshold)
         shuffled = rng.permutation(kept_idx)  # random tie-break among equals
         ranked = shuffled[flat_mw[v][shuffled].argsort(kind="stable")]

@@ -84,8 +84,8 @@ import numpy as np
 
 from . import scenario as scen
 from .abstraction import PerCurve, StepFunction
-from .access import (CsmaNode, CsmaParams, SpsParams, SpsState, sps_after_transmission,
-                     sps_select)
+from .access import (CsmaNode, CsmaParams, SpsParams, SpsState, selection_window,
+                     sps_after_transmission, sps_select)
 from .channel import LinkShadowing, PropagationConfig, noise_power_dbm, path_loss_db
 from .errors import ConfigError
 from .metrics import IpgStore, MetricStore, PrrSeries, uniform_bin_edges
@@ -459,7 +459,7 @@ class _RunBase:
                                hits[2][first:], sources, self.noise_mw)
         np.divide(signal, sinr, out=sinr)  # over the denominators, then one gather
         c = code.take(link)
-        near = np.flatnonzero(c & 1)
+        near = np.flatnonzero((c & 1).astype(bool))  # nonzero is faster on bool than int
         self.emit(LinkBatch(skipped, tx, start + self.duration_s, sinr.take(link),
                             deaf.take(link), c >> 1, near, link.take(near)))
 
@@ -662,6 +662,13 @@ class _RunCv2x(_RunBase):
                               f"vehicles x {theta.n_subch} subchannels does not fit in memory: "
                               "lower cv2x.sensing_window_ms, road.density_vpk or "
                               "cv2x.n_subch") from None
+        t1, t2 = selection_window(sps, self.t_tti)
+        try:  # each selection judges every candidate TTI of the window on every subchannel
+            np.empty((t2 - t1 + 1, theta.n_subch))
+        except (MemoryError, OverflowError, ValueError):  # "array is too big" is a ValueError
+            raise ConfigError(f"an SPS selection window of {t2 - t1 + 1:.3g} TTIs x "
+                              f"{theta.n_subch} subchannels does not fit in memory: lower "
+                              "cv2x.t2_ms or raise cv2x.t1_ms") from None
         self.sps_states = [SpsState() for _ in range(self.n)]
         self.sps_rngs = streams(self.cfg.seed, "sps", self.ids)
         # per vehicle: generation time of the packet awaiting its slot (NaN =

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import built_setup, default_theta, make_setup, vehicle_pair
@@ -668,6 +668,24 @@ def sensing_cases(draw):
     return ring, vids, filled_until, candidates, period
 
 
+def fixed_sensing_case(n_subch, n, period, window_ttis, filled_until, candidates, vids):
+    """A sensing case of fixed shape, its ring drawn as `sensing_rings` draws one."""
+    rng = np.random.default_rng(window_ttis * n * n_subch)
+    ring = 10.0 ** rng.uniform(-14.0, -7.0, size=(window_ttis, n, n_subch))
+    ring[rng.random(ring.shape) < 0.3] = 0.0
+    ring[rng.random((window_ttis, n)) < 0.1] = 0.0
+    ring[rng.random((window_ttis, n)) < 0.1] = np.nan
+    return ring, np.array(vids), filled_until, np.arange(*candidates), period
+
+
+# the exactness boundaries: at one subchannel numpy sums the reference's depth
+# axis pairwise, which at depth >= 8 differs from in order for levels 2-4 (0 + l2
+# pairs with l3 + l4); at five subchannels it sums in order; a single read level
+# is exact in any order
+@example(case=fixed_sensing_case(1, 6, 10, 104, 30, (41, 50), range(6)))  # levels 2-4, depth 10
+@example(case=fixed_sensing_case(5, 10, 100, 1000, 2500, (2501, 2601),
+                                 [0, 1, 2, 4, 5, 7, 8, 9]))  # full window, 8 vehicles
+@example(case=fixed_sensing_case(1, 3, 100, 1000, 50, (51, 151), [0, 2]))  # level 1 alone
 @settings(max_examples=600, deadline=None)
 @given(case=sensing_cases())
 def test_projection_matches_full_depth_reference_bit_for_bit(case):

@@ -433,6 +433,24 @@ def test_a_sensing_ring_too_big_to_allocate_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("t2_ms", ["1e12", "1e308"])
+def test_a_selection_window_too_big_to_allocate_exits_2(tmp_path, capsys, t2_ms):
+    """A 1e12 ms window is 1e12 candidate TTIs, a 7.28 TiB grid of TTI numbers
+    alone, and 1e308 ms more than numpy can address: both allocations fail at
+    once, whatever the host's memory overcommit."""
+    curve = os.path.join(CURVE_DIR, "highway_los_cv2x_mcs7_350B.csv")
+    assert run_cli("simulate", "--out", str(tmp_path / "out"),
+                   "--set", "run.technology=cv2x", "--set", f"reception.curve_file={curve}",
+                   "--set", "run.sim_duration_s=0.3", "--set", "run.warmup_s=0.1",
+                   "--set", "road.density_vpk=5", "--set", f"cv2x.t2_ms={t2_ms}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "does not fit in memory" in err
+    for key in ("cv2x.t1_ms", "cv2x.t2_ms"):
+        assert key in err, (key, err)
+    assert not (tmp_path / "out").exists()
+
+
 # 1e-18 asks for more elements than numpy can address (PRR: 6e20 bins) or an
 # array larger than any address space (IPG: 2 EiB), and 5e-324 for an infinite
 # count, so every allocation is refused at once, whatever the host's memory
@@ -697,14 +715,14 @@ def test_simulate_zero_mobility_step_exits_2(tmp_path):
     assert "config error:" in proc.stderr
 
 
+# a crowded C-V2X channel where no candidate passes the first RSRP threshold,
+# so that the first selection has to relax it
+CROWDED_CV2X = ("run.technology=cv2x", "road.density_vpk=400",
+                "reception.curve_file=" + os.path.join(CURVE_DIR, "highway_los_cv2x_mcs7_350B.csv"))
 # the settings under which a bad value of these keys did harm
 BAD_VALUE_CONTEXT = {
-    # a crowded C-V2X channel where no candidate passes the first RSRP
-    # threshold, so that the first selection has to relax it
-    "cv2x.rsrp_relax_step_db": ("run.technology=cv2x", "road.density_vpk=400",
-                                "cv2x.rsrp_exclude_dbm=-200",
-                                "reception.curve_file="
-                                + os.path.join(CURVE_DIR, "highway_los_cv2x_mcs7_350B.csv")),
+    "cv2x.rsrp_relax_step_db": (*CROWDED_CV2X, "cv2x.rsrp_exclude_dbm=-200"),
+    "cv2x.rsrp_exclude_dbm": CROWDED_CV2X,
     "propagation.shadowing_std_db": ("propagation.shadowing_is_variance=true",),
     "reception.threshold_db": ("reception.threshold_source=explicit",),
     # a curve-mode run does not use the source, but still checks it
@@ -715,6 +733,8 @@ BAD_VALUE_CONTEXT = {
 @pytest.mark.parametrize("setting", [
     "cv2x.rsrp_relax_step_db=0",  # relaxation loop never ends
     "cv2x.rsrp_relax_step_db=-3",
+    "cv2x.rsrp_relax_step_db=1e-20",  # absorbed by the threshold: -200 + 1e-20 == -200
+    "cv2x.rsrp_exclude_dbm=-1e308",  # absorbs the step: -1e308 + 3 == -1e308
     "run.sim_duration_s=inf",  # never ends
     "road.road_length_m=inf",
     "road.density_vpk=inf",
