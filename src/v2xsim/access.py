@@ -115,10 +115,6 @@ class CsmaNode:
         self.seq += 1
         return seq
 
-    def contending(self, vids: np.ndarray) -> np.ndarray:
-        """The stations among `vids` that follow the medium's busy/idle flips."""
-        return vids[self.contends[vids]]
-
     def _draw_backoff(self, vid: int):
         self.remaining[vid] = int(self.rngs[vid].integers(0, self.params.cw_max + 1))
 
@@ -169,7 +165,8 @@ class CsmaNode:
             elapsed = np.maximum(now - self.counting_start[counting], 0.0)
             # epsilon absorbs float error at exact slot boundaries
             consumed = (elapsed / self.slot_s + 1e-9).astype(np.int64)
-            self.remaining[counting] -= np.minimum(consumed, self.remaining[counting])
+            remaining = self.remaining[counting]
+            self.remaining[counting] = remaining - np.minimum(consumed, remaining)
         self.phase[vids] = BACKOFF_FROZEN
         self.access_at[vids] = np.inf
         if self._next is not None and self.access_at[self._next[2]] == np.inf:

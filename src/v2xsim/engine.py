@@ -18,10 +18,11 @@ the links that carrier sense decodes. Shadowing and the link budget are
 computed per directed link, the shadowing drawn in row order.
 
 802.11p carrier sense is one rule, busy at the decodable or at the energy
-threshold. A frame start or end updates the count of the stations it reaches
-decodably and, while no energy sum is kept, looks for a flip only at the
-contending ones; the sum, and with it a busy vector, is kept only while it
-can matter (`_Run11p`).
+threshold. A frame carries the stations it reaches decodably as a bool row:
+its start adds the row to their count and its end subtracts it, and while no
+energy sum is kept an edge looks for a flip only at the contending stations
+of its row; the sum, and with it a busy vector, is kept only while it can
+matter (`_Run11p`).
 
 The event loops only record frames; one scorer turns them into link
 outcomes in F x N passes against all in-range receivers. Every frame of a
@@ -29,7 +30,8 @@ run is on air for the same `duration_s`, so a frame is its transmitter
 and start. An ended 802.11p frame is kept with its power and link-code
 rows and the frames on air with it in event order (`overlappers`): each
 such pair is half duplex, and it interferes with the share of airtime the
-two share, computed for the whole batch at once. A sent C-V2X TTI is kept
+two share, computed for the whole batch at once; a batch stacks each frame's
+power row once, however many frames it overlaps. A sent C-V2X TTI is kept
 as its transmitters and their first PRBs, its frames interfering and
 deafening only each other. Either
 engine scores its held frames once they reach SCORE_BATCH_ELEMENTS frame x
@@ -469,26 +471,29 @@ class _RunBase:
 
 
 class _Frame:
-    __slots__ = ("tx", "start", "mw_row", "code_row", "rx", "overlappers")
+    __slots__ = ("tx", "start", "mw_row", "code_row", "reach", "overlappers")
 
-    def __init__(self, tx, start, mw_row, code_row, rx):
+    def __init__(self, tx, start, mw_row, code_row, reach):
         self.tx = tx
         self.start = start
         self.mw_row = mw_row
         self.code_row = code_row
-        self.rx = rx  # the stations that sense it as decodable, ascending; None once ended
+        # (N,) bool, the stations that sense it as decodable (never its own);
+        # None once ended
+        self.reach = reach
         self.overlappers = []
 
 
 class _Run11p(_RunBase):
     """802.11p. Carrier sense is one rule: busy while `busy_decod > 0` or
     `energy_mw >= e65`. `busy_decod` counts the frames on air that reached the
-    station at e85 (the decodable threshold) as they started, so a frame moves
-    it only at its `rx`. A station no such frame reaches gets under e85 from
-    each, so, float error and all, its energy stays under e65 / 2 while fewer
-    than `energy_frames` = floor(e65 / (2 e85)) are on air: then no sum is
-    kept, the count is the state, and an edge looks for a flip only at the
-    contending stations of its `rx`. `energy_busy` is the state while it is."""
+    station at e85 (the decodable threshold) as they started: a frame adds its
+    `reach` row as it starts and subtracts it as it ends. A station no such
+    frame reaches gets under e85 from each, so, float error and all, its
+    energy stays under e65 / 2 while fewer than `energy_frames` =
+    floor(e65 / (2 e85)) are on air: then no sum is kept, the count is the
+    state, and an edge flips the contending stations of its `reach` whose
+    count it took to 1 or 0. `energy_busy` is the state while it is."""
 
     def __init__(self, setup: SimulationSetup, emit, trace: TraceLog | None):
         super().__init__(setup, emit, trace, setup.csma.sense_decodable_dbm)
@@ -517,19 +522,20 @@ class _Run11p(_RunBase):
 
     def _sense(self, frame: _Frame, step: int, now: float):
         """Carrier sense as `frame` starts (step 1) or ends (step -1)."""
-        rx, mac, busy = frame.rx, self.mac, self.energy_busy
+        reach, mac, busy, count = frame.reach, self.mac, self.energy_busy, self.busy_decod
+        add_row = np.add if step > 0 else np.subtract
         if busy is None and len(self.active) < self.energy_frames:
-            self.busy_decod[rx] += step
-            vids = mac.contending(rx)
-            flips = ((vids[self.busy_decod[vids] == max(step, 0)], step > 0),)
+            add_row(count, reach, out=count)
+            # the flips come out ascending, as `on_idle` requires
+            flips = ((((count == max(step, 0)) & reach & mac.contends).nonzero()[0], step > 0),)
         else:
             self.energy_mw = (np.sum([f.mw_row for f in self.active], axis=0) if busy is None
                               else self.energy_mw + step * frame.mw_row)
-            busy = self.busy_decod > 0 if busy is None else busy  # the count, as the sum starts
-            self.busy_decod[rx] += step
-            new_busy = self.energy_busy = (self.busy_decod > 0) | (self.energy_mw >= self.e65_mw)
-            flips = ((mac.contending(np.flatnonzero(new_busy > busy)), True),
-                     (mac.contending(np.flatnonzero(new_busy < busy)), False))
+            busy = count > 0 if busy is None else busy  # the count, as the sum starts
+            add_row(count, reach, out=count)
+            new_busy = self.energy_busy = (count > 0) | (self.energy_mw >= self.e65_mw)
+            flips = ((((new_busy > busy) & mac.contends).nonzero()[0], True),
+                     (((new_busy < busy) & mac.contends).nonzero()[0], False))
             if len(self.active) < self.energy_frames:
                 self.energy_mw = self.energy_busy = None
         for vids, turned_busy in flips:
@@ -543,7 +549,7 @@ class _Run11p(_RunBase):
         mw_row = self.phy.power_mw[vid].copy()
         mw_row[vid] = 0.0
         frame = _Frame(vid, now, mw_row, self.phy.code[vid].copy(),
-                       self.phy.decodable[vid].nonzero()[0])
+                       self.phy.decodable[vid].copy())
         frame.overlappers = list(self.active)
         for other in self.active:
             other.overlappers.append(frame)
@@ -556,7 +562,7 @@ class _Run11p(_RunBase):
     def _end_frame(self, frame: _Frame, now: float):
         self.active.remove(frame)
         self._sense(frame, -1, now)
-        frame.rx = None  # read only by carrier sense, so free it before scoring
+        frame.reach = None  # read only by carrier sense, so free it before scoring
         self.ended.append(frame)
         if len(self.ended) * self.n >= SCORE_BATCH_ELEMENTS:
             self._score_ended()
@@ -582,12 +588,15 @@ class _Run11p(_RunBase):
         hit = np.flatnonzero(frac > 0.0)
         deaf = np.zeros((len(frames), self.n), dtype=bool)
         deaf[pair, np.array([other.tx for other in others], dtype=np.intp)] = True
-        self._score(np.array([frame.tx for frame in frames]), start,
-                    np.stack([frame.mw_row for frame in frames]),
+        # one power row per frame: the batch's frames, then the other frames
+        # they overlap in first-hit order; each hit's source is its row there
+        row_of = {frame: i for i, frame in enumerate(frames)}
+        source = np.array([row_of.setdefault(others[h], len(row_of)) for h in hit.tolist()],
+                          dtype=np.intp)
+        rows = np.stack([frame.mw_row for frame in row_of])
+        self._score(np.array([frame.tx for frame in frames]), start, rows[:len(frames)],
                     np.stack([frame.code_row for frame in frames]), deaf,
-                    (pair[hit], np.arange(hit.size), frac[hit]),
-                    np.stack([others[h].mw_row for h in hit.tolist()]) if hit.size
-                    else np.zeros((0, self.n)))
+                    (pair[hit], source, frac[hit]), rows)
 
     def run(self):
         cfg = self.cfg
@@ -663,12 +672,13 @@ class _RunCv2x(_RunBase):
                               "lower cv2x.sensing_window_ms, road.density_vpk or "
                               "cv2x.n_subch") from None
         t1, t2 = selection_window(sps, self.t_tti)
-        try:  # each selection judges every candidate TTI of the window on every subchannel
-            np.empty((t2 - t1 + 1, theta.n_subch))
+        depth = max(self.window_ttis // self.period_ttis, 1)
+        try:  # one vehicle's projection: (sensed periods, candidate TTIs, subchannels)
+            np.empty((depth, t2 - t1 + 1, theta.n_subch))
         except (MemoryError, OverflowError, ValueError):  # "array is too big" is a ValueError
             raise ConfigError(f"an SPS selection window of {t2 - t1 + 1:.3g} TTIs x "
-                              f"{theta.n_subch} subchannels does not fit in memory: lower "
-                              "cv2x.t2_ms or raise cv2x.t1_ms") from None
+                              f"{theta.n_subch} subchannels x {depth} sensed periods does not "
+                              "fit in memory: lower cv2x.t2_ms or raise cv2x.t1_ms") from None
         self.sps_states = [SpsState() for _ in range(self.n)]
         self.sps_rngs = streams(self.cfg.seed, "sps", self.ids)
         # per vehicle: generation time of the packet awaiting its slot (NaN =

@@ -134,8 +134,10 @@ def test_carrier_sense_matches_reference(energy_above_decodable, data):
     frames on air; at least one more station transmits than that, and all
     transmitters start before the last frames end, so every sequence crosses
     that count both ways. A refresh between frames gives the frames on air
-    rows of an older channel. After every edge that leaves no sum kept, the
-    decodable count alone gives the rule's medium state.
+    rows of an older channel. After every edge, each station's decodable
+    count is the number of frames on air that reached it at the decodable
+    threshold as they started; after every edge that leaves no sum kept, that
+    count alone gives the rule's medium state.
     """
     e85_dbm = data.draw(st.integers(-95, -75), label="sense_decodable_dbm")
     gap_db = data.draw(st.integers(1, 10) if energy_above_decodable else st.integers(-6, 0),
@@ -196,7 +198,7 @@ def test_carrier_sense_matches_reference(energy_above_decodable, data):
             steps = [("end" if vid in on_air else "start", vid)]
         for step, v in steps:
             now += 1e-5
-            contending = set(sim.mac.contending(np.arange(n)).tolist())
+            contending = set(np.flatnonzero(sim.mac.contends).tolist())
             if step == "start":
                 sim._begin_frame(v, now)
                 on_air[v] = sim.active[-1]
@@ -207,6 +209,8 @@ def test_carrier_sense_matches_reference(energy_above_decodable, data):
             before, reference = reference, sensed_busy(list(frames.values()), n,
                                                        e85_dbm, e65_mw)
             assert sim.busy.tolist() == reference.tolist()
+            assert sim.busy_decod.tolist() == [
+                sum(dbm[i] >= e85_dbm for dbm, _ in frames.values()) for i in range(n)]
             kept.append(sim.energy_mw is not None)
             if not kept[-1]:
                 assert (sim.busy_decod > 0).tolist() == reference.tolist()

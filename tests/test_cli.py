@@ -5,6 +5,7 @@ import dataclasses
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 
@@ -451,6 +452,30 @@ def test_a_selection_window_too_big_to_allocate_exits_2(tmp_path, capsys, t2_ms)
     assert not (tmp_path / "out").exists()
 
 
+def test_a_selection_window_too_big_for_the_address_space_exits_2(tmp_path):
+    """Under a 1.5 GB address-space limit, a 1e7 ms window's (candidate TTI,
+    subchannel) grid fits, but a selection's projection gathers ten sensed
+    periods of it per vehicle (an int64 (10, 1e7) index array alone is 763
+    MiB): the set-up probe sized like that projection refuses it before the
+    run, in a child process that carries the limit."""
+    limit = 1_500_000 * 1024
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    curve = os.path.join(CURVE_DIR, "highway_los_cv2x_mcs7_350B.csv")
+    proc = run_cli_child("simulate", "--out", str(tmp_path / "out"),
+                         "--set", "run.technology=cv2x", "--set", f"reception.curve_file={curve}",
+                         "--set", "run.sim_duration_s=0.3", "--set", "run.warmup_s=0.1",
+                         "--set", "road.density_vpk=5", "--set", "cv2x.t2_ms=1e7",
+                         preexec_fn=limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert "does not fit in memory" in proc.stderr
+    assert "cv2x.t2_ms" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 # 1e-18 asks for more elements than numpy can address (PRR: 6e20 bins) or an
 # array larger than any address space (IPG: 2 EiB), and 5e-324 for an infinite
 # count, so every allocation is refused at once, whatever the host's memory
@@ -698,13 +723,15 @@ def test_bad_value_of_the_other_technology_exits_2(tmp_path, capsys, tech, setti
     assert not (tmp_path / "x" / "prr.csv").exists()
 
 
-def run_cli_child(*argv):
-    """The CLI in a child process, so that a hang fails the test instead of stalling the suite."""
+def run_cli_child(*argv, preexec_fn=None):
+    """The CLI in a child process, so that a hang fails the test instead of
+    stalling the suite; `preexec_fn` runs in the child before the CLI starts."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "v2xsim.cli", *argv],
-                          capture_output=True, text=True, timeout=20, env=env)
+                          capture_output=True, text=True, timeout=20, env=env,
+                          preexec_fn=preexec_fn)
 
 
 def test_simulate_zero_mobility_step_exits_2(tmp_path):

@@ -207,8 +207,14 @@ def interference_one(n_frames, frame, source, frac, sources, noise_mw):
 @example(counts=[], n=3, n_sources=1, seed=0, fracs=[1.0])
 @example(counts=[0, 0, 0], n=3, n_sources=1, seed=0, fracs=[1.0])
 @example(counts=[25, 0, 3, 25, 1, 0], n=4, n_sources=30, seed=7, fracs=[1.0, 0.25, 1e-300])
+@example(counts=[6, 2, 0, 9, 4], n=5, n_sources=2, seed=11, fracs=[1.0, 0.5])
 def test_interference_matches_a_per_frame_loop(counts, n, n_sources, seed, fracs):
-    """Frames of 0-25 hits, in any order of hit count: the same denominators bit for bit."""
+    """Frames of 0-25 hits, in any order of hit count: the same denominators bit for bit.
+
+    Several hits can share one source row, as the 802.11p scorer stacks one
+    row per overlapping frame: the shared rows give the bits of a stack that
+    copies each hit's row.
+    """
     rng = np.random.default_rng(seed)
     frame = np.repeat(np.arange(len(counts)), counts)
     source = rng.integers(0, n_sources, frame.size)
@@ -222,6 +228,9 @@ def test_interference_matches_a_per_frame_loop(counts, n, n_sources, seed, fracs
     want = interference_one(len(counts), frame, source, frac, sources, noise_mw)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
+    per_hit = interference_mw(len(counts), frame, np.arange(frame.size), frac,
+                              sources[source], noise_mw)
+    assert np.array_equal(per_hit, want)
 
 
 # --- whole-run behavior -----------------------------------------------------------
