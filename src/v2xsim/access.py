@@ -140,7 +140,7 @@ class CsmaNode:
         if at[vid] == np.inf:
             self._next = None
             return
-        ties = np.flatnonzero(at == at[vid])
+        ties = (at == at[vid]).nonzero()[0]
         if ties.size > 1:
             vid = int(ties[self.access_seq[ties].argmin()])
         self._next = (float(at[vid]), int(self.access_seq[vid]), vid)
@@ -387,7 +387,7 @@ def sps_select(ring: np.ndarray, vids: np.ndarray, now_tti: int, params: SpsPara
                     "cv2x.rsrp_exclude_dbm")
             threshold += params.rsrp_relax_step_db
             steps += 1
-        kept_idx = np.flatnonzero(avg_dbm[v] <= threshold)
+        kept_idx = (avg_dbm[v] <= threshold).nonzero()[0]
         shuffled = rng.permutation(kept_idx)  # random tie-break among equals
         ranked = shuffled[flat_mw[v][shuffled].argsort(kind="stable")]
         best = ranked[:min_keep]

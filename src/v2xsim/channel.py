@@ -4,9 +4,11 @@ Path loss follows the WINNER+ B1 street layout with a dual-slope LOS branch
 and a distance-only NLOS branch. Its coefficients are `PropagationConfig`
 fields like any other, each named after its `[propagation]` key with its
 default in `config.DEFAULT_CONFIG`; below the breakpoint the defaults
-reproduce the standard B1 LOS curve at 5.9 GHz. SINR is not computed here:
-the engine's scorer sums the received powers of each link in the linear
-domain.
+reproduce the standard B1 LOS curve at 5.9 GHz. Each branch, and the
+free-space clamp, is evaluated as one slope times log10(d) plus one constant
+that folds the branch's other terms, so a link costs one log10 however many
+branches apply. SINR is not computed here: the engine's scorer sums the
+received powers of each link in the linear domain.
 """
 
 from __future__ import annotations
@@ -80,22 +82,6 @@ class PropagationConfig:
         return 4.0 * self.antenna_height_m ** 2 * self.carrier_hz / SPEED_OF_LIGHT
 
 
-def _free_space_db(log_d, carrier_hz: float):
-    return 20.0 * log_d + 20.0 * np.log10(carrier_hz) + 20.0 * math.log10(
-        4.0 * math.pi / SPEED_OF_LIGHT
-    )
-
-
-def _winner_db(log_d, a: float, b: float, c: float, carrier_hz: float):
-    return a * log_d + b + c * math.log10(carrier_hz / 5e9)
-
-
-def winner_formula_db(d, a: float, b: float, c: float, carrier_hz: float):
-    """Single-slope WINNER-style term, unclamped; d floored at 1 m."""
-    d = np.maximum(np.asarray(d, dtype=float), 1.0)
-    return _winner_db(np.log10(d), a, b, c, carrier_hz)
-
-
 def path_loss_db(d, cfg: PropagationConfig, los: bool | np.ndarray | None = None):
     """Deterministic path loss at distance d (m), clamped at free-space loss.
 
@@ -103,23 +89,41 @@ def path_loss_db(d, cfg: PropagationConfig, los: bool | np.ndarray | None = None
     LOS). The `winner_b1_los` model keeps it; `winner_b1_nlos` puts every
     link on the NLOS branch. The LOS branch turns dual-slope past the
     breakpoint, the NLOS branch is single-slope.
+
+    With log_d = log10(max(d, 1 m)), each branch is one slope times log_d
+    plus one constant that folds the rest of its terms:
+      - LOS: los_a * log_d + los_b + los_c * log10(fc / 5 GHz);
+      - LOS past the breakpoint d_bp: 40 * log_d plus the LOS loss at
+        max(d_bp, 1 m) minus 40 * log10(d_bp), the LOS loss at d_bp plus
+        40 dB per decade past it;
+      - NLOS: nlos_a * log_d + nlos_b + nlos_c * log10(fc / 5 GHz);
+      - free space: 20 * log_d + 20 * log10(4 pi fc / c).
+    Folding moves the last bits against the unfolded sums; the channel tests
+    bound the difference.
     """
     d = np.maximum(np.asarray(d, dtype=float), 1.0)
     log_d = np.log10(d)
     if los is None or cfg.model == "winner_b1_nlos":
         los = cfg.model == "winner_b1_los"
-    loss = _winner_db(log_d, cfg.los_a, cfg.los_b, cfg.los_c, cfg.carrier_hz)
+    band_db = math.log10(cfg.carrier_hz / 5e9)
+    los_const = cfg.los_b + cfg.los_c * band_db
+    loss = np.asarray(cfg.los_a * log_d)  # 0-d for a scalar d: updated in place below
+    loss += los_const
     d_bp = cfg.breakpoint_m
     past = d > d_bp
     if np.any(past):
-        at_bp = winner_formula_db(d_bp, cfg.los_a, cfg.los_b, cfg.los_c, cfg.carrier_hz)
-        loss = np.where(
-            past, at_bp + BREAKPOINT_EXPONENT_DB * np.log10(d / d_bp), loss
-        )
+        at_bp = cfg.los_a * math.log10(max(d_bp, 1.0)) + los_const
+        beyond = BREAKPOINT_EXPONENT_DB * log_d
+        beyond += at_bp - BREAKPOINT_EXPONENT_DB * math.log10(d_bp)
+        np.copyto(loss, beyond, where=past)
     if not np.all(los):
-        nlos_loss = _winner_db(log_d, cfg.nlos_a, cfg.nlos_b, cfg.nlos_c, cfg.carrier_hz)
-        loss = np.where(los, loss, nlos_loss)
-    return np.maximum(loss, _free_space_db(log_d, cfg.carrier_hz))
+        nlos = cfg.nlos_a * log_d
+        nlos += cfg.nlos_b + cfg.nlos_c * band_db
+        np.copyto(loss, nlos, where=np.logical_not(los))
+    free_space = 20.0 * log_d
+    free_space += 20.0 * math.log10(cfg.carrier_hz) + 20.0 * math.log10(
+        4.0 * math.pi / SPEED_OF_LIGHT)
+    return np.maximum(loss, free_space, out=loss)
 
 
 def noise_power_dbm(cfg: PropagationConfig) -> float:

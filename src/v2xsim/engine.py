@@ -10,12 +10,15 @@ share the same link-budget cache (`_PhyCache`): per mobility epoch the
 engine overwrites its NxN buffers in place, walking the vehicles in row
 blocks. Two are float64, the shadowing and the received power (mW) of
 each directed link; the link budget in dBm lives only in a block-sized
-buffer. The terms symmetric in the vehicle pair are computed once per
-pair and mirrored: distance, LOS, path loss, and the pair's link code,
-which holds all that scoring reads of the distance (in range, PRR bin,
-inside the IPG range) in one small integer. 802.11p also keeps the mask of
-the links that carrier sense decodes. Shadowing and the link budget are
-computed per directed link, the shadowing drawn in row order.
+buffer, and goes to mW as exp(dBm * ln(10) / 10) (`dbm_to_mw`). The terms
+symmetric in the vehicle pair are computed once per pair and mirrored:
+distance (sqrt(dx^2 + dy^2)), LOS (no mask on the highway, where every
+link is LOS), path loss (one slope and one folded constant per branch), and the
+pair's link code, which holds all that scoring reads of the distance (in
+range, PRR bin, inside the IPG range) in one small integer. 802.11p also
+keeps the mask of the links that carrier sense decodes. Shadowing and the
+link budget are computed per directed link, the shadowing drawn in row
+order.
 
 802.11p carrier sense is one rule, busy at the decodable or at the energy
 threshold. A frame carries the stations it reaches decodably as a bool row:
@@ -107,6 +110,7 @@ SCORE_BATCH_ELEMENTS = 51_200
 # the symmetric half, fewer amortize their numpy calls (picked by timing
 # evolving refreshes at 200, 400 and 800 vehicles)
 REFRESH_BLOCK_ELEMENTS = 24_576
+MW_EXPONENT_PER_DBM = math.log(10.0) / 10.0
 
 
 @dataclass(frozen=True)
@@ -240,6 +244,17 @@ def tally(batch: LinkBatch, n: int, reception: PerCurve | StepFunction,
                          distinct=not np.any(senders[1:] == senders[:-1]))
 
 
+def dbm_to_mw(dbm: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The mW power of each dBm value, in `out` if given (it may be `dbm`).
+
+    exp(dbm * ln(10) / 10) stays within a relative 1e-13 of 10 ** (dbm / 10)
+    down to the power floor (tests/test_channel.py); `util.db_to_linear` keeps
+    the power form.
+    """
+    out = np.multiply(dbm, MW_EXPONENT_PER_DBM, out=out)
+    return np.exp(out, out=out)
+
+
 def prb_overlap(tti: np.ndarray, prb_start: np.ndarray, prb_count: int):
     """PRB overlap hits among F frames of equal PRB footprint.
 
@@ -255,7 +270,7 @@ def prb_overlap(tti: np.ndarray, prb_start: np.ndarray, prb_count: int):
     source = first[frame] + np.arange(frame.size) - np.repeat(np.cumsum(size) - size, size)
     shared = np.maximum(prb_count - np.abs(prb_start[frame] - prb_start[source]), 0)
     shared[frame == source] = 0
-    hit = np.flatnonzero(shared)
+    hit = shared.nonzero()[0]
     return frame[hit], source[hit], shared[hit] / prb_count
 
 
@@ -318,11 +333,18 @@ class _PhyCache:
     loss and the link code are symmetric in the vehicle pair, so a block
     computes them for the columns [r0, N) only and mirrors the off-diagonal
     part into the rows below; power_mw holds the path loss of the rows not
-    yet finished. Rows [r0, r1) are then complete and get their directed
-    part: shadowing, the link budget in dBm (in a block-sized buffer), the
-    power floor on the diagonal, the decodable mask and the mW power. The
+    yet finished. On the highway every link is LOS, so a block builds no LOS
+    mask and hands `path_loss_db` los=None. Rows [r0, r1) are then complete
+    and get their directed part: shadowing, the link budget in dBm (in a
+    block-sized buffer), the power floor on the diagonal, the decodable mask
+    and the mW power, one multiply and one exp in place (`dbm_to_mw`). The
     shadowing draws come from the one `shadowing` stream in row order, the
     order of one (N, N) draw.
+
+    Distance by sqrt(dx^2 + dy^2), the folded path-loss constants and the
+    exp conversion differ from `np.hypot`, the unfolded sums and
+    10 ** (dBm / 10) in the last bits only (bounded in tests/test_channel.py);
+    the golden digests of tests/test_golden.py pin that no output moves.
     """
 
     def __init__(self, geom: Geometry, prop: PropagationConfig, cfg: RunConfig,
@@ -358,12 +380,13 @@ class _PhyCache:
         self._last_traveled = geom.traveled.copy()
         step = max(REFRESH_BLOCK_ELEMENTS // n, 1)
         dbm = np.empty((min(step, n), n))
+        all_los = geom.road.layout == "highway"  # `path_loss_db` reads los=None as all LOS
         for r0 in range(0, n, step):
             r1 = min(r0 + step, n)
             rows, cols = slice(r0, r1), slice(r0, None)
             diag = np.arange(r1 - r0)
             dist = geom.distance_matrix(rows, cols)
-            los = geom.los_matrix(rows, cols)
+            los = None if all_los else geom.los_matrix(rows, cols)
             loss = path_loss_db(geom.propagation_distance_matrix(los, dist, rows, cols),
                                 prop, los=los)
             code = self._link_code(dist)
@@ -388,8 +411,7 @@ class _PhyCache:
                 decodable = np.greater_equal(power, self.decodable_dbm,
                                              out=self.decodable[rows])
                 decodable[diag, diag + r0] = False  # a station does not sense its own frame
-            np.divide(power, 10.0, out=mw)
-            np.power(10.0, mw, out=mw)
+            dbm_to_mw(power, out=mw)
 
 
 class _RunBase:
@@ -461,7 +483,7 @@ class _RunBase:
                                hits[2][first:], sources, self.noise_mw)
         np.divide(signal, sinr, out=sinr)  # over the denominators, then one gather
         c = code.take(link)
-        near = np.flatnonzero((c & 1).astype(bool))  # nonzero is faster on bool than int
+        near = (c & 1).astype(bool).nonzero()[0]  # nonzero is faster on bool than int
         self.emit(LinkBatch(skipped, tx, start + self.duration_s, sinr.take(link),
                             deaf.take(link), c >> 1, near, link.take(near)))
 
@@ -585,7 +607,7 @@ class _Run11p(_RunBase):
         # the share of the frame's airtime that the overlapper is on air too;
         # a pair that shares none is only half duplex
         frac = (np.minimum(a + d, b + d) - np.maximum(a, b)) / d
-        hit = np.flatnonzero(frac > 0.0)
+        hit = (frac > 0.0).nonzero()[0]
         deaf = np.zeros((len(frames), self.n), dtype=bool)
         deaf[pair, np.array([other.tx for other in others], dtype=np.intp)] = True
         # one power row per frame: the batch's frames, then the other frames
@@ -703,8 +725,8 @@ class _RunCv2x(_RunBase):
                 self.geom.step(epoch_every * self.t_tti)
                 self.phy.refresh()
             # generations due before the next TTI boundary
-            due = np.flatnonzero((next_gen < t_k + self.t_tti)
-                                 & (next_gen < cfg.sim_duration_s))
+            due = ((next_gen < t_k + self.t_tti)
+                   & (next_gen < cfg.sim_duration_s)).nonzero()[0]
             if due.size:
                 self.generated += int((next_gen[due] >= cfg.warmup_s).sum())
                 self.pending[due] = next_gen[due]
@@ -725,7 +747,7 @@ class _RunCv2x(_RunBase):
                         if self.trace is not None:
                             self.trace.sps_selections.append((k, sel))
             # transmissions whose reserved slot is this TTI
-            slot = np.flatnonzero(self.reserved_tti == k)
+            slot = (self.reserved_tti == k).nonzero()[0]
             slot = slot[~np.isnan(self.pending[slot])]
             late = self.pending[slot] > t_k
             # a packet that arrived mid-slot rides the next occurrence

@@ -151,14 +151,14 @@ class IpgStore:
         if not distinct and not np.all(key[1:] > key[:-1]):
             order = np.argsort(key, kind="stable")
             grouped = key[order]
-            again = np.flatnonzero(grouped[1:] == grouped[:-1])
+            again = (grouped[1:] == grouped[:-1]).nonzero()[0]
             prev[order[again + 1]] = times[order[again]]
             latest[order[again]] = False
         seen = ~np.isnan(prev)
         gaps = times[seen] - prev[seen]
-        bad = np.flatnonzero(gaps <= 0)
+        bad = (gaps <= 0).nonzero()[0]
         if bad.size:
-            i = np.flatnonzero(seen)[bad[0]]
+            i = seen.nonzero()[0][bad[0]]
             raise DataError(f"non-positive gap {gaps[bad[0]]} for pair "
                             f"{(int(tx[i]), int(rx[i]))}")
         if gaps.size:

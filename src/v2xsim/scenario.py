@@ -155,12 +155,18 @@ class Geometry:
     # same block of the full matrix bit for bit.
 
     def distance_matrix(self, rows: slice = ALL, cols: slice = ALL) -> np.ndarray:
+        """Euclidean distance, as sqrt(dx^2 + dy^2) in place: within 1 ulp of `np.hypot`."""
         if self.road.layout == "highway":
             dx = self._axis_delta(self.pos, rows, cols)
-            dy = np.abs(self.lateral[rows, None] - self.lateral[None, cols])
-            return np.hypot(dx, dy)
-        x, y = self.xy()
-        return np.hypot(x[rows, None] - x[None, cols], y[rows, None] - y[None, cols])
+            dy = self.lateral[rows, None] - self.lateral[None, cols]
+        else:
+            x, y = self.xy()
+            dx = x[rows, None] - x[None, cols]
+            dy = y[rows, None] - y[None, cols]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return np.sqrt(dx, out=dx)
 
     def los_matrix(self, rows: slice = ALL, cols: slice = ALL) -> np.ndarray:
         """True where a link is line-of-sight under the layout's geometry.

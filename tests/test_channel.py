@@ -5,26 +5,121 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import built_setup, make_setup, rx_power_dbm, vehicle_pair
 
 from v2xsim import engine
-from v2xsim.channel import LinkShadowing, noise_power_dbm, path_loss_db, winner_formula_db
+from v2xsim.channel import SPEED_OF_LIGHT, LinkShadowing, noise_power_dbm, path_loss_db
+from v2xsim.scenario import ALL, Geometry, spawn
 from v2xsim.util import stream
 
 PROP = built_setup().propagation
+# with these coefficients the free-space clamp binds at both points below,
+# so the LOS intercept is lifted this far past it and the lift taken off again
+LIFT_DB = 40.0
+
+
+def los_branch_db(d, cfg):
+    """`path_loss_db` of one LOS link below the breakpoint, without the clamp."""
+    assert d <= cfg.breakpoint_m
+    lifted = replace(cfg, los_b=cfg.los_b + LIFT_DB)
+    return float(path_loss_db(d, lifted, los=True)) - LIFT_DB
 
 
 def test_los_formula_literal_at_100m():
     # configured single-slope term, evaluated directly (no free-space clamp)
-    got = winner_formula_db(100.0, a=22.7, b=27.0, c=20.0, carrier_hz=5.9e9)
+    cfg = replace(PROP, los_a=22.7, los_b=27.0, los_c=20.0, carrier_hz=5.9e9)
+    got = los_branch_db(100.0, cfg)
     assert got == pytest.approx(22.7 * 2 + 27.0 + 20 * math.log10(5.9 / 5), rel=1e-12)
 
 
 def test_los_formula_intercept_at_1m():
     cfg = PROP
-    got = winner_formula_db(1.0, cfg.los_a, cfg.los_b, cfg.los_c, cfg.carrier_hz)
+    got = los_branch_db(1.0, cfg)
     assert got == pytest.approx(cfg.los_b + cfg.los_c * math.log10(5.9 / 5), rel=1e-12)
+
+
+def unfolded_path_loss_db(d, cfg, los=None):
+    """The path loss as the sum of its unfolded terms: a second log10 past the
+    breakpoint and every constant added per link (before they were folded)."""
+    def winner_db(log_d, a, b, c):
+        return a * log_d + b + c * math.log10(cfg.carrier_hz / 5e9)
+
+    d = np.maximum(np.asarray(d, dtype=float), 1.0)
+    log_d = np.log10(d)
+    if los is None or cfg.model == "winner_b1_nlos":
+        los = cfg.model == "winner_b1_los"
+    d_bp = cfg.breakpoint_m
+    at_bp = winner_db(np.log10(max(d_bp, 1.0)), cfg.los_a, cfg.los_b, cfg.los_c)
+    loss = np.where(d > d_bp, at_bp + 40.0 * np.log10(d / d_bp),
+                    winner_db(log_d, cfg.los_a, cfg.los_b, cfg.los_c))
+    loss = np.where(los, loss, winner_db(log_d, cfg.nlos_a, cfg.nlos_b, cfg.nlos_c))
+    free_space = 20.0 * log_d + 20.0 * np.log10(cfg.carrier_hz) + 20.0 * math.log10(
+        4.0 * math.pi / SPEED_OF_LIGHT)
+    return np.maximum(loss, free_space)
+
+
+@settings(max_examples=200, deadline=None)
+@given(links=st.lists(st.tuples(st.floats(0.5, 20_000.0), st.booleans()), max_size=40),
+       model=st.sampled_from(["winner_b1_los", "winner_b1_nlos"]),
+       # 0.05 m puts the breakpoint under the 1 m distance floor
+       height=st.sampled_from([0.05, 0.5, 1.5, 10.0]),
+       carrier_hz=st.sampled_from([2e9, 5.9e9, 28e9]),
+       mask=st.sampled_from(["links", "none", "all_los", "all_nlos"]))
+def test_folded_path_loss_within_1e_9_db_of_the_unfolded_terms(links, model, height,
+                                                               carrier_hz, mask):
+    cfg = replace(PROP, model=model, antenna_height_m=height, carrier_hz=carrier_hz)
+    # the distance floor and the breakpoint, exactly, on both branches
+    links = [(1.0, True), (1.0, False), (cfg.breakpoint_m, True),
+             (cfg.breakpoint_m, False), *links]
+    d = np.array([dist for dist, _ in links])
+    los = {"links": np.array([flag for _, flag in links]), "none": None,
+           "all_los": True, "all_nlos": False}[mask]
+    got = path_loss_db(d, cfg, los=los)
+    np.testing.assert_allclose(got, unfolded_path_loss_db(d, cfg, los=los), rtol=0, atol=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dbm=st.lists(st.floats(-999.0, 60.0), min_size=1, max_size=50))
+@example(dbm=[-999.0, -150.0, -85.0, 0.0, 60.0])
+def test_refresh_mw_conversion_within_1e_13_of_the_power_form(dbm):
+    dbm = np.array(dbm)
+    expected = 10.0 ** (dbm / 10.0)
+    got = engine.dbm_to_mw(dbm)
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
+    # in place, as the refresh converts its block
+    assert np.array_equal(engine.dbm_to_mw(dbm.copy(), out=dbm), got)
+
+
+def hypot_distances(geom):
+    """Every pair's distance by `np.hypot` of the layout's axis offsets."""
+    if geom.road.layout == "highway":
+        dx = geom._axis_delta(geom.pos, ALL, ALL)
+        dy = geom.lateral[:, None] - geom.lateral[None, :]
+    else:
+        x, y = geom.xy()
+        dx, dy = x[:, None] - x[None, :], y[:, None] - y[None, :]
+    return np.hypot(dx, dy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=st.sampled_from(["highway", "urban_grid"]), wrap_around=st.booleans(),
+       vehicles=st.integers(2, 120), lanes=st.integers(1, 4),
+       lane_width_m=st.sampled_from([0.0, 3.5, 4.0, 17.3]),
+       road_length_m=st.sampled_from([50.0, 1000.0, 2000.0, 20_000.0]),
+       seed=st.integers(0, 2**31 - 1), step_s=st.sampled_from([0.0, 0.1, 7.3]))
+def test_distance_within_1_ulp_of_hypot(layout, wrap_around, vehicles, lanes, lane_width_m,
+                                        road_length_m, seed, step_s):
+    road = replace(built_setup().road, layout=layout, wrap_around=wrap_around,
+                   lanes_per_direction=lanes, lane_width_m=lane_width_m,
+                   road_length_m=road_length_m,
+                   density_vpk=vehicles / (road_length_m / 1000.0), placement="fixed_count")
+    geom = Geometry(road, spawn(road, seed))
+    geom.step(step_s)
+    dist, expected = geom.distance_matrix(), hypot_distances(geom)
+    assert np.all(np.abs(dist - expected) <= np.spacing(expected))
 
 
 def test_path_loss_nlos_dominates_los():

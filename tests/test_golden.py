@@ -2,12 +2,17 @@
 
 The digests pin `prr.csv` and `ipg_ccdf.csv` of small runs covering both
 technologies, both reception modes and the NLOS path-loss branch (the
-urban_grid layout). Any change to the SINR arithmetic, to the order in which
-reception decisions draw from the RNG, or to the PRR/IPG bookkeeping moves
-them. Further pins cover `mae.csv` of short 802.11p and C-V2X `select-beta`
-runs, all five output files of a short 802.11p and a short C-V2X `validate`,
-and 802.11p runs whose warmup and mobility step are not aligned. Re-record
-only for a change that is meant to move simulation outputs.
+urban_grid layout). A change to the SINR arithmetic, to the order in which
+reception decisions draw from the RNG, or to the PRR/IPG bookkeeping can
+move them. A change in the last bits only may leave them unchanged: the
+refresh's sqrt distances, folded path-loss constants and exp conversion
+to mW differ from `np.hypot`, the unfolded sums and 10 ** (x / 10) in the
+last bits, and every digest holds under them. So a change is
+output-neutral only when every digest below passes. Further pins cover
+`mae.csv` of short 802.11p and C-V2X `select-beta` runs, all five output
+files of a short 802.11p and a short C-V2X `validate`, and 802.11p runs
+whose warmup and mobility step are not aligned. Re-record only for a change
+that is meant to move simulation outputs.
 
 The MAC-trace digests pin, for short 802.11p highway runs at three
 densities, the full list of transmission starts (time, station, sensed
@@ -21,8 +26,9 @@ digests pin, for four short C-V2X highway runs, the full list of resource
 selections besides the two output files: at 100 and at 400 veh/km (many
 vehicles selecting in one TTI), each on the default subchannel grid and on a
 single 50-PRB subchannel, where numpy sums the sensing-window projection
-pairwise instead of in order. Any change to the projection's last bits, to
-the relaxed threshold or to the selection draws moves them.
+pairwise instead of in order. A change to the projection's last bits can
+move them, and a change to the relaxed threshold or to the selection draws
+does.
 
 The abstraction pins cover the `fit-alpha` model files of both bundled
 scenarios and the `derive-threshold` report of an 802.11p MCS and a C-V2X

@@ -3,9 +3,10 @@
 `FullMatrixPhy` is the refresh as one (N, N) pass per term: distances,
 LOS, propagation distance and path loss over every ordered pair, the
 shadowing drawn or evolved as one matrix, then the link budget in dBm,
-the power floor on the diagonal and the mW power. The engine's `_PhyCache`
-computes the symmetric terms once per pair in row blocks and mirrors
-them, draws the shadowing block by block, and keeps no distance or dBm
+the power floor on the diagonal and the mW power, converted with the
+engine's own `dbm_to_mw` (whose accuracy tests/test_channel.py bounds).
+The engine's `_PhyCache` computes the symmetric terms once per pair in
+row blocks and mirrors them, draws the shadowing block by block, and keeps no distance or dBm
 matrix: per pair a link code, and for 802.11p the decodable mask. With any
 block size, on either layout, with or without wrap-around, under either
 path-loss model, the shadowing and the mW power must equal the
@@ -56,7 +57,7 @@ class FullMatrixPhy:
         pd = geom.propagation_distance_matrix(los, self.dist)
         self.power_dbm = rx_power_dbm(pd, prop, self.shadow_db, los=los)
         np.fill_diagonal(self.power_dbm, engine.POWER_FLOOR_DBM)
-        self.power_mw = 10.0 ** (self.power_dbm / 10.0)
+        self.power_mw = engine.dbm_to_mw(self.power_dbm)
 
 
 def geometry(layout, wrap_around, vehicles, seed):
