@@ -2,7 +2,8 @@
 
 The digests pin `prr.csv` and `ipg_ccdf.csv` of small runs covering both
 technologies, both reception modes and the NLOS path-loss branch (the
-urban_grid layout). A change to the SINR arithmetic, to the order in which
+urban_grid layout). Two more run dense C-V2X at MCS 11, whose frames start
+on three subchannels and share part of their PRBs across starts. A change to the SINR arithmetic, to the order in which
 reception decisions draw from the RNG, or to the PRR/IPG bookkeeping can
 move them. A change in the last bits only may leave them unchanged: the
 refresh's sqrt distances, folded path-loss constants and exp conversion
@@ -100,6 +101,44 @@ def simulate(name, out):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_simulate_outputs_match_recorded_digests(name, tmp_path):
     assert simulate(name, tmp_path) == DIGESTS[name]
+
+
+# MCS 11 at 350 B takes 22 PRBs, 24 with control: 3 of the 5 subchannels, so
+# a frame starts on subchannel 0, 1 or 2, and at 400 veh/km most TTIs hold
+# frames on all three, sharing 14 or 4 of their 24 PRBs
+MULTI_START_CASES = {"cv2x-step-mcs11-dense": "step", "cv2x-curve-mcs11-dense": "curve"}
+
+MULTI_START_DIGESTS = {
+    "cv2x-step-mcs11-dense": (
+        "71f921a75de250d25e13f4e20b98201a52925a9d6e25a6d3ff8046e5f7b5e5a1",
+        "11bdfd00e1c2ea088a6e03a2b6491190650db333b5e48a5a04981558552b57dd"),
+    "cv2x-curve-mcs11-dense": (
+        "c83002c06fa3d15480a18cbb6ed1e17a4b25de2901cdf74527f4f415722c76c2",
+        "f94b40ec8e880078516de6e425d5230e14d1a8d0c2ef42d8ab2b86f2a2cc5a02"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_START_CASES))
+def test_dense_cv2x_on_three_first_subchannels_matches_recorded_digests(name, tmp_path):
+    sets = {
+        "run.technology": "cv2x",
+        "run.seed": 13,
+        "run.sim_duration_s": 1.0,
+        "run.warmup_s": 0.3,
+        "cv2x.mcs_index": 11,
+        "reception.mode": MULTI_START_CASES[name],
+        "reception.curve_file": curve_path("highway_los_cv2x_mcs11_350B.csv"),
+        "road.density_vpk": 400.0,
+        "road.mean_speed_kmh": 56.0,
+        "road.placement": "fixed_count",
+    }
+    argv = ["simulate", "--out", str(tmp_path)]
+    for key, value in sets.items():
+        argv += ["--set", f"{key}={value}"]
+    assert main(argv) == 0
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in ("prr.csv", "ipg_ccdf.csv"))
+    assert got == MULTI_START_DIGESTS[name]
 
 
 MAC_CASES = {
