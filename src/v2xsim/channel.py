@@ -3,8 +3,11 @@
 Path loss follows the WINNER+ B1 street layout with a dual-slope LOS branch
 and a distance-only NLOS branch. Its coefficients are `PropagationConfig`
 fields like any other, each named after its `[propagation]` key with its
-default in `config.DEFAULT_CONFIG`; below the breakpoint the defaults
-reproduce the standard B1 LOS curve at 5.9 GHz. Each branch, and the
+default in `config.DEFAULT_CONFIG`. With the defaults at 5.9 GHz the
+free-space clamp (20 log10(d) + 47.86 dB) lies above the B1 LOS branch
+(22.7 log10(d) + 42.44 dB) on every link shorter than 102.3 m and decides
+its loss: the standard B1 LOS curve holds from 102.3 m up to the 177.1 m
+breakpoint, and its 40 dB per decade slope past it. Each branch, and the
 free-space clamp, is evaluated as one slope times log10(d) plus one constant
 that folds the branch's other terms, so a link costs one log10 however many
 branches apply. SINR is not computed here: the engine's scorer sums the

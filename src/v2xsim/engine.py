@@ -34,18 +34,22 @@ and start. An ended 802.11p frame is kept with its power and link-code
 rows and the frames on air with it in event order (`overlappers`): each
 such pair is half duplex, and it interferes with the share of airtime the
 two share, computed for the whole batch at once; a batch stacks each frame's
-power row once, however many frames it overlaps. A sent C-V2X TTI is kept
-as its transmitters and their first PRBs, its frames interfering and
-deafening only each other. Either
-engine scores its held frames once they reach SCORE_BATCH_ELEMENTS frame x
-receiver elements and at the end of the run; C-V2X also scores them before
-each mobility epoch, while the power and link-code rows are still theirs.
-Each frame sums the noise and its interferers in its own interferer order
+power row once, however many frames it overlaps. The frames of a C-V2X
+TTI interfere with and deafen only each other; those that start on one
+subchannel, a group, occupy the same PRBs, as every frame of a run has the
+same footprint. Sensing sums each group's power rows once, in tx order; it
+adds each group total to the group's subchannels and writes the transpose
+into the (window, N, subchannel) ring that SPS selection reads. A sent TTI
+is held with its transmitters and its group totals. Either engine scores
+its held frames once they reach SCORE_BATCH_ELEMENTS frame x receiver
+elements and at the end of the run; C-V2X also scores them before each
+mobility epoch, while the power and link-code rows are still theirs. Each
+frame sums the noise and its interferers in its own interferer order
 (`interference_mw`); the frames are ranked by interferer count, so the k-th
-interferers of a batch add to its first rows in one contiguous add. C-V2X
-sensing sums each TTI subchannel-major, one add per transmitter over its
-subchannels, and writes the transpose into the (window, N, subchannel)
-ring that SPS selection reads.
+interferers of a batch add to its first rows in one contiguous add. A
+C-V2X frame's interferers are its own group's total less its own row, then
+each other group of its TTI that shares PRBs with it, at that share: about
+one row per group, not one per other frame of the TTI.
 
 Every vehicle's phase, backoff and SPS streams are derived from the seed
 and the vehicle ids in one hash (`util.streams`), each the stream
@@ -255,25 +259,6 @@ def dbm_to_mw(dbm: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def prb_overlap(tti: np.ndarray, prb_start: np.ndarray, prb_count: int):
-    """PRB overlap hits among F frames of equal PRB footprint.
-
-    tti: (F,) nondecreasing TTI of each frame; frames overlap only within
-    their TTI. Returns (frame, source, frac) over the pairs of distinct
-    frames that share PRBs, frame-major and sources ascending: a share
-    frac of frame's PRBs is also occupied by source.
-    """
-    first = np.searchsorted(tti, tti)
-    size = np.searchsorted(tti, tti, side="right") - first
-    # pair p of frame f is f against frame first[f] + p of the same TTI
-    frame = np.repeat(np.arange(tti.size), size)
-    source = first[frame] + np.arange(frame.size) - np.repeat(np.cumsum(size) - size, size)
-    shared = np.maximum(prb_count - np.abs(prb_start[frame] - prb_start[source]), 0)
-    shared[frame == source] = 0
-    hit = shared.nonzero()[0]
-    return frame[hit], source[hit], shared[hit] / prb_count
-
-
 def interference_mw(n_frames: int, frame: np.ndarray, source: np.ndarray, frac: np.ndarray,
                     sources: np.ndarray, noise_mw: float) -> np.ndarray:
     """Noise plus interference (mW) of n_frames frames at every receiver, (F, N).
@@ -318,10 +303,10 @@ class _PhyCache:
     shadow_db, power_mw: (N, N) float64, per directed link. code: (N, N),
     per vehicle pair, 2 * PRR bin (`PrrSeries.bin_of`) + 1 if the pair is
     inside the IPG range, for the pairs within `max_range_m`; -1 for the
-    others and on the diagonal, in the first of int16, int32 and int64
-    that holds 2 * bins + 1. With `decodable_dbm` (802.11p carrier sense),
-    decodable: (N, N) bool, the links received at that power or above,
-    never the diagonal.
+    others and on the diagonal, in the first of int8, int16, int32 and
+    int64 that holds 2 * bins + 1 (int8 for the default 24 bins). With
+    `decodable_dbm` (802.11p carrier sense), decodable: (N, N) bool, the
+    links received at that power or above, never the diagonal.
 
     The buffers are allocated once per run and each refresh overwrites them
     in place: a row read after the next refresh holds the next epoch's
@@ -359,7 +344,7 @@ class _PhyCache:
         self.shadow_db, self.power_mw = np.empty((n, n)), np.empty((n, n))
         top = 2 * self.bins.opportunities.size + 1
         self.code = np.empty((n, n), dtype=next(
-            t for t in (np.int16, np.int32, np.int64) if top <= np.iinfo(t).max))
+            t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max))
         self.decodable = None if decodable_dbm is None else np.empty((n, n), dtype=bool)
         self._last_traveled = geom.traveled.copy()
         self.refresh(first=True)
@@ -662,6 +647,15 @@ class _Run11p(_RunBase):
 
 
 class _RunCv2x(_RunBase):
+    """C-V2X sidelink on TTI slots, each frame one TTI on `n_subch_needed`
+    subchannels from its SPS reservation's first subchannel. `_send` puts a
+    TTI's frames on air: `_sense` sums the power rows of each group (the
+    frames of one first subchannel) in tx order and writes the sensing ring
+    from these totals; the TTI is then held with its transmitters, each
+    one's group, the groups' first subchannels and totals, and its start.
+    `_score_held` scores the held TTIs against the group totals, in one
+    (remainder rows + groups, N) source buffer."""
+
     def __init__(self, setup: SimulationSetup, emit, trace: TraceLog | None):
         super().__init__(setup, emit, trace)
         theta: CV2xSettings = self.cfg.theta
@@ -684,6 +678,7 @@ class _RunCv2x(_RunBase):
                               "cv2x.control_overhead_prbs) exceeds cv2x.n_subch subchannels of "
                               "cv2x.n_prb_subch")
         self.footprint_prbs = footprint
+        self.n_prb_subch = theta.n_prb_subch
         self.window_ttis = max(int(round(sps.sensing_window_s / self.t_tti)), 1)
         # TTI-major: row t % window TTIs holds every vehicle's sensed subchannels
         try:
@@ -708,8 +703,9 @@ class _RunCv2x(_RunBase):
         self.pending = np.full(self.n, np.nan)
         self.reserved_tti = np.full(self.n, -1, dtype=np.int64)
         self.reserved_subch = np.zeros(self.n, dtype=np.int64)
-        # sent, not yet scored TTIs: (transmitters, their first PRBs, start);
-        # the PRBs are taken at send time, before a reselection can move them
+        # sent, not yet scored TTIs: (transmitters, each one's group, the
+        # groups' first subchannels, their (groups, N) power totals, start);
+        # all taken at send time, before a reselection can move a frame
         self.held = []
         self.held_frames = 0
 
@@ -756,13 +752,7 @@ class _RunCv2x(_RunBase):
             self.pending[tx] = np.nan
             if t_k >= cfg.warmup_s:
                 self.transmitted += tx.size
-            if tx.size:
-                self.held.append((tx, self.reserved_subch[tx] * self.cfg.theta.n_prb_subch,
-                                  t_k))
-                self.held_frames += tx.size
-                if self.held_frames * self.n >= SCORE_BATCH_ELEMENTS:
-                    self._score_held()
-            self._sense(tx, k)
+            self._send(tx, k)
             for vid in tx.tolist():
                 st = self.sps_states[vid]
                 before = st.reselection_counter
@@ -773,13 +763,55 @@ class _RunCv2x(_RunBase):
                     self.reserved_tti[vid] += self.period_ttis
         self._score_held()
 
+    def _send(self, tx: np.ndarray, k: int):
+        """Put this TTI's frames on air: sense them, then hold them for scoring."""
+        group, first_subch, total = self._sense(tx, k)
+        if tx.size:
+            self.held.append((tx, group, first_subch, total, k * self.t_tti))
+            self.held_frames += tx.size
+            if self.held_frames * self.n >= SCORE_BATCH_ELEMENTS:
+                self._score_held()
+
+    def _sense(self, tx: np.ndarray, k: int):
+        """Write this TTI's received power per subchannel into every sensing window.
+
+        Returns the TTI's groups, the frames that start on one subchannel:
+        each frame's group, the groups' first subchannels (ascending) and
+        their (groups, N) power totals, each the sum of its frames' power
+        rows in tx order.
+        """
+        subch = self.reserved_subch[tx].tolist()
+        first_subch = sorted(set(subch))
+        index = {s0: g for g, s0 in enumerate(first_subch)}
+        group = [index[s0] for s0 in subch]
+        total = np.zeros((len(first_subch), self.n))
+        for g, vid in zip(group, tx.tolist()):
+            total[g] += self.phy.power_mw[vid]
+        # subchannel-major: each group adds its total to its n_subch_needed
+        # subchannels in one add over contiguous rows, groups ascending; the
+        # ring is vehicle-major for the SPS gathers, so the sum goes in transposed
+        acc = np.zeros((self.ring.shape[2], self.n))
+        for g, s0 in enumerate(first_subch):
+            acc[s0:s0 + self.n_subch_needed] += total[g]
+        row = self.ring[k % self.window_ttis]
+        row[...] = acc.T
+        row[tx] = np.nan  # half duplex: own TTI unsensed
+        return group, first_subch, total
+
     def _score_held(self):
-        """Score the held TTIs in one pass, in the order they were sent."""
+        """Score the held TTIs in one pass, in the order they were sent.
+
+        A frame's interference comes from its TTI's groups (`_sense`): first
+        its own group's total less its own row, at share 1 (a frame alone in
+        its group has none), then each other group that shares PRBs with it,
+        ascending, at the share of the frame's PRBs that the group occupies.
+        """
         if not self.held:
             return
-        txs, prbs, starts = zip(*self.held)
+        txs, groups, first_subchs, totals, starts = zip(*self.held)
         self.held, self.held_frames = [], 0
         sizes = [t.size for t in txs]
+        n_groups = np.array([len(f) for f in first_subchs])
         tti = np.repeat(np.arange(len(sizes)), sizes)
         tx = np.concatenate(txs)
         start = np.repeat(starts, sizes)
@@ -787,21 +819,33 @@ class _RunCv2x(_RunBase):
         on_air = np.zeros((len(sizes), self.n), dtype=bool)
         on_air[tti, tx] = True
         signal = self.phy.power_mw[tx]
-        self._score(tx, start, signal, self.phy.code[tx], on_air[tti],
-                    prb_overlap(tti, np.concatenate(prbs), self.footprint_prbs), signal)
-
-    def _sense(self, tx: np.ndarray, k: int):
-        """Write this TTI's received power per subchannel into every sensing window."""
-        # subchannel-major: each transmitter adds its power row to its
-        # n_subch_needed subchannels in one add over contiguous rows, and each
-        # element sums the transmitters in tx order; the ring is vehicle-major
-        # for the SPS gathers, so the sum goes in transposed
-        acc = np.zeros((self.ring.shape[2], self.n))
-        for vid, s0 in zip(tx.tolist(), self.reserved_subch[tx].tolist()):
-            acc[s0:s0 + self.n_subch_needed] += self.phy.power_mw[vid]
-        row = self.ring[k % self.window_ttis]
-        row[...] = acc.T
-        row[tx] = np.nan  # half duplex: own TTI unsensed
+        # groups numbered through the batch, TTI-major and first subchannels ascending
+        group_at = np.cumsum(n_groups) - n_groups
+        group = np.concatenate(groups) + group_at[tti]
+        first_subch = np.concatenate(first_subchs)
+        # pair p of frame f is f against group group_at[tti[f]] + p of its TTI
+        size = n_groups[tti]
+        frame = np.repeat(np.arange(tx.size), size)
+        other = (group_at[tti][frame] + np.arange(frame.size)
+                 - np.repeat(np.cumsum(size) - size, size))
+        shared = np.maximum(self.footprint_prbs - self.n_prb_subch
+                            * np.abs(first_subch[group[frame]] - first_subch[other]), 0)
+        shared[other == group[frame]] = 0
+        hit = shared.nonzero()[0]
+        # the sources: each frame's remainder, its group's total less its own
+        # row (zero in a group of one), then the group totals
+        sources = np.empty((tx.size + first_subch.size, self.n))
+        total = np.concatenate(totals, out=sources[tx.size:])
+        remainder = np.take(total, group, axis=0, out=sources[:tx.size], mode="clip")
+        remainder -= signal
+        # each frame's remainder first, unless it is alone in its group, then
+        # its other groups ascending (a stable sort)
+        grouped = (np.bincount(group)[group] > 1).nonzero()[0]
+        hit_frame = np.concatenate((grouped, frame[hit]))
+        order = np.argsort(hit_frame, kind="stable")
+        hits = (hit_frame[order], np.concatenate((grouped, tx.size + other[hit]))[order],
+                np.concatenate((np.ones(grouped.size), shared[hit] / self.footprint_prbs))[order])
+        self._score(tx, start, signal, self.phy.code[tx], on_air[tti], hits, sources)
 
 
 # ---------------------------------------------------------------------------

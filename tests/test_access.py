@@ -243,7 +243,8 @@ def test_half_duplex_disjoint_kept():
 
 def test_half_duplex_same_tti_lost():
     sim, emitted = engine_run("cv2x", vehicle_pair(10.0))
-    sim.held = [(np.array([0, 1]), np.array([0, 20]), 0.0)]
+    sim.reserved_subch[:] = [0, 2]
+    sim._send(np.array([0, 1]), 0)
     sim._score_held()
     assert half_duplex_at_0(sim, emitted) == [True]
 

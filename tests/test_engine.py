@@ -18,7 +18,7 @@ from v2xsim import engine
 from v2xsim.abstraction import PerCurve, StepFunction
 from v2xsim.channel import noise_power_dbm
 from v2xsim.engine import (LinkBatch, SharedRun, TraceLog, decide_reception_vector,
-                           interference_mw, prb_overlap, run, tally)
+                           interference_mw, run, tally)
 from v2xsim.errors import ConfigError
 from v2xsim.metrics import IpgStore, PrrSeries, uniform_bin_edges
 from v2xsim.scenario import VehicleState
@@ -72,7 +72,7 @@ def test_negative_sinr_rejected():
         decide_one(-0.1, zero_db_step(), stream(5, "r"))
 
 
-# --- 802.11p airtime overlap and prb_overlap ---------------------------------------
+# --- 802.11p airtime overlap -------------------------------------------------------
 
 def scored_11p(frames, end_first=True):
     """The link batch of two 802.11p frames at stations 0, 1 and 2, placed 10 m apart.
@@ -134,6 +134,8 @@ def test_back_to_back_frames_do_not_interfere(end_first):
     assert batch.blocked.tolist() == [False, not end_first, not end_first, False]
 
 
+# --- C-V2X PRB overlap: the scorer's group totals ---------------------------------
+
 class PrbFrame(NamedTuple):
     """The resource footprint of a sidelink frame."""
 
@@ -143,7 +145,7 @@ class PrbFrame(NamedTuple):
 
 
 def prb_fraction(a: PrbFrame, b: PrbFrame) -> float:
-    """Share of a's PRBs that b occupies too: the pairwise reference for `prb_overlap`."""
+    """Share of a's PRBs that b occupies too: the pairwise reference for the C-V2X scorer."""
     if b.tti != a.tti:
         return 0.0
     lo = max(a.prb_start, b.prb_start)
@@ -153,11 +155,35 @@ def prb_fraction(a: PrbFrame, b: PrbFrame) -> float:
     return (hi - lo) / a.prb_count
 
 
-def prb_hits(frames):
-    """`prb_overlap` of frames sharing one PRB count, as (frame, source, frac) tuples."""
-    tti, start = (np.array([getattr(f, name) for f in frames]) for name in ("tti", "prb_start"))
-    frame, source, frac = prb_overlap(tti, start, frames[0].prb_count)
-    return list(zip(frame.tolist(), source.tolist(), frac.tolist()))
+def cv2x_engine(n, n_subch=5, n_prb_subch=10, footprint=20):
+    """A C-V2X engine of n vehicles 10 m apart whose frames take `footprint` PRBs."""
+    vehicles = [VehicleState(i, 0, 500.0 + 10.0 * i, 0.0, +1) for i in range(n)]
+    setup = make_setup("cv2x", duration=1.0, warmup=0.0, vehicles=vehicles)
+    theta = replace(setup.run.theta, n_subch=n_subch, n_prb_subch=n_prb_subch,
+                    n_prb_pkt=footprint)
+    setup = replace(setup, run=replace(setup.run, theta=theta),
+                    prb_table=replace(setup.prb_table, control_overhead_prbs=0))
+    return engine._RunCv2x(setup, lambda batch: None, None)
+
+
+def scored_denominators(sim, ttis):
+    """The (frames, N) noise-plus-interference the scorer computes for the frames
+    of `ttis`, each a list of (transmitter, first subchannel) in send order."""
+    got = []
+
+    def record(*args):
+        denom = interference_mw(*args)
+        got.append(denom.copy())  # the scorer divides the signal into it in place
+        return denom
+
+    with mock.patch.object(engine, "interference_mw", record):
+        for k, frames in enumerate(ttis):
+            tx = np.array([vid for vid, _ in frames], dtype=np.int64)
+            sim.reserved_subch[tx] = [s0 for _, s0 in frames]
+            sim._send(tx, k)
+        sim._score_held()
+    (denom,) = got
+    return denom
 
 
 def test_same_tti_disjoint_subchannels_excluded():
@@ -166,7 +192,9 @@ def test_same_tti_disjoint_subchannels_excluded():
     c = PrbFrame(tti=6, prb_start=0, prb_count=10)
     assert prb_fraction(a, b) == 0.0
     assert prb_fraction(a, c) == 0.0
-    assert prb_hits([a, b, c]) == []
+    sim = cv2x_engine(3, footprint=10)
+    denom = scored_denominators(sim, [[(0, 0), (1, 1)], [(2, 0)]])
+    assert (denom == sim.noise_mw).all()
 
 
 def test_shared_prbs_fraction():
@@ -174,19 +202,101 @@ def test_shared_prbs_fraction():
     b = PrbFrame(tti=5, prb_start=10, prb_count=20)
     assert prb_fraction(a, b) == pytest.approx(0.5)
     assert prb_fraction(b, a) == pytest.approx(0.5)
-    assert prb_hits([a, b]) == [(0, 1, 0.5), (1, 0, 0.5)]
+    sim = cv2x_engine(3, footprint=20)
+    denom = scored_denominators(sim, [[(0, 0), (1, 1)]])
+    power, noise = sim.phy.power_mw, sim.noise_mw
+    assert denom.tolist() == [(noise + 0.5 * power[1]).tolist(),
+                              (noise + 0.5 * power[0]).tolist()]
 
 
-def test_prb_overlap_matches_pairwise_fraction():
-    rng = np.random.default_rng(21)
-    for _ in range(40):
-        size = int(rng.integers(1, 13))
-        ttis = np.sort(rng.integers(0, 4, size=size))
-        starts = rng.integers(0, 40, size=size)
-        frames = [PrbFrame(int(t), int(p), 12) for t, p in zip(ttis, starts)]
-        want = [(f, j, prb_fraction(a, b)) for f, a in enumerate(frames)
-                for j, b in enumerate(frames) if f != j and prb_fraction(a, b) > 0]
-        assert prb_hits(frames) == want
+def test_frames_of_one_start_interfere_in_full():
+    sim = cv2x_engine(4)
+    denom = scored_denominators(sim, [[(2, 1), (0, 1), (3, 1)]])
+    power, noise = sim.phy.power_mw, sim.noise_mw
+    total = power[2] + power[0] + power[3]
+    assert np.array_equal(denom, noise + (total - power[[2, 0, 3]]))
+
+
+@st.composite
+def drawn_ttis(draw):
+    """A batch of 1-3 TTIs of 1-30 frames on a grid of 1-5 subchannels, any
+    footprint width, and power rows over 120 dB, some zero."""
+    n_subch = draw(st.integers(1, 5), label="n_subch")
+    n_prb_subch = draw(st.integers(1, 12), label="n_prb_subch")
+    footprint = draw(st.integers(1, n_subch * n_prb_subch), label="footprint")
+    starts = n_subch - -(-footprint // n_prb_subch)  # the last first subchannel
+    n = draw(st.integers(2, 34), label="vehicles")
+    ttis = []
+    for _ in range(draw(st.integers(1, 3), label="TTIs")):
+        tx = draw(st.permutations(range(n)).map(lambda p: p[:draw(st.integers(1, min(30, n)))]))
+        ttis.append([(vid, draw(st.integers(0, starts))) for vid in tx])
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    return n_subch, n_prb_subch, footprint, n, ttis, seed
+
+
+def group_reference(power, noise_mw, frames, footprint, n_prb_subch):
+    """The scorer's denominators, one scalar at a time: noise, then the frame's
+    own-group total less its own power, then each other group of the TTI,
+    first subchannels ascending, times its share."""
+    groups = {}
+    for vid, s0 in frames:
+        groups.setdefault(s0, []).append(vid)
+    total = {s0: [sum((power[vid][r] for vid in vids), 0.0) for r in range(len(power))]
+             for s0, vids in groups.items()}
+    rows = []
+    for vid, s0 in frames:
+        row = []
+        for r in range(len(power)):
+            d = noise_mw + (total[s0][r] - power[vid][r])
+            for other in sorted(groups):
+                shared = max(footprint - n_prb_subch * abs(other - s0), 0)
+                if other != s0 and shared:
+                    d = d + total[other][r] * (shared / footprint)
+            row.append(d)
+        rows.append(row)
+    return rows
+
+
+def pairwise_reference(power, noise_mw, frames, footprint, n_prb_subch):
+    """The pairwise per-frame sum that the group totals replace: noise, then
+    every other frame of the TTI in send order times its PRB share."""
+    footprints = [PrbFrame(0, s0 * n_prb_subch, footprint) for _, s0 in frames]
+    rows = []
+    for f, (vid, _) in enumerate(frames):
+        row = np.full(len(power), noise_mw)
+        for j, (other, _) in enumerate(frames):
+            frac = prb_fraction(footprints[f], footprints[j])
+            if j != f and frac > 0:
+                row = row + np.asarray(power[other]) * frac
+        rows.append(row)
+    return np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=drawn_ttis())
+@example(case=(5, 10, 24, 8, [[(0, 0), (1, 1), (2, 2), (3, 0), (4, 2), (5, 1)], [(6, 2)]], 3))
+@example(case=(1, 50, 50, 4, [[(0, 0), (1, 0), (2, 0), (3, 0)]], 5))
+def test_group_totals_give_the_pairwise_denominators(case):
+    """Bit for bit the scalar group reference; within 1e-12 the pairwise sum.
+
+    The remainder of a frame's own group is a total less the frame's own
+    power, so it can be off by a few ulps of that total: the pairwise
+    bound is relative to the denominator plus the frame's own power there.
+    """
+    n_subch, n_prb_subch, footprint, n, ttis, seed = case
+    sim = cv2x_engine(n, n_subch, n_prb_subch, footprint)
+    rng = np.random.default_rng(seed)
+    sim.phy.power_mw[...] = 10.0 ** rng.uniform(-15.0, -3.0, (n, n))
+    sim.phy.power_mw[rng.random((n, n)) < 0.1] = 0.0
+    power = sim.phy.power_mw.tolist()
+    denom = scored_denominators(sim, ttis)
+    want = [row for frames in ttis
+            for row in group_reference(power, sim.noise_mw, frames, footprint, n_prb_subch)]
+    assert denom.tolist() == want
+    pairwise = np.concatenate([pairwise_reference(power, sim.noise_mw, frames, footprint,
+                                                  n_prb_subch) for frames in ttis])
+    own = sim.phy.power_mw[[vid for frames in ttis for vid, _ in frames]]
+    assert (np.abs(denom - pairwise) <= 1e-12 * (pairwise + own)).all()
 
 
 # --- interference sum ----------------------------------------------------------------

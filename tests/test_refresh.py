@@ -142,9 +142,14 @@ def test_refresh_overwrites_the_buffers_in_place():
     assert not np.array_equal(phy.power_mw[3], kept)
 
 
-@pytest.mark.parametrize("width_m, code_dtype", [(25.0, np.int16), (0.03, np.int32)])
+@pytest.mark.parametrize("width_m, code_dtype", [
+    (25.0, np.int8), (5.0, np.int16), (0.03, np.int32)])
 def test_the_cache_holds_two_float64_link_buffers(width_m, code_dtype):
-    """Shadowing and mW power; the rest of the per-pair state is integer or bool."""
+    """Shadowing and mW power; the rest of the per-pair state is integer or bool.
+
+    The link codes take the smallest type that holds 2 * bins + 1 over 600 m:
+    49 at the default 25 m bins, 241 at 5 m, 40 001 at 0.03 m.
+    """
     geom, _ = geometry("highway", True, 40, seed=4)
     cfg = replace(built_setup().run, prr_bin_width_m=width_m)
     phy = engine._PhyCache(geom, built_setup().propagation, cfg, -85.0)
