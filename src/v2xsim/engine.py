@@ -654,7 +654,8 @@ class _RunCv2x(_RunBase):
     from these totals; the TTI is then held with its transmitters, each
     one's group, the groups' first subchannels and totals, and its start.
     `_score_held` scores the held TTIs against the group totals, in one
-    (remainder rows + groups, N) source buffer."""
+    (frames + groups, N) source buffer: each frame's remainder row, its
+    group's total less its own row, then the totals."""
 
     def __init__(self, setup: SimulationSetup, emit, trace: TraceLog | None):
         super().__init__(setup, emit, trace)

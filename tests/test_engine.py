@@ -209,18 +209,10 @@ def test_shared_prbs_fraction():
                               (noise + 0.5 * power[0]).tolist()]
 
 
-def test_frames_of_one_start_interfere_in_full():
-    sim = cv2x_engine(4)
-    denom = scored_denominators(sim, [[(2, 1), (0, 1), (3, 1)]])
-    power, noise = sim.phy.power_mw, sim.noise_mw
-    total = power[2] + power[0] + power[3]
-    assert np.array_equal(denom, noise + (total - power[[2, 0, 3]]))
-
-
 @st.composite
 def drawn_ttis(draw):
     """A batch of 1-3 TTIs of 1-30 frames on a grid of 1-5 subchannels, any
-    footprint width, and power rows over 120 dB, some zero."""
+    footprint width, and a seed for the power rows."""
     n_subch = draw(st.integers(1, 5), label="n_subch")
     n_prb_subch = draw(st.integers(1, 12), label="n_prb_subch")
     footprint = draw(st.integers(1, n_subch * n_prb_subch), label="footprint")
