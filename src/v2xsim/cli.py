@@ -352,11 +352,15 @@ def cmd_simulate(args) -> int:
 
 
 def parse_betas(text: str) -> list[float]:
-    """The beta list of `--betas`: comma-separated numbers."""
+    """The beta list of `--betas`: comma-separated numbers, each given once."""
     try:
-        return [float(b) for b in text.split(",")]
+        betas = [float(b) for b in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--betas must be a comma list of numbers, got {text!r}") from exc
+    # mae.csv has one row per beta, and a repeated one would tie with itself for best
+    if len(set(betas)) < len(betas):
+        raise ConfigError(f"--betas must not repeat a value, got {text!r}")
+    return betas
 
 
 def cmd_select_beta(args) -> int:

@@ -15,17 +15,16 @@ symmetric in the vehicle pair are computed once per pair and mirrored:
 distance (sqrt(dx^2 + dy^2)), LOS (no mask on the highway, where every
 link is LOS), path loss (one slope and one folded constant per branch), and the
 pair's link code, which holds all that scoring reads of the distance (in
-range, PRR bin, inside the IPG range) in one small integer. 802.11p also
-keeps the mask of the links that carrier sense decodes. Shadowing and the
-link budget are computed per directed link, the shadowing drawn in row
+range, PRR bin, inside the IPG range) in one small integer. Shadowing and
+the link budget are computed per directed link, the shadowing drawn in row
 order.
 
 802.11p carrier sense is one rule, busy at the decodable or at the energy
-threshold. A frame carries the stations it reaches decodably as a bool row:
-its start adds the row to their count and its end subtracts it, and while no
-energy sum is kept an edge looks for a flip only at the contending stations
-of its row; the sum, and with it a busy vector, is kept only while it can
-matter (`_Run11p`).
+threshold. A frame carries the stations it reaches decodably as a bool row,
+taken from its mW power row as it starts: its start adds the row to their
+count and its end subtracts it, and while no energy sum is kept an edge
+looks for a flip only at the contending stations of its row; the sum, and
+with it a busy vector, is kept only while it can matter (`_Run11p`).
 
 The event loops only record frames; one scorer turns them into link
 outcomes in F x N passes against all in-range receivers. Every frame of a
@@ -304,9 +303,7 @@ class _PhyCache:
     per vehicle pair, 2 * PRR bin (`PrrSeries.bin_of`) + 1 if the pair is
     inside the IPG range, for the pairs within `max_range_m`; -1 for the
     others and on the diagonal, in the first of int8, int16, int32 and
-    int64 that holds 2 * bins + 1 (int8 for the default 24 bins). With
-    `decodable_dbm` (802.11p carrier sense), decodable: (N, N) bool, the
-    links received at that power or above, never the diagonal.
+    int64 that holds 2 * bins + 1 (int8 for the default 24 bins).
 
     The buffers are allocated once per run and each refresh overwrites them
     in place: a row read after the next refresh holds the next epoch's
@@ -321,10 +318,10 @@ class _PhyCache:
     yet finished. On the highway every link is LOS, so a block builds no LOS
     mask and hands `path_loss_db` los=None. Rows [r0, r1) are then complete
     and get their directed part: shadowing, the link budget in dBm (in a
-    block-sized buffer), the power floor on the diagonal, the decodable mask
-    and the mW power, one multiply and one exp in place (`dbm_to_mw`). The
-    shadowing draws come from the one `shadowing` stream in row order, the
-    order of one (N, N) draw.
+    block-sized buffer), the power floor on the diagonal and the mW power,
+    one multiply and one exp in place (`dbm_to_mw`). The shadowing draws
+    come from the one `shadowing` stream in row order, the order of one
+    (N, N) draw.
 
     Distance by sqrt(dx^2 + dy^2), the folded path-loss constants and the
     exp conversion differ from `np.hypot`, the unfolded sums and
@@ -332,20 +329,17 @@ class _PhyCache:
     the golden digests of tests/test_golden.py pin that no output moves.
     """
 
-    def __init__(self, geom: Geometry, prop: PropagationConfig, cfg: RunConfig,
-                 decodable_dbm: float | None = None):
+    def __init__(self, geom: Geometry, prop: PropagationConfig, cfg: RunConfig):
         self.geom = geom
         self.prop = prop
         self.rng = stream(cfg.seed, "shadowing")
         self.max_range_m, self.ipg_range_m = cfg.max_range_m, cfg.ipg_range_m
         self.bins = _prr_series(cfg)
-        self.decodable_dbm = decodable_dbm
         n = geom.n
         self.shadow_db, self.power_mw = np.empty((n, n)), np.empty((n, n))
         top = 2 * self.bins.opportunities.size + 1
         self.code = np.empty((n, n), dtype=next(
             t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max))
-        self.decodable = None if decodable_dbm is None else np.empty((n, n), dtype=bool)
         self._last_traveled = geom.traveled.copy()
         self.refresh(first=True)
 
@@ -392,10 +386,6 @@ class _PhyCache:
             power = np.subtract(prop.lossless_rx_dbm, mw, out=dbm[:r1 - r0])
             power -= shadow
             power[diag, diag + r0] = POWER_FLOOR_DBM
-            if self.decodable is not None:
-                decodable = np.greater_equal(power, self.decodable_dbm,
-                                             out=self.decodable[rows])
-                decodable[diag, diag + r0] = False  # a station does not sense its own frame
             dbm_to_mw(power, out=mw)
 
 
@@ -404,13 +394,11 @@ class _RunBase:
 
     `generated` and `transmitted` count the packets generated and the frames
     sent after warmup; the link codes of `phy` give each link its range, PRR
-    bin and IPG in-range flag. `decodable_dbm` is the carrier-sense
-    threshold whose mask `phy` keeps, if any. The engine tallies nothing and
-    builds no metric store.
+    bin and IPG in-range flag. The engine tallies nothing and builds no
+    metric store.
     """
 
-    def __init__(self, setup: SimulationSetup, emit, trace: TraceLog | None,
-                 decodable_dbm: float | None = None):
+    def __init__(self, setup: SimulationSetup, emit, trace: TraceLog | None):
         cfg = self.cfg = setup.run
         self.traffic = setup.traffic
         self.emit = emit
@@ -425,7 +413,7 @@ class _RunBase:
         self.n = self.geom.n
         # the vehicle ids name each vehicle's phase, backoff and SPS streams
         self.ids = np.array([v.id for v in vehicles])
-        self.phy = _PhyCache(self.geom, setup.propagation, cfg, decodable_dbm)
+        self.phy = _PhyCache(self.geom, setup.propagation, cfg)
         self.noise_mw = 10.0 ** (noise_power_dbm(setup.propagation) / 10.0)
         self.generated = self.transmitted = 0
         self.counting = False  # a frame that starts after warmup was scored
@@ -493,23 +481,30 @@ class _Frame:
 
 class _Run11p(_RunBase):
     """802.11p. Carrier sense is one rule: busy while `busy_decod > 0` or
-    `energy_mw >= e65`. `busy_decod` counts the frames on air that reached the
-    station at e85 (the decodable threshold) as they started: a frame adds its
-    `reach` row as it starts and subtracts it as it ends. A station no such
-    frame reaches gets under e85 from each, so, float error and all, its
-    energy stays under e65 / 2 while fewer than `energy_frames` =
-    floor(e65 / (2 e85)) are on air: then no sum is kept, the count is the
-    state, and an edge flips the contending stations of its `reach` whose
-    count it took to 1 or 0. `energy_busy` is the state while it is."""
+    `energy_mw >= e65_mw`. A frame's `reach` is the stations its mW power
+    row reaches at `e85_mw`, the decodable threshold through the exp the
+    rows take: exp is increasing, so this is the compare in dBm but for
+    links within about 1e-15 relative of the threshold. `busy_decod` counts
+    the frames on air that reached the station as they started: a frame
+    adds its `reach` row as it starts and subtracts it as it ends. A station
+    no such frame reaches gets under e85_mw from each, so, float error and
+    all, its energy stays under e65_mw / 2 while fewer than `energy_frames`
+    = floor(e65_mw / (2 e85_mw)) are on air: then no sum is kept, the count
+    is the state, and an edge flips the contending stations of its `reach`
+    whose count it took to 1 or 0. `energy_busy` is the state while it is."""
 
     def __init__(self, setup: SimulationSetup, emit, trace: TraceLog | None):
-        super().__init__(setup, emit, trace, setup.csma.sense_decodable_dbm)
+        super().__init__(setup, emit, trace)
         csma = self.csma = setup.csma
         self.mac = CsmaNode(csma, self.cfg.theta.t_aifs_s,
                             streams(self.cfg.seed, "backoff", self.ids))
         self.busy_decod = np.zeros(self.n, dtype=np.int64)
         self.energy_mw = self.energy_busy = None
         self.e65_mw = 10.0 ** (csma.sense_energy_dbm / 10.0)
+        # through the exp the rows take; a threshold too high for float64 is
+        # inf, so that nothing is decodable
+        with np.errstate(over="ignore"):
+            self.e85_mw = float(dbm_to_mw(np.array([csma.sense_decodable_dbm]))[0])
         # capping the dB gap only lowers the guard, which keeps it exact
         gap_db = min(csma.sense_energy_dbm - csma.sense_decodable_dbm, 100.0)
         self.energy_frames = max(math.floor(10.0 ** (gap_db / 10.0) / 2.0), 1)
@@ -555,8 +550,10 @@ class _Run11p(_RunBase):
             self.trace.tx_starts.append((now, vid, self._busy_at(vid)))
         mw_row = self.phy.power_mw[vid].copy()
         mw_row[vid] = 0.0
-        frame = _Frame(vid, now, mw_row, self.phy.code[vid].copy(),
-                       self.phy.decodable[vid].copy())
+        reach = mw_row >= self.e85_mw
+        # a threshold under about -3233 dBm is 0.0 mW, which the zeroed own link meets
+        reach[vid] = False
+        frame = _Frame(vid, now, mw_row, self.phy.code[vid].copy(), reach)
         frame.overlappers = list(self.active)
         for other in self.active:
             other.overlappers.append(frame)

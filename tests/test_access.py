@@ -2,6 +2,7 @@
 
 import heapq
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -65,12 +66,10 @@ def play_11p(sim, frames):
 def set_channel(sim, power_dbm):
     """Every link of an 802.11p engine at the received power `power_dbm` (a scalar or (N, N)).
 
-    The refresh's mW power and decodable mask of that power: a station does
-    not sense its own frame.
+    The refresh's mW power of that power; carrier sense derives each frame's
+    decodable stations from it.
     """
     sim.phy.power_mw[:] = 10.0 ** (np.asarray(power_dbm) / 10.0)
-    sim.phy.decodable[:] = np.asarray(power_dbm) >= sim.csma.sense_decodable_dbm
-    np.fill_diagonal(sim.phy.decodable, False)
 
 
 def flat_medium(stations, power_dbm, **csma):
@@ -106,10 +105,17 @@ def test_energy_threshold_below_decodable_senses_one_undecodable_frame():
     assert not sim.busy.any()
 
 
-def test_station_does_not_sense_its_own_frame():
-    sim = flat_medium(2, -86.0, sense_decodable_dbm=-90.0)
-    sim._begin_frame(1, 0.0)
-    assert sim.busy.tolist() == [True, False]
+@pytest.mark.parametrize("e85_dbm, busy", [
+    (-90.0, [True, False]),
+    (-4000.0, [True, False]),  # 0.0 mW, which the zeroed own link meets
+    (4000.0, [False, False]),  # past float64 in mW: inf, so nothing is decodable
+], ids=["-90dBm", "-4000dBm", "+4000dBm"])
+def test_station_does_not_sense_its_own_frame(e85_dbm, busy):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sim = flat_medium(2, -86.0, sense_decodable_dbm=e85_dbm)
+        sim._begin_frame(1, 0.0)
+    assert sim.busy.tolist() == busy
 
 
 def sensed_busy(frames, n, e85_dbm, e65_mw):

@@ -816,6 +816,19 @@ def test_select_beta_malformed_beta_list_exits_2(betas, tmp_path, capsys):
     assert "--betas" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("betas", ["0.5,0.5", "0.5,0.5,0.3", "0.3,0.5,0.50"])
+def test_select_beta_repeated_beta_exits_2_before_simulating(betas, tmp_path, capsys):
+    """A repeated beta would give mae.csv two rows, both best."""
+    curve = os.path.join(CURVE_DIR, "highway_los_11p_mcs2_350B.csv")
+    with mock.patch.object(cli, "run") as simulate:
+        code = run_cli("select-beta", "--out", str(tmp_path / "sb"), "--betas", betas,
+                       "--set", f"reception.curve_file={curve}")
+    assert code == 2
+    assert "--betas" in capsys.readouterr().err
+    simulate.assert_not_called()
+    assert not (tmp_path / "sb").exists()
+
+
 def test_select_beta_beta_outside_the_curve_exits_3_before_simulating(tmp_path, capsys):
     curve = os.path.join(CURVE_DIR, "highway_los_11p_mcs2_350B.csv")
     with mock.patch.object(cli, "run") as simulate:

@@ -7,12 +7,13 @@ the power floor on the diagonal and the mW power, converted with the
 engine's own `dbm_to_mw` (whose accuracy tests/test_channel.py bounds).
 The engine's `_PhyCache` computes the symmetric terms once per pair in
 row blocks and mirrors them, draws the shadowing block by block, and keeps no distance or dBm
-matrix: per pair a link code, and for 802.11p the decodable mask. With any
-block size, on either layout, with or without wrap-around, under either
-path-loss model, the shadowing and the mW power must equal the
-reference's bit for bit, and the codes and the mask must follow from its
-distances and dBm powers, after the first refresh and after every later
-one; both must leave the shadowing stream in the same state.
+matrix: per pair a link code. With any block size, on either layout, with
+or without wrap-around, under either path-loss model, the shadowing and the
+mW power must equal the reference's bit for bit, and the codes must follow
+from its distances, after the first refresh and after every later one; both
+must leave the shadowing stream in the same state. 802.11p carrier sense
+compares the mW power with its decodable threshold in mW, so off the
+diagonal that compare must agree with the reference's in dBm.
 """
 
 from dataclasses import replace
@@ -88,12 +89,11 @@ def assert_same_links(blocked, full, cfg, decodable_dbm):
     for name in ("shadow_db", "power_mw"):
         assert np.array_equal(getattr(blocked, name), getattr(full, name)), name
     assert_codes_follow_the_distances(blocked, full.dist, cfg)
-    if decodable_dbm is None:
-        assert blocked.decodable is None
-    else:
-        decodable = full.power_dbm >= decodable_dbm
-        np.fill_diagonal(decodable, False)
-        assert np.array_equal(blocked.decodable, decodable)
+    # `_Run11p` takes each frame's decodable stations from its mW row by this
+    off_diagonal = ~np.eye(full.dist.shape[0], dtype=bool)
+    threshold_mw = engine.dbm_to_mw(np.array([decodable_dbm]))[0]
+    assert np.array_equal((blocked.power_mw >= threshold_mw)[off_diagonal],
+                          (full.power_dbm >= decodable_dbm)[off_diagonal])
 
 
 @settings(max_examples=100, deadline=None)
@@ -102,7 +102,7 @@ def assert_same_links(blocked, full, cfg, decodable_dbm):
        vehicles=st.integers(2, 300), seed=st.integers(0, 2**31 - 1),
        block_elements=st.integers(1, 2000), steps=st.integers(1, 4),
        step_s=st.sampled_from([0.01, 0.1, 1.0]),
-       decodable_dbm=st.sampled_from([None, -85.0, -60.0]))
+       decodable_dbm=st.sampled_from([-85.0, -60.0]))
 @example(layout="highway", wrap_around=True, model="winner_b1_los", vehicles=1, seed=1,
          block_elements=7, steps=2, step_s=0.1,
          decodable_dbm=-85.0)  # one vehicle; an empty road never refreshes
@@ -118,7 +118,7 @@ def test_block_refresh_matches_full_matrix_refresh(layout, wrap_around, model, v
     prop = replace(built_setup().propagation, model=model)
     cfg = replace(built_setup().run, seed=seed)
     with mock.patch.object(engine, "REFRESH_BLOCK_ELEMENTS", block_elements):
-        blocked = engine._PhyCache(geom, prop, cfg, decodable_dbm)
+        blocked = engine._PhyCache(geom, prop, cfg)
         full = FullMatrixPhy(ref_geom, prop, seed)
         assert_same_links(blocked, full, cfg, decodable_dbm)
         for _ in range(steps):
@@ -132,35 +132,34 @@ def test_block_refresh_matches_full_matrix_refresh(layout, wrap_around, model, v
 
 def test_refresh_overwrites_the_buffers_in_place():
     geom, _ = geometry("highway", True, 50, seed=9)
-    phy = engine._PhyCache(geom, built_setup().propagation, built_setup().run, -85.0)
-    buffers = [phy.code, phy.shadow_db, phy.power_mw, phy.decodable]
+    phy = engine._PhyCache(geom, built_setup().propagation, built_setup().run)
+    buffers = [phy.code, phy.shadow_db, phy.power_mw]
     kept = phy.power_mw[3].copy()
     geom.step(1.0)
     phy.refresh()
-    assert all(a is b for a, b in zip(buffers, [phy.code, phy.shadow_db, phy.power_mw,
-                                                phy.decodable]))
+    assert all(a is b for a, b in zip(buffers, [phy.code, phy.shadow_db, phy.power_mw]))
     assert not np.array_equal(phy.power_mw[3], kept)
 
 
 @pytest.mark.parametrize("width_m, code_dtype", [
     (25.0, np.int8), (5.0, np.int16), (0.03, np.int32)])
 def test_the_cache_holds_two_float64_link_buffers(width_m, code_dtype):
-    """Shadowing and mW power; the rest of the per-pair state is integer or bool.
+    """Shadowing and mW power; the only other per-pair buffer is the integer link code.
 
     The link codes take the smallest type that holds 2 * bins + 1 over 600 m:
     49 at the default 25 m bins, 241 at 5 m, 40 001 at 0.03 m.
     """
     geom, _ = geometry("highway", True, 40, seed=4)
     cfg = replace(built_setup().run, prr_bin_width_m=width_m)
-    phy = engine._PhyCache(geom, built_setup().propagation, cfg, -85.0)
+    phy = engine._PhyCache(geom, built_setup().propagation, cfg)
     n = geom.n
     square = {name: a for name, a in vars(phy).items()
               if isinstance(a, np.ndarray) and a.ndim == 2}
-    assert sorted(square) == ["code", "decodable", "power_mw", "shadow_db"]
+    assert sorted(square) == ["code", "power_mw", "shadow_db"]
     assert all(a.shape == (n, n) for a in square.values())
     assert [name for name, a in sorted(square.items()) if a.dtype == np.float64] == [
         "power_mw", "shadow_db"]
-    assert phy.code.dtype == code_dtype and phy.decodable.dtype == bool
+    assert phy.code.dtype == code_dtype
 
 
 def vehicles_at(positions):
