@@ -29,7 +29,9 @@ vehicles selecting in one TTI), each on the default subchannel grid and on a
 single 50-PRB subchannel, where numpy sums the sensing-window projection
 pairwise instead of in order. A change to the projection's last bits can
 move them, and a change to the relaxed threshold or to the selection draws
-does.
+does. One more pins a dense C-V2X run whose frames start on seven
+subchannels, each 4 subchannels wide, in both reception modes (its
+selections in step mode): most of its TTIs leave some starts empty.
 
 The abstraction pins cover the `fit-alpha` model files of both bundled
 scenarios and the `derive-threshold` report of an 802.11p MCS and a C-V2X
@@ -245,6 +247,40 @@ def test_sps_trace_matches_recorded_digests(name, tmp_path):
         **SPS_CASES[name],
     }, tmp_path)
     assert (digest_repr(trace.sps_selections), outputs) == SPS_DIGESTS[name]
+
+
+# MCS 5 at 100 B takes 15 PRBs, 17 with control: 4 of 10 five-PRB subchannels,
+# so a frame starts on one of 7 subchannels; with about 8 frames a TTI at
+# 400 veh/km, most TTIs leave some starts empty
+SEVEN_START_DIGESTS = {
+    # reception mode: (SPS selection trace, prr.csv + ipg_ccdf.csv)
+    "step": ("c47c42c99ec976e4150fb067e23ecd4464245f1573a893c980350a2c05df47b1",
+             "24566e8a062e97506c36aad376a0b69bd25ad87bd27347e53127d45627153db8"),
+    "curve": (None, "8f67bd8bf92bc3fb70855e86269ffaa713e0ec8dc42b2b1428efa4b0a063e21b"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SEVEN_START_DIGESTS))
+def test_dense_cv2x_on_seven_first_subchannels_matches_recorded_digests(mode, tmp_path):
+    trace, outputs = simulate_traced({
+        "run.technology": "cv2x",
+        "run.seed": 17,
+        "run.sim_duration_s": 1.0,
+        "run.warmup_s": 0.3,
+        "cv2x.n_subch": 10,
+        "cv2x.n_prb_subch": 5,
+        "cv2x.mcs_index": 5,
+        "traffic.payload_bytes": 100,
+        "reception.mode": mode,
+        "reception.curve_file": curve_path("highway_los_cv2x_mcs5_350B.csv"),
+        "road.density_vpk": 400.0,
+        "road.mean_speed_kmh": 56.0,
+        "road.placement": "fixed_count",
+    }, tmp_path)
+    selections, expected = SEVEN_START_DIGESTS[mode]
+    if selections is not None:
+        assert digest_repr(trace.sps_selections) == selections
+    assert outputs == expected
 
 
 SELECT_BETA_DIGEST = "a65d93a8b2895dbbef2227b1c6a30a63ef1195a7bbdebf898aaa3ed7acf85e86"
