@@ -8,8 +8,10 @@ access instant; there are no per-station timers. Same-instant events are
 ordered by one sequence counter (see CsmaNode).
 
 Sidelink autonomous scheduling judges resources by a vehicle's rows of
-the engine's sensing ring, the received power per (TTI, vehicle,
-subchannel) that the engine records, and picks from the best fifth of the
+the engine's sensing ring, the received power per (TTI, vehicle, first
+subchannel) that the engine records, one total per start of a frame's
+footprint; a selection spreads the rows it reads over the subchannels
+they cover (`subchannel_sums`). It picks from the best fifth of the
 selection window, with the standard threshold relaxation and a
 probabilistic keep at counter expiry. One `sps_select` call selects for
 every vehicle that reselects in a TTI: the projection, the metric and the
@@ -273,13 +275,32 @@ class Selection:
     threshold_dbm: float
 
 
+def subchannel_sums(starts: np.ndarray, n_subch_needed: int) -> np.ndarray:
+    """Power per subchannel of power per first subchannel (start).
+
+    starts[..., s0] is the power of the frames that start on subchannel s0
+    and occupy `n_subch_needed` subchannels from it. Subchannel s holds 0.0
+    plus each start that covers it, added in ascending order: the float sum
+    the engine's sensing builds per subchannel from its group totals, since
+    a start without frames adds +0.0, which leaves a sum unchanged.
+    """
+    n_starts = starts.shape[-1]
+    out = np.zeros(starts.shape[:-1] + (n_starts + n_subch_needed - 1,))
+    for s0 in range(n_starts):
+        out[..., s0:s0 + n_subch_needed] += starts[..., s0:s0 + 1]
+    return out
+
+
 def projected_average_mw(ring: np.ndarray, vids: np.ndarray, filled_until: int,
-                         candidate_ttis: np.ndarray, period_ttis: int) -> np.ndarray:
+                         candidate_ttis: np.ndarray, period_ttis: int,
+                         n_subch_needed: int) -> np.ndarray:
     """Average sensed power per (candidate TTI, vehicle, subchannel).
 
-    ring is the engine's (window TTIs, vehicles, subchannels) sensing ring:
-    absolute TTI t is row t % window TTIs. It holds linear mW (0 =
-    silence); NaN marks TTIs a vehicle could not sense because it was
+    ring is the engine's (window TTIs, vehicles, starts) sensing ring:
+    absolute TTI t is row t % window TTIs, and start s0 is the first
+    subchannel of a frame `n_subch_needed` subchannels wide. It holds
+    linear mW, the total of the frames that start there (0 = none); NaN in
+    every start marks TTIs a vehicle could not sense because it was
     transmitting (half duplex). vids lists the vehicles to judge for, and
     filled_until is the absolute TTI one past the last recorded row.
 
@@ -292,18 +313,22 @@ def projected_average_mw(ring: np.ndarray, vids: np.ndarray, filled_until: int,
     the recorded span [max(filled_until - window TTIs, 0), filled_until)
     for some candidate are read; for ascending candidates they form one
     range [m_lo, m_hi], and none are read when it is empty. One index
-    gathers those levels of the listed vehicles alone, level-major, and
-    every bit of each vehicle's result is that of summing all depth levels
-    of that vehicle alone (a (candidate, depth, subchannel) array summed
-    over its depth axis). numpy sums that depth axis in order at two or
-    more subchannels, and pairwise at one. In order, the unread levels are
-    zeros that add nothing, so one reduce of the read levels over the
-    leading axis, which numpy accumulates in order, gives the same bits;
-    so does a single read level at any width. Two or more read levels at
-    one subchannel keep their depth positions in a zero stack of all depth
-    levels, which is summed pairwise as the full depth is.
+    gathers those levels of the listed vehicles alone, level-major; each
+    read level goes from starts to subchannels by `subchannel_sums`, so
+    every subchannel of a level holds the bits of the per-subchannel sum
+    that the engine's sensing adds up. Every bit of each vehicle's result
+    is then that of summing all depth levels of that vehicle alone (a
+    (candidate, depth, subchannel) array summed over its depth axis).
+    numpy sums that depth axis in order at two or more subchannels, and
+    pairwise at one. In order, the unread levels are zeros that add
+    nothing, so one reduce of the read levels over the leading axis, which
+    numpy accumulates in order, gives the same bits; so does a single read
+    level at any width. Two or more read levels at one subchannel keep
+    their depth positions in a zero stack of all depth levels, which is
+    summed pairwise as the full depth is.
     """
-    window_ttis, n_vehicles, n_subch = ring.shape
+    window_ttis, n_vehicles, n_starts = ring.shape
+    n_subch = n_starts + n_subch_needed - 1
     n_cand = candidate_ttis.size
     depth = max(window_ttis // period_ttis, 1)
     lo = max(filled_until - window_ttis, 0)
@@ -312,12 +337,13 @@ def projected_average_mw(ring: np.ndarray, vids: np.ndarray, filled_until: int,
     if m_lo > m_hi:
         return np.zeros((n_cand, vids.size, n_subch))
     past = candidate_ttis - np.arange(m_lo, m_hi + 1)[:, None] * period_ttis  # (M, cand)
-    # one take of whole (TTI, vehicle) rows of the ring: (M, cand, V, subch)
-    rows = ring.reshape(-1, n_subch).take(((past % window_ttis) * n_vehicles)[:, :, None] + vids,
-                                          axis=0)
-    usable = ((past >= lo) & (past < filled_until))[:, :, None, None] & ~np.isnan(rows)
-    levels = np.where(usable, rows, 0.0)
-    counts = np.maximum(np.count_nonzero(usable, axis=0), 1)
+    # one take of whole (TTI, vehicle) rows of the ring: (M, cand, V, starts)
+    rows = ring.reshape(-1, n_starts).take(((past % window_ttis) * n_vehicles)[:, :, None] + vids,
+                                           axis=0)
+    # a row is unsensed in all its starts or in none
+    usable = ((past >= lo) & (past < filled_until))[:, :, None] & ~np.isnan(rows[..., 0])
+    levels = subchannel_sums(np.where(usable[..., None], rows, 0.0), n_subch_needed)
+    counts = np.maximum(np.count_nonzero(usable, axis=0), 1)[..., None]
     if n_subch == 1 and m_hi > m_lo:
         # depth contiguous, as in a vehicle's own (candidate, depth) array
         stack = np.zeros((n_cand, vids.size, depth, 1))
@@ -341,10 +367,10 @@ def sps_select(ring: np.ndarray, vids: np.ndarray, now_tti: int, params: SpsPara
                n_subch_needed: int) -> list[Selection]:
     """Pick a resource in [now+T1, now+T2] for each of `vids`, by the sensing procedure.
 
-    ring is the engine's sensing ring (`projected_average_mw`), recorded up
-    to now_tti; vids (ascending) are the vehicles that reselect in this TTI
-    and rngs their SPS streams, in the same order. Returns one Selection
-    per vehicle. A candidate is judged by its past occurrences
+    ring is the engine's sensing ring (`projected_average_mw`), one column
+    per candidate start, recorded up to now_tti; vids (ascending) are the
+    vehicles that reselect in this TTI and rngs their SPS streams, in the
+    same order. Returns one Selection per vehicle. A candidate is judged by its past occurrences
     `period_ttis` apart, the generation period in TTIs. Candidates above
     the RSRP threshold are excluded, the threshold relaxing in fixed steps
     until at least best_fraction of the window survives (a relaxation that
@@ -358,11 +384,10 @@ def sps_select(ring: np.ndarray, vids: np.ndarray, now_tti: int, params: SpsPara
     """
     t1, t2 = selection_window(params, t_tti_s)
     cand_ttis = np.arange(now_tti + t1, now_tti + t2 + 1)
-    n_starts = ring.shape[2] - n_subch_needed + 1
-    if n_starts < 1:
-        raise ConfigError("packet footprint wider than the subchannel grid")
+    n_starts = ring.shape[2]
 
-    per_subch = projected_average_mw(ring, vids, now_tti, cand_ttis, period_ttis)
+    per_subch = projected_average_mw(ring, vids, now_tti, cand_ttis, period_ttis,
+                                     n_subch_needed)
     # metric per candidate start: mean over the subchannels it would occupy
     cols = [per_subch[:, :, s:s + n_subch_needed].mean(axis=2) for s in range(n_starts)]
     avg_mw = np.stack(cols, axis=2).transpose(1, 0, 2)  # (V, ttis, starts)

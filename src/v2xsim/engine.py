@@ -36,9 +36,10 @@ two share, computed for the whole batch at once; a batch stacks each frame's
 power row once, however many frames it overlaps. The frames of a C-V2X
 TTI interfere with and deafen only each other; those that start on one
 subchannel, a group, occupy the same PRBs, as every frame of a run has the
-same footprint. Sensing sums each group's power rows once, in tx order; it
-adds each group total to the group's subchannels and writes the transpose
-into the (window, N, subchannel) ring that SPS selection reads. A sent TTI
+same footprint. Sensing sums each group's power rows once, in tx order, and
+writes the transposed group totals into the (window, N, first subchannel)
+ring that SPS selection reads, 0.0 at a start without frames; a selection
+spreads the rows it reads over the subchannels they cover. A sent TTI
 is held with its transmitters and its group totals. Either engine scores
 its held frames once they reach SCORE_BATCH_ELEMENTS frame x receiver
 elements and at the end of the run; C-V2X also scores them before each
@@ -647,9 +648,10 @@ class _RunCv2x(_RunBase):
     """C-V2X sidelink on TTI slots, each frame one TTI on `n_subch_needed`
     subchannels from its SPS reservation's first subchannel. `_send` puts a
     TTI's frames on air: `_sense` sums the power rows of each group (the
-    frames of one first subchannel) in tx order and writes the sensing ring
-    from these totals; the TTI is then held with its transmitters, each
-    one's group, the groups' first subchannels and totals, and its start.
+    frames of one first subchannel) in tx order and writes these totals into
+    the sensing ring, one column per first subchannel; the TTI is then held
+    with its transmitters, each one's group, the groups' first subchannels
+    and totals, and its start.
     `_score_held` scores the held TTIs against the group totals, in one
     (frames + groups, N) source buffer: each frame's remainder row, its
     group's total less its own row, then the totals."""
@@ -672,19 +674,22 @@ class _RunCv2x(_RunBase):
         footprint = theta.n_prb_pkt + setup.prb_table.control_overhead_prbs
         self.n_subch_needed = math.ceil(footprint / theta.n_prb_subch)
         if self.n_subch_needed > theta.n_subch:
-            raise ConfigError(f"a packet's footprint of {footprint} PRBs (with "
+            raise ConfigError(f"a packet's footprint of {footprint} PRBs (cv2x.n_prb_pkt, or "
+                              "from cv2x.mcs_index and traffic.payload_bytes, with "
                               "cv2x.control_overhead_prbs) exceeds cv2x.n_subch subchannels of "
                               "cv2x.n_prb_subch")
         self.footprint_prbs = footprint
         self.n_prb_subch = theta.n_prb_subch
         self.window_ttis = max(int(round(sps.sensing_window_s / self.t_tti)), 1)
-        # TTI-major: row t % window TTIs holds every vehicle's sensed subchannels
+        # TTI-major: row t % window TTIs holds every vehicle's sensed power per
+        # first subchannel a frame can start on
+        n_starts = theta.n_subch - self.n_subch_needed + 1
         try:
-            self.ring = np.zeros((self.window_ttis, self.n, theta.n_subch))
+            self.ring = np.zeros((self.window_ttis, self.n, n_starts))
         except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
             raise ConfigError(f"the SPS sensing ring of {self.window_ttis} TTIs x {self.n} "
-                              f"vehicles x {theta.n_subch} subchannels does not fit in memory: "
-                              "lower cv2x.sensing_window_ms, road.density_vpk or "
+                              f"vehicles x {n_starts} first subchannels does not fit in "
+                              "memory: lower cv2x.sensing_window_ms, road.density_vpk or "
                               "cv2x.n_subch") from None
         t1, t2 = selection_window(sps, self.t_tti)
         depth = max(self.window_ttis // self.period_ttis, 1)
@@ -771,7 +776,7 @@ class _RunCv2x(_RunBase):
                 self._score_held()
 
     def _sense(self, tx: np.ndarray, k: int):
-        """Write this TTI's received power per subchannel into every sensing window.
+        """Write this TTI's received power per first subchannel into every sensing window.
 
         Returns the TTI's groups, the frames that start on one subchannel:
         each frame's group, the groups' first subchannels (ascending) and
@@ -785,14 +790,11 @@ class _RunCv2x(_RunBase):
         total = np.zeros((len(first_subch), self.n))
         for g, vid in zip(group, tx.tolist()):
             total[g] += self.phy.power_mw[vid]
-        # subchannel-major: each group adds its total to its n_subch_needed
-        # subchannels in one add over contiguous rows, groups ascending; the
-        # ring is vehicle-major for the SPS gathers, so the sum goes in transposed
-        acc = np.zeros((self.ring.shape[2], self.n))
-        for g, s0 in enumerate(first_subch):
-            acc[s0:s0 + self.n_subch_needed] += total[g]
+        # the ring is vehicle-major for the SPS gathers, so the totals go in
+        # transposed; a start without frames senses silence
         row = self.ring[k % self.window_ttis]
-        row[...] = acc.T
+        row[...] = 0.0
+        row[:, first_subch] = total.T
         row[tx] = np.nan  # half duplex: own TTI unsensed
         return group, first_subch, total
 

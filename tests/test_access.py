@@ -15,7 +15,7 @@ from conftest import built_setup, default_theta, make_setup, vehicle_pair
 from v2xsim import engine
 from v2xsim.access import (AIFS_WAIT, BACKOFF_COUNTING, BACKOFF_FROZEN, IDLE, TRANSMITTING,
                            CsmaNode, Selection, SpsState, projected_average_mw,
-                           sps_after_transmission, sps_select)
+                           sps_after_transmission, sps_select, subchannel_sums)
 from v2xsim.errors import ConfigError
 from v2xsim.scenario import VehicleState
 from v2xsim.util import linear_to_db, stream
@@ -249,7 +249,7 @@ def test_half_duplex_disjoint_kept():
 
 def test_half_duplex_same_tti_lost():
     sim, emitted = engine_run("cv2x", vehicle_pair(10.0))
-    sim.reserved_subch[:] = [0, 2]
+    sim.reserved_subch[:] = [0, 1]
     sim._send(np.array([0, 1]), 0)
     sim._score_held()
     assert half_duplex_at_0(sim, emitted) == [True]
@@ -483,7 +483,11 @@ PERIOD_TTIS = 100  # the default 100 ms generation period in 1 ms TTIs
 
 
 def empty_ring(ttis=1000, subch=5):
-    """A silent (window TTIs, one vehicle, subchannels) sensing ring."""
+    """A silent (window TTIs, one vehicle, starts) sensing ring.
+
+    At the one-subchannel footprint `select_one` defaults to, its starts
+    are its subchannels.
+    """
     return np.zeros((ttis, 1, subch))
 
 
@@ -640,14 +644,35 @@ def sps_select_one(sensed_mw, now_tti, params, t_tti_s, period_ttis, rng, n_subc
     return Selection(subch, tti, counter, int(kept.sum()), total, threshold)
 
 
+def sensed_per_subchannel(ring, n_subch_needed):
+    """The (window TTIs, vehicles, subchannels) ring of a per-start ring.
+
+    Reference: each start with frames adds its total to its
+    `n_subch_needed` subchannels, starts ascending, into zeros, as the
+    engine's sensing did while its ring held one column per subchannel;
+    a start without frames adds nothing, and an unsensed row stays NaN.
+    """
+    window_ttis, n, n_starts = ring.shape
+    out = np.zeros((window_ttis, n, n_starts + n_subch_needed - 1))
+    for s0 in range(n_starts):
+        total = ring[:, :, s0]
+        sent = total != 0.0  # NaN too
+        out[:, :, s0:s0 + n_subch_needed][sent] += total[sent][:, None]
+    return out
+
+
 @st.composite
 def sensing_rings(draw, period=None, log10_mw=(-14.0, -7.0)):
-    """A (window TTIs, vehicles, subchannels) ring, its fill line and its period.
+    """A (window TTIs, vehicles, starts) ring, its footprint, fill line and period.
 
-    `log10_mw` bounds the log10 of the recorded mW; some subchannels are
-    idle, some TTIs silent and some unsensed (NaN), per vehicle.
+    The footprint is the subchannels a frame takes from its start;
+    `log10_mw` bounds the log10 of the recorded mW. Some starts have no
+    frames, some TTIs are silent and some unsensed (NaN in every start),
+    per vehicle.
     """
     n_subch = draw(st.integers(1, 8), label="subchannels")
+    n_subch_needed = draw(st.integers(1, n_subch), label="subchannels needed")
+    n_starts = n_subch - n_subch_needed + 1
     n = draw(st.integers(1, 10), label="vehicles")
     if period is None:
         period = draw(st.integers(1, 30), label="period")
@@ -658,49 +683,55 @@ def sensing_rings(draw, period=None, log10_mw=(-14.0, -7.0)):
                                   st.integers(2 * window_ttis + 1, 6 * window_ttis)),  # wrapped
                         label="filled until")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ring = 10.0 ** rng.uniform(*log10_mw, size=(window_ttis, n, n_subch))
-    ring[rng.random(ring.shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0  # idle subchannels
+    ring = 10.0 ** rng.uniform(*log10_mw, size=(window_ttis, n, n_starts))
+    ring[rng.random(ring.shape) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0  # no frames
     ring[rng.random((window_ttis, n)) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0  # silent
     ring[rng.random((window_ttis, n)) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = np.nan  # own
     vids = np.flatnonzero(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     if not vids.size:
         vids = ids(draw(st.integers(0, n - 1)))
-    return ring, vids, filled_until, period
+    return ring, n_subch_needed, vids, filled_until, period
 
 
 @st.composite
 def sensing_cases(draw):
-    """A sensing ring, the vehicles judged, and candidates around the fill line."""
-    ring, vids, filled_until, period = draw(sensing_rings())
+    """A sensing ring, the vehicles judged, candidates around the fill line, the footprint."""
+    ring, n_subch_needed, vids, filled_until, period = draw(sensing_rings())
     depth = ring.shape[0] // period
     # candidates from before the recorded span to past its end
     first = filled_until + draw(st.integers(-(depth + 1) * period, 2 * period))
     candidates = np.arange(first, first + draw(st.integers(1, 2 * period + 2)))
-    return ring, vids, filled_until, candidates, period
+    return ring, vids, filled_until, candidates, period, n_subch_needed
 
 
-def fixed_sensing_case(n_subch, n, period, window_ttis, filled_until, candidates, vids):
+def fixed_sensing_case(n_subch, n_subch_needed, n, period, window_ttis, filled_until,
+                       candidates, vids):
     """A sensing case of fixed shape, its ring drawn as `sensing_rings` draws one."""
     rng = np.random.default_rng(window_ttis * n * n_subch)
-    ring = 10.0 ** rng.uniform(-14.0, -7.0, size=(window_ttis, n, n_subch))
+    ring = 10.0 ** rng.uniform(-14.0, -7.0,
+                               size=(window_ttis, n, n_subch - n_subch_needed + 1))
     ring[rng.random(ring.shape) < 0.3] = 0.0
     ring[rng.random((window_ttis, n)) < 0.1] = 0.0
     ring[rng.random((window_ttis, n)) < 0.1] = np.nan
-    return ring, np.array(vids), filled_until, np.arange(*candidates), period
+    return (ring, np.array(vids), filled_until, np.arange(*candidates), period,
+            n_subch_needed)
 
 
 # the exactness boundaries: at one subchannel numpy sums the reference's depth
 # axis pairwise, which at depth >= 8 differs from in order for levels 2-4 (0 + l2
 # pairs with l3 + l4); at five subchannels it sums in order; a single read level
 # is exact in any order
-@example(case=fixed_sensing_case(1, 6, 10, 104, 30, (41, 50), range(6)))  # levels 2-4, depth 10
-@example(case=fixed_sensing_case(5, 10, 100, 1000, 2500, (2501, 2601),
-                                 [0, 1, 2, 4, 5, 7, 8, 9]))  # full window, 8 vehicles
-@example(case=fixed_sensing_case(1, 3, 100, 1000, 50, (51, 151), [0, 2]))  # level 1 alone
+@example(case=fixed_sensing_case(1, 1, 6, 10, 104, 30, (41, 50), range(6)))  # levels 2-4
+@example(case=fixed_sensing_case(5, 4, 10, 100, 1000, 2500, (2501, 2601),
+                                 [0, 1, 2, 4, 5, 7, 8, 9]))  # full window, default footprint
+@example(case=fixed_sensing_case(5, 1, 10, 100, 1000, 2500, (2501, 2601),
+                                 [0, 1, 2, 4, 5, 7, 8, 9]))  # full window, five starts
+@example(case=fixed_sensing_case(1, 1, 3, 100, 1000, 50, (51, 151), [0, 2]))  # level 1 alone
 @settings(max_examples=600, deadline=None)
 @given(case=sensing_cases())
 def test_projection_matches_full_depth_reference_bit_for_bit(case):
-    ring, vids, filled_until, candidates, period = case
+    starts, vids, filled_until, candidates, period, n_subch_needed = case
+    ring = sensed_per_subchannel(starts, n_subch_needed)
     got = projected_average_mw(*case)
     assert got.shape == (candidates.size, vids.size, ring.shape[2])
     for v, vid in enumerate(vids.tolist()):
@@ -721,22 +752,22 @@ def test_one_call_for_many_vehicles_matches_one_reference_call_each(data):
     """
     kind = data.draw(st.sampled_from(["quiet", "loud", "on the thresholds"]), label="ring")
     period = data.draw(st.integers(2, 30), label="period")
-    ring, vids, now, _ = data.draw(sensing_rings(
+    starts, k, vids, now, _ = data.draw(sensing_rings(
         period=period, log10_mw=(-8.0, -5.0) if kind == "loud" else (-14.5, -10.0)))
     seed = data.draw(st.integers(0, 2**16), label="seed")
     steps = [3.0] if kind == "on the thresholds" else [3.0, 0.7]
     if kind == "on the thresholds":
-        recorded = ring > 0.0
+        recorded = starts > 0.0
         levels = 10.0 ** ((SPS.rsrp_exclude_dbm + 3.0 * np.arange(8)) / 10.0)
-        ring[recorded] = np.random.default_rng(seed).choice(levels, recorded.sum())
+        starts[recorded] = np.random.default_rng(seed).choice(levels, recorded.sum())
+    ring = sensed_per_subchannel(starts, k)
     t1 = data.draw(st.integers(0, 3), label="t1")
     t2 = t1 + data.draw(st.integers(0, 2 * period), label="T2 - T1")
     params = replace(
         SPS, t1_ms=float(t1), t2_ms=float(t2),
         best_fraction=data.draw(st.sampled_from([0.2, 0.5, 1.0]), label="best fraction"),
         rsrp_relax_step_db=data.draw(st.sampled_from(steps), label="relax step"))
-    k = data.draw(st.integers(1, ring.shape[2]), label="subchannels needed")
-    got = sps_select(ring, vids, now, params, 1e-3, period,
+    got = sps_select(starts, vids, now, params, 1e-3, period,
                      [stream(seed, "sps", vid) for vid in vids.tolist()], k)
     expected = [sps_select_one(ring[:, vid], now, params, 1e-3, period,
                                stream(seed, "sps", vid), k) for vid in vids.tolist()]
@@ -744,9 +775,66 @@ def test_one_call_for_many_vehicles_matches_one_reference_call_each(data):
     assert [repr(sel) for sel in got] == [repr(sel) for sel in expected]
 
 
-def test_footprint_wider_than_grid_rejected():
-    with pytest.raises(ConfigError):
-        select_one(empty_ring(subch=2), 1000, stream(9, "sps-test"), 3)
+def sensed_row_reference(power_mw, tx, first_subch, n_subch, n_subch_needed):
+    """The (N, subchannels) row the engine's sensing wrote per subchannel.
+
+    Each group of frames that start on one subchannel sums its power rows
+    in tx order; each group total is added to its `n_subch_needed`
+    subchannels in one add over contiguous rows, groups ascending; the sum
+    goes in transposed, and the transmitters' rows are NaN (half duplex).
+    """
+    starts = sorted(set(first_subch))
+    total = np.zeros((len(starts), power_mw.shape[0]))
+    for vid, s0 in zip(tx, first_subch):
+        total[starts.index(s0)] += power_mw[vid]
+    acc = np.zeros((n_subch, power_mw.shape[0]))
+    for g, s0 in enumerate(starts):
+        acc[s0:s0 + n_subch_needed] += total[g]
+    row = acc.T.copy()
+    row[tx] = np.nan
+    return row
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sensed_row_spread_over_subchannels_matches_the_per_subchannel_sums(data):
+    """A TTI's ring row, spread as SPS spreads it, is the per-subchannel row bit for bit.
+
+    The grid, the footprint, the vehicles' power rows and which vehicles
+    transmit on which starts are drawn; many starts have no frames.
+    """
+    n_subch = data.draw(st.integers(1, 10), label="subchannels")
+    n_prb_subch = data.draw(st.integers(3, 12), label="PRBs per subchannel")
+    footprint = data.draw(st.integers(3, n_subch * n_prb_subch), label="footprint PRBs")
+    theta = replace(default_theta("cv2x"), n_subch=n_subch, n_prb_subch=n_prb_subch,
+                    n_prb_pkt=footprint - built_setup().prb_table.control_overhead_prbs)
+    n = data.draw(st.integers(1, 8), label="vehicles")
+    setup = make_setup("cv2x", duration=1.0, warmup=0.0, theta=theta,
+                       vehicles=[VehicleState(i, 0, 500.0 + 10.0 * i, 0.0, +1)
+                                 for i in range(n)])
+    sim = engine._RunCv2x(setup, [].append, None)
+    k = sim.n_subch_needed
+    assert k == math.ceil(footprint / n_prb_subch)
+    assert sim.ring.shape[2] == n_subch - k + 1
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    power = 10.0 ** rng.uniform(-14.0, -7.0, size=(n, n))
+    power[rng.random((n, n)) < 0.3] = 0.0  # out of reach
+    sim.phy.power_mw[:] = power
+    tx = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n),
+                                  label="transmitters"))
+    first_subch = [data.draw(st.integers(0, n_subch - k), label="start") for _ in tx]
+    sim.reserved_subch[tx] = first_subch
+    tti = data.draw(st.integers(0, 3 * sim.window_ttis), label="TTI")
+    sim.ring[tti % sim.window_ttis] = np.nan  # the row is written whole
+    sim._sense(tx, tti)
+
+    got = subchannel_sums(sim.ring[tti % sim.window_ttis], k)
+    expected = sensed_row_reference(power, tx.tolist(), first_subch, n_subch, k)
+    # every sensed power is >= 0, so equal values are equal bits
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(np.isnan(sim.ring[tti % sim.window_ttis]).any(axis=1),
+                          np.isin(np.arange(n), tx))
 
 
 # --- parameter checks --------------------------------------------------------------

@@ -354,14 +354,17 @@ MESSAGE_NAMES = {
     ("cv2x.sensing_window_ms", "50"): ("traffic.generation_period_ms",),
     # 37 PRBs do not fit in one TTI of 1 x 10 PRBs
     ("cv2x.n_subch", "1"): ("cv2x.n_prb_subch", "cv2x.n_prb_pkt"),
+    # 49 PRBs fit in one TTI of 5 x 10 PRBs, but not with 2 control PRBs
+    ("cv2x.n_prb_pkt", "49"): ("cv2x.control_overhead_prbs", "cv2x.n_subch",
+                               "cv2x.n_prb_subch"),
     ("traffic.generation_period_ms", "7.5"): ("cv2x.t_tti_ms",),
     # one mobility step would move a vehicle half the road or more
     ("road.mean_speed_kmh", "1e12"): ("run.mobility_step_ms", "road.road_length_m"),
     ("road.speed_std_kmh", "1e12"): ("road.mean_speed_kmh", "run.mobility_step_ms"),
 }
 # the bad values that only the C-V2X engine rejects
-CV2X_ONLY = {("cv2x.n_subch", "1"), ("traffic.generation_period_ms", "7.5"),
-             ("cv2x.counter_min", "0")}
+CV2X_ONLY = {("cv2x.n_subch", "1"), ("cv2x.n_prb_pkt", "49"),
+             ("traffic.generation_period_ms", "7.5"), ("cv2x.counter_min", "0")}
 
 
 @pytest.mark.parametrize("key, value", [("run.max_range_m", "0"),
@@ -388,6 +391,7 @@ CV2X_ONLY = {("cv2x.n_subch", "1"), ("traffic.generation_period_ms", "7.5"),
                                         ("ieee80211p.t_aifs_us", "0"),
                                         ("run.mobility_step_ms", "0"),
                                         ("cv2x.n_subch", "1"),
+                                        ("cv2x.n_prb_pkt", "49"),
                                         ("traffic.generation_period_ms", "7.5")])
 def test_simulate_bad_value_exits_2(tmp_path, capsys, key, value):
     technology = "cv2x" if (key, value) in CV2X_ONLY else "11p"
