@@ -12,7 +12,9 @@ last bits, and every digest holds under them. So a change is
 output-neutral only when every digest below passes. Further pins cover
 `mae.csv` of short 802.11p and C-V2X `select-beta` runs, all five output
 files of a short 802.11p and a short C-V2X `validate`, and 802.11p runs
-whose warmup and mobility step are not aligned. Re-record only for a change
+whose warmup and mobility step are not aligned, and both technologies in
+curve mode without warmup and with a warmup that is exactly the start of a
+C-V2X TTI (whose frames are counted). Re-record only for a change
 that is meant to move simulation outputs.
 
 The MAC-trace digests pin, for short 802.11p highway runs at three
@@ -388,6 +390,42 @@ def test_unaligned_warmup_and_epochs_match_recorded_digests(name, tmp_path):
     got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                 for f in ("prr.csv", "ipg_ccdf.csv"))
     assert got == UNALIGNED_DIGESTS[name]
+
+
+# warmup 0 skips no link, so every frame is scored from the first batch;
+# warmup 0.25 s is exactly the start of C-V2X TTI 250 (1 ms TTIs), whose
+# frames are counted: a frame is skipped only if it starts strictly before
+WARMUP_TTI = 250
+WARMUP_CASES = {"no-warmup": 0.0, "warmup-on-a-tti": WARMUP_TTI * 1e-3}
+
+WARMUP_DIGESTS = {
+    ("11p", "no-warmup"):
+        "c7c3b7726dfb1ea644e0934178d4e2fe8ad97b1cd9f8c7056dcba3549e22c686",
+    ("11p", "warmup-on-a-tti"):
+        "727cf52afb301904cdfa14898b460b59a5cb277439114e3aabf6141b9a030574",
+    ("cv2x", "no-warmup"):
+        "1fe9e0f351f0f75c0456a9c970879a1e03986085c3facc4613c88277226a8d61",
+    ("cv2x", "warmup-on-a-tti"):
+        "7d4cbb88f6b10e0963cf9fb3aabd3b243cd1fe4d347c7c88d78553d7ab21dd2e",
+}
+
+
+@pytest.mark.parametrize("tech, name", sorted(WARMUP_DIGESTS))
+def test_warmup_edges_match_recorded_digests(tech, name, tmp_path):
+    warmup_s = WARMUP_CASES[name]
+    assert warmup_s == 0.0 or WARMUP_TTI * (1.0 * 1e-3) == warmup_s  # cv2x.t_tti_ms = 1
+    curve = {"11p": "highway_los_11p_mcs2_350B.csv", "cv2x": "highway_los_cv2x_mcs7_350B.csv"}
+    _, outputs = simulate_traced({
+        "run.technology": tech,
+        "run.seed": 19,
+        "run.sim_duration_s": 0.8,
+        "run.warmup_s": warmup_s,
+        "reception.mode": "curve",
+        "reception.curve_file": curve_path(curve[tech]),
+        "road.placement": "fixed_count",
+        "road.density_vpk": 100.0,
+    }, tmp_path)
+    assert outputs == WARMUP_DIGESTS[tech, name]
 
 
 FIT_ALPHA_DIGESTS = {
