@@ -34,7 +34,7 @@ warmup_s = 1.0
 max_range_m = 1000.0
 ; CHOICE: receiver cut-off; contribution beyond it is below noise
 mobility_step_ms = 100.0
-; CHOICE: position/shadowing refresh cadence
+; CHOICE: position/shadowing refresh cadence; at least one frame's airtime
 
 [reception]
 mode = step

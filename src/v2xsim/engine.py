@@ -40,16 +40,17 @@ same footprint. Sensing sums each group's power rows once, in tx order, and
 writes the transposed group totals into the (window, N, first subchannel)
 ring that SPS selection reads, 0.0 at a start without frames; a selection
 spreads the rows it reads over the subchannels they cover. A sent TTI
-is held with its transmitters and its group totals. Either engine scores
+is held with its transmitters and its group totals. Frames that start
+before warmup are never held, only counted. Either engine scores
 its held frames once they reach SCORE_BATCH_ELEMENTS frame x receiver
 elements and at the end of the run; C-V2X also scores them before each
 mobility epoch, while the power and link-code rows are still theirs. Each
 frame sums the noise and its interferers in its own interferer order
 (`interference_mw`); the frames are ranked by interferer count, so the k-th
 interferers of a batch add to its first rows in one contiguous add. A
-C-V2X frame's interferers are its own group's total less its own row, then
-each other group of its TTI that shares PRBs with it, at that share: about
-one row per group, not one per other frame of the TTI.
+C-V2X frame's sum starts at its own group's total less its own row, then
+adds each other group of its TTI that shares PRBs with it, at that share:
+about one row per group, not one per other frame of the TTI.
 
 Every vehicle's phase, backoff and SPS streams are derived from the seed
 and the vehicle ids in one hash (`util.streams`), each the stream
@@ -136,9 +137,10 @@ class RunConfig:
             raise ConfigError("warmup_s must be >= 0")
         if not self.max_range_m > 0:
             raise ConfigError("max_range_m must be > 0")
-        # a zero step would re-schedule the mobility epoch at the same instant forever
-        if not self.mobility_step_s > 0:
-            raise ConfigError("mobility_step_ms must be > 0")
+        # a step under a frame's airtime makes millions of epochs (endless ones at 0)
+        if not self.mobility_step_s >= tx_time(self.theta):
+            raise ConfigError("run.mobility_step_ms must be at least one frame's airtime "
+                              f"({tx_time(self.theta) * 1e3:.6g} ms)")
         if not self.prr_bin_width_m > 0:
             raise ConfigError("prr_bin_width_m must be > 0")
         if not self.prr_max_distance_m > 0:
@@ -179,8 +181,8 @@ class LinkBatch(NamedTuple):
     """Link outcomes of F counted frames, one entry per in-range (frame, receiver) link.
 
     skipped: the number of in-range links of frames that start before
-    warmup; they come before every other link of the run and are kept only
-    as this count. tx, end: (F,) transmitter and end time of each frame
+    warmup sent since the last batch, all before this batch's links, kept
+    only as this count. tx, end: (F,) transmitter and end time of each frame
     that starts after warmup, in the order the frames were scored. Links
     are frame-major with receivers ascending (the order reception decisions
     are drawn in); per link, sinr: linear SINR; blocked: the receiver was
@@ -260,14 +262,16 @@ def dbm_to_mw(dbm: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def interference_mw(n_frames: int, frame: np.ndarray, source: np.ndarray, frac: np.ndarray,
-                    sources: np.ndarray, noise_mw: float) -> np.ndarray:
+                    sources: np.ndarray, noise_mw: float,
+                    base_mw: np.ndarray | None = None) -> np.ndarray:
     """Noise plus interference (mW) of n_frames frames at every receiver, (F, N).
 
     frame, source, frac: the hits, sorted by frame and each frame's in its
     interferer order; hit h adds a share frac[h] of the (N,) power row
-    sources[source[h]] to frame frame[h]. Each frame sums the noise and then
-    its hits in that order, like a per-frame loop: a matmul would reorder
-    the sum and can flip a threshold decision.
+    sources[source[h]] to frame frame[h]. Each frame sums its row base_mw[f]
+    if given (the bits of a first hit at share 1.0), the noise, then its hits
+    in that order, like a per-frame loop: a matmul would reorder the sum and
+    can flip a threshold decision.
 
     The frames are ranked by hit count, most first (a stable sort), so the
     frames that have a k-th hit are the first m_k rows: level k gathers
@@ -281,7 +285,11 @@ def interference_mw(n_frames: int, frame: np.ndarray, source: np.ndarray, frac: 
     # each ranked frame's first hit, and per level k the frames that have a k-th
     hit = (np.cumsum(count) - count)[order]
     rows = np.searchsorted(-ranked, -np.arange(count.max(initial=0)))
-    denom = np.full((n_frames, sources.shape[1]), noise_mw)
+    if base_mw is None:
+        denom = np.full((n_frames, sources.shape[1]), noise_mw)
+    else:
+        denom = base_mw.take(order, axis=0)
+        denom += noise_mw
     buf = np.empty((np.count_nonzero(count), sources.shape[1]))
     for k, m in enumerate(rows.tolist()):
         at = hit[:m] + k
@@ -417,13 +425,14 @@ class _RunBase:
         self.phy = _PhyCache(self.geom, setup.propagation, cfg)
         self.noise_mw = 10.0 ** (noise_power_dbm(setup.propagation) / 10.0)
         self.generated = self.transmitted = 0
-        self.counting = False  # a frame that starts after warmup was scored
+        self.skipped = 0  # in-range links of frames before warmup, not yet emitted
         self.phases = generation_phase(self.ids, cfg.seed, self.traffic.period_s)
         # every frame of a run is on air this long (one TTI for C-V2X)
         self.duration_s = tx_time(cfg.theta)
 
     def _score(self, tx: np.ndarray, start: np.ndarray, signal: np.ndarray,
-               code: np.ndarray, deaf: np.ndarray, hits, sources: np.ndarray):
+               code: np.ndarray, deaf: np.ndarray, hits, sources: np.ndarray,
+               base_mw: np.ndarray | None = None):
         """Link outcomes of F recorded frames at every in-range receiver, emitted.
 
         tx, start: (F,) transmitter and start time of each frame, frames
@@ -433,33 +442,24 @@ class _RunBase:
         frame (half duplex). hits = (frame, source, frac), sorted by frame and
         each frame's in its interferer order: hit h covers a share frac[h]
         of frame frame[h] with the (N,) power row sources[source[h]];
-        `interference_mw` sums them per frame in that order, the frames
-        ranked by hit count. The frames that start before warmup come first,
-        in the batch and in the run; only their in-range links are counted.
-        A link is in range where its code is >= 0, never the frame's own
-        transmitter; its code's low bit flags the IPG range and the rest is
-        its PRR bin, so no distance is compared here.
+        `interference_mw` sums them per frame in that order, from `base_mw`
+        if given. Frames that start before warmup never get here: the
+        engines count their in-range links into `skipped`, which the batch
+        carries. A link is in range where its code is >= 0, never the
+        frame's own transmitter; its code's low bit flags the IPG range and
+        the rest is its PRR bin, so no distance is compared here.
         """
-        in_range = code >= 0
-        early = start < self.cfg.warmup_s
-        n_early = int(np.count_nonzero(early))
-        if not early[:n_early].all() or (n_early and self.counting):
-            raise AssertionError("frames that start before warmup must be scored first")
-        self.counting = self.counting or n_early < tx.size
-        skipped = int(np.count_nonzero(in_range[:n_early]))
-        # flat (counted frame, receiver) indices: frame-major, receivers ascending
-        link = np.flatnonzero(in_range[n_early:])
-        if link.size == 0 and skipped == 0:
+        # flat (frame, receiver) indices: frame-major, receivers ascending
+        link = np.flatnonzero(code >= 0)
+        if link.size == 0 and self.skipped == 0:
             return
-        tx, start, signal, code, deaf = (a[n_early:] for a in (tx, start, signal, code, deaf))
-        first = np.searchsorted(hits[0], n_early)
-        sinr = interference_mw(tx.size, hits[0][first:] - n_early, hits[1][first:],
-                               hits[2][first:], sources, self.noise_mw)
+        sinr = interference_mw(tx.size, *hits, sources, self.noise_mw, base_mw)
         np.divide(signal, sinr, out=sinr)  # over the denominators, then one gather
         c = code.take(link)
         near = (c & 1).astype(bool).nonzero()[0]  # nonzero is faster on bool than int
-        self.emit(LinkBatch(skipped, tx, start + self.duration_s, sinr.take(link),
+        self.emit(LinkBatch(self.skipped, tx, start + self.duration_s, sinr.take(link),
                             deaf.take(link), c >> 1, near, link.take(near)))
+        self.skipped = 0
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +559,6 @@ class _Run11p(_RunBase):
         for other in self.active:
             other.overlappers.append(frame)
         self.active.append(frame)
-        if now >= self.cfg.warmup_s:
-            self.transmitted += 1
         self._sense(frame, 1, now)
         self._push(now + self.duration_s, "tx_end", frame)
 
@@ -568,9 +566,15 @@ class _Run11p(_RunBase):
         self.active.remove(frame)
         self._sense(frame, -1, now)
         frame.reach = None  # read only by carrier sense, so free it before scoring
-        self.ended.append(frame)
-        if len(self.ended) * self.n >= SCORE_BATCH_ELEMENTS:
-            self._score_ended()
+        if frame.start < self.cfg.warmup_s:
+            # counted only (it ends before any counted frame); its row still interferes
+            self.skipped += int(np.count_nonzero(frame.code_row >= 0))
+            frame.overlappers = None
+        else:
+            self.transmitted += 1
+            self.ended.append(frame)
+            if len(self.ended) * self.n >= SCORE_BATCH_ELEMENTS:
+                self._score_ended()
         self.mac.on_tx_end(now, frame.tx, self._busy_at(frame.tx))
 
     def _score_ended(self):
@@ -651,10 +655,10 @@ class _RunCv2x(_RunBase):
     frames of one first subchannel) in tx order and writes these totals into
     the sensing ring, one column per first subchannel; the TTI is then held
     with its transmitters, each one's group, the groups' first subchannels
-    and totals, and its start.
-    `_score_held` scores the held TTIs against the group totals, in one
-    (frames + groups, N) source buffer: each frame's remainder row, its
-    group's total less its own row, then the totals."""
+    and totals, and its start, unless it starts before warmup: then its
+    in-range links are only counted. `_score_held` scores the held TTIs
+    against the (groups, N) totals, each frame's sum from its remainder row
+    (its group's total less its own row)."""
 
     def __init__(self, setup: SimulationSetup, emit, trace: TraceLog | None):
         super().__init__(setup, emit, trace)
@@ -716,7 +720,7 @@ class _RunCv2x(_RunBase):
         cfg = self.cfg
         n_ttis = int(math.ceil(cfg.sim_duration_s / self.t_tti))
         next_gen = self.phases.copy()
-        epoch_every = max(int(round(cfg.mobility_step_s / self.t_tti)), 1)
+        epoch_every = int(round(cfg.mobility_step_s / self.t_tti))
         for k in range(n_ttis):
             t_k = k * self.t_tti
             if k > 0 and k % epoch_every == 0:
@@ -753,8 +757,6 @@ class _RunCv2x(_RunBase):
             self.reserved_tti[slot[late]] += self.period_ttis
             tx = slot[~late]
             self.pending[tx] = np.nan
-            if t_k >= cfg.warmup_s:
-                self.transmitted += tx.size
             self._send(tx, k)
             for vid in tx.tolist():
                 st = self.sps_states[vid]
@@ -767,10 +769,14 @@ class _RunCv2x(_RunBase):
         self._score_held()
 
     def _send(self, tx: np.ndarray, k: int):
-        """Put this TTI's frames on air: sense them, then hold them for scoring."""
+        """Put this TTI's frames on air: sense them, then hold them (or count them)."""
         group, first_subch, total = self._sense(tx, k)
-        if tx.size:
-            self.held.append((tx, group, first_subch, total, k * self.t_tti))
+        start = k * self.t_tti
+        if start < self.cfg.warmup_s:
+            self.skipped += int(np.count_nonzero(self.phy.code[tx] >= 0))
+        elif tx.size:
+            self.transmitted += tx.size
+            self.held.append((tx, group, first_subch, total, start))
             self.held_frames += tx.size
             if self.held_frames * self.n >= SCORE_BATCH_ELEMENTS:
                 self._score_held()
@@ -801,10 +807,10 @@ class _RunCv2x(_RunBase):
     def _score_held(self):
         """Score the held TTIs in one pass, in the order they were sent.
 
-        A frame's interference comes from its TTI's groups (`_sense`): first
-        its own group's total less its own row, at share 1 (a frame alone in
-        its group has none), then each other group that shares PRBs with it,
-        ascending, at the share of the frame's PRBs that the group occupies.
+        A frame's interference comes from its TTI's groups (`_sense`): its
+        sum starts at its own group's total less its own row (+0.0 alone),
+        then adds each other group that shares PRBs with it, ascending, at
+        the share of the frame's PRBs that the group occupies.
         """
         if not self.held:
             return
@@ -832,20 +838,12 @@ class _RunCv2x(_RunBase):
                             * np.abs(first_subch[group[frame]] - first_subch[other]), 0)
         shared[other == group[frame]] = 0
         hit = shared.nonzero()[0]
-        # the sources: each frame's remainder, its group's total less its own
-        # row (zero in a group of one), then the group totals
-        sources = np.empty((tx.size + first_subch.size, self.n))
-        total = np.concatenate(totals, out=sources[tx.size:])
-        remainder = np.take(total, group, axis=0, out=sources[:tx.size], mode="clip")
+        total = np.concatenate(totals)
+        # each frame's remainder, its group's total less its own row
+        remainder = total.take(group, axis=0)
         remainder -= signal
-        # each frame's remainder first, unless it is alone in its group, then
-        # its other groups ascending (a stable sort)
-        grouped = (np.bincount(group)[group] > 1).nonzero()[0]
-        hit_frame = np.concatenate((grouped, frame[hit]))
-        order = np.argsort(hit_frame, kind="stable")
-        hits = (hit_frame[order], np.concatenate((grouped, tx.size + other[hit]))[order],
-                np.concatenate((np.ones(grouped.size), shared[hit] / self.footprint_prbs))[order])
-        self._score(tx, start, signal, self.phy.code[tx], on_air[tti], hits, sources)
+        self._score(tx, start, signal, self.phy.code[tx], on_air[tti],
+                    (frame[hit], other[hit], shared[hit] / self.footprint_prbs), total, remainder)
 
 
 # ---------------------------------------------------------------------------

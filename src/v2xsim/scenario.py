@@ -39,10 +39,10 @@ class RoadConfig:
             raise ConfigError("road_length_m must be > 0")
         if self.density_vpk <= 0:
             raise ConfigError("density_vpk must be > 0")
-        if not self.mean_speed_kmh >= 0:
-            raise ConfigError("mean_speed_kmh must be >= 0")
-        if not self.speed_std_kmh >= 0:
-            raise ConfigError("speed_std_kmh must be >= 0")
+        # a negative lane width mirrors the lanes, a negative corner_los_m hides corners
+        for key in ("mean_speed_kmh", "speed_std_kmh", "lane_width_m", "corner_los_m"):
+            if not getattr(self, key) >= 0:
+                raise ConfigError(f"road.{key} must be >= 0")
         if self.layout not in ("highway", "urban_grid"):
             raise ConfigError(f"unknown layout {self.layout!r}")
         if self.lanes_per_direction < 1:

@@ -364,7 +364,8 @@ MESSAGE_NAMES = {
 }
 # the bad values that only the C-V2X engine rejects
 CV2X_ONLY = {("cv2x.n_subch", "1"), ("cv2x.n_prb_pkt", "49"),
-             ("traffic.generation_period_ms", "7.5"), ("cv2x.counter_min", "0")}
+             ("traffic.generation_period_ms", "7.5"), ("cv2x.counter_min", "0"),
+             ("run.mobility_step_ms", "0.9")}
 
 
 @pytest.mark.parametrize("key, value", [("run.max_range_m", "0"),
@@ -390,6 +391,11 @@ CV2X_ONLY = {("cv2x.n_subch", "1"), ("cv2x.n_prb_pkt", "49"),
                                         ("cv2x.t_tti_ms", "0.7"),
                                         ("ieee80211p.t_aifs_us", "0"),
                                         ("run.mobility_step_ms", "0"),
+                                        # shorter than a frame's airtime (0.622 ms, 1 ms)
+                                        ("run.mobility_step_ms", "0.5"),
+                                        ("run.mobility_step_ms", "0.9"),
+                                        ("road.lane_width_m", "-4"),
+                                        ("road.corner_los_m", "-1"),
                                         ("cv2x.n_subch", "1"),
                                         ("cv2x.n_prb_pkt", "49"),
                                         ("traffic.generation_period_ms", "7.5")])

@@ -22,6 +22,7 @@ from v2xsim.engine import (LinkBatch, SharedRun, TraceLog, decide_reception_vect
 from v2xsim.errors import ConfigError
 from v2xsim.metrics import IpgStore, PrrSeries, uniform_bin_edges
 from v2xsim.scenario import VehicleState
+from v2xsim.settings import tx_time
 from v2xsim.util import stream
 
 
@@ -293,10 +294,13 @@ def test_group_totals_give_the_pairwise_denominators(case):
 
 # --- interference sum ----------------------------------------------------------------
 
-def interference_one(n_frames, frame, source, frac, sources, noise_mw):
-    """Reference for `interference_mw`: one frame and one hit at a time, in hit order."""
+def interference_one(n_frames, frame, source, frac, sources, noise_mw, base=None):
+    """Reference for `interference_mw`: one frame and one hit at a time, in hit
+    order, each frame from its base row plus the noise if `base` is given."""
     denom = np.full((n_frames, sources.shape[1]), noise_mw)
     for f in range(n_frames):
+        if base is not None:
+            denom[f] = base[f] + noise_mw
         for h in np.flatnonzero(frame == f):
             denom[f] = denom[f] + sources[source[h]] * frac[h]
     return denom
@@ -315,7 +319,10 @@ def test_interference_matches_a_per_frame_loop(counts, n, n_sources, seed, fracs
 
     Several hits can share one source row, as the 802.11p scorer stacks one
     row per overlapping frame: the shared rows give the bits of a stack that
-    copies each hit's row.
+    copies each hit's row. With base rows (a C-V2X frame's group remainder),
+    some of them all +0.0 (a frame alone in its group), each frame starts at
+    its base row plus the noise, which gives the bits of the same rows as
+    each frame's first hit at share 1.0.
     """
     rng = np.random.default_rng(seed)
     frame = np.repeat(np.arange(len(counts)), counts)
@@ -333,6 +340,21 @@ def test_interference_matches_a_per_frame_loop(counts, n, n_sources, seed, fracs
     per_hit = interference_mw(len(counts), frame, np.arange(frame.size), frac,
                               sources[source], noise_mw)
     assert np.array_equal(per_hit, want)
+
+    base = 10.0 ** rng.uniform(-15.0, -3.0, (len(counts), n))
+    base[rng.random(base.shape) < 0.1] = 0.0
+    base[rng.random(len(counts)) < 0.3] = 0.0
+    got = interference_mw(len(counts), frame, source, frac, sources, noise_mw, base)
+    assert np.array_equal(
+        got, interference_one(len(counts), frame, source, frac, sources, noise_mw, base))
+    # the base rows as each frame's first hit at share 1.0, sources after the others
+    first = np.arange(len(counts))
+    order = np.argsort(np.concatenate((first, frame)), kind="stable")
+    as_hits = interference_mw(
+        len(counts), np.concatenate((first, frame))[order],
+        np.concatenate((n_sources + first, source))[order],
+        np.concatenate((np.ones(first.size), frac))[order], np.vstack((sources, base)), noise_mw)
+    assert np.array_equal(got, as_hits)
 
 
 # --- whole-run behavior -----------------------------------------------------------
@@ -548,22 +570,23 @@ class DistancePhy(engine._PhyCache):
         self.dist = self.geom.distance_matrix()
 
 
-def distance_based_batch(sim, tx, start, signal, dist, deaf, hits, sources):
+def in_range_links(sim, tx, dist):
+    """The (frames, N) links of frames from `tx` within `max_range_m`, by distance."""
+    in_range = dist <= sim.cfg.max_range_m
+    in_range[np.arange(tx.size), tx] = False
+    return in_range
+
+
+def distance_based_batch(sim, skipped, tx, start, signal, dist, deaf, hits, sources, base_mw):
     """The scorer as it was with distance rows: the range, PRR bin and IPG
     flag of each link from its distance, the diagonal masked per batch."""
     cfg = sim.cfg
+    assert (start >= cfg.warmup_s).all()  # only counted frames are scored
     bins = PrrSeries(uniform_bin_edges(cfg.prr_max_distance_m, cfg.prr_bin_width_m))
-    in_range = dist <= cfg.max_range_m
-    in_range[np.arange(tx.size), tx] = False
-    n_early = int(np.count_nonzero(start < cfg.warmup_s))
-    skipped = int(np.count_nonzero(in_range[:n_early]))
-    link = np.flatnonzero(in_range[n_early:])
+    link = np.flatnonzero(in_range_links(sim, tx, dist))
     if link.size == 0 and skipped == 0:
         return None
-    tx, start, signal, dist, deaf = (a[n_early:] for a in (tx, start, signal, dist, deaf))
-    first = np.searchsorted(hits[0], n_early)
-    sinr = signal / interference_mw(tx.size, hits[0][first:] - n_early, hits[1][first:],
-                                    hits[2][first:], sources, sim.noise_mw)
+    sinr = signal / interference_mw(tx.size, *hits, sources, sim.noise_mw, base_mw)
     d = dist.take(link)
     near = np.flatnonzero(d <= cfg.ipg_range_m)
     return LinkBatch(skipped, tx, start + sim.duration_s, sinr.take(link), deaf.take(link),
@@ -577,30 +600,44 @@ def test_link_batches_match_the_distance_based_scorer(tech, max_range_m, ipg_ran
                                                       width_m):
     """200 vehicles on the 2 km ring, five mobility epochs: every batch the
     scorer emits from link codes equals the distance-based one. An 802.11p
-    frame keeps the distance row of its start."""
+    frame keeps the distance row of its start. Only frames that start after
+    warmup are scored; the first batch carries every in-range link of the
+    frames before warmup, by distance, and later batches none."""
     setup = make_setup(tech, seed=3, duration=0.6, warmup=0.2, density=100.0,
                        max_range_m=max_range_m, ipg_range_m=ipg_range_m,
                        prr_bin_width_m=width_m)
     setup = replace(setup, road=replace(setup.road, placement="fixed_count"))
-    rows, expected = {}, []
+    rows, expected, early = {}, [], [0]
     real_score, real_begin = engine._RunBase._score, engine._Run11p._begin_frame
+    real_send = engine._RunCv2x._send
 
-    def score(self, tx, start, signal, code, deaf, hits, sources):
+    def score(self, tx, start, signal, code, deaf, hits, sources, base_mw=None):
         dist = (self.phy.dist[tx] if tech == "cv2x" else
                 np.stack([rows[key] for key in zip(tx.tolist(), start.tolist())]))
-        batch = distance_based_batch(self, tx, start, signal, dist, deaf, hits, sources)
+        skipped = 0 if expected else early[0]
+        batch = distance_based_batch(self, skipped, tx, start, signal, dist, deaf, hits,
+                                     sources, base_mw)
         if batch is not None:
             expected.append(batch)
-        real_score(self, tx, start, signal, code, deaf, hits, sources)
+        real_score(self, tx, start, signal, code, deaf, hits, sources, base_mw)
 
     def begin(self, vid, now):
         rows[vid, now] = self.phy.dist[vid].copy()
+        if now < self.cfg.warmup_s:
+            early[0] += int(np.count_nonzero(in_range_links(self, np.array([vid]),
+                                                            rows[vid, now][None])))
         real_begin(self, vid, now)
+
+    def send(self, tx, k):
+        if k * self.t_tti < self.cfg.warmup_s:
+            early[0] += int(np.count_nonzero(in_range_links(self, tx, self.phy.dist[tx])))
+        real_send(self, tx, k)
 
     emitted = []
     with mock.patch.object(engine, "_PhyCache", DistancePhy), \
             mock.patch.object(engine._RunBase, "_score", score), \
-            mock.patch.object(engine._Run11p, "_begin_frame", begin):
+            mock.patch.object(engine._Run11p, "_begin_frame", begin), \
+            mock.patch.object(engine._RunCv2x, "_send", send):
         sim = (engine._Run11p if tech == "11p" else engine._RunCv2x)(
             setup, emitted.append, None)
         sim.run()
@@ -609,27 +646,10 @@ def test_link_batches_match_the_distance_based_scorer(tech, max_range_m, ipg_ran
         assert got.skipped == want.skipped
         for name in LinkBatch._fields[1:]:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert sum(batch.skipped for batch in emitted) > 0
+    assert emitted[0].skipped == early[0] > 0
+    assert not any(batch.skipped for batch in emitted[1:])
     near = sum(batch.near.size for batch in emitted)
     assert 0 < near < sum(batch.sinr.size for batch in emitted) or ipg_range_m > max_range_m
-
-
-def test_frames_that_start_before_warmup_must_be_scored_first():
-    setup = make_setup("11p", duration=1.0, warmup=0.5, vehicles=vehicle_pair(10.0))
-    sim = engine._RunBase(setup, lambda batch: None, None)
-    no_hits = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
-
-    def score(tx, start):
-        f = len(tx)
-        signal = np.where(np.eye(2, dtype=bool), 0.0, 1e-6)[tx]
-        sim._score(np.array(tx), np.array(start), signal, sim.phy.code[tx],
-                   np.zeros((f, 2), dtype=bool), no_hits, np.zeros((0, 2)))
-
-    with pytest.raises(AssertionError, match="before warmup"):
-        score([0, 1], [0.6, 0.1])  # within a batch
-    score([0], [0.6])
-    with pytest.raises(AssertionError, match="before warmup"):
-        score([1], [0.4])  # in a later batch
 
 
 @pytest.mark.parametrize("tech", ["11p", "cv2x"])
@@ -648,6 +668,16 @@ def test_a_run_counts_the_links_of_frames_before_warmup_only_as_skipped(
     no_warmup = replace(setup, run=replace(setup.run, warmup_s=0.0))
     every = run(no_warmup, model).opportunities
     assert sum(batch.skipped for batch in batches) == every - counted > 0
+
+
+@pytest.mark.parametrize("tech", ["11p", "cv2x"])
+def test_a_mobility_step_shorter_than_a_frame_is_refused(tech):
+    # a 1 ns step made 5e7 epoch events in a 0.05 s run at 5 veh/km
+    airtime_ms = tx_time(default_theta(tech)) * 1e3
+    built_setup(f"run.technology={tech}", f"run.mobility_step_ms={airtime_ms * (1 + 1e-9)!r}")
+    for step_ms in (1e-6, airtime_ms * (1 - 1e-9)):
+        with pytest.raises(ConfigError, match="run.mobility_step_ms"):
+            built_setup(f"run.technology={tech}", f"run.mobility_step_ms={step_ms!r}")
 
 
 def test_a_mobility_step_of_half_the_road_or_more_is_refused():
